@@ -83,17 +83,12 @@ type Options struct {
 	// engine; 0 means DefaultBudget. When the budget is exhausted the
 	// result is Unknown = true rather than Found = false.
 	Budget int64
-	// Deadline bounds the wall-clock time of each Find/FindDelta call.
-	// Compatibility shim: it is implemented as a per-call Resources scope
-	// (a timer latches the stop flag; the engines never read the clock),
-	// preserving the old polling semantics. 0 means no deadline. The O(n)
-	// planner and structured tiers are not bounded — they finish far below
-	// any useful deadline.
-	Deadline time.Duration
 	// Res is the ambient cancellation/budget token shared by every Find /
 	// FindDelta call of this solver: cancel it and the search engines
-	// return Unknown at their next expansion. nil = never stops. Per-call
-	// Deadline scopes (if any) are created as children of this token.
+	// return Unknown at their next expansion. nil = never stops. A
+	// wall-clock bound is a token with a deadline, e.g. Scoped(nil, d).
+	// The O(n) planner and structured tiers are not bounded — they finish
+	// far below any useful deadline.
 	Res *Resources
 	// Race upgrades Auto for hard instances: when the planner/structured
 	// tiers miss and the instance fits the exact DP, the backtracker and
@@ -233,8 +228,7 @@ type Solver struct {
 	memoKey              []byte
 	memoHits, memoMisses int64
 
-	// run is the token governing the current Find call: Options.Res, or a
-	// per-call child of it when Options.Deadline is set.
+	// run is the token governing the current Find call (Options.Res).
 	run *Resources
 
 	// spanParent is the causal parent for per-call solve spans (SetSpan);
@@ -401,11 +395,6 @@ func (s *Solver) memoStore(res Result) {
 	s.memo[string(s.memoKey)] = e
 }
 
-// SetDeadline changes the per-call wall-clock bound for subsequent Find /
-// FindDelta calls (see Options.Deadline). 0 disables the bound.
-// Compatibility shim over the Resources token.
-func (s *Solver) SetDeadline(d time.Duration) { s.opts.Deadline = d }
-
 // SetResources replaces the ambient cancellation/budget token for
 // subsequent Find / FindDelta calls (see Options.Res). nil detaches.
 func (s *Solver) SetResources(r *Resources) { s.opts.Res = r }
@@ -489,14 +478,6 @@ func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string, warm bool) {
 
 func (s *Solver) find(faults bitset.Set, removed, added []int, delta bool) Result {
 	s.run = s.opts.Res
-	if s.opts.Deadline > 0 {
-		// Per-call deadline scope: a child token whose timer latches the
-		// stop flag, so the engines check one atomic load instead of
-		// polling the clock.
-		scope := Scoped(s.opts.Res, s.opts.Deadline)
-		defer scope.Release()
-		s.run = scope
-	}
 	var ends endpoints
 	var ok bool
 	if delta && s.warmValid {

@@ -138,8 +138,8 @@ func (r *Resources) child(budget int64, deadline time.Duration) *Resources {
 }
 
 // Scoped returns a child of parent carrying its own deadline (0 = none).
-// A nil parent yields a detached root. This is the per-call compatibility
-// shim behind Options.Deadline and reconfig.SetDeadline.
+// A nil parent yields a detached root. reconfig.SetDeadline builds one
+// per repair.
 func Scoped(parent *Resources, deadline time.Duration) *Resources {
 	if parent == nil {
 		return NewResources(nil, 0, deadline)

@@ -226,24 +226,33 @@ func TestSolverTokenBudgetExhaustsAsUnknown(t *testing.T) {
 	}
 }
 
-// TestSolverDeadlineShimStillWorks: Options.Deadline and SetDeadline keep
-// their wall-clock semantics on top of the token implementation.
-func TestSolverDeadlineShimStillWorks(t *testing.T) {
+// TestSolverScopedDeadline: a wall-clock bound on a solver is a
+// Resources token with a deadline. A generous one does not block the
+// solve, an expired one never yields a definitive not-found, and
+// detaching the token restores normal solving.
+func TestSolverScopedDeadline(t *testing.T) {
 	g := construct.G2(3)
-	s := NewSolver(g, Options{Method: Backtracking})
-	s.SetDeadline(time.Hour)
+	generous := Scoped(nil, time.Hour)
+	defer generous.Release()
+	s := NewSolver(g, Options{Method: Backtracking, Res: generous})
 	if res := s.Find(nil); !res.Found {
 		t.Fatal("generous deadline should not block the solve")
 	}
-	s.SetDeadline(time.Nanosecond)
-	// A 1ns deadline is expired before the timer can even be serviced;
-	// Scoped() arms the timer and the engine sees the stop at its first
-	// batched check or the timer fires immediately. Either way the call
-	// must not report a definitive not-found.
+	// A 1ns deadline is expired before the timer can even be serviced:
+	// the engine sees the stop at its first batched check, or the solve
+	// finishes first. Either way it must not report a definitive
+	// not-found.
+	expired := Scoped(nil, time.Nanosecond)
+	defer expired.Release()
+	s.SetResources(expired)
 	faults := bitset.New(g.NumNodes())
 	deadlineHit := false
 	for i := 0; i < 50; i++ {
-		if res := s.Find(faults); res.Unknown {
+		res := s.Find(faults)
+		if !res.Found && !res.Unknown {
+			t.Fatal("expired deadline reported a definitive not-found")
+		}
+		if res.Unknown {
 			deadlineHit = true
 			break
 		}
@@ -251,9 +260,9 @@ func TestSolverDeadlineShimStillWorks(t *testing.T) {
 	if !deadlineHit {
 		t.Log("1ns deadline never observed (fast machine); acceptable but unexpected")
 	}
-	s.SetDeadline(0)
+	s.SetResources(nil)
 	if res := s.Find(nil); !res.Found {
-		t.Fatal("clearing the deadline should restore normal solving")
+		t.Fatal("detaching the token should restore normal solving")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	"gdpn/internal/baseline"
@@ -333,12 +332,10 @@ func runS3(cfg Config) *Table {
 			}
 			return nil
 		}
-		// Warm the buffer/batch pools and goroutine stacks, then keep the
-		// GC from clearing the pools mid-measurement.
+		// Warm the free lists and goroutine stacks.
 		if err := pump(512); err != nil {
 			return 0, 0, err
 		}
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -377,18 +374,15 @@ func runS3(cfg Config) *Table {
 	t.AddRow("batched", fmt.Sprint(batch), fmt.Sprint(frames),
 		fmt.Sprintf("%.0f", batchNS), fmt.Sprintf("%.1f", mbps(batchNS)), fmt.Sprintf("%.3f", batchAllocs))
 	speedup := perNS / batchNS
+	t.OK = batchAllocs < 0.5
 	if raceDetector {
-		// The race detector defeats both measurements by design: sync.Pool
-		// drops Puts randomly (allocs/frame inflates) and instrumentation
-		// overhead compresses the batched/per-frame gap, especially on a
-		// single core. The stream-cleanliness checks above still ran;
-		// report the numbers but do not enforce the perf gates.
-		t.Note("speedup %.2fx, batched allocs/frame %.3f — perf gates SKIPPED under the race detector", speedup, batchAllocs)
-		t.OK = true
+		// Race instrumentation compresses the batched/per-frame gap to
+		// about the gate itself, so the speedup is reported, not gated.
+		t.Note("speedup %.2fx (not gated under the race detector), batched allocs/frame %.3f (gate <0.5)", speedup, batchAllocs)
 		return t
 	}
 	t.Note("speedup %.2fx (gate ≥1.5x), batched allocs/frame %.3f (gate <0.5)", speedup, batchAllocs)
-	t.OK = speedup >= 1.5 && batchAllocs < 0.5
+	t.OK = t.OK && speedup >= 1.5
 	return t
 }
 

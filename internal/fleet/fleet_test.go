@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -57,7 +58,30 @@ func TestFleetMatchesExhaustive(t *testing.T) {
 	}
 	want := verify.Exhaustive(inst.Graph, spec.K, inst.Opts)
 
-	c, srv := startFleet(t, Config{Spec: spec})
+	c, err := NewCoordinator(Config{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator counts the workers it has seen when the last chunk
+	// completes, and on a small host one worker can finish the whole
+	// sweep before the others lease. So every completion waits for the
+	// event that all three workers have asked for a lease.
+	allLeased := make(chan struct{})
+	var once sync.Once
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/complete" {
+			select {
+			case <-allLeased:
+			case <-time.After(30 * time.Second):
+			}
+		}
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/lease" && c.Status().WorkersSeen == 3 {
+			once.Do(func() { close(allLeased) })
+		}
+	}))
+	t.Cleanup(srv.Close)
 	runWorkers(t, srv, 3)
 
 	select {

@@ -1,33 +1,30 @@
 package pipeline
 
-// This file is the zero-allocation batched transport (ROADMAP item 3):
-// frames move through the goroutine-per-processor chain in pooled
-// frameBatch carriers instead of one channel send per frame per stage,
-// and every sample buffer a frame occupies after its first processing
-// position comes from (and returns to) a sync.Pool. In steady state —
-// producer leasing buffers with GetBuffer, consumer returning them with
-// Recycle — the per-frame path performs zero heap allocations.
+// This file is the zero-allocation batched transport: frames move
+// through the goroutine-per-processor chain in recycled frameBatch
+// carriers instead of one channel send per frame per stage, and sample
+// buffers come from (and return to) one engine-owned bounded free list.
+// In steady state — producer leasing buffers with GetBuffer, consumer
+// returning them with Recycle — the per-frame path performs zero heap
+// allocations, and that producer/consumer pair is the list's only
+// traffic.
 //
 // Buffer lifecycle (the ownership rules; see DESIGN.md §12):
 //
 //   - Stream.Submit transfers ownership of Frame.Data to the stream: the
-//     storage is rewrapped and eventually recycled, so producers must not
-//     retain a submitted slice. Epoch-mode Process does NOT take
-//     ownership — callers may reuse the same input frames across calls.
-//   - Stage outputs alias per-stage scratch, so a worker detaches each
-//     processed frame into a pooled buffer and releases the frame's
-//     previous buffer back to the pool in the same step.
+//     token carries that storage through the chain and hands it to the
+//     consumer, so producers must not retain a submitted slice.
+//     Epoch-mode Process does NOT take ownership — callers may reuse the
+//     same input frames across calls.
+//   - Stage outputs alias per-stage scratch, so a worker copies each
+//     processed frame back into the token's own buffer, leasing a larger
+//     one only when the frame grows (an FFT doubles it) or the input is
+//     still caller-owned.
 //   - Frames handed to the consumer (Stream.Out / Process return) own
 //     their buffer. Returning it via Engine.Recycle closes the loop;
-//     dropping it instead is safe but costs one pool miss later.
+//     dropping it instead is safe but costs one miss later.
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"gdpn/internal/obs"
-)
+import "time"
 
 // Transport tuning defaults. DefaultChannelDepth preserves the chain's
 // historical hardcoded depth (make(chan …, 4)).
@@ -66,109 +63,94 @@ func WithChannelDepth(d int) Option {
 	}
 }
 
-// fbuf wraps one pooled sample buffer. The wrapper is pooled separately
-// from its storage so that recycling a raw []float64 (Recycle) and
-// releasing storage to a consumer (emit) both stay allocation-free:
-// pooling a bare slice would box the header on every Put.
-type fbuf struct {
-	data []float64
-}
+// freeList is a bounded free list: a buffered channel whose capacity is
+// the most items the owner can have outstanding at once, so a recycling
+// loop never overflows it. get and put never block — an empty list
+// reports a miss, and a put into a full list drops the item to the GC.
+type freeList[T any] chan T
 
-// bufPool recycles frame-sized sample buffers. hits/misses always count
-// (they are the pool's own accounting, read by tests and the S3
-// experiment); the obs counters cost one atomic load when disabled.
-type bufPool struct {
-	full  sync.Pool // *fbuf with usable storage
-	empty sync.Pool // *fbuf wrappers whose storage was handed off
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	hitC   *obs.Counter
-	missC  *obs.Counter
-}
-
-// get leases a buffer of length n, reusing pooled storage when one with
-// enough capacity is available.
-func (p *bufPool) get(n int) *fbuf {
-	if v := p.full.Get(); v != nil {
-		b := v.(*fbuf)
-		if cap(b.data) >= n {
-			p.hits.Add(1)
-			p.hitC.Inc()
-			b.data = b.data[:n]
-			return b
-		}
-		// Keep the wrapper, grow its storage.
-		p.misses.Add(1)
-		p.missC.Inc()
-		b.data = make([]float64, n)
-		return b
+func (l freeList[T]) get() (v T, ok bool) {
+	select {
+	case v = <-l:
+		return v, true
+	default:
+		return v, false
 	}
-	p.misses.Add(1)
-	p.missC.Inc()
-	return &fbuf{data: make([]float64, n)}
 }
 
-// put returns a buffer (wrapper + storage) to the pool.
-func (p *bufPool) put(b *fbuf) {
-	if b == nil || cap(b.data) == 0 {
+func (l freeList[T]) put(v T) {
+	select {
+	case l <- v:
+	default:
+	}
+}
+
+// freeLists holds the engine's recycled sample buffers and batch
+// carriers. Both share one capacity: a batch carries at least one
+// frame, so batches outstanding never exceed frames outstanding.
+type freeLists struct {
+	bufs    freeList[[]float64]
+	batches freeList[*frameBatch]
+}
+
+// sizeFreeLists gives the engine free lists able to hold every frame a
+// stream with the given MaxPending can have outstanding: one in the
+// producer's hand, the submit buffer, the pending backlog, the chain's
+// in-flight bound (admission stops at maxInflight, but the last batch
+// admitted may carry batchSize more), the Out buffer and one in the
+// consumer's hand. Lists of the right capacity are kept, contents and all.
+func (e *Engine) sizeFreeLists(maxPending int) {
+	maxInflight := e.maxInflight()
+	n := 1 + e.batchSize + maxPending + maxInflight + e.batchSize + maxPending + maxInflight + 1
+	if l := e.free.Load(); l != nil && cap(l.bufs) == n {
 		return
 	}
-	p.full.Put(b)
+	e.free.Store(&freeLists{
+		bufs:    make(freeList[[]float64], n),
+		batches: make(freeList[*frameBatch], n),
+	})
 }
 
-// wrap adopts caller-owned storage into a pooled wrapper (Submit,
-// Recycle). Returns nil for zero-capacity slices.
-func (p *bufPool) wrap(d []float64) *fbuf {
-	if cap(d) == 0 {
-		return nil
-	}
-	var b *fbuf
-	if v := p.empty.Get(); v != nil {
-		b = v.(*fbuf)
-	} else {
-		b = new(fbuf)
-	}
-	b.data = d[:cap(d)]
-	return b
+// maxInflight is the stream's in-flight bound: two batches per chain
+// position, enough to keep every worker busy while keeping the
+// population (and so the Out buffer sized from it) small and
+// independent of the channel depth.
+func (e *Engine) maxInflight() int {
+	return 2 * (len(e.g.Processors()) + 1) * e.batchSize
 }
 
-// release hands a buffer's storage to the consumer and keeps the
-// wrapper for reuse.
-func (p *bufPool) release(b *fbuf) {
-	if b == nil {
-		return
-	}
-	b.data = nil
-	p.empty.Put(b)
-}
-
-// stats returns the lifetime hit/miss counts.
-func (p *bufPool) stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
-}
-
-// GetBuffer leases an n-sample buffer from the engine's pool. Pairing it
-// with Recycle on delivered frames makes a producer/consumer loop
-// allocation-free in steady state. The buffer is ordinary memory — there
-// is no obligation to submit it.
+// GetBuffer leases an n-sample buffer from the engine's free list,
+// reusing recycled storage when the next free buffer is large enough.
+// Pairing it with Recycle on delivered frames makes a producer/consumer
+// loop allocation-free in steady state. The buffer is ordinary memory —
+// there is no obligation to submit it. Hits and misses always count (the
+// engine's own accounting, read by tests and the S3 experiment); the obs
+// counters cost one atomic load when disabled.
 func (e *Engine) GetBuffer(n int) []float64 {
-	b := e.pool.get(n)
-	d := b.data
-	e.pool.release(b)
-	return d
+	if d, ok := e.free.Load().bufs.get(); ok && cap(d) >= n {
+		e.poolHits.Add(1)
+		e.poolHitC.Inc()
+		return d[:n]
+	}
+	e.poolMisses.Add(1)
+	e.poolMissC.Inc()
+	return make([]float64, n)
 }
 
-// Recycle returns a delivered frame's buffer to the engine's pool. Only
-// the consumer that received the frame may call it, and the slice must
-// not be used afterwards.
+// Recycle returns a delivered frame's buffer, whole capacity included,
+// to the engine's free list. Only the consumer that received the frame
+// may call it, and the slice must not be used afterwards.
 func (e *Engine) Recycle(f Frame) {
-	e.pool.put(e.pool.wrap(f.Data))
+	if cap(f.Data) > 0 {
+		e.free.Load().bufs.put(f.Data[:cap(f.Data)])
+	}
 }
 
-// PoolStats returns the buffer pool's lifetime hit and miss counts
-// (also exported as pipeline_pool_total{result="hit"|"miss"}).
-func (e *Engine) PoolStats() (hits, misses int64) { return e.pool.stats() }
+// PoolStats returns the free list's lifetime hit and miss counts (also
+// exported as pipeline_pool_total{result="hit"|"miss"}).
+func (e *Engine) PoolStats() (hits, misses int64) {
+	return e.poolHits.Load(), e.poolMisses.Load()
+}
 
 // frameBatch carries up to Engine.batchSize tokens per chain send,
 // amortizing channel synchronization across the whole batch.
@@ -177,8 +159,8 @@ type frameBatch struct {
 }
 
 func (e *Engine) getBatch() *frameBatch {
-	if v := e.batchPool.Get(); v != nil {
-		return v.(*frameBatch)
+	if b, ok := e.free.Load().batches.get(); ok {
+		return b
 	}
 	return &frameBatch{toks: make([]token, 0, e.batchSize)}
 }
@@ -187,9 +169,9 @@ func (e *Engine) putBatch(b *frameBatch) {
 	if b == nil {
 		return
 	}
-	clear(b.toks) // drop buffer references so the pool retains no frames
+	clear(b.toks) // drop buffer references so the list retains no frames
 	b.toks = b.toks[:0]
-	e.batchPool.Put(b)
+	e.free.Load().batches.put(b)
 }
 
 // newChain spins up one goroutine per pipeline position over the current
@@ -236,8 +218,9 @@ func (e *Engine) batchWorker(c *chain, in <-chan *frameBatch, out chan<- *frameB
 }
 
 // processToken runs the owned logical stages the token has not yet seen
-// (t.next skips ones applied before a previous remap) and detaches the
-// result into a pooled buffer, releasing the token's previous buffer.
+// (t.next skips ones applied before a previous remap) and copies the
+// result back into the token's own buffer, leasing a new one only when
+// the result outgrows it or the token still holds caller-owned input.
 func (e *Engine) processToken(t *token, owned []int, S int) {
 	if t.next >= S {
 		return
@@ -255,12 +238,18 @@ func (e *Engine) processToken(t *token, owned []int, S int) {
 		return
 	}
 	// Stage outputs alias per-stage scratch, valid only until that stage
-	// runs again — copy out before the next token reuses it. The copy
-	// completes before the old buffer is pooled, so a stage returning its
-	// input unchanged is still safe.
-	nb := e.pool.get(len(data))
-	copy(nb.data, data)
-	e.pool.put(t.buf)
-	t.buf = nb
-	t.data = nb.data
+	// runs again — copy out before the next token reuses it. copy is a
+	// memmove, so a stage returning (part of) its input is still safe.
+	n := len(data)
+	if t.owned && cap(t.data) >= n {
+		t.data = t.data[:n]
+		copy(t.data, data)
+		return
+	}
+	nb := e.GetBuffer(n)
+	copy(nb, data)
+	if t.owned {
+		e.Recycle(Frame{Data: t.data})
+	}
+	t.data, t.owned = nb, true
 }

@@ -45,7 +45,7 @@ func benchStreamSteadyState(b *testing.B, opts ...pipeline.Option) {
 			b.Fatalf("Submit: %v", err)
 		}
 	}
-	// Warm the buffer/batch pools so the measured window is steady state.
+	// Warm the free lists so the measured window is steady state.
 	for i := 0; i < 512; i++ {
 		submit(i)
 	}

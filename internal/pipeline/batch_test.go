@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -27,73 +26,136 @@ func mustEngineOpts(t *testing.T, n, k int, opts ...pipeline.Option) *pipeline.E
 	return eng
 }
 
-// TestStreamRemapAtEveryBatchOffset forces a live remap after submitting
-// j frames for every batch offset j in {0, 1, mid, last} (batch size 4),
-// so the drain catches partially assembled and partially traveled batches
-// at each alignment, and asserts the delivered frames are bit-identical
-// to the sequential reference — the stateful stages (FIR, LZ78) make any
-// skipped, repeated, or reordered frame visible in the data.
+// TestStreamRemapAtEveryBatchOffset forces a remap after j frames for
+// every batch offset j in {0, 1, mid, last} (batch size 4), so a live
+// drain catches partially assembled and partially traveled batches at
+// each alignment, and asserts the delivered frames are bit-identical to
+// the sequential reference. The same remap points split an epoch-mode
+// Process run. Each chain has a stateful FIR, so any skipped, repeated,
+// or reordered frame is visible in the data. The chains cover every way
+// a worker places a stage's output: copied back into the token's own
+// buffer (full), a leased larger buffer when an FFT doubles the frame and
+// a copy back when the IFFT halves it (spectral), and a stage returning
+// its own input, which the stream copies onto itself and Process copies
+// out of the caller's frame (identity).
 func TestStreamRemapAtEveryBatchOffset(t *testing.T) {
 	const batch = 4
-	for _, offset := range []int{0, 1, batch / 2, batch - 1} {
-		sol, err := construct.Design(12, 3)
-		if err != nil {
-			t.Fatalf("Design(12,3): %v", err)
-		}
-		eng, err := pipeline.New(sol, testStages(), pipeline.WithBatchSize(batch))
+	identity := func() stages.Stage {
+		return &stages.Func{Label: "identity", Fn: func(in []float64) []float64 { return in }}
+	}
+	chains := []struct {
+		name  string
+		build func() []stages.Stage
+	}{
+		{"full", testStages},
+		{"spectral", func() []stages.Stage {
+			return []stages.Stage{
+				stages.NewFIR([]float64{0.25, 0.5, 0.25}),
+				stages.NewFFT(),
+				&stages.SpectralGate{Threshold: 2},
+				stages.NewIFFT(),
+			}
+		}},
+		{"identity", func() []stages.Stage {
+			return []stages.Stage{
+				identity(),
+				stages.NewFIR([]float64{0.25, 0.5, 0.25}),
+				identity(),
+				stages.NewQuantize(-16, 16, 256),
+			}
+		}},
+	}
+	sol, err := construct.Design(12, 3)
+	if err != nil {
+		t.Fatalf("Design(12,3): %v", err)
+	}
+	procs := sol.Graph.Processors()
+	newEngine := func(build func() []stages.Stage) *pipeline.Engine {
+		eng, err := pipeline.New(sol, build(), pipeline.WithBatchSize(batch))
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		ref := mustEngine(t, 12, 3)
-		frames := genFrames(3*batch+batch/2, 128, int64(11+offset))
-		want := ref.ProcessSequential(copyFrames(frames))
+		return eng
+	}
+	// keep copies a delivered frame out and recycles its buffer, so later
+	// leases reuse storage of every size the chain produced.
+	keep := func(eng *pipeline.Engine, f pipeline.Frame) pipeline.Frame {
+		c := pipeline.Frame{Seq: f.Seq, Data: append([]float64(nil), f.Data...)}
+		eng.Recycle(f)
+		return c
+	}
+	for _, ch := range chains {
+		for _, offset := range []int{0, 1, batch / 2, batch - 1} {
+			frames := genFrames(3*batch+batch/2, 128, int64(11+offset))
+			want := newEngine(ch.build).ProcessSequential(copyFrames(frames))
+			inject, repair := offset, offset+batch+1
 
-		st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 2 * batch})
-		if err != nil {
-			t.Fatalf("StartStream: %v", err)
-		}
-		done := make(chan []pipeline.Frame)
-		go func() {
-			var got []pipeline.Frame
-			for f := range st.Out() {
-				got = append(got, f)
+			eng := newEngine(ch.build)
+			st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 2 * batch})
+			if err != nil {
+				t.Fatalf("StartStream: %v", err)
 			}
-			done <- got
-		}()
-		procs := sol.Graph.Processors()
-		for i, f := range frames {
-			if err := st.Submit(f); err != nil {
-				t.Fatalf("offset %d: Submit %d: %v", offset, i, err)
-			}
-			switch i {
-			case offset:
-				if err := eng.Inject(procs[1]); err != nil {
-					t.Fatalf("offset %d: inject: %v", offset, err)
+			done := make(chan []pipeline.Frame)
+			go func() {
+				var got []pipeline.Frame
+				for f := range st.Out() {
+					got = append(got, keep(eng, f))
 				}
-			case offset + batch + 1:
-				if err := eng.Repair(procs[1]); err != nil {
-					t.Fatalf("offset %d: repair: %v", offset, err)
+				done <- got
+			}()
+			for i, f := range copyFrames(frames) {
+				if err := st.Submit(f); err != nil {
+					t.Fatalf("%s offset %d: Submit %d: %v", ch.name, offset, i, err)
+				}
+				switch i {
+				case inject:
+					if err := eng.Inject(procs[1]); err != nil {
+						t.Fatalf("%s offset %d: inject: %v", ch.name, offset, err)
+					}
+				case repair:
+					if err := eng.Repair(procs[1]); err != nil {
+						t.Fatalf("%s offset %d: repair: %v", ch.name, offset, err)
+					}
 				}
 			}
+			rep := st.Close()
+			got := <-done
+			if !rep.Clean() {
+				t.Fatalf("%s offset %d: stream not clean: %+v", ch.name, offset, rep)
+			}
+			if rep.Remaps != 2 {
+				t.Fatalf("%s offset %d: remaps = %d, want 2", ch.name, offset, rep.Remaps)
+			}
+			assertSameFrames(t, got, want)
+
+			// Epoch mode: the same remap points fall between Process calls,
+			// and the input frames stay caller-owned.
+			eng = newEngine(ch.build)
+			in := copyFrames(frames)
+			got = nil
+			for _, epoch := range [][]pipeline.Frame{in[:inject+1], in[inject+1 : repair+1], in[repair+1:]} {
+				for _, f := range eng.Process(epoch) {
+					got = append(got, keep(eng, f))
+				}
+				if len(got) == inject+1 {
+					if err := eng.Inject(procs[1]); err != nil {
+						t.Fatalf("%s offset %d: epoch inject: %v", ch.name, offset, err)
+					}
+				} else if len(got) == repair+1 {
+					if err := eng.Repair(procs[1]); err != nil {
+						t.Fatalf("%s offset %d: epoch repair: %v", ch.name, offset, err)
+					}
+				}
+			}
+			assertSameFrames(t, got, want)
+			assertSameFrames(t, in, frames)
 		}
-		rep := st.Close()
-		got := <-done
-		if !rep.Clean() {
-			t.Fatalf("offset %d: stream not clean: %+v", offset, rep)
-		}
-		if rep.Remaps != 2 {
-			t.Fatalf("offset %d: remaps = %d, want 2", offset, rep.Remaps)
-		}
-		assertSameFrames(t, got, want)
 	}
 }
 
 // TestBufferPoolRoundTrip pins the GetBuffer/Recycle contract: a recycled
 // buffer satisfies the next lease without allocating new storage.
 func TestBufferPoolRoundTrip(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
 	eng := mustEngineOpts(t, 10, 2)
 	d := eng.GetBuffer(256)
 	if len(d) != 256 {
@@ -114,16 +176,19 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 }
 
 // TestStreamSteadyStateZeroAlloc is the zero-allocation contract of the
-// batched transport: with the producer leasing buffers from the engine
-// pool and the consumer recycling delivered frames, a steady-state stream
-// performs no per-frame heap allocations. The chain is the light one —
-// LZ78 allocates inside its own dictionary, which is stage compute, not
-// transport. A small absolute slack absorbs one-off runtime noise (stack
-// growth, pool rebalancing); per-frame cost must still round to zero.
+// batched transport, measured on the engine: with the producer leasing
+// buffers from the engine and the consumer recycling delivered frames,
+// every free-list miss creates a buffer that stays in circulation, so
+// lifetime misses can never exceed the frames the stream can have
+// outstanding at once. That bound B is computed from the same constants
+// StartStream uses. The run is long enough (30·B frames) that a leak of
+// even one buffer per 30 frames would cross it. A second assertion checks
+// the process: allocations must not grow with frame count, so a 20·B-frame
+// window may allocate no more than the 10·B-frame window before it (which
+// includes the warm-up) plus a fixed slack for runtime noise. The chain is
+// the light one — LZ78 allocates inside its own dictionary, which is
+// stage compute, not transport.
 func TestStreamSteadyStateZeroAlloc(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops Puts at random under -race")
-	}
 	sol, err := construct.Design(12, 3)
 	if err != nil {
 		t.Fatalf("Design(12,3): %v", err)
@@ -132,7 +197,8 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 64})
+	const maxPending = 64
+	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: maxPending})
 	if err != nil {
 		t.Fatalf("StartStream: %v", err)
 	}
@@ -144,10 +210,20 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}()
 
+	// One frame in the producer's hand, the submit buffer (one batch), the
+	// pending backlog, the in-flight bound (two batches per position, plus
+	// the last admitted batch), the Out buffer (backlog plus in-flight
+	// bound), one frame in the consumer's hand.
+	const bs = pipeline.DefaultBatchSize
+	inflight := 2 * (len(sol.Graph.Processors()) + 1) * bs
+	bound := 1 + bs + maxPending + inflight + bs + maxPending + inflight + 1
+
 	const size = 256
 	template := genFrames(1, size, 7)[0].Data
 	seq := 0
-	pump := func(n int) {
+	pump := func(n int) (allocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; i < n; i++ {
 			d := eng.GetBuffer(size)
 			copy(d, template)
@@ -156,29 +232,28 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 			}
 			seq++
 		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
 	}
-
-	// Warm up: populate the buffer and batch pools, grow goroutine stacks.
-	pump(512)
-
-	// Keep the GC from clearing the pools mid-measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const measured = 2000
-	pump(measured)
-	runtime.ReadMemStats(&after)
+	short := pump(10 * bound)
+	long := pump(20 * bound)
 
 	rep := st.Close()
 	<-consumed
 	if !rep.Clean() {
 		t.Fatalf("stream not clean: %+v", rep)
 	}
-	allocs := int64(after.Mallocs - before.Mallocs)
-	if allocs > measured/100 {
-		t.Fatalf("steady state allocated %d objects over %d frames (%.3f/frame), want ~0",
-			allocs, measured, float64(allocs)/measured)
+	_, misses := eng.PoolStats()
+	t.Logf("bound %d: %d misses over %d frames; allocs %d (10·B window), %d (20·B window)",
+		bound, misses, seq, short, long)
+	if misses > int64(bound) {
+		t.Errorf("%d free-list misses over %d frames, want <= %d (the outstanding-frame bound)",
+			misses, seq, bound)
+	}
+	const slack = 64
+	if long > short+slack {
+		t.Errorf("allocations grow with frame count: %d over %d frames vs %d over %d frames (slack %d)",
+			long, 20*bound, short, 10*bound, slack)
 	}
 }
 
@@ -201,7 +276,7 @@ func TestNoPerFrameAllocIdiom(t *testing.T) {
 			t.Fatal(err)
 		}
 		if strings.Contains(string(src), "append([]float64(nil)") {
-			t.Errorf("%s: contains append([]float64(nil), ...): per-frame copies belong in pooled buffers (see batch.go)", name)
+			t.Errorf("%s: contains append([]float64(nil), ...): per-frame copies belong in leased buffers (see batch.go)", name)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // steady state — and checks, under the race detector, that (a) each
 // stream's sequence audit stays clean independently, (b) the delivered
 // data of each tenant is bit-identical to its own sequential reference
-// (a buffer leaked between the engines' sync.Pool recyclers would corrupt
-// content, not just counters), and (c) a coordinated boundary swap that
+// (a buffer leaked between the engines' free lists would corrupt content,
+// not just counters), and (c) a coordinated boundary swap that
 // remaps BOTH engines mid-traffic preserves all of the above.
 func TestMultiTenantDisjointStreams(t *testing.T) {
 	sol, interior := poolInterior(t, 12, 3)
@@ -53,7 +53,7 @@ func TestMultiTenantDisjointStreams(t *testing.T) {
 		go func() {
 			var got []pipeline.Frame
 			for f := range st.Out() {
-				// Copy out and recycle: exercises the pool lease cycle that a
+				// Copy out and recycle: exercises the lease cycle that a
 				// cross-tenant leak would poison.
 				got = append(got, pipeline.Frame{Seq: f.Seq, Data: append([]float64(nil), f.Data...)})
 				eng.Recycle(f)

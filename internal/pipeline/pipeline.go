@@ -81,12 +81,16 @@ type Engine struct {
 	// through it so remaps drain and requeue in-flight frames.
 	stream atomic.Pointer[Stream]
 
-	// Batched-transport tuning (see batch.go) and the buffer/batch pools
-	// behind the zero-allocation steady state.
-	batchSize int
-	chanDepth int
-	pool      bufPool
-	batchPool sync.Pool // *frameBatch
+	// Batched-transport tuning and the free lists behind the
+	// zero-allocation steady state (see batch.go). StartStream resizes the
+	// lists while producers may hold the engine, hence the atomic pointer.
+	batchSize  int
+	chanDepth  int
+	free       atomic.Pointer[freeLists]
+	poolHits   atomic.Int64
+	poolMisses atomic.Int64
+	poolHitC   *obs.Counter
+	poolMissC  *obs.Counter
 
 	reg            *obs.Registry
 	framesTotal    *obs.Counter
@@ -122,19 +126,17 @@ func New(sol *construct.Solution, stgs []stages.Stage, opts ...Option) (*Engine,
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(sol.Graph, stgs)
+	e := newEngine(sol.Graph, stgs, opts)
 	e.mgr = mgr
-	for _, o := range opts {
-		o(e)
-	}
 	e.assignStages()
 	e.procsInUse.Set(int64(e.ProcessorsInUse()))
 	return e, nil
 }
 
 // newEngine builds the mode-independent engine shell: stages, transport
-// tuning defaults, and the instrumentation surface.
-func newEngine(g *graph.Graph, stgs []stages.Stage) *Engine {
+// tuning, free lists sized for a default stream, and the instrumentation
+// surface.
+func newEngine(g *graph.Graph, stgs []stages.Stage, opts []Option) *Engine {
 	reg := obs.Default()
 	e := &Engine{
 		g: g, stages: stgs,
@@ -158,8 +160,12 @@ func newEngine(g *graph.Graph, stgs []stages.Stage) *Engine {
 			reg.Histogram("pipeline_remap_ns", obs.L("op", "replan")),
 		},
 	}
-	e.pool.hitC = reg.Counter("pipeline_pool_total", obs.L("result", "hit"))
-	e.pool.missC = reg.Counter("pipeline_pool_total", obs.L("result", "miss"))
+	e.poolHitC = reg.Counter("pipeline_pool_total", obs.L("result", "hit"))
+	e.poolMissC = reg.Counter("pipeline_pool_total", obs.L("result", "miss"))
+	for _, o := range opts {
+		o(e)
+	}
+	e.sizeFreeLists(defaultMaxPending)
 	return e
 }
 
@@ -350,15 +356,15 @@ func (e *Engine) assignStages() {
 }
 
 // Process streams the frames through the current mapping using one
-// goroutine per pipeline processor connected by channels carrying pooled
-// frame batches, and returns the transformed frames in order. Stages with
-// internal state carry it across calls. Faults are injected between
-// Process calls (epoch model).
+// goroutine per pipeline processor connected by channels carrying
+// recycled frame batches, and returns the transformed frames in order.
+// Stages with internal state carry it across calls. Faults are injected
+// between Process calls (epoch model).
 //
 // Input buffers stay caller-owned (the first processing position copies
-// into a pooled buffer), so callers may reuse the same input frames
-// across calls. Output buffers come from the engine's pool; returning
-// them via Recycle after use keeps the path allocation-free.
+// into a leased buffer), so callers may reuse the same input frames
+// across calls. Output buffers come from the engine's free list;
+// returning them via Recycle after use keeps the path allocation-free.
 func (e *Engine) Process(frames []Frame) []Frame {
 	// Sampled once per epoch: the per-frame clock reads below key off this
 	// local, so a disabled registry costs no time.Now() calls in the loop.
@@ -401,8 +407,6 @@ func (e *Engine) Process(frames []Frame) []Frame {
 				// Frames exit in input order, so out position == input index.
 				e.frameLat.ObserveSince(starts[len(out)])
 			}
-			// The caller owns the delivered buffer; keep the wrapper.
-			e.pool.release(t.buf)
 			out = append(out, Frame{Seq: t.seq, Data: t.data})
 		}
 		e.putBatch(b)

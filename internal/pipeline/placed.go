@@ -48,11 +48,8 @@ func NewPlaced(g *graph.Graph, seg graph.Path, stgs []stages.Stage, opts ...Opti
 	if len(stgs) == 0 {
 		return nil, fmt.Errorf("pipeline: need at least one stage")
 	}
-	e := newEngine(g, stgs)
+	e := newEngine(g, stgs, opts)
 	e.placed = true
-	for _, o := range opts {
-		o(e)
-	}
 	if err := e.checkPlacement(seg); err != nil {
 		return nil, err
 	}

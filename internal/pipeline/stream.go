@@ -58,6 +58,8 @@ type StreamConfig struct {
 	MaxPending int
 }
 
+const defaultMaxPending = 64
+
 // StreamReport is the stream's end-to-end accounting. In a correct run
 // Lost, Duplicated, and OutOfOrder are all zero and Delivered equals
 // Submitted (after Close).
@@ -93,17 +95,18 @@ func (r StreamReport) Clean() bool {
 
 // token is a frame in flight, annotated with its stage progress so a
 // drained frame can resume on a new mapping without repeating or skipping
-// a stage. buf is the pooled wrapper owning data's storage (nil while the
-// data is still caller-owned, as in epoch-mode Process inputs).
+// a stage. owned reports that data's storage (up to its capacity) belongs
+// to the token; it is false while the data is still caller-owned, as in
+// epoch-mode Process inputs.
 type token struct {
-	seq  int
-	next int // first logical stage index not yet applied
-	data []float64
-	buf  *fbuf
+	seq   int
+	next  int // first logical stage index not yet applied
+	data  []float64
+	owned bool
 }
 
 // chain is one incarnation of the goroutine-per-processor pipeline.
-// Tokens travel it in pooled frameBatch carriers (see batch.go).
+// Tokens travel it in recycled frameBatch carriers (see batch.go).
 type chain struct {
 	head     chan *frameBatch
 	tail     chan *frameBatch
@@ -163,19 +166,15 @@ type Stream struct {
 // calling Process.
 func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
+		cfg.MaxPending = defaultMaxPending
 	}
-	// The pump admits at most two batches per position into the chain —
-	// enough to keep every worker busy while keeping the in-flight
-	// population (and so the delivery buffer below) small and independent
-	// of the channel depth. Out is sized so that the whole population
-	// (pending backlog plus chain occupancy) fits; a slower consumer then
+	// Out is sized so that the whole population (pending backlog plus
+	// chain occupancy, see maxInflight) fits; a slower consumer then
 	// backpressures naturally through the chain to Submit.
 	// submitc is buffered by one batch so a serial producer can run ahead
 	// of the pump and real batches form; without it every submission is a
 	// rendezvous and batches leave the head mostly single-frame.
-	nProc := len(e.g.Processors())
-	maxInflight := 2 * (nProc + 1) * e.batchSize
+	maxInflight := e.maxInflight()
 	s := &Stream{
 		e:           e,
 		maxPending:  cfg.MaxPending,
@@ -189,6 +188,7 @@ func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 	if !e.stream.CompareAndSwap(nil, s) {
 		return nil, ErrStreamActive
 	}
+	e.sizeFreeLists(cfg.MaxPending)
 	go s.run()
 	return s, nil
 }
@@ -197,9 +197,9 @@ func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 // including for the whole of a remap stall — and never dropping. Frames
 // must carry strictly increasing Seq.
 //
-// Submit transfers ownership of f.Data to the stream: the buffer is
-// recycled through the engine's pool and must not be retained or reused
-// by the producer. Lease submission buffers with Engine.GetBuffer (and
+// Submit transfers ownership of f.Data to the stream: the buffer travels
+// with the frame to the consumer and must not be retained or reused by
+// the producer. Lease submission buffers with Engine.GetBuffer (and
 // return delivered ones with Engine.Recycle) to stream without per-frame
 // allocations.
 func (s *Stream) Submit(f Frame) error {
@@ -337,7 +337,7 @@ func (s *Stream) dropPending(n int) {
 
 // accept takes ownership of one submitted frame.
 func (s *Stream) accept(f Frame) {
-	s.pushPending(token{seq: f.Seq, data: f.Data, buf: s.e.pool.wrap(f.Data)})
+	s.pushPending(token{seq: f.Seq, data: f.Data, owned: true})
 	s.pushExpect(f.Seq)
 	s.submitted.Add(1)
 }
@@ -565,7 +565,6 @@ func (s *Stream) emit(t token) {
 	s.e.frames.Add(1)
 	s.e.framesTotal.Add(1)
 	// The consumer owns the delivered buffer from here (Engine.Recycle
-	// returns it to the pool); only the wrapper stays behind.
-	s.e.pool.release(t.buf)
+	// returns it to the free list).
 	s.outc <- Frame{Seq: t.seq, Data: t.data}
 }
