@@ -1,6 +1,9 @@
 package embed
 
 import (
+	"math/bits"
+	"slices"
+
 	"gdpn/internal/bitset"
 	"gdpn/internal/construct"
 	"gdpn/internal/graph"
@@ -19,84 +22,56 @@ import (
 // leave the other) or — when it is contiguous — zigzagged (enter and leave
 // at the same end on adjacent positions: lo, lo+2, …, top, top∓1, …, lo+1).
 // The healthy S labels and the blocks are threaded together by an exact
-// bitmask DP over at most k+2+2 items, so the planner runs in
-// O(m + 2^k·poly(k)) — effectively O(n) for fixed k. Every produced path
-// is validated locally before being returned; nil means "no plan of this
-// shape", and the caller falls back to the complete search engines.
+// bitmask DP over at most k+2+2 items (see ringPlan). That ring half
+// depends on the faulty ring positions alone, so it is built once per
+// such set and reused while consecutive calls repeat it; a call that
+// reuses it costs O(n) and allocates only the returned path. Every
+// produced path is validated locally before being returned; nil means "no
+// plan of this shape", and the caller falls back to the complete search
+// engines.
 func (s *Solver) planAsymptotic(faults bitset.Set) graph.Path {
 	lay := s.opts.Layout
 	if lay == nil {
 		return nil
 	}
-	m, k, p := lay.M, lay.K, lay.P
+	k := lay.K
 	ok := func(v int) bool { return v >= 0 && (faults == nil || !faults.Contains(v)) }
+	sc := &s.planScratch
 
 	// Endpoint label candidates.
-	var healthyI, healthyO []int
+	sc.healthyI, sc.healthyO = sc.healthyI[:0], sc.healthyO[:0]
 	for j := 1; j <= k+1; j++ {
 		if ok(lay.I[j]) {
-			healthyI = append(healthyI, j)
+			sc.healthyI = append(sc.healthyI, j)
 		}
 	}
 	for j := 0; j <= k; j++ {
 		if ok(lay.O[j]) {
-			healthyO = append(healthyO, j)
+			sc.healthyO = append(sc.healthyO, j)
 		}
 	}
-	if len(healthyI) == 0 || len(healthyO) == 0 {
+	if len(sc.healthyI) == 0 || len(sc.healthyO) == 0 {
 		return nil
 	}
-	var bCands, cCands []int
-	for _, j := range healthyI {
+	sc.bCands, sc.cCands = sc.bCands[:0], sc.cCands[:0]
+	for _, j := range sc.healthyI {
 		if ok(lay.C[j]) {
-			bCands = append(bCands, j)
+			sc.bCands = append(sc.bCands, j)
 		}
 	}
-	for _, j := range healthyO {
+	for _, j := range sc.healthyO {
 		if ok(lay.C[j]) {
-			cCands = append(cCands, j)
+			sc.cCands = append(sc.cCands, j)
 		}
 	}
 
-	// Healthy R positions, split into blocks wherever the gap between
-	// consecutive healthy positions exceeds the largest offset p+1. With
-	// ≤ k faults and 2(p+1) > k there is at most one splitting gap, hence
-	// at most two blocks — but the DP below handles any number ≤ itemCap.
-	var blocks []ringBlock
-	var cur []int
-	flush := func() {
-		if len(cur) > 0 {
-			blocks = append(blocks, newRingBlock(cur))
-			cur = nil
-		}
-	}
-	prev := -1
-	for j := k + 2; j < m; j++ {
-		if !ok(lay.C[j]) {
-			continue
-		}
-		if prev >= 0 && j-prev > p+1 {
-			flush()
-		}
-		cur = append(cur, j)
-		prev = j
-	}
-	flush()
-
-	// Healthy S labels.
-	var healthyS []int
-	for j := 0; j <= k+1; j++ {
-		if ok(lay.C[j]) {
-			healthyS = append(healthyS, j)
-		}
-	}
-
-	for _, b := range bCands {
-		for _, c := range cCands {
+	ring := s.ringPlanFor(faults)
+	for _, b := range sc.bCands {
+		for _, c := range sc.cCands {
 			if b == c {
 				continue
 			}
-			positions := s.solveRing(lay, healthyS, blocks, b, c)
+			positions := ring.solve(b, c)
 			if positions == nil {
 				continue
 			}
@@ -106,6 +81,36 @@ func (s *Solver) planAsymptotic(faults bitset.Set) graph.Path {
 		}
 	}
 	return nil
+}
+
+// plannerScratch is planAsymptotic's per-call working storage, kept on the
+// Solver so that a call reusing the ring plan allocates only its result.
+type plannerScratch struct {
+	ringFaulty                         []int // this call's faulty ring positions
+	healthyI, healthyO, bCands, cCands []int // I/O labels
+	iOrder, oOrder                     []int
+	path                               graph.Path
+}
+
+// ringPlanFor returns the ring plan for the faulty ring positions of
+// faults, rebuilding the Solver's plan only when they differ from those
+// of the plan's last build. Nothing else feeds the plan, so reuse is exact.
+func (s *Solver) ringPlanFor(faults bitset.Set) *ringPlan {
+	lay := s.opts.Layout
+	key := s.planScratch.ringFaulty[:0]
+	for j, v := range lay.C {
+		if faults != nil && faults.Contains(v) {
+			key = append(key, j)
+		}
+	}
+	rp := &s.ring
+	if rp.valid && slices.Equal(key, rp.faulty) {
+		s.planScratch.ringFaulty = key
+		return rp
+	}
+	s.planScratch.ringFaulty, rp.faulty = rp.faulty, key
+	rp.build(s.g, lay)
+	return rp
 }
 
 // ringBlock is a maximal internally-jumpable interval of healthy R
@@ -128,122 +133,198 @@ type traversal struct {
 	seq         []int
 }
 
+// plannerItemCap bounds the items the DP sequences for one (b, c) pair:
+// every healthy S label but c, and every block.
 const plannerItemCap = 16
 
-// solveRing finds an order of ring positions that starts at S[b], covers
-// every healthy S label except c and every block, and ends at a position
-// with a surviving edge to S[c]. Items (S labels and blocks) are sequenced
-// by an exact DP over (visited-mask, last item, last traversal variant).
-func (s *Solver) solveRing(lay *construct.Layout, healthyS []int, blocks []ringBlock, b, c int) []int {
-	type item struct {
-		sLabel int // -1 for blocks
-		block  int // -1 for S labels
-	}
-	var items []item
-	bIdx := -1
-	for _, j := range healthyS {
-		if j == c {
-			continue
-		}
-		if j == b {
-			bIdx = len(items)
-		}
-		items = append(items, item{sLabel: j, block: -1})
-	}
-	if bIdx == -1 {
-		return nil
-	}
-	for bi := range blocks {
-		items = append(items, item{sLabel: -1, block: bi})
-	}
-	n := len(items)
-	if n > plannerItemCap {
-		return nil
-	}
+// ringPlan is the ring half of the planner: everything it derives from the
+// set of faulty ring positions alone. Its items are the healthy S labels in
+// label order, then the R blocks in ring order; each has one or more
+// traversal variants (an S label one, a block at most six, so a uint8
+// holds a set of an item's variants). succ is the DP's transition
+// relation, computed once per plan, and orders memoizes the DP's answer
+// per (b, c) endpoint pair for as long as the plan lives.
+type ringPlan struct {
+	g      *graph.Graph
+	lay    *construct.Layout
+	valid  bool
+	faulty []int // the faulty ring positions the plan was built for, ascending
 
-	edge := func(x, y int) bool { return s.g.HasEdge(lay.C[x], lay.C[y]) }
+	n        int         // items
+	declines bool        // more items than plannerItemCap: no pair is solved
+	sItem    []int       // S label -> its item, -1 when the label is faulty
+	vars     []traversal // every item's variants, item by item
+	varOff   []int       // item i's variants are vars[varOff[i]:varOff[i+1]]
+	// succ[f*n+j] holds the variants of item j whose entry is one edge from
+	// the exit of vars[f].
+	succ []uint8
+	// dp[mask*n+i] holds the variants of item i that can end a route from
+	// S[b] through exactly the items in mask (c's item counted as visited).
+	dp     []uint8
+	orders []ringOrder // by b*(k+2)+c
 
-	// Traversal variants per item.
-	variants := make([][]traversal, n)
-	for i, it := range items {
-		if it.block == -1 {
-			variants[i] = []traversal{{enter: it.sLabel, exit: it.sLabel, seq: []int{it.sLabel}}}
-			continue
-		}
-		variants[i] = blockTraversals(blocks[it.block], edge)
-	}
+	pos   []int      // healthy R positions, block after block
+	steps []ringStep // route reconstruction scratch
+}
 
-	// DP over (mask, item, variant).
-	size := 1 << uint(n)
-	dp := make([][]uint8, size) // dp[mask][item] = bitmask over variants
-	reach := func(mask, it, v int) bool { return dp[mask] != nil && dp[mask][it]&(1<<uint(v)) != 0 }
-	set := func(mask, it, v int) {
-		if dp[mask] == nil {
-			dp[mask] = make([]uint8, n)
-		}
-		dp[mask][it] |= 1 << uint(v)
+// ringOrder is the memoized ring order of one (b, c) pair.
+type ringOrder struct {
+	solved bool
+	pos    []int // nil when no order exists
+}
+
+// ringStep is one item of a reconstructed route and the index in vars of
+// the variant it is traversed by.
+type ringStep struct{ item, f int }
+
+// build fills the plan for rp.faulty. Healthy R positions are split into
+// blocks wherever the gap between consecutive healthy positions exceeds
+// the largest offset p+1. With ≤ k faults and 2(p+1) > k there is at most
+// one splitting gap, hence at most two blocks — but the DP handles any
+// number of items up to the cap.
+func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout) {
+	k, m, p := lay.K, lay.M, lay.P
+	rp.g, rp.lay, rp.valid = g, lay, true
+	if rp.sItem == nil {
+		rp.sItem = make([]int, k+2)
+		rp.orders = make([]ringOrder, (k+2)*(k+2))
 	}
-	set(1<<uint(bIdx), bIdx, 0)
-	full := size - 1
-	for mask := 1; mask < size; mask++ {
-		if dp[mask] == nil {
-			continue
+	for i := range rp.orders {
+		rp.orders[i].solved = false
+	}
+	edge := func(x, y int) bool { return g.HasEdge(lay.C[x], lay.C[y]) }
+
+	rp.vars, rp.varOff = rp.vars[:0], rp.varOff[:0]
+	n := 0
+	// Blocks are subslices of pos, so it must not reallocate while filling.
+	pos := slices.Grow(rp.pos[:0], m)
+	blockStart, prev := 0, -1
+	closeBlock := func() {
+		if len(pos) > blockStart {
+			rp.varOff = append(rp.varOff, len(rp.vars))
+			blk := newRingBlock(pos[blockStart:len(pos):len(pos)])
+			rp.vars = append(rp.vars, blockTraversals(blk, edge)...)
+			n++
+			blockStart = len(pos)
 		}
-		for it := 0; it < n; it++ {
-			vb := dp[mask][it]
-			if vb == 0 {
-				continue
+	}
+	fi := 0
+	for j := 0; j < m; j++ {
+		if fi < len(rp.faulty) && rp.faulty[fi] == j {
+			fi++
+			if j <= k+1 {
+				rp.sItem[j] = -1
 			}
-			for v := 0; v < len(variants[it]); v++ {
-				if vb&(1<<uint(v)) == 0 {
-					continue
+			continue
+		}
+		if j <= k+1 {
+			rp.sItem[j] = n
+			rp.varOff = append(rp.varOff, len(rp.vars))
+			rp.vars = append(rp.vars, traversal{enter: j, exit: j, seq: []int{j}})
+			n++
+			continue
+		}
+		if prev >= 0 && j-prev > p+1 {
+			closeBlock()
+		}
+		pos = append(pos, j)
+		prev = j
+	}
+	closeBlock()
+	rp.varOff = append(rp.varOff, len(rp.vars))
+	rp.pos, rp.n = pos, n
+	rp.declines = n-1 > plannerItemCap
+	if rp.declines {
+		return
+	}
+
+	rp.succ = slices.Grow(rp.succ[:0], len(rp.vars)*n)[:len(rp.vars)*n]
+	clear(rp.succ)
+	for f, from := range rp.vars {
+		row := rp.succ[f*n : f*n+n]
+		for j := range row {
+			for v, to := range rp.vars[rp.varOff[j]:rp.varOff[j+1]] {
+				if edge(from.exit, to.enter) {
+					row[j] |= 1 << v
 				}
-				exit := variants[it][v].exit
-				for nt := 0; nt < n; nt++ {
-					if mask&(1<<uint(nt)) != 0 {
-						continue
-					}
-					for nv := 0; nv < len(variants[nt]); nv++ {
-						if edge(exit, variants[nt][nv].enter) {
-							set(mask|1<<uint(nt), nt, nv)
-						}
+			}
+		}
+	}
+}
+
+// solve returns a ring order for the endpoint pair (b, c): ring positions
+// starting at S[b], covering every healthy S label except c and every
+// block, and ending at a position with an edge to S[c]. It returns nil
+// when there is none. The slice belongs to the plan.
+func (rp *ringPlan) solve(b, c int) []int {
+	o := &rp.orders[b*(rp.lay.K+2)+c]
+	if !o.solved {
+		o.solved = true
+		o.pos = rp.sequence(b, c, o.pos[:0])
+	}
+	return o.pos
+}
+
+// sequence runs the exact DP over (visited mask, last item, last variant),
+// starting at S[b] with c's item marked visited, and appends the positions
+// of the first route it finds — scanning items and variants in plan order
+// — to dst.
+func (rp *ringPlan) sequence(b, c int, dst []int) []int {
+	bi, ci := rp.sItem[b], rp.sItem[c]
+	if rp.declines || bi < 0 || ci < 0 {
+		return nil
+	}
+	n := rp.n
+	start, full := 1<<bi|1<<ci, 1<<n-1
+	size := n << n
+	if cap(rp.dp) < size {
+		rp.dp = make([]uint8, size)
+	}
+	dp := rp.dp[:size]
+	clear(dp)
+	dp[start*n+bi] = 1
+	for mask := start; mask < full; mask++ {
+		if mask&start != start {
+			continue
+		}
+		for it, vb := range dp[mask*n : mask*n+n] {
+			for ; vb != 0; vb &= vb - 1 {
+				f := rp.varOff[it] + bits.TrailingZeros8(vb)
+				for nt, next := range rp.succ[f*n : f*n+n] {
+					if next != 0 && mask&(1<<nt) == 0 {
+						dp[(mask|1<<nt)*n+nt] |= next
 					}
 				}
 			}
 		}
 	}
-	if dp[full] == nil {
-		return nil
-	}
-	// Find a final state whose exit connects to S[c].
-	endItem, endVar := -1, -1
-	for it := 0; it < n && endItem == -1; it++ {
-		for v := 0; v < len(variants[it]); v++ {
-			if reach(full, it, v) && edge(variants[it][v].exit, c) {
-				endItem, endVar = it, v
+
+	// A final state whose exit connects to S[c].
+	g, lay := rp.g, rp.lay
+	steps := rp.steps[:0]
+	for it := 0; it < n && len(steps) == 0; it++ {
+		for vb := dp[full*n+it]; vb != 0; vb &= vb - 1 {
+			f := rp.varOff[it] + bits.TrailingZeros8(vb)
+			if g.HasEdge(lay.C[rp.vars[f].exit], lay.C[c]) {
+				steps = append(steps, ringStep{it, f})
 				break
 			}
 		}
 	}
-	if endItem == -1 {
+	if len(steps) == 0 {
 		return nil
 	}
-	// Reconstruct the item order backwards.
-	type step struct{ item, variant int }
-	order := []step{{endItem, endVar}}
-	mask := full
-	for mask != 1<<uint(bIdx) {
-		cu := order[len(order)-1]
-		prevMask := mask &^ (1 << uint(cu.item))
+	// Reconstruct the route backwards.
+	for mask := full; mask != start; {
+		cur := steps[len(steps)-1]
+		enter := uint8(1) << (cur.f - rp.varOff[cur.item])
+		mask &^= 1 << cur.item
 		found := false
 		for it := 0; it < n && !found; it++ {
-			if prevMask&(1<<uint(it)) == 0 {
-				continue
-			}
-			for v := 0; v < len(variants[it]); v++ {
-				if reach(prevMask, it, v) && edge(variants[it][v].exit, variants[cu.item][cu.variant].enter) {
-					order = append(order, step{it, v})
-					mask = prevMask
+			for vb := dp[mask*n+it]; vb != 0; vb &= vb - 1 {
+				f := rp.varOff[it] + bits.TrailingZeros8(vb)
+				if rp.succ[f*n+cur.item]&enter != 0 {
+					steps = append(steps, ringStep{it, f})
 					found = true
 					break
 				}
@@ -253,13 +334,11 @@ func (s *Solver) solveRing(lay *construct.Layout, healthyS []int, blocks []ringB
 			return nil // should not happen
 		}
 	}
-	// Expand to positions in forward order.
-	var out []int
-	for i := len(order) - 1; i >= 0; i-- {
-		st := order[i]
-		out = append(out, variants[st.item][st.variant].seq...)
+	rp.steps = steps
+	for i := len(steps) - 1; i >= 0; i-- {
+		dst = append(dst, rp.vars[steps[i].f].seq...)
 	}
-	return out
+	return dst
 }
 
 // blockTraversals enumerates the ways through a block: straight in either
@@ -544,20 +623,16 @@ func stridePriority(from, to int) int {
 // assemblePlan stitches the full pipeline together and validates it
 // against the real graph; nil on any inconsistency (caller falls back).
 // ringOrder lists the C positions in visit order, starting at S[b] and
-// ending at a position adjacent to S[c] (c itself excluded).
+// ending at a position adjacent to S[c] (c itself excluded). The healthy I
+// and O labels are the ones planAsymptotic left in the scratch.
 func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int, ringOrder []int) graph.Path {
 	ok := func(v int) bool { return v >= 0 && (faults == nil || !faults.Contains(v)) }
 	k := lay.K
+	sc := &s.planScratch
 	// Choose a (input pair) and the I-cover order ending at b.
-	var healthyI []int
-	for j := 1; j <= k+1; j++ {
-		if ok(lay.I[j]) {
-			healthyI = append(healthyI, j)
-		}
-	}
 	a := -1
 	for j := 1; j <= k+1; j++ {
-		if ok(lay.Ti[j]) && ok(lay.I[j]) && (j != b || len(healthyI) == 1) {
+		if ok(lay.Ti[j]) && ok(lay.I[j]) && (j != b || len(sc.healthyI) == 1) {
 			a = j
 			break
 		}
@@ -565,9 +640,8 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 	if a == -1 {
 		return nil
 	}
-	var iOrder []int
-	iOrder = append(iOrder, a)
-	for _, j := range healthyI {
+	iOrder := append(sc.iOrder[:0], a)
+	for _, j := range sc.healthyI {
 		if j != a && j != b {
 			iOrder = append(iOrder, j)
 		}
@@ -575,16 +649,11 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 	if b != a {
 		iOrder = append(iOrder, b)
 	}
+	sc.iOrder = iOrder
 	// Choose d (output pair) and O-cover order starting at c.
-	var healthyO []int
-	for j := 0; j <= k; j++ {
-		if ok(lay.O[j]) {
-			healthyO = append(healthyO, j)
-		}
-	}
 	d := -1
 	for j := 0; j <= k; j++ {
-		if ok(lay.To[j]) && ok(lay.O[j]) && (j != c || len(healthyO) == 1) {
+		if ok(lay.To[j]) && ok(lay.O[j]) && (j != c || len(sc.healthyO) == 1) {
 			d = j
 			break
 		}
@@ -592,9 +661,8 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 	if d == -1 {
 		return nil
 	}
-	var oOrder []int
-	oOrder = append(oOrder, c)
-	for _, j := range healthyO {
+	oOrder := append(sc.oOrder[:0], c)
+	for _, j := range sc.healthyO {
 		if j != c && j != d {
 			oOrder = append(oOrder, j)
 		}
@@ -602,9 +670,9 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 	if d != c {
 		oOrder = append(oOrder, d)
 	}
+	sc.oOrder = oOrder
 
-	out := make(graph.Path, 0, len(iOrder)+len(ringOrder)+len(oOrder)+3)
-	out = append(out, lay.Ti[a])
+	out := append(sc.path[:0], lay.Ti[a])
 	for _, j := range iOrder {
 		out = append(out, lay.I[j])
 	}
@@ -616,11 +684,12 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 		out = append(out, lay.O[j])
 	}
 	out = append(out, lay.To[d])
+	sc.path = out
 
 	if !s.validatePlanned(out, faults) {
 		return nil
 	}
-	return out
+	return slices.Clone(out)
 }
 
 // validatePlanned is a local full check (edges, distinctness, fault
