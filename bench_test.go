@@ -19,6 +19,7 @@ import (
 	"gdpn/internal/faults"
 	"gdpn/internal/graph"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/search"
 	"gdpn/internal/stages"
 	"gdpn/internal/verify"
@@ -177,7 +178,11 @@ func BenchmarkStreamingThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := pipeline.New(sol, []stages.Stage{
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
 		stages.NewSubsample(2),
 		&stages.Rescale{Gain: 1.5, Offset: 0.1},
 		stages.NewFIR([]float64{0.25, 0.5, 0.25}),

@@ -58,6 +58,7 @@ import (
 	"gdpn/internal/obs"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 	"gdpn/internal/telemetry"
 	"gdpn/internal/workload"
@@ -250,7 +251,13 @@ func main() {
 		return
 	}
 
-	eng, err := pipeline.New(sol, []stages.Stage{
+	// Epoch mode: the manager plans each fault's pipeline, the engine runs
+	// frames on its interior between faults.
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		fatal(err)
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
 		stages.NewSubsample(2),
 		&stages.Rescale{Gain: 1.5, Offset: 0.1},
 		stages.NewFIR([]float64{0.25, 0.5, 0.25}),
@@ -269,17 +276,17 @@ func main() {
 
 	fmt.Println(sol.Graph.Summary())
 	fmt.Printf("%-6s %-7s %-13s %-9s %-14s %s\n", "epoch", "faults", "procs-in-use", "frames", "throughput", "remap")
-	var lastRemap time.Duration
+	var remap, remapTotal time.Duration
+	remaps := 0
 	for epoch := 0; ; epoch++ {
 		batch := workload.Frames(gen, *frames, *size, epoch**frames)
 		start := time.Now()
 		out := eng.Process(batch)
 		elapsed := time.Since(start)
-		remap := eng.Metrics().RemapTime - lastRemap
-		lastRemap = eng.Metrics().RemapTime
 		fmt.Printf("%-6d %-7d %-13d %-9d %8.1f MB/s %10s\n",
-			epoch, eng.Faults().Count(), eng.ProcessorsInUse(), len(out),
+			epoch, mgr.Faults().Count(), eng.ProcessorsInUse(), len(out),
 			float64(*frames**size*8)/1e6/elapsed.Seconds(), remap.Round(time.Microsecond))
+		remap = 0
 		if *epochs > 0 && epoch+1 >= *epochs {
 			break
 		}
@@ -290,12 +297,16 @@ func main() {
 			}
 			break
 		}
-		if err := eng.Inject(node); err != nil {
+		start = time.Now()
+		if err := mgr.Apply(reconfig.OpFault, node, eng.ApplyPlacement); err != nil {
 			fatal(fmt.Errorf("fault at node %d: %w", node, err))
 		}
+		remap = time.Since(start)
+		remapTotal += remap
+		remaps++
 	}
 	fmt.Printf("done: %d frames, %d remaps, total remap time %v\n",
-		eng.Metrics().FramesProcessed, eng.Metrics().Remaps, eng.Metrics().RemapTime.Round(time.Microsecond))
+		eng.Metrics().FramesProcessed, remaps, remapTotal.Round(time.Microsecond))
 	if *addr != "" {
 		fmt.Fprintln(os.Stderr, summaryLine(reg))
 	}

@@ -17,6 +17,7 @@ import (
 	"gdpn/internal/construct"
 	"gdpn/internal/faults"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 )
 
@@ -28,7 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := pipeline.New(sol, []stages.Stage{
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
 		stages.NewFFT(),
 		&stages.SpectralGate{Threshold: 40},
 		stages.NewIFFT(),
@@ -53,14 +58,15 @@ func main() {
 		out := eng.Process([]pipeline.Frame{{Seq: epoch, Data: noisy}})
 		den := out[0].Data
 		fmt.Printf("epoch %d: faults=%d procs=%d  SNR %5.1f dB → %5.1f dB\n",
-			epoch, eng.Faults().Count(), eng.ProcessorsInUse(),
+			epoch, mgr.Faults().Count(), eng.ProcessorsInUse(),
 			snr(clean, noisy), snr(clean, den[:frameSize]))
 
 		if epoch == k {
 			break
 		}
 		// Break a random healthy link; Hayes' reduction turns it into one
-		// node fault, which the engine repairs.
+		// node fault. The manager plans a pipeline around it, and the
+		// engine moves onto that pipeline.
 		for {
 			links := faults.RandomLinks(linkRng, sol.Graph, 1)
 			nodeFaults, err := faults.LinksToNodes(sol.Graph, links)
@@ -68,15 +74,15 @@ func main() {
 				log.Fatal(err)
 			}
 			victim := nodeFaults.Slice()
-			if len(victim) == 0 || eng.Faults().Contains(victim[0]) {
+			if len(victim) == 0 || mgr.Faults().Contains(victim[0]) {
 				continue
 			}
-			if err := eng.Inject(victim[0]); err != nil {
+			if err := mgr.Apply(reconfig.OpFault, victim[0], eng.ApplyPlacement); err != nil {
 				log.Fatalf("link (%d,%d) → node %d: %v", links[0].U, links[0].V, victim[0], err)
 			}
 			brokenLinks++
 			fmt.Printf("  !! link (%d,%d) broke → endpoint %d retired (Hayes reduction), tactics so far: %+v\n",
-				links[0].U, links[0].V, victim[0], eng.Metrics().Repairs)
+				links[0].U, links[0].V, victim[0], mgr.Stats())
 			break
 		}
 	}

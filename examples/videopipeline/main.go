@@ -18,6 +18,7 @@ import (
 	"gdpn/internal/faults"
 	"gdpn/internal/obs"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 )
 
@@ -43,12 +44,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	live, err := pipeline.New(sol, stageChain())
+	// The manager plans each fault's pipeline; the live engine runs its
+	// interior.
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		log.Fatal(err)
+	}
+	live, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), stageChain())
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Golden reference: same stages, no faults, sequential execution.
-	golden, err := pipeline.New(sol, stageChain())
+	golden, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), stageChain())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,21 +91,22 @@ func main() {
 		totalIn += inSamples
 		totalOut += outSamples
 		fmt.Printf("epoch %d: faults=%d procs=%d  %d frames in %v  compression %d→%d samples (%.2fx)\n",
-			epoch, live.Faults().Count(), live.ProcessorsInUse(), len(out),
+			epoch, mgr.Faults().Count(), live.ProcessorsInUse(), len(out),
 			elapsed.Round(time.Millisecond), inSamples, outSamples,
 			float64(inSamples)/float64(outSamples))
 
 		if node, ok := inj.Next(); ok {
-			if err := live.Inject(node); err != nil {
+			start := time.Now()
+			if err := mgr.Apply(reconfig.OpFault, node, live.ApplyPlacement); err != nil {
 				log.Fatalf("inject: %v", err)
 			}
 			fmt.Printf("  !! processor %d failed — remapped onto %d processors in %v\n",
-				node, live.ProcessorsInUse(), live.Metrics().RemapTime.Round(time.Microsecond))
+				node, live.ProcessorsInUse(), time.Since(start).Round(time.Microsecond))
 			printMetrics()
 		}
 	}
 	fmt.Printf("stream stayed byte-identical to the golden run across %d faults; overall compression %.2fx\n",
-		live.Faults().Count(), float64(totalIn)/float64(totalOut))
+		mgr.Faults().Count(), float64(totalIn)/float64(totalOut))
 }
 
 // printMetrics shows the numeric shape of the degradation after a fault:

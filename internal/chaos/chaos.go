@@ -2,7 +2,9 @@
 // a seeded stochastic fault/repair schedule (internal/faults.Schedule)
 // while frames stream continuously through a pipeline.Stream, and checks
 // the paper's graceful-degradation guarantee as a *runtime* property
-// rather than a theorem:
+// rather than a theorem. A reconfig.Manager plans each event's pipeline
+// and the engine executes it, so the harness also checks that the two
+// owners never disagree. The invariants:
 //
 //   - zero frame loss, zero duplication, in-order delivery across every
 //     live reconfiguration (the congested-clique "no work lost across
@@ -10,7 +12,10 @@
 //   - after every remap the pipeline is a valid certificate
 //     (verify.CheckPipeline) and uses every healthy processor — the
 //     paper's graceful degradation, re-proved at each step of an ongoing
-//     fault process rather than for a one-shot fault set.
+//     fault process rather than for a one-shot fault set;
+//   - the engine runs exactly the manager's pipeline interior, and an
+//     event the manager rolls back leaves the stream untouched (no remap
+//     counted, no downtime added).
 //
 // Runs are seeded and replayable: a failing nightly seed reruns locally
 // with `gdpsim -chaos -seed N` and reproduces the same fault sequence.
@@ -20,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,19 +208,21 @@ func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, err
 		stgs = DefaultStages()
 	}
 
-	eng, err := pipeline.New(sol, stgs,
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), stgs,
 		pipeline.WithBatchSize(cfg.Batch), pipeline.WithChannelDepth(cfg.ChannelDepth))
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RemapDeadline > 0 {
-		eng.SetRemapDeadline(cfg.RemapDeadline)
-	}
+	mgr.SetDeadline(cfg.RemapDeadline)
 	// Cancellation: the token aborts in-flight remap solves, the context's
 	// channel wakes event sleeps. Both latch from the same Config.Context.
 	tok := embed.NewResources(cfg.Context, 0, 0)
 	defer tok.Release()
-	eng.SetRemapResources(tok)
+	mgr.SetResources(tok)
 	var ctxDone <-chan struct{}
 	if cfg.Context != nil {
 		ctxDone = cfg.Context.Done()
@@ -318,11 +326,16 @@ eventLoop:
 			rep.Bursts++
 		}
 		for _, ev := range evs {
-			var err error
+			op := reconfig.OpFault
 			if ev.Repair {
-				err = eng.Repair(ev.Node)
-			} else {
-				err = eng.Inject(ev.Node)
+				op = reconfig.OpRepair
+			}
+			before := st.Report()
+			err := mgr.Apply(op, ev.Node, eng.ApplyPlacement)
+			if after := st.Report(); err != nil &&
+				(after.Remaps != before.Remaps || after.TotalDowntime != before.TotalDowntime) {
+				rep.violate("rolled-back %s reached the stream: remaps %d→%d, downtime %v→%v",
+					ev, before.Remaps, after.Remaps, before.TotalDowntime, after.TotalDowntime)
 			}
 			switch {
 			case err == nil:
@@ -355,7 +368,7 @@ eventLoop:
 			}
 		}
 		rep.Checks++
-		checkInvariants(rep, eng, g, evs[0].At)
+		checkInvariants(rep, mgr, eng, g, evs[0].At)
 	}
 
 	close(stop)
@@ -363,12 +376,12 @@ eventLoop:
 	rep.Stream = st.Close()
 	<-consumerDone
 
-	rep.Downtime = eng.Downtime()
+	rep.Downtime = mgr.Downtime()
 	rep.Elapsed = time.Since(start)
-	rep.FinalFaults = eng.Faults().Slice()
+	rep.FinalFaults = mgr.Faults().Slice()
 	rep.FinalProcsInUse = eng.ProcessorsInUse()
 	rep.Checks++
-	checkInvariants(rep, eng, g, rep.Elapsed)
+	checkInvariants(rep, mgr, eng, g, rep.Elapsed)
 	if got := consumed.Load(); got != rep.Stream.Delivered {
 		rep.violate("consumer saw %d frames, stream delivered %d", got, rep.Stream.Delivered)
 	}
@@ -388,12 +401,18 @@ eventLoop:
 }
 
 // checkInvariants re-proves graceful degradation on the live state: the
-// current pipeline must be a valid certificate over the current fault set
-// and must use every healthy processor.
-func checkInvariants(rep *Report, eng *pipeline.Engine, g *graph.Graph, at time.Duration) {
-	f := eng.Faults()
-	if err := verify.CheckPipeline(g, f, eng.Pipeline()); err != nil {
+// manager's pipeline must be a valid certificate over the current fault
+// set, the engine must run exactly its interior, and that must use every
+// healthy processor.
+func checkInvariants(rep *Report, mgr *reconfig.Manager, eng *pipeline.Engine, g *graph.Graph, at time.Duration) {
+	f := mgr.Faults()
+	if err := verify.CheckPipeline(g, f, mgr.Pipeline()); err != nil {
 		rep.violate("t=%v: invalid pipeline: %v", at.Round(time.Millisecond), err)
+		return
+	}
+	if !slices.Equal(eng.Pipeline(), mgr.Interior()) {
+		rep.violate("t=%v: engine runs %v but the manager planned %v",
+			at.Round(time.Millisecond), eng.Pipeline(), mgr.Interior())
 		return
 	}
 	healthy := 0

@@ -44,6 +44,40 @@ func TestSoakShortRun(t *testing.T) {
 	}
 }
 
+// TestSoakDeadlineRollbacksLeaveStreamUntouched forces full-remap
+// rollbacks with a 1ns remap deadline. The soak must still pass, which
+// includes Run's own per-event check that a rolled-back event adds no
+// stream remap and no downtime, and the stream must count exactly one
+// remap per applied event.
+func TestSoakDeadlineRollbacksLeaveStreamUntouched(t *testing.T) {
+	sol, err := construct.Design(12, 3)
+	if err != nil {
+		t.Fatalf("Design(12,3): %v", err)
+	}
+	rep, err := Run(sol, nil, Config{
+		Seed:          2,
+		Duration:      600 * time.Millisecond,
+		MTBF:          40 * time.Millisecond,
+		MTTR:          15 * time.Millisecond,
+		TerminalMTBF:  40 * time.Millisecond,
+		TerminalMTTR:  15 * time.Millisecond,
+		RemapDeadline: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("soak failed:\n%s", rep.Summary())
+	}
+	if rep.DeadlineRollbacks == 0 {
+		t.Fatalf("no deadline rollbacks in %v:\n%s", rep.Elapsed, rep.Summary())
+	}
+	if applied := int64(rep.FaultsInjected + rep.RepairsApplied); rep.Stream.Remaps != applied || rep.Stream.RemapFailures != 0 {
+		t.Fatalf("stream saw %d remaps and %d failures for %d applied events",
+			rep.Stream.Remaps, rep.Stream.RemapFailures, applied)
+	}
+}
+
 // TestSoakSeedReplay checks that two runs with the same seed inject the
 // same number of faults — the property that makes a failing nightly seed
 // reproducible locally. (Exact event times are wall-clock dependent, but

@@ -1,9 +1,10 @@
 package chaos
 
 // Multi-tenant soak: the control-plane analogue of Run. Instead of one
-// self-planned engine, a control.Executor runs a whole Topology on one
-// shared pool while the fault schedule hits the pool; every event triggers
-// one coordinated replan, and the invariants are re-proved per tenant:
+// engine whose pipeline a reconfig.Manager plans, a control.Executor
+// runs a whole Topology on one shared pool while the fault schedule hits
+// the pool; every event triggers one coordinated replan, and the
+// invariants are re-proved per tenant:
 //
 //   - every tenant's lifetime sink audit is clean (zero loss, zero
 //     duplication, in order) across every coordinated remap, shed, and

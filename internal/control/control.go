@@ -6,10 +6,10 @@
 //
 // The layering contract: the planner (internal/plan) decides WHERE each
 // tenant runs, the executor decides WHO runs and moves the frames, and
-// the runtime (internal/pipeline placed mode) preserves the zero-loss
-// drain/requeue semantics across each placement change. Pool faults enter
-// through Executor.Inject/Repair only; engines reject direct fault
-// routing (pipeline.ErrPlaced).
+// the runtime (internal/pipeline) preserves the zero-loss drain/requeue
+// semantics across each placement change. Pool faults enter through
+// Executor.Inject/Repair only; engines know nothing of faults and change
+// pipelines only when handed a placement (Engine.ApplyPlacement).
 package control
 
 import (
@@ -394,11 +394,17 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 		case segEqual(t.segment, seg):
 			res.Unchanged = append(res.Unchanged, name)
 		default:
-			if err := t.eng.ApplyPlacement(seg, root); err != nil {
+			// The tenant's remap span: the engine hangs its
+			// drain/requeue/rewire phases under it.
+			sp := span.Start(root, "remap").SetStr("op", "replan").SetStr("tenant", name)
+			err := t.eng.ApplyPlacement(seg, sp)
+			if err != nil {
+				sp.End(span.Errored)
 				root.SetStr("error", err.Error())
 				root.End(span.Errored)
 				return nil, fmt.Errorf("control: remapping tenant %q: %w", name, err)
 			}
+			sp.End(span.OK)
 			t.segment = append(t.segment[:0:0], seg...)
 			t.procsG.Set(int64(len(seg)))
 			res.Affected = append(res.Affected, name)
@@ -406,10 +412,14 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 	}
 
 	// The bootstrap plan admits everyone by definition; only fault-driven
-	// replans count toward the coordination high-water mark.
+	// replans count toward the coordination high-water mark and, once per
+	// event as reconfig.Apply does for a single pipeline, the remap SLO.
 	if cause != "bootstrap" {
 		if moved := len(res.Affected) + len(res.Admitted) + len(res.Shed); moved > x.maxAffected {
 			x.maxAffected = moved
+		}
+		if slo := span.DefaultSLO(); slo.Enabled() {
+			slo.Observe("remap", time.Since(start))
 		}
 	}
 	x.replans.Add(1)

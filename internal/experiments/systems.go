@@ -220,7 +220,12 @@ func runS1(cfg Config) *Table {
 		t.Note("%v", err)
 		return t
 	}
-	eng, err := pipeline.New(sol, []stages.Stage{
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		t.Note("%v", err)
+		return t
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
 		stages.NewSubsample(2),
 		&stages.Rescale{Gain: 1.5, Offset: 0.1},
 		stages.NewFIR([]float64{0.25, 0.5, 0.25}),
@@ -234,17 +239,15 @@ func runS1(cfg Config) *Table {
 	inj := faults.NewInjector(faults.ProcessorsOnly{}, sol.Graph, k, cfg.Seed)
 	gen := workload.Video(frameSize/4, cfg.Seed)
 	t.OK = true
-	prevRemap := time.Duration(0)
+	var remap time.Duration
 	for epoch := 0; ; epoch++ {
 		frames := workload.Frames(gen, framesPerEpoch, frameSize, epoch*framesPerEpoch)
 		start := time.Now()
 		out := eng.Process(frames)
 		elapsed := time.Since(start)
 		mbps := float64(framesPerEpoch*frameSize*8) / 1e6 / elapsed.Seconds()
-		healthy := sol.N + sol.K - eng.Faults().Count()
-		remap := eng.Metrics().RemapTime - prevRemap
-		prevRemap = eng.Metrics().RemapTime
-		t.AddRow(fmt.Sprint(epoch), fmt.Sprint(eng.Faults().Count()), fmt.Sprint(eng.ProcessorsInUse()),
+		healthy := sol.N + sol.K - mgr.Faults().Count()
+		t.AddRow(fmt.Sprint(epoch), fmt.Sprint(mgr.Faults().Count()), fmt.Sprint(eng.ProcessorsInUse()),
 			fmt.Sprint(healthy), fmt.Sprint(len(out)), fmt.Sprintf("%.1f", mbps),
 			fmt.Sprint(remap.Microseconds()))
 		if len(out) != framesPerEpoch || eng.ProcessorsInUse() != healthy {
@@ -254,11 +257,13 @@ func runS1(cfg Config) *Table {
 		if !ok {
 			break
 		}
-		if err := eng.Inject(node); err != nil {
+		start = time.Now()
+		if err := mgr.Apply(reconfig.OpFault, node, eng.ApplyPlacement); err != nil {
 			t.Note("inject %d failed: %v", node, err)
 			t.OK = false
 			break
 		}
+		remap = time.Since(start)
 	}
 	t.Note("graceful degradation: 'procs in use' tracks 'healthy' exactly across all epochs")
 	return t
@@ -289,6 +294,13 @@ func runS3(cfg Config) *Table {
 		t.Note("%v", err)
 		return t
 	}
+	// Both transports run on the fault-free pipeline's full interior.
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		t.Note("%v", err)
+		return t
+	}
+	interior := mgr.Interior()
 	// No LZ78: its dictionary allocates internally — stage compute, not
 	// transport — and would drown the allocation signal being gated.
 	chain := func() []stages.Stage {
@@ -300,7 +312,7 @@ func runS3(cfg Config) *Table {
 		}
 	}
 	run := func(opts ...pipeline.Option) (nsPerFrame, allocsPerFrame float64, err error) {
-		eng, err := pipeline.New(sol, chain(), opts...)
+		eng, err := pipeline.NewPlaced(sol.Graph, interior, chain(), opts...)
 		if err != nil {
 			return 0, 0, err
 		}

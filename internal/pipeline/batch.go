@@ -14,12 +14,11 @@ package pipeline
 //   - Stream.Submit transfers ownership of Frame.Data to the stream: the
 //     token carries that storage through the chain and hands it to the
 //     consumer, so producers must not retain a submitted slice.
-//     Epoch-mode Process does NOT take ownership — callers may reuse the
-//     same input frames across calls.
+//     Process copies each input into a leased buffer before submitting
+//     it, so its callers may reuse the same input frames across calls.
 //   - Stage outputs alias per-stage scratch, so a worker copies each
 //     processed frame back into the token's own buffer, leasing a larger
-//     one only when the frame grows (an FFT doubles it) or the input is
-//     still caller-owned.
+//     one only when the frame grows (an FFT doubles it).
 //   - Frames handed to the consumer (Stream.Out / Process return) own
 //     their buffer. Returning it via Engine.Recycle closes the loop;
 //     dropping it instead is safe but costs one miss later.
@@ -94,14 +93,13 @@ type freeLists struct {
 }
 
 // sizeFreeLists gives the engine free lists able to hold every frame a
-// stream with the given MaxPending can have outstanding: one in the
-// producer's hand, the submit buffer, the pending backlog, the chain's
-// in-flight bound (admission stops at maxInflight, but the last batch
-// admitted may carry batchSize more), the Out buffer and one in the
-// consumer's hand. Lists of the right capacity are kept, contents and all.
-func (e *Engine) sizeFreeLists(maxPending int) {
-	maxInflight := e.maxInflight()
-	n := 1 + e.batchSize + maxPending + maxInflight + e.batchSize + maxPending + maxInflight + 1
+// stream can have outstanding: one in the producer's hand, the submit
+// buffer, the pending backlog, the chain's in-flight bound (admission
+// stops at maxInflight, but the last batch admitted may carry batchSize
+// more), the Out buffer and one in the consumer's hand. Lists of the
+// right capacity are kept, contents and all.
+func (e *Engine) sizeFreeLists(maxPending, maxInflight, outCap int) {
+	n := 1 + e.batchSize + maxPending + maxInflight + e.batchSize + outCap + 1
 	if l := e.free.Load(); l != nil && cap(l.bufs) == n {
 		return
 	}
@@ -111,12 +109,13 @@ func (e *Engine) sizeFreeLists(maxPending int) {
 	})
 }
 
-// maxInflight is the stream's in-flight bound: two batches per chain
-// position, enough to keep every worker busy while keeping the
-// population (and so the Out buffer sized from it) small and
-// independent of the channel depth.
+// maxInflight is the in-flight bound for the current placement: two
+// batches per chain position (the engine's own processors plus the
+// tail), enough to keep every worker busy while keeping the population
+// (and so the Out buffer and free lists sized from it) small and
+// independent of the channel depth and of the pool's size.
 func (e *Engine) maxInflight() int {
-	return 2 * (len(e.g.Processors()) + 1) * e.batchSize
+	return 2 * (len(e.path) + 1) * e.batchSize
 }
 
 // GetBuffer leases an n-sample buffer from the engine's free list,
@@ -220,7 +219,7 @@ func (e *Engine) batchWorker(c *chain, in <-chan *frameBatch, out chan<- *frameB
 // processToken runs the owned logical stages the token has not yet seen
 // (t.next skips ones applied before a previous remap) and copies the
 // result back into the token's own buffer, leasing a new one only when
-// the result outgrows it or the token still holds caller-owned input.
+// the result outgrows it.
 func (e *Engine) processToken(t *token, owned []int, S int) {
 	if t.next >= S {
 		return
@@ -241,15 +240,13 @@ func (e *Engine) processToken(t *token, owned []int, S int) {
 	// runs again — copy out before the next token reuses it. copy is a
 	// memmove, so a stage returning (part of) its input is still safe.
 	n := len(data)
-	if t.owned && cap(t.data) >= n {
+	if cap(t.data) >= n {
 		t.data = t.data[:n]
 		copy(t.data, data)
 		return
 	}
 	nb := e.GetBuffer(n)
 	copy(nb, data)
-	if t.owned {
-		e.Recycle(Frame{Data: t.data})
-	}
-	t.data, t.owned = nb, true
+	e.Recycle(Frame{Data: t.data})
+	t.data = nb
 }

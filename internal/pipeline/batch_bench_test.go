@@ -15,10 +15,7 @@ func benchStreamSteadyState(b *testing.B, opts ...pipeline.Option) {
 	if err != nil {
 		b.Fatalf("Design(12,3): %v", err)
 	}
-	eng, err := pipeline.New(sol, lightStages(), opts...)
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
+	eng, _ := managed(b, sol, lightStages(), opts...)
 	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 64})
 	if err != nil {
 		b.Fatalf("StartStream: %v", err)

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gdpn/internal/construct"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 )
 
@@ -19,10 +21,7 @@ func mustEngineOpts(t *testing.T, n, k int, opts ...pipeline.Option) *pipeline.E
 	if err != nil {
 		t.Fatalf("Design(%d,%d): %v", n, k, err)
 	}
-	eng, err := pipeline.New(sol, testStages(), opts...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	eng, _ := managed(t, sol, testStages(), opts...)
 	return eng
 }
 
@@ -70,12 +69,8 @@ func TestStreamRemapAtEveryBatchOffset(t *testing.T) {
 		t.Fatalf("Design(12,3): %v", err)
 	}
 	procs := sol.Graph.Processors()
-	newEngine := func(build func() []stages.Stage) *pipeline.Engine {
-		eng, err := pipeline.New(sol, build(), pipeline.WithBatchSize(batch))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return eng
+	newEngine := func(build func() []stages.Stage) (*pipeline.Engine, *reconfig.Manager) {
+		return managed(t, sol, build(), pipeline.WithBatchSize(batch))
 	}
 	// keep copies a delivered frame out and recycles its buffer, so later
 	// leases reuse storage of every size the chain produced.
@@ -87,10 +82,11 @@ func TestStreamRemapAtEveryBatchOffset(t *testing.T) {
 	for _, ch := range chains {
 		for _, offset := range []int{0, 1, batch / 2, batch - 1} {
 			frames := genFrames(3*batch+batch/2, 128, int64(11+offset))
-			want := newEngine(ch.build).ProcessSequential(copyFrames(frames))
-			inject, repair := offset, offset+batch+1
+			ref, _ := newEngine(ch.build)
+			want := ref.ProcessSequential(copyFrames(frames))
+			inject, repairAt := offset, offset+batch+1
 
-			eng := newEngine(ch.build)
+			eng, mgr := newEngine(ch.build)
 			st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: 2 * batch})
 			if err != nil {
 				t.Fatalf("StartStream: %v", err)
@@ -109,11 +105,11 @@ func TestStreamRemapAtEveryBatchOffset(t *testing.T) {
 				}
 				switch i {
 				case inject:
-					if err := eng.Inject(procs[1]); err != nil {
+					if err := fault(mgr, eng, procs[1]); err != nil {
 						t.Fatalf("%s offset %d: inject: %v", ch.name, offset, err)
 					}
-				case repair:
-					if err := eng.Repair(procs[1]); err != nil {
+				case repairAt:
+					if err := repair(mgr, eng, procs[1]); err != nil {
 						t.Fatalf("%s offset %d: repair: %v", ch.name, offset, err)
 					}
 				}
@@ -130,19 +126,19 @@ func TestStreamRemapAtEveryBatchOffset(t *testing.T) {
 
 			// Epoch mode: the same remap points fall between Process calls,
 			// and the input frames stay caller-owned.
-			eng = newEngine(ch.build)
+			eng, mgr = newEngine(ch.build)
 			in := copyFrames(frames)
 			got = nil
-			for _, epoch := range [][]pipeline.Frame{in[:inject+1], in[inject+1 : repair+1], in[repair+1:]} {
+			for _, epoch := range [][]pipeline.Frame{in[:inject+1], in[inject+1 : repairAt+1], in[repairAt+1:]} {
 				for _, f := range eng.Process(epoch) {
 					got = append(got, keep(eng, f))
 				}
 				if len(got) == inject+1 {
-					if err := eng.Inject(procs[1]); err != nil {
+					if err := fault(mgr, eng, procs[1]); err != nil {
 						t.Fatalf("%s offset %d: epoch inject: %v", ch.name, offset, err)
 					}
-				} else if len(got) == repair+1 {
-					if err := eng.Repair(procs[1]); err != nil {
+				} else if len(got) == repairAt+1 {
+					if err := repair(mgr, eng, procs[1]); err != nil {
 						t.Fatalf("%s offset %d: epoch repair: %v", ch.name, offset, err)
 					}
 				}
@@ -193,10 +189,7 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Design(12,3): %v", err)
 	}
-	eng, err := pipeline.New(sol, lightStages())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	eng, _ := managed(t, sol, lightStages())
 	const maxPending = 64
 	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: maxPending})
 	if err != nil {
@@ -257,6 +250,77 @@ func TestStreamSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestStreamShortSegmentPoolBound checks that a placed engine's in-flight
+// bound, and so its free lists, follow its own chain rather than the
+// pool: a 3-processor segment of G(12,3) keeps lifetime free-list misses
+// within the outstanding-frame bound of a 3-processor chain over 30 times
+// that many frames, even with a consumer that pauses long enough for
+// every buffer on the way (Out included) to fill. The segment then grows
+// to the full interior mid-stream; the bound grows with it, and the
+// stream stays clean and within the sum of both bounds.
+func TestStreamShortSegmentPoolBound(t *testing.T) {
+	sol, interior := poolInterior(t, 12, 3)
+	eng, err := pipeline.NewPlaced(sol.Graph, interior[:3], lightStages())
+	if err != nil {
+		t.Fatalf("NewPlaced: %v", err)
+	}
+	const maxPending = 64
+	st, err := eng.StartStream(pipeline.StreamConfig{MaxPending: maxPending})
+	if err != nil {
+		t.Fatalf("StartStream: %v", err)
+	}
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		n := 0
+		for f := range st.Out() {
+			eng.Recycle(f)
+			if n++; n%2000 == 0 {
+				time.Sleep(5 * time.Millisecond) // let Out and the chain fill up
+			}
+		}
+	}()
+	// The outstanding-frame bound of StartStream's sizing for a chain of
+	// procs processors: producer's hand, submit buffer, backlog, in-flight
+	// bound plus the last admitted batch, Out buffer (sized at start from
+	// the initial bound), consumer's hand.
+	const bs = pipeline.DefaultBatchSize
+	outCap := maxPending + 2*(3+1)*bs
+	bound := func(procs int) int {
+		return 1 + bs + maxPending + 2*(procs+1)*bs + bs + outCap + 1
+	}
+	short, full := bound(3), bound(len(interior))
+
+	const size = 64
+	seq := 0
+	pump := func(n int) {
+		for i := 0; i < n; i++ {
+			d := eng.GetBuffer(size)
+			if err := st.Submit(pipeline.Frame{Seq: seq, Data: d}); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			seq++
+		}
+	}
+	pump(30 * short)
+	if _, misses := eng.PoolStats(); misses > int64(short) {
+		t.Fatalf("%d free-list misses over %d frames on a 3-processor segment, want <= %d", misses, seq, short)
+	}
+	if err := eng.ApplyPlacement(interior, nil); err != nil {
+		t.Fatalf("ApplyPlacement: %v", err)
+	}
+	pump(30 * full)
+	rep := st.Close()
+	<-consumed
+	if !rep.Clean() || rep.Remaps != 1 {
+		t.Fatalf("stream report %+v, want clean with one remap", rep)
+	}
+	if _, misses := eng.PoolStats(); misses > int64(short+full) {
+		t.Fatalf("%d free-list misses over %d frames after growing to %d processors, want <= %d",
+			misses, seq, len(interior), short+full)
+	}
+}
+
 // TestNoPerFrameAllocIdiom scans the package's non-test sources for the
 // append([]float64(nil), ...) per-frame copy idiom that the batched
 // transport exists to remove; reintroducing it on a hot path fails here
@@ -288,11 +352,8 @@ func TestBatchSizeOne(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Design(10,2): %v", err)
 	}
-	eng, err := pipeline.New(sol, testStages(),
+	eng, _ := managed(t, sol, testStages(),
 		pipeline.WithBatchSize(1), pipeline.WithChannelDepth(1))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	ref := mustEngine(t, 10, 2)
 	frames := genFrames(25, 96, 13)
 	want := ref.ProcessSequential(copyFrames(frames))

@@ -9,10 +9,7 @@ import (
 )
 
 func TestStagesOnOutOfRangeReturnsNil(t *testing.T) {
-	e, err := pipeline.New(design(t, 6, 2), chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _ := managed(t, design(t, 6, 2), chain())
 	// Regression: these used to panic with an index-out-of-range.
 	for _, pos := range []int{-1, e.ProcessorsInUse(), e.ProcessorsInUse() + 5, 1 << 20} {
 		if got := e.StagesOn(pos); got != nil {
@@ -35,10 +32,7 @@ func TestStagesOnOutOfRangeReturnsNil(t *testing.T) {
 // safe (the race detector enforces this) and must eventually converge on
 // the exact frame count.
 func TestMetricsConcurrentWithProcess(t *testing.T) {
-	e, err := pipeline.New(design(t, 8, 2), chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _ := managed(t, design(t, 8, 2), chain())
 	const rounds, perRound = 8, 16
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -77,10 +71,7 @@ func TestProcessRecordsObsMetrics(t *testing.T) {
 		reg.Reset()
 	}()
 
-	e, err := pipeline.New(design(t, 6, 2), chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, mgr := managed(t, design(t, 6, 2), chain())
 	before := reg.Snapshot().Counters["pipeline_frames_total"]
 	out := e.Process(mkFrames(12, 32, 1))
 	if len(out) != 12 {
@@ -108,8 +99,8 @@ func TestProcessRecordsObsMetrics(t *testing.T) {
 	}
 
 	// A fault must move the repair counters and append trace events.
-	victim := e.Pipeline()[2]
-	if err := e.Inject(victim); err != nil {
+	victim := mgr.Pipeline()[2]
+	if err := fault(mgr, e, victim); err != nil {
 		t.Fatal(err)
 	}
 	s = reg.Snapshot()
@@ -131,8 +122,8 @@ func TestProcessRecordsObsMetrics(t *testing.T) {
 	if !foundRepair {
 		t.Fatalf("no repair event in trace: %+v", s.Events)
 	}
-	if inj := s.Histograms[`pipeline_remap_ns{op="inject"}`]; inj.Count != 1 {
-		t.Fatalf("inject remap histogram %+v", inj)
+	if inj := s.Histograms[`pipeline_remap_ns{op="replan"}`]; inj.Count != 1 {
+		t.Fatalf("placement remap histogram %+v", inj)
 	}
 }
 
@@ -142,10 +133,7 @@ func TestProcessRecordsObsMetrics(t *testing.T) {
 func TestDisabledObsRecordsNothing(t *testing.T) {
 	reg := obs.Default()
 	reg.Reset()
-	e, err := pipeline.New(design(t, 6, 2), chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _ := managed(t, design(t, 6, 2), chain())
 	e.Process(mkFrames(6, 16, 2))
 	s := reg.Snapshot()
 	if s.Counters["pipeline_frames_total"] != 0 {
@@ -170,10 +158,7 @@ func benchProcess(b *testing.B, enabled bool) {
 		reg.SetEnabled(false)
 		reg.Reset()
 	}()
-	e, err := pipeline.New(design(b, 8, 2), chain())
-	if err != nil {
-		b.Fatal(err)
-	}
+	e, _ := managed(b, design(b, 8, 2), chain())
 	frames := mkFrames(64, 1024, 1)
 	b.SetBytes(64 * 1024 * 8)
 	b.ResetTimer()
@@ -191,10 +176,7 @@ func BenchmarkProcessObsEnabled(b *testing.B)  { benchProcess(b, true) }
 // bounds the cost of the disabled registry (acceptance: <5%, i.e. within
 // noise).
 func BenchmarkProcessBaselineUninstrumented(b *testing.B) {
-	e, err := pipeline.New(design(b, 8, 2), chain())
-	if err != nil {
-		b.Fatal(err)
-	}
+	e, _ := managed(b, design(b, 8, 2), chain())
 	stgs := chain()
 	// Same contiguous assignment the engine computes.
 	L := e.ProcessorsInUse()

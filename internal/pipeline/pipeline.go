@@ -1,13 +1,18 @@
 // Package pipeline is the streaming runtime that the paper's constructions
-// exist to serve (§1): it maps a sequence of signal-processing stages onto
-// the processors of a gracefully degradable pipeline network, pumps frames
-// through a goroutine-per-processor channel chain, and — when a fault is
-// injected — asks the embedding solver for a new pipeline over the
-// remaining healthy processors and remaps the stages onto it.
+// exist to serve (§1): it runs a sequence of signal-processing stages on a
+// placement — a processor path of a gracefully degradable pipeline
+// network — and pumps frames through a goroutine-per-processor channel
+// chain.
+//
+// The runtime only executes placements. Finding the new pipeline after a
+// fault is the planner's job: internal/reconfig for a single pipeline,
+// internal/plan and internal/control for tenants sharing a pool. The
+// planner hands the result to ApplyPlacement, and a live stream moves
+// onto it without losing, duplicating or reordering a frame.
 //
 // Graceful degradation is visible directly in the runtime: after f ≤ k
-// faults the pipeline still uses every healthy processor (verified on each
-// remap), so per-processor load grows by only n/(n−f) rather than dropping
+// faults the planner's pipeline still uses every healthy processor, so
+// per-processor load grows by only n/(n−f) rather than dropping
 // processors wholesale.
 //
 // The engine is instrumented through internal/obs (disabled by default, so
@@ -15,24 +20,19 @@
 // (pipeline_frame_latency_ns), per-position stage processing time
 // (pipeline_stage_ns), channel-send stall time (pipeline_send_stall_ns),
 // per-epoch wall time and throughput (pipeline_epoch_ns,
-// pipeline_epoch_throughput_bps), and remap latency by operation
-// (pipeline_remap_ns{op="inject"|"repair"}).
+// pipeline_epoch_throughput_bps), and placement install latency
+// (pipeline_remap_ns{op="replan"}).
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gdpn/internal/bitset"
-	"gdpn/internal/construct"
-	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
 	"gdpn/internal/obs/span"
-	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 )
 
@@ -46,38 +46,29 @@ type Frame struct {
 type Metrics struct {
 	// FramesProcessed counts frames that exited the pipeline.
 	FramesProcessed int64
-	// Remaps counts successful reconfigurations.
+	// Remaps counts placements installed after construction.
 	Remaps int
-	// RemapTime accumulates the time spent computing new pipelines.
+	// RemapTime accumulates the time spent installing them.
 	RemapTime time.Duration
-	// FaultsInjected counts Inject calls that added a fault.
-	FaultsInjected int
-	// Repairs breaks reconfigurations down by tactic (splice / rewire /
-	// endpoint swap / full remap) — see internal/reconfig.
-	Repairs reconfig.Stats
 }
 
-// Engine drives one pipeline network. It runs in one of two modes:
-// self-planned (New), where it owns a reconfig.Manager over the whole
-// solution and repairs itself on Inject/Repair; or placed (NewPlaced),
-// where the pipeline is a processor segment handed down by an external
-// planner and remapped only via ApplyPlacement — see placed.go.
+// Engine runs a stage chain on a placement: a processor segment of the
+// pool graph, handed down by a planner and changed only via
+// ApplyPlacement.
 type Engine struct {
 	g      *graph.Graph
-	mgr    *reconfig.Manager // nil in placed mode
-	placed bool
-	path   graph.Path // placed mode only: the current placement segment
-	tenant string     // optional tenant label carried on remap spans
+	path   graph.Path // the current placement: processors only, in pipeline order
+	tenant string     // optional tenant label
 	stages []stages.Stage
 	assign [][]int // per pipeline position (processors only): logical stage indices
 
-	// frames is read by Metrics() while Process/ProcessSequential write it,
-	// so it lives outside the mutex as an atomic.
+	// frames is read by Metrics() while streams write it, so it lives
+	// outside the mutex as an atomic.
 	frames atomic.Int64
 	mu     sync.Mutex // guards the remaining Metrics fields
 	m      Metrics
 
-	// stream is the live Stream instance, if any; Inject/Repair route
+	// stream is the live Stream instance, if any; ApplyPlacement routes
 	// through it so remaps drain and requeue in-flight frames.
 	stream atomic.Pointer[Stream]
 
@@ -104,39 +95,25 @@ type Engine struct {
 	procsInUse     *obs.Gauge
 	frameLoss      *obs.Gauge
 	remapDowntime  *obs.Histogram
-	remapLat       [3]*obs.Histogram // indexed by opInject/opRepair/opReplan
+	remapLat       *obs.Histogram
 }
 
-const (
-	opInject = 0
-	opRepair = 1
-	opReplan = 2
-)
+// WithTenant labels the engine with its tenant name.
+func WithTenant(name string) Option {
+	return func(e *Engine) { e.tenant = name }
+}
 
-// New builds an engine over a designed solution and the given logical
-// stage chain, and maps the initial (fault-free) pipeline. The stage
-// instances are owned by the engine: their internal state survives
-// remapping, as a checkpoint-restore would in a real array. Options
-// tune the batched transport (WithBatchSize, WithChannelDepth).
-func New(sol *construct.Solution, stgs []stages.Stage, opts ...Option) (*Engine, error) {
+// NewPlaced builds an engine over the pool graph g running on the given
+// placement segment (processors only, in pipeline order). The engine does
+// not solve or repair: placements come from a planner, and faults reach
+// it only as ApplyPlacement calls. The stage instances are owned by the
+// engine: their internal state survives placement changes, as a
+// checkpoint-restore would in a real array. Options tune the batched
+// transport (WithBatchSize, WithChannelDepth).
+func NewPlaced(g *graph.Graph, seg graph.Path, stgs []stages.Stage, opts ...Option) (*Engine, error) {
 	if len(stgs) == 0 {
 		return nil, fmt.Errorf("pipeline: need at least one stage")
 	}
-	mgr, err := reconfig.New(sol)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(sol.Graph, stgs, opts)
-	e.mgr = mgr
-	e.assignStages()
-	e.procsInUse.Set(int64(e.ProcessorsInUse()))
-	return e, nil
-}
-
-// newEngine builds the mode-independent engine shell: stages, transport
-// tuning, free lists sized for a default stream, and the instrumentation
-// surface.
-func newEngine(g *graph.Graph, stgs []stages.Stage, opts []Option) *Engine {
 	reg := obs.Default()
 	e := &Engine{
 		g: g, stages: stgs,
@@ -154,41 +131,36 @@ func newEngine(g *graph.Graph, stgs []stages.Stage, opts []Option) *Engine {
 		procsInUse:     reg.Gauge("pipeline_procs_in_use"),
 		frameLoss:      reg.Gauge("pipeline_frame_loss"),
 		remapDowntime:  reg.Histogram("pipeline_remap_downtime_ns"),
-		remapLat: [3]*obs.Histogram{
-			reg.Histogram("pipeline_remap_ns", obs.L("op", "inject")),
-			reg.Histogram("pipeline_remap_ns", obs.L("op", "repair")),
-			reg.Histogram("pipeline_remap_ns", obs.L("op", "replan")),
-		},
+		remapLat:       reg.Histogram("pipeline_remap_ns", obs.L("op", "replan")),
+		poolHitC:       reg.Counter("pipeline_pool_total", obs.L("result", "hit")),
+		poolMissC:      reg.Counter("pipeline_pool_total", obs.L("result", "miss")),
 	}
-	e.poolHitC = reg.Counter("pipeline_pool_total", obs.L("result", "hit"))
-	e.poolMissC = reg.Counter("pipeline_pool_total", obs.L("result", "miss"))
 	for _, o := range opts {
 		o(e)
 	}
-	e.sizeFreeLists(defaultMaxPending)
-	return e
+	if err := e.checkPlacement(seg); err != nil {
+		return nil, err
+	}
+	e.path = append(graph.Path(nil), seg...)
+	e.assignStages()
+	e.procsInUse.Set(int64(e.ProcessorsInUse()))
+	inflight := e.maxInflight()
+	e.sizeFreeLists(defaultMaxPending, inflight, defaultMaxPending+inflight)
+	return e, nil
 }
 
-// Pipeline returns the current pipeline path (aliased; do not modify).
-// In placed mode this is the placement segment: processors only, no
-// terminals.
-func (e *Engine) Pipeline() graph.Path {
-	if e.placed {
-		return e.path
-	}
-	return e.mgr.Pipeline()
-}
+// Tenant returns the engine's tenant label ("" when unset).
+func (e *Engine) Tenant() string { return e.tenant }
 
-// ProcessorsInUse returns the number of processors in the current pipeline.
-func (e *Engine) ProcessorsInUse() int {
-	if e.placed {
-		return len(e.path)
-	}
-	return len(e.mgr.Pipeline()) - 2
-}
+// Pipeline returns the current placement segment: processors only, no
+// terminals (aliased; do not modify).
+func (e *Engine) Pipeline() graph.Path { return e.path }
+
+// ProcessorsInUse returns the number of processors in the current placement.
+func (e *Engine) ProcessorsInUse() int { return len(e.path) }
 
 // Metrics returns a consistent snapshot of the engine's counters. It is
-// safe to call while Process runs on another goroutine.
+// safe to call while a stream runs on another goroutine.
 func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	m := e.m
@@ -206,138 +178,66 @@ func (e *Engine) StagesOn(pos int) []int {
 	return e.assign[pos]
 }
 
-// Inject marks a node faulty and repairs the pipeline — locally when one
-// of the reconfig tactics applies, by full recompute otherwise. It returns
-// an error (leaving the previous mapping in place) when the node is
-// already faulty, when a remap deadline set via SetRemapDeadline expires
-// (errors.Is reconfig.ErrDeadline; the fault is rolled back), or when no
-// pipeline survives — the latter only happens beyond the design fault
-// budget k. While a Stream is active the injection routes through it:
-// in-flight frames are drained and requeued around the remap so none is
-// lost or duplicated.
-func (e *Engine) Inject(node int) error {
-	if e.placed {
-		return ErrPlaced
+// checkPlacement is the engine-side structural audit of a segment: a
+// non-empty simple path of processors in the pool graph. Fault- and
+// coverage-level validation (verify.CheckSegment) is the planner's job —
+// the engine does not track the pool fault set.
+func (e *Engine) checkPlacement(seg graph.Path) error {
+	if len(seg) == 0 {
+		return fmt.Errorf("pipeline: empty placement")
 	}
-	if s := e.stream.Load(); s != nil {
-		return s.remap(false, node)
+	if !seg.Distinct() {
+		return fmt.Errorf("pipeline: placement revisits a node")
 	}
-	return e.applyFault(node)
-}
-
-// applyFault performs the fault injection on a quiesced engine (no frames
-// in flight): epoch-mode callers come here directly; a Stream's pump goes
-// through applyRemap under its own root span after draining its chain.
-func (e *Engine) applyFault(node int) error {
-	start := time.Now()
-	root := startRemapSpan("inject", "epoch", node)
-	err := e.applyRemap(false, node, root)
-	finishRemapSpan(root, start, err)
-	return err
-}
-
-// applyRepair performs the repair on a quiesced engine; see applyFault.
-func (e *Engine) applyRepair(node int) error {
-	start := time.Now()
-	root := startRemapSpan("repair", "epoch", node)
-	err := e.applyRemap(true, node, root)
-	finishRemapSpan(root, start, err)
-	return err
-}
-
-// applyRemap runs the fault or repair on the quiesced engine under root
-// (the causal parent of the manager's detect/plan/solve/audit phase spans;
-// nil outside traced runs) and updates the engine's remap metrics.
-func (e *Engine) applyRemap(repair bool, node int, root *span.S) error {
-	start := time.Now()
-	e.mgr.SetActiveSpan(root)
-	var err error
-	if repair {
-		_, err = e.mgr.Repair(node)
-	} else {
-		_, err = e.mgr.Fault(node)
+	if !seg.IsWalk(e.g) {
+		return fmt.Errorf("pipeline: placement uses a non-edge")
 	}
-	e.mgr.SetActiveSpan(nil)
-	if err != nil {
-		return fmt.Errorf("pipeline: %w", err)
+	for _, v := range seg {
+		if e.g.Kind(v) != graph.Processor {
+			return fmt.Errorf("pipeline: placement node %d is a %v, not a processor", v, e.g.Kind(v))
+		}
 	}
-	elapsed := time.Since(start)
-	e.mu.Lock()
-	e.m.RemapTime += elapsed
-	if !repair {
-		e.m.FaultsInjected++
-	}
-	e.m.Remaps++
-	e.m.Repairs = e.mgr.Stats()
-	e.mu.Unlock()
-	e.assignStages()
-	op := opInject
-	if repair {
-		op = opRepair
-	}
-	e.remapLat[op].ObserveDuration(elapsed)
-	e.procsInUse.Set(int64(e.ProcessorsInUse()))
 	return nil
 }
 
-// startRemapSpan opens the root span of one remap (nil when tracing is
-// off). op is "inject" or "repair"; mode is "epoch" (quiesced engine) or
-// "stream" (live drain/requeue around the remap).
-func startRemapSpan(op, mode string, node int) *span.S {
-	return span.Start(nil, "remap").
-		SetStr("op", op).SetStr("mode", mode).SetInt("node", int64(node))
-}
-
-// startPlaceSpan opens the root span of one placement remap, hung under
-// the executor's replan span (parent; nil outside coordinated replans)
-// and labeled with the engine's tenant.
-func (e *Engine) startPlaceSpan(parent *span.S, mode string) *span.S {
-	sp := span.Start(parent, "remap").SetStr("op", "replan").SetStr("mode", mode)
-	if e.tenant != "" {
-		sp.SetStr("tenant", e.tenant)
-	}
-	return sp
-}
-
-// finishRemapSpan ends a root remap span with the status and cancellation
-// reason derived from err, feeds the SLO remap-latency objective, and —
-// after the span is in the ring, so a dump contains the whole tree —
-// trips the flight recorder on deadline misses and rollbacks. Deliberate
-// cancellations (shutdown) are not anomalies and do not trip.
-func finishRemapSpan(root *span.S, start time.Time, err error) {
-	st, reason := reconfig.RemapStatus(err)
-	if reason != "" {
-		root.SetStr("cancel_reason", reason)
-	}
-	root.End(st)
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		slo.Observe("remap", time.Since(start))
-	}
-	switch {
-	case err == nil || errors.Is(err, embed.ErrCanceled):
-	case errors.Is(err, reconfig.ErrDeadline) || errors.Is(err, embed.ErrDeadline):
-		span.Trip(span.AnomalyDeadline, err.Error())
-	case errors.Is(err, embed.ErrBudget):
-		span.Trip(span.AnomalyBudget, err.Error())
-	default:
-		span.Trip(span.AnomalyRollback, err.Error())
-	}
-}
-
-// Repair marks a node healthy again and reinstates it in the pipeline.
-// While a Stream is active the repair routes through it, like Inject.
-func (e *Engine) Repair(node int) error {
-	if e.placed {
-		return ErrPlaced
-	}
+// ApplyPlacement remaps the engine onto a new segment. While a stream is
+// active the placement routes through the pump: in-flight frames are
+// drained with their stage progress, requeued ahead of the backlog, and
+// resumed on the new segment, so nothing is lost, duplicated or
+// reordered. The drain/requeue/rewire phases hang under parent, the
+// caller's remap span (nil outside traced runs). On error the previous
+// placement stays live.
+func (e *Engine) ApplyPlacement(seg graph.Path, parent *span.S) error {
 	if s := e.stream.Load(); s != nil {
-		return s.remap(true, node)
+		return s.remap(seg, parent)
 	}
-	return e.applyRepair(node)
+	return e.applyPlace(seg, parent)
+}
+
+// applyPlace installs a new placement on a quiesced engine (no frames in
+// flight) and updates the remap metrics. The segment is defensively
+// copied; an invalid segment leaves the previous placement in place.
+func (e *Engine) applyPlace(seg graph.Path, parent *span.S) error {
+	start := time.Now()
+	if err := e.checkPlacement(seg); err != nil {
+		parent.SetStr("error", err.Error())
+		return err
+	}
+	e.path = append(e.path[:0:0], seg...)
+	e.assignStages()
+	elapsed := time.Since(start)
+	e.mu.Lock()
+	e.m.Remaps++
+	e.m.RemapTime += elapsed
+	e.mu.Unlock()
+	e.remapLat.ObserveDuration(elapsed)
+	e.procsInUse.Set(int64(e.ProcessorsInUse()))
+	parent.SetInt("procs", int64(len(seg)))
+	return nil
 }
 
 // assignStages redistributes the logical stages contiguously over the
-// current pipeline's processors.
+// current placement's processors.
 func (e *Engine) assignStages() {
 	L := e.ProcessorsInUse()
 	S := len(e.stages)
@@ -355,17 +255,22 @@ func (e *Engine) assignStages() {
 	// healthy processors.
 }
 
-// Process streams the frames through the current mapping using one
-// goroutine per pipeline processor connected by channels carrying
-// recycled frame batches, and returns the transformed frames in order.
-// Stages with internal state carry it across calls. Faults are injected
-// between Process calls (epoch model).
+// Process runs the frames through the current placement as one stream —
+// submit them all, then close — and returns the transformed frames in
+// order with their original Seq. Stages with internal state carry it
+// across calls; placements change between calls (epoch model).
 //
-// Input buffers stay caller-owned (the first processing position copies
-// into a leased buffer), so callers may reuse the same input frames
-// across calls. Output buffers come from the engine's free list;
-// returning them via Recycle after use keeps the path allocation-free.
+// Inputs stay caller-owned: each is copied into a leased buffer before
+// submission, so callers may reuse the same input frames across calls.
+// Output buffers come from the engine's free list; returning them via
+// Recycle keeps the path allocation-free. Process must not overlap
+// another stream on the same engine; it panics with ErrStreamActive if
+// one is live.
 func (e *Engine) Process(frames []Frame) []Frame {
+	st, err := e.StartStream(StreamConfig{})
+	if err != nil {
+		panic(err)
+	}
 	// Sampled once per epoch: the per-frame clock reads below key off this
 	// local, so a disabled registry costs no time.Now() calls in the loop.
 	observing := e.reg.Enabled()
@@ -375,44 +280,31 @@ func (e *Engine) Process(frames []Frame) []Frame {
 		epochStart = time.Now()
 		starts = make([]time.Time, len(frames))
 	}
-
-	c := e.newChain()
 	go func() {
-		for i := 0; i < len(frames); {
-			n := len(frames) - i
-			if n > e.batchSize {
-				n = e.batchSize
-			}
-			b := e.getBatch()
-			for j := 0; j < n; j++ {
-				if observing {
-					// Written before the send; the channel chain's
-					// happens-before edges make it visible to the collector.
-					starts[i+j] = time.Now()
-				}
-				f := frames[i+j]
-				b.toks = append(b.toks, token{seq: f.Seq, data: f.Data})
-			}
-			e.batchOcc.Observe(int64(n))
-			c.head <- b
-			i += n
-		}
-		close(c.head)
-	}()
-	out := make([]Frame, 0, len(frames))
-	for b := range c.tail {
-		for i := range b.toks {
-			t := b.toks[i]
+		for i, f := range frames {
 			if observing {
-				// Frames exit in input order, so out position == input index.
-				e.frameLat.ObserveSince(starts[len(out)])
+				// Written before the submit; the stream's channel chain
+				// makes it visible to the collector below.
+				starts[i] = time.Now()
 			}
-			out = append(out, Frame{Seq: t.seq, Data: t.data})
+			d := e.GetBuffer(len(f.Data))
+			copy(d, f.Data)
+			// The stream audits strictly increasing seqs, so submit the
+			// position; the caller's Seq is restored on the way out. The
+			// stream closes only after every frame is delivered, so
+			// Submit cannot fail.
+			_ = st.Submit(Frame{Seq: i, Data: d})
 		}
-		e.putBatch(b)
+	}()
+	out := make([]Frame, len(frames))
+	for i := range out {
+		f := <-st.Out()
+		if observing {
+			e.frameLat.ObserveSince(starts[i])
+		}
+		out[i] = Frame{Seq: frames[i].Seq, Data: f.Data}
 	}
-	e.frames.Add(int64(len(out)))
-	e.framesTotal.Add(int64(len(out)))
+	st.Close()
 	if observing {
 		e.observeEpoch(frames, time.Since(epochStart))
 	}
@@ -469,45 +361,4 @@ func (e *Engine) observeEpoch(frames []Frame, elapsed time.Duration) {
 		samples += len(f.Data)
 	}
 	e.epochTput.Set(int64(float64(samples*8) / elapsed.Seconds()))
-}
-
-// SetRemapDeadline bounds every reconfiguration's full-remap solve to d
-// of wall-clock time: a remap that misses it is rolled back — the previous
-// pipeline stays live and Inject/Repair report reconfig.ErrDeadline so the
-// caller can retry. 0 disables the bound. No-op in placed mode, where the
-// planner owns the solve (and its deadline).
-func (e *Engine) SetRemapDeadline(d time.Duration) {
-	if e.mgr != nil {
-		e.mgr.SetDeadline(d)
-	}
-}
-
-// SetRemapResources attaches an ambient cancellation/budget token to the
-// reconfiguration manager: canceling it aborts an in-flight remap solve
-// (the fault or repair rolls back, and the live pipeline keeps streaming
-// on the previous mapping). nil detaches. No-op in placed mode.
-func (e *Engine) SetRemapResources(r *embed.Resources) {
-	if e.mgr != nil {
-		e.mgr.SetResources(r)
-	}
-}
-
-// Downtime returns the reconfiguration manager's per-tactic downtime
-// ledger (a copy). In placed mode the ledger is empty — downtime lives in
-// the stream report and the executor's replan accounting.
-func (e *Engine) Downtime() reconfig.DowntimeStats {
-	if e.mgr == nil {
-		return reconfig.DowntimeStats{}
-	}
-	return e.mgr.Downtime()
-}
-
-// Faults returns a defensive copy of the currently injected fault set. A
-// placed engine tracks no faults of its own (the pool fault set lives in
-// the executor); it reports an empty set.
-func (e *Engine) Faults() bitset.Set {
-	if e.mgr == nil {
-		return bitset.New(e.g.NumNodes())
-	}
-	return e.mgr.Faults()
 }

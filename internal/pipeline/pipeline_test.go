@@ -43,10 +43,7 @@ func chain() []stages.Stage {
 }
 
 func TestEngineProcessesFramesInOrder(t *testing.T) {
-	e, err := pipeline.New(design(t, 6, 2), chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _ := managed(t, design(t, 6, 2), chain())
 	frames := mkFrames(20, 32, 1)
 	out := e.Process(frames)
 	if len(out) != 20 {
@@ -69,10 +66,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	// The goroutine-per-processor chain must produce exactly what the
 	// sequential reference produces (stage state included).
 	mk := func() *pipeline.Engine {
-		e, err := pipeline.New(design(t, 8, 2), chain())
-		if err != nil {
-			t.Fatal(err)
-		}
+		e, _ := managed(t, design(t, 8, 2), chain())
 		return e
 	}
 	frames := mkFrames(30, 24, 2)
@@ -95,16 +89,13 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 
 func TestInjectRemapsAndKeepsAllHealthy(t *testing.T) {
 	sol := design(t, 10, 2)
-	e, err := pipeline.New(sol, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, mgr := managed(t, sol, chain())
 	if got := e.ProcessorsInUse(); got != 12 { // n+k healthy initially
 		t.Fatalf("initial processors in use = %d, want 12", got)
 	}
 	// Fault a processor that is on the pipeline.
-	victim := e.Pipeline()[3]
-	if err := e.Inject(victim); err != nil {
+	victim := mgr.Pipeline()[3]
+	if err := fault(mgr, e, victim); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.ProcessorsInUse(); got != 11 {
@@ -115,47 +106,31 @@ func TestInjectRemapsAndKeepsAllHealthy(t *testing.T) {
 		t.Fatalf("stream broken after remap: %d frames", len(out))
 	}
 	m := e.Metrics()
-	if m.Remaps != 1 || m.FaultsInjected != 1 || m.RemapTime <= 0 {
-		t.Fatalf("metrics %+v", m)
-	}
-}
-
-func TestInjectErrors(t *testing.T) {
-	e, err := pipeline.New(design(t, 4, 1), chain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Inject(-1); err == nil {
-		t.Fatal("negative node accepted")
-	}
-	victim := e.Pipeline()[1]
-	if err := e.Inject(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Inject(victim); err == nil {
-		t.Fatal("double fault accepted")
+	if m.Remaps != 1 || mgr.Faults().Count() != 1 || m.RemapTime <= 0 {
+		t.Fatalf("metrics %+v, faults %v", m, mgr.Faults().Slice())
 	}
 }
 
 func TestInjectBeyondBudgetFailsCleanly(t *testing.T) {
 	sol := design(t, 4, 1) // k=1: 5 processors, 2+2 terminals
-	e, err := pipeline.New(sol, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, mgr := managed(t, sol, chain())
 	// Kill both input terminals: the second kill must fail and roll back.
 	ins := sol.Graph.InputTerminals()
-	if err := e.Inject(ins[0]); err != nil {
+	if err := fault(mgr, e, ins[0]); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Pipeline()
-	if err := e.Inject(ins[1]); err == nil {
+	if err := fault(mgr, e, ins[1]); err == nil {
 		t.Fatal("no error with all input terminals dead")
 	}
-	// Engine still operates on the previous mapping.
+	// Engine still operates on the previous mapping: the rolled-back plan
+	// never reached it.
 	after := e.Pipeline()
 	if len(after) != len(before) {
 		t.Fatal("failed inject corrupted the mapping")
+	}
+	if got := e.Metrics().Remaps; got != 1 {
+		t.Fatalf("engine installed %d placements, want 1 (the rollback must not place)", got)
 	}
 	if out := e.Process(mkFrames(3, 8, 4)); len(out) != 3 {
 		t.Fatal("stream broken after failed inject")
@@ -164,10 +139,7 @@ func TestInjectBeyondBudgetFailsCleanly(t *testing.T) {
 
 func TestFullFaultSequenceWithInjector(t *testing.T) {
 	sol := design(t, 12, 3)
-	e, err := pipeline.New(sol, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, mgr := managed(t, sol, chain())
 	inj := faults.NewInjector(faults.ProcessorsOnly{}, sol.Graph, 3, 5)
 	processed := 0
 	for {
@@ -177,11 +149,11 @@ func TestFullFaultSequenceWithInjector(t *testing.T) {
 		if !ok {
 			break
 		}
-		if err := e.Inject(node); err != nil {
+		if err := fault(mgr, e, node); err != nil {
 			t.Fatalf("inject %d: %v", node, err)
 		}
 		// Graceful: processors in use == healthy processors.
-		want := sol.N + sol.K - e.Faults().Count()
+		want := sol.N + sol.K - mgr.Faults().Count()
 		if got := e.ProcessorsInUse(); got != want {
 			t.Fatalf("processors in use %d, want %d", got, want)
 		}
@@ -200,10 +172,7 @@ func TestStageAssignmentCoversAllStagesOnce(t *testing.T) {
 		&stages.Rescale{Gain: 1}, &stages.Rescale{Gain: 1}, &stages.Rescale{Gain: 1},
 		&stages.Rescale{Gain: 1}, &stages.Rescale{Gain: 1},
 	}
-	e, err := pipeline.New(sol, stgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _ := managed(t, sol, stgs)
 	seen := map[int]int{}
 	for pos := 0; pos < e.ProcessorsInUse(); pos++ {
 		prev := -1
@@ -226,7 +195,8 @@ func TestStageAssignmentCoversAllStagesOnce(t *testing.T) {
 }
 
 func TestNewRequiresStages(t *testing.T) {
-	if _, err := pipeline.New(design(t, 4, 1), nil); err == nil {
+	_, interior := poolInterior(t, 4, 1)
+	if _, err := pipeline.NewPlaced(design(t, 4, 1).Graph, interior, nil); err == nil {
 		t.Fatal("no stages accepted")
 	}
 }
@@ -234,12 +204,9 @@ func TestNewRequiresStages(t *testing.T) {
 func TestLargeNetworkRemapLatency(t *testing.T) {
 	// Structured solver keeps remap fast on a large network.
 	sol := design(t, 1000, 4)
-	e, err := pipeline.New(sol, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, mgr := managed(t, sol, chain())
 	for _, node := range []int{50, 300, 700, 900} {
-		if err := e.Inject(node); err != nil {
+		if err := fault(mgr, e, node); err != nil {
 			t.Fatalf("inject %d: %v", node, err)
 		}
 	}
@@ -250,18 +217,15 @@ func TestLargeNetworkRemapLatency(t *testing.T) {
 
 func TestEngineRepairReinstates(t *testing.T) {
 	sol := design(t, 10, 2)
-	e, err := pipeline.New(sol, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := e.Pipeline()[2]
-	if err := e.Inject(victim); err != nil {
+	e, mgr := managed(t, sol, chain())
+	victim := mgr.Pipeline()[2]
+	if err := fault(mgr, e, victim); err != nil {
 		t.Fatal(err)
 	}
 	if e.ProcessorsInUse() != 11 {
 		t.Fatalf("after fault: %d in use", e.ProcessorsInUse())
 	}
-	if err := e.Repair(victim); err != nil {
+	if err := repair(mgr, e, victim); err != nil {
 		t.Fatal(err)
 	}
 	if e.ProcessorsInUse() != 12 {
@@ -270,13 +234,13 @@ func TestEngineRepairReinstates(t *testing.T) {
 	if out := e.Process(mkFrames(4, 16, 9)); len(out) != 4 {
 		t.Fatal("stream broken after repair")
 	}
-	if err := e.Repair(victim); err == nil {
+	if err := repair(mgr, e, victim); err == nil {
 		t.Fatal("double repair accepted")
 	}
-	m := e.Metrics()
-	total := m.Repairs.NoChange + m.Repairs.Splice + m.Repairs.Rewire +
-		m.Repairs.EndpointSwap + m.Repairs.Insert + m.Repairs.FullRemap
+	m := mgr.Stats()
+	total := m.NoChange + m.Splice + m.Rewire +
+		m.EndpointSwap + m.Insert + m.FullRemap
 	if total == 0 {
-		t.Fatalf("repair tactics not recorded: %+v", m.Repairs)
+		t.Fatalf("repair tactics not recorded: %+v", m)
 	}
 }

@@ -12,21 +12,21 @@ import (
 	"gdpn/internal/obs/span"
 )
 
-// This file is the continuous-streaming runtime: unlike Process, which
-// runs one epoch at a time with faults injected only between epochs, a
-// Stream keeps frames flowing while faults arrive and is engineered so
-// that a live reconfiguration loses, duplicates, and reorders nothing.
+// This file is the continuous-streaming runtime, the engine's one
+// execution path (Process is a stream submitted in full, then closed): a
+// Stream keeps frames flowing while placements change and is engineered
+// so that a live reconfiguration loses, duplicates, and reorders nothing.
 //
 // Mechanism. Frames travel the goroutine-per-processor chain as tokens
 // that carry their stage progress (token.next = first logical stage not
-// yet applied). When a remap arrives, the pump (1) flips the chain into
-// draining mode — workers stop processing and pass tokens through
+// yet applied). When a placement arrives, the pump (1) flips the chain
+// into draining mode — workers stop processing and pass tokens through
 // untouched — and closes the head, so every in-flight token flushes out
-// of the tail with its progress recorded; (2) applies the fault/repair on
-// the now-quiesced engine, honoring the remap deadline with rollback to
-// the last valid mapping; (3) requeues the unfinished tokens, oldest
-// first, ahead of the backlog; and (4) rebuilds the chain over the new
-// mapping, where each token resumes at exactly the stage it had reached.
+// of the tail with its progress recorded; (2) installs the placement on
+// the now-quiesced engine, keeping the last one if it is invalid; (3)
+// requeues the unfinished tokens, oldest first, ahead of the backlog; and
+// (4) rebuilds the chain over the new mapping, where each token resumes
+// at exactly the stage it had reached.
 // Because every stage processes frames in submission order exactly once,
 // stateful stages (FIR, LZ78, …) stay bit-identical with an unfaulted
 // run.
@@ -42,7 +42,7 @@ var (
 	// ErrStreamActive is returned by StartStream when the engine already
 	// has a live stream.
 	ErrStreamActive = errors.New("pipeline: engine already has an active stream")
-	// ErrStreamClosed is returned by Submit/Inject/Repair after Close.
+	// ErrStreamClosed is returned by Submit/ApplyPlacement after Close.
 	ErrStreamClosed = errors.New("pipeline: stream is closed")
 	// ErrBackpressure is returned by TrySubmit when the stream's intake is
 	// full: the frame was NOT accepted and the producer decides whether to
@@ -78,7 +78,7 @@ type StreamReport struct {
 	// OutOfOrder counts sink arrivals that did not strictly increase.
 	OutOfOrder int64 `json:"out_of_order"`
 	// Remaps counts successful live reconfigurations; RemapFailures the
-	// rejected ones (deadline rollbacks, beyond-budget fault sets).
+	// rejected placements (structurally invalid segments).
 	Remaps        int64 `json:"remaps"`
 	RemapFailures int64 `json:"remap_failures"`
 	// TotalDowntime/MaxDowntime measure the stall windows: drain → remap →
@@ -95,14 +95,11 @@ func (r StreamReport) Clean() bool {
 
 // token is a frame in flight, annotated with its stage progress so a
 // drained frame can resume on a new mapping without repeating or skipping
-// a stage. owned reports that data's storage (up to its capacity) belongs
-// to the token; it is false while the data is still caller-owned, as in
-// epoch-mode Process inputs.
+// a stage. data's storage, up to its capacity, belongs to the token.
 type token struct {
-	seq   int
-	next  int // first logical stage index not yet applied
-	data  []float64
-	owned bool
+	seq  int
+	next int // first logical stage index not yet applied
+	data []float64
 }
 
 // chain is one incarnation of the goroutine-per-processor pipeline.
@@ -113,27 +110,23 @@ type chain struct {
 	draining atomic.Bool // workers pass batches through untouched when set
 }
 
+// remapReq asks the pump to install place; parent is the caller's remap
+// span, under which the drain/requeue/rewire phases hang.
 type remapReq struct {
-	repair bool
-	node   int
-	// place, when non-nil, makes this a placement remap (placed engines
-	// only): the pump drains, installs the segment, and requeues — repair
-	// and node are ignored. parent is the causal parent for the remap span
-	// (the executor's replan span).
 	place  graph.Path
 	parent *span.S
 	reply  chan error
 }
 
 // Stream is a continuously running instance of the engine: frames go in
-// via Submit, come out via Out in submission order, and faults/repairs
-// remap the pipeline live (route them through Engine.Inject / Repair).
+// via Submit, come out via Out in submission order, and new placements
+// remap the pipeline live (route them through Engine.ApplyPlacement).
 // Submit must be called with strictly increasing Frame.Seq, and must not
 // race with Close; all other methods are safe for concurrent use.
 type Stream struct {
 	e           *Engine
 	maxPending  int
-	maxInflight int // frames admitted into the chain at once
+	maxInflight int // frames admitted into the chain at once; grows with the placement
 
 	submitc chan Frame
 	outc    chan Frame
@@ -188,7 +181,7 @@ func (e *Engine) StartStream(cfg StreamConfig) (*Stream, error) {
 	if !e.stream.CompareAndSwap(nil, s) {
 		return nil, ErrStreamActive
 	}
-	e.sizeFreeLists(cfg.MaxPending)
+	e.sizeFreeLists(cfg.MaxPending, maxInflight, cap(s.outc))
 	go s.run()
 	return s, nil
 }
@@ -273,23 +266,9 @@ func (s *Stream) Report() StreamReport {
 	}
 }
 
-// remap asks the pump to apply a fault or repair between frames. It
-// returns the engine's error (nil on success, reconfig.ErrDeadline-
-// wrapped on a rolled-back remap).
-func (s *Stream) remap(repair bool, node int) error {
-	req := remapReq{repair: repair, node: node, reply: make(chan error, 1)}
-	select {
-	case s.remapc <- req:
-		return <-req.reply
-	case <-s.donec:
-		return ErrStreamClosed
-	}
-}
-
-// remapPlace asks the pump to install a new placement segment between
-// frames (placed engines only); parent, when non-nil, becomes the causal
-// parent of the remap span.
-func (s *Stream) remapPlace(seg graph.Path, parent *span.S) error {
+// remap asks the pump to install a new placement segment between frames
+// and returns the engine's verdict on it.
+func (s *Stream) remap(seg graph.Path, parent *span.S) error {
 	req := remapReq{place: seg, parent: parent, reply: make(chan error, 1)}
 	select {
 	case s.remapc <- req:
@@ -337,7 +316,7 @@ func (s *Stream) dropPending(n int) {
 
 // accept takes ownership of one submitted frame.
 func (s *Stream) accept(f Frame) {
-	s.pushPending(token{seq: f.Seq, data: f.Data, owned: true})
+	s.pushPending(token{seq: f.Seq, data: f.Data})
 	s.pushExpect(f.Seq)
 	s.submitted.Add(1)
 }
@@ -439,24 +418,14 @@ func (s *Stream) run() {
 	close(s.outc)
 }
 
-// handleRemap is the zero-loss live reconfiguration: drain, remap (or
-// roll back), requeue, rebuild. Returns the new chain.
+// handleRemap is the zero-loss live reconfiguration: drain, install the
+// placement (or keep the old one), requeue, rebuild. Returns the new chain.
 func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	e := s.e
 	start := time.Now()
-	var root *span.S
-	if req.place != nil {
-		root = e.startPlaceSpan(req.parent, "stream")
-	} else {
-		op := "inject"
-		if req.repair {
-			op = "repair"
-		}
-		root = startRemapSpan(op, "stream", req.node)
-	}
 	// 1. Drain: stop processing and flush every in-flight token out of the
 	// old mapping with its progress recorded.
-	drain := span.Start(root, "drain")
+	drain := span.Start(req.parent, "drain")
 	drained := *inflight
 	c.draining.Store(true)
 	close(c.head)
@@ -481,22 +450,23 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	sort.Slice(requeue, func(i, j int) bool { return requeue[i].seq < requeue[j].seq })
 	drain.SetInt("inflight", int64(drained)).SetInt("unfinished", int64(len(requeue)))
 	drain.End(span.OK)
-	// 2. Remap on the quiesced engine. On error (deadline rollback,
-	// beyond-budget fault, invalid segment) the previous mapping is still
-	// in place and the chain below simply restarts over it.
-	var err error
-	if req.place != nil {
-		err = e.applyPlace(req.place, root)
-	} else {
-		err = e.applyRemap(req.repair, req.node, root)
-	}
+	// 2. Install on the quiesced engine. On error (an invalid segment) the
+	// previous mapping is still in place and the chain below simply
+	// restarts over it. A longer placement raises the in-flight bound, and
+	// the free lists grow to hold the larger population; the bound never
+	// shrinks within a stream, so the lists always cover its peak.
+	err := e.applyPlace(req.place, req.parent)
 	if err != nil {
 		s.remapFailures.Add(1)
 	} else {
 		s.remaps.Add(1)
+		if n := e.maxInflight(); n > s.maxInflight {
+			s.maxInflight = n
+			e.sizeFreeLists(s.maxPending, n, cap(s.outc))
+		}
 	}
 	// 3. Requeue unfinished frames ahead of the backlog.
-	rq := span.Start(root, "requeue")
+	rq := span.Start(req.parent, "requeue")
 	if len(requeue) > 0 {
 		live := s.pending[s.pendHead:]
 		np := make([]token, 0, len(requeue)+len(live))
@@ -509,7 +479,7 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	rq.SetInt("frames", int64(len(requeue)))
 	rq.End(span.OK)
 	// 4. Rebuild the chain over the (possibly rolled-back) mapping.
-	rw := span.Start(root, "rewire")
+	rw := span.Start(req.parent, "rewire")
 	nc := e.newChain()
 	rw.SetInt("positions", int64(len(e.assign)))
 	rw.End(span.OK)
@@ -526,8 +496,7 @@ func (s *Stream) handleRemap(c *chain, inflight *int, req remapReq) *chain {
 	// difference is the loss gauge, and it must read zero.
 	loss := int64(s.expectLen() - s.pendingLen())
 	e.frameLoss.Set(loss)
-	root.SetInt("downtime_ns", int64(d))
-	finishRemapSpan(root, start, err)
+	req.parent.SetInt("downtime_ns", int64(d))
 	if loss > 0 {
 		span.Trip(span.AnomalyFrameLoss, fmt.Sprintf("remap audit: %d frames unaccounted for", loss))
 	}

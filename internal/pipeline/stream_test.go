@@ -8,6 +8,7 @@ import (
 
 	"gdpn/internal/construct"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 )
 
@@ -45,16 +46,38 @@ func copyFrames(fs []pipeline.Frame) []pipeline.Frame {
 	return out
 }
 
+// managed returns a reconfig.Manager over sol and a placed engine on its
+// interior: the single-pipeline pairing in which the manager plans each
+// fault's pipeline and the engine runs it.
+func managed(t testing.TB, sol *construct.Solution, stgs []stages.Stage, opts ...pipeline.Option) (*pipeline.Engine, *reconfig.Manager) {
+	t.Helper()
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		t.Fatalf("reconfig.New: %v", err)
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), stgs, opts...)
+	if err != nil {
+		t.Fatalf("NewPlaced: %v", err)
+	}
+	return eng, mgr
+}
+
+// fault and repair apply one event: mgr plans it, eng runs the result.
+func fault(mgr *reconfig.Manager, eng *pipeline.Engine, node int) error {
+	return mgr.Apply(reconfig.OpFault, node, eng.ApplyPlacement)
+}
+
+func repair(mgr *reconfig.Manager, eng *pipeline.Engine, node int) error {
+	return mgr.Apply(reconfig.OpRepair, node, eng.ApplyPlacement)
+}
+
 func mustEngine(t *testing.T, n, k int) *pipeline.Engine {
 	t.Helper()
 	sol, err := construct.Design(n, k)
 	if err != nil {
 		t.Fatalf("Design(%d,%d): %v", n, k, err)
 	}
-	eng, err := pipeline.New(sol, testStages())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	eng, _ := managed(t, sol, testStages())
 	return eng
 }
 
@@ -120,10 +143,7 @@ func TestStreamZeroLossAcrossRemaps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Design(12,3): %v", err)
 	}
-	eng, err := pipeline.New(sol, testStages())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	eng, mgr := managed(t, sol, testStages())
 	ref := mustEngine(t, 12, 3)
 	frames := genFrames(120, 256, 9)
 	want := ref.ProcessSequential(copyFrames(frames))
@@ -143,11 +163,11 @@ func TestStreamZeroLossAcrossRemaps(t *testing.T) {
 
 	procs := sol.Graph.Processors()
 	remap := map[int]func() error{
-		20:  func() error { return eng.Inject(procs[0]) },
-		40:  func() error { return eng.Inject(procs[3]) },
-		60:  func() error { return eng.Repair(procs[0]) },
-		80:  func() error { return eng.Inject(procs[5]) },
-		100: func() error { return eng.Repair(procs[3]) },
+		20:  func() error { return fault(mgr, eng, procs[0]) },
+		40:  func() error { return fault(mgr, eng, procs[3]) },
+		60:  func() error { return repair(mgr, eng, procs[0]) },
+		80:  func() error { return fault(mgr, eng, procs[5]) },
+		100: func() error { return repair(mgr, eng, procs[3]) },
 	}
 	for i, f := range frames {
 		if err := st.Submit(f); err != nil {

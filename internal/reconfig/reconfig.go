@@ -16,6 +16,9 @@
 // falling back to a full solver recompute only when no local tactic
 // applies. Every repaired pipeline is certificate-checked; an invalid
 // local repair degrades to the full recompute, never to a wrong result.
+//
+// The manager only plans. Apply hands each new pipeline's interior to a
+// runtime (pipeline.Engine.ApplyPlacement), which moves the stream onto it.
 package reconfig
 
 import (
@@ -140,10 +143,10 @@ type Manager struct {
 	fallbacks    *obs.Counter                  // local tactics exhausted → full recompute
 
 	// remapSpan is the causal parent for this remap's phase spans
-	// (detect/plan/solve/audit). The pipeline layer owns the root "remap"
-	// span and installs it via SetActiveSpan; remaps are serialized by the
-	// stream pump, so one slot suffices. nil (the common case outside
-	// traced runs) makes every phase span a no-op or a root.
+	// (detect/plan/solve/audit): Apply's root "remap" span while it runs.
+	// Remaps are serialized by the manager's single owner, so one slot
+	// suffices. nil (direct Fault/Repair calls, untraced runs) makes every
+	// phase span a no-op or a root.
 	remapSpan *span.S
 }
 
@@ -211,16 +214,72 @@ func (m *Manager) SetResources(r *embed.Resources) { m.res = r }
 // Resources returns the ambient token (nil when unset).
 func (m *Manager) Resources() *embed.Resources { return m.res }
 
-// SetActiveSpan installs the causal parent for the phase spans
-// (detect/plan/solve/audit) of subsequent Fault/Repair calls. The caller
-// that owns the root "remap" span — the pipeline layer — sets it before
-// each remap and clears it (nil) after. Remaps are serialized, so a
-// single slot suffices.
-func (m *Manager) SetActiveSpan(sp *span.S) { m.remapSpan = sp }
+// Interior returns the current pipeline's processors: the pipeline
+// without its two terminals, which is the placement a runtime executes
+// (aliased; do not modify).
+func (m *Manager) Interior() graph.Path { return m.path[1 : len(m.path)-1] }
 
-// RemapStatus maps a Fault/Repair error to the span status and the
-// cancellation-reason attribute ("" = none) the remap's span should carry.
-func RemapStatus(err error) (span.Status, string) {
+// Op is the fault-set change Apply performs.
+type Op int
+
+const (
+	// OpFault marks a node faulty (Fault).
+	OpFault Op = iota
+	// OpRepair marks a node healthy again (Repair).
+	OpRepair
+)
+
+// Apply runs one fault event end to end under a single "remap" root span.
+// The manager plans first: Fault or Repair, whose detect/plan/solve/audit
+// phases hang under the root. Only if that succeeds does place install
+// the new interior on the runtime (pipeline.Engine.ApplyPlacement), which
+// hangs its drain/requeue/rewire phases under the root it is passed. A
+// rolled-back plan (deadline, budget, beyond-k) never reaches place, so a
+// live stream keeps flowing on the previous pipeline untouched. The root
+// feeds the "remap" SLO once per event, and its error trips the flight
+// recorder; see finishRemap.
+func (m *Manager) Apply(op Op, node int, place func(seg graph.Path, parent *span.S) error) error {
+	start := time.Now()
+	name, plan := "inject", m.Fault
+	if op == OpRepair {
+		name, plan = "repair", m.Repair
+	}
+	root := span.Start(nil, "remap").SetStr("op", name).SetInt("node", int64(node))
+	m.remapSpan = root
+	_, err := plan(node)
+	m.remapSpan = nil
+	if err == nil {
+		err = place(m.Interior(), root)
+	}
+	finishRemap(root, start, err)
+	return err
+}
+
+// finishRemap ends a root remap span with the status and cancellation
+// reason derived from err, feeds the SLO remap-latency objective, and —
+// after the span is in the ring, so a dump contains the whole tree —
+// trips the flight recorder on deadline misses, budget exhaustion and
+// rollbacks. Deliberate cancellations (shutdown) are not anomalies and do
+// not trip.
+func finishRemap(root *span.S, start time.Time, err error) {
+	endPhase(root, err)
+	if slo := span.DefaultSLO(); slo.Enabled() {
+		slo.Observe("remap", time.Since(start))
+	}
+	switch {
+	case err == nil || errors.Is(err, embed.ErrCanceled):
+	case errors.Is(err, ErrDeadline) || errors.Is(err, embed.ErrDeadline):
+		span.Trip(span.AnomalyDeadline, err.Error())
+	case errors.Is(err, embed.ErrBudget):
+		span.Trip(span.AnomalyBudget, err.Error())
+	default:
+		span.Trip(span.AnomalyRollback, err.Error())
+	}
+}
+
+// remapStatus maps a remap error to the span status and the
+// cancellation-reason attribute ("" = none) the remap's spans carry.
+func remapStatus(err error) (span.Status, string) {
 	switch {
 	case err == nil:
 		return span.OK, ""
@@ -237,7 +296,7 @@ func RemapStatus(err error) (span.Status, string) {
 
 // endPhase finishes a phase span with the status/reason derived from err.
 func endPhase(sp *span.S, err error) {
-	st, reason := RemapStatus(err)
+	st, reason := remapStatus(err)
 	if reason != "" {
 		sp.SetStr("cancel_reason", reason)
 	}

@@ -187,7 +187,11 @@ func TestRandomSoakAlwaysValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := pipeline.New(sol, []stages.Stage{
+		mgr, err := reconfig.New(sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
 			stages.NewFIR([]float64{0.5, 0.5}),
 			stages.NewQuantize(-8, 8, 64),
 		})
@@ -228,20 +232,20 @@ func TestRandomSoakAlwaysValid(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(int64(c.n)))
 		for step := 0; step < 300; step++ {
-			if eng.Faults().Count() < c.k && rng.Intn(2) == 0 {
+			if mgr.Faults().Count() < c.k && rng.Intn(2) == 0 {
 				v := rng.Intn(sol.Graph.NumNodes())
-				if !eng.Faults().Contains(v) {
-					if err := eng.Inject(v); err != nil {
+				if !mgr.Faults().Contains(v) {
+					if err := mgr.Apply(reconfig.OpFault, v, eng.ApplyPlacement); err != nil {
 						t.Fatalf("(%d,%d) step %d: %v", c.n, c.k, step, err)
 					}
 				}
-			} else if eng.Faults().Count() > 0 {
-				fs := eng.Faults().Slice()
-				if err := eng.Repair(fs[rng.Intn(len(fs))]); err != nil {
+			} else if mgr.Faults().Count() > 0 {
+				fs := mgr.Faults().Slice()
+				if err := mgr.Apply(reconfig.OpRepair, fs[rng.Intn(len(fs))], eng.ApplyPlacement); err != nil {
 					t.Fatalf("(%d,%d) step %d: %v", c.n, c.k, step, err)
 				}
 			}
-			if err := verify.CheckPipeline(sol.Graph, eng.Faults(), eng.Pipeline()); err != nil {
+			if err := verify.CheckPipeline(sol.Graph, mgr.Faults(), mgr.Pipeline()); err != nil {
 				t.Fatalf("(%d,%d) step %d: invalid pipeline: %v", c.n, c.k, step, err)
 			}
 		}
@@ -257,7 +261,7 @@ func TestRandomSoakAlwaysValid(t *testing.T) {
 			t.Fatalf("(%d,%d): no traffic flowed during the soak", c.n, c.k)
 		}
 
-		stats := eng.Metrics().Repairs
+		stats := mgr.Stats()
 		total := stats.NoChange + stats.Splice + stats.Rewire + stats.EndpointSwap + stats.Insert + stats.FullRemap
 		if total == 0 {
 			t.Fatalf("(%d,%d): no repairs recorded", c.n, c.k)

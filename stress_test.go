@@ -14,6 +14,7 @@ import (
 	"gdpn/internal/core"
 	"gdpn/internal/embed"
 	"gdpn/internal/pipeline"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/stages"
 	"gdpn/internal/verify"
 )
@@ -135,7 +136,11 @@ func TestStressStreamingSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := pipeline.New(sol, []stages.Stage{
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
 		stages.NewSubsample(2),
 		stages.NewFIR([]float64{0.3, 0.4, 0.3}),
 		stages.NewQuantize(-8, 8, 128),
@@ -160,10 +165,10 @@ func TestStressStreamingSoak(t *testing.T) {
 		}
 		total += len(out)
 		// Every 10th epoch, inject a processor fault if budget remains.
-		if epoch%10 == 9 && eng.Faults().Count() < 4 {
-			victims := eng.Pipeline()
+		if epoch%10 == 9 && mgr.Faults().Count() < 4 {
+			victims := mgr.Pipeline()
 			v := victims[1+rng.Intn(len(victims)-2)]
-			if err := eng.Inject(v); err != nil {
+			if err := mgr.Apply(reconfig.OpFault, v, eng.ApplyPlacement); err != nil {
 				t.Fatalf("epoch %d: %v", epoch, err)
 			}
 		}
