@@ -57,7 +57,7 @@ func main() {
 		raceEng = flag.Bool("race-engines", false, "race the exact DP and the backtracker on hard fault sets in every verification")
 		batch   = flag.Int("batch", 0, "transport batch size for the streaming experiments (0 = pipeline default)")
 		storeP  = flag.String("store", "", "content-addressed verdict store file (created if absent): repeated gdpbench runs replay cached verdicts instead of re-solving")
-		addr    = flag.String("metrics-addr", "", "serve /metrics, /debug/trace, /debug/spans, /slo on this address during the run")
+		addr    = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address during the run")
 	)
 	tf := telemetry.Register()
 	flag.Parse()
@@ -77,7 +77,7 @@ func main() {
 				os.Exit(2)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "gdpbench: serving /metrics, /debug/trace, /debug/spans, /slo on %s\n", *addr)
+		fmt.Fprintf(os.Stderr, "gdpbench: serving /metrics, /debug/spans, /slo on %s\n", *addr)
 	}
 
 	if *list {

@@ -6,8 +6,10 @@
 // With -metrics-addr the run is observable live: /metrics serves the
 // Prometheus text exposition (frame-latency quantiles, per-tactic repair
 // counts, solver timings; append ?format=json for a JSON snapshot),
-// /debug/trace serves the fault/repair event trace, and a one-line
-// metrics summary is printed to stderr every -snapshot-interval.
+// /debug/spans serves the remap span trees when span tracing is on
+// (-trace-dump): one "remap" root per fault or repair, with its phases and
+// events. A one-line metrics summary is printed to stderr every
+// -snapshot-interval.
 //
 // With -chaos the epoch model is replaced by the soak harness
 // (internal/chaos): frames stream continuously while a seeded stochastic
@@ -73,7 +75,7 @@ func main() {
 		model    = flag.String("model", "processors-only", "fault model: uniform, processors-only, terminals-first")
 		seed     = flag.Int64("seed", 1, "random seed")
 		epochs   = flag.Int("epochs", 0, "total epochs to run (0 = stop when the fault sequence is exhausted)")
-		addr     = flag.String("metrics-addr", "", "serve /metrics and /debug/trace on this address (e.g. :9090); enables instrumentation")
+		addr     = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address (e.g. :9090); enables instrumentation")
 		interval = flag.Duration("snapshot-interval", 5*time.Second, "period of the one-line stderr metrics snapshot (with -metrics-addr)")
 		batch    = flag.Int("batch", 0, "frames per transport batch (0 = default 8; 1 = per-frame)")
 		chanDep  = flag.Int("chan-depth", 0, "per-stage channel depth in batches (0 = default 4)")
@@ -107,7 +109,7 @@ func main() {
 				fatal(fmt.Errorf("metrics server: %w", err))
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "gdpsim: serving /metrics, /debug/trace, /debug/spans, /slo on %s\n", *addr)
+		fmt.Fprintf(os.Stderr, "gdpsim: serving /metrics, /debug/spans, /slo on %s\n", *addr)
 		if *interval > 0 {
 			ticker := time.NewTicker(*interval)
 			go func() {

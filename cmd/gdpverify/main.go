@@ -56,7 +56,7 @@ func main() {
 		failFast = flag.Bool("fail-fast", false, "exhaustive mode: stop the sweep at the first counterexample")
 		summary  = flag.String("summary", "", "write the canonical verdict summary to this file (diffable against gdpfleet serve -summary)")
 		storeP   = flag.String("store", "", "content-addressed verdict store file (created if absent): sweeps replay cached verdicts instead of re-solving and append new ones; -certify reuses a cached certificate set when it replays cleanly")
-		addr     = flag.String("metrics-addr", "", "serve /metrics, /debug/trace, /debug/spans, /slo on this address during the run")
+		addr     = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address during the run")
 	)
 	tf := telemetry.Register()
 	flag.Parse()
@@ -74,7 +74,7 @@ func main() {
 				fatal(fmt.Errorf("metrics server: %w", err))
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "gdpverify: serving /metrics, /debug/trace, /debug/spans, /slo on %s\n", *addr)
+		fmt.Fprintf(os.Stderr, "gdpverify: serving /metrics, /debug/spans, /slo on %s\n", *addr)
 	}
 	if *certify != "" || *replay != "" {
 		certMode(*n, *k, *certify, *replay, *storeP)

@@ -217,12 +217,11 @@ func Run(sol *construct.Solution, stgs []stages.Stage, cfg Config) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	mgr.SetDeadline(cfg.RemapDeadline)
-	// Cancellation: the token aborts in-flight remap solves, the context's
+	// Cancellation: the token aborts in-flight remap solves (each event's
+	// remap runs under a child scope carrying RemapDeadline), the context's
 	// channel wakes event sleeps. Both latch from the same Config.Context.
 	tok := embed.NewResources(cfg.Context, 0, 0)
 	defer tok.Release()
-	mgr.SetResources(tok)
 	var ctxDone <-chan struct{}
 	if cfg.Context != nil {
 		ctxDone = cfg.Context.Done()
@@ -331,7 +330,10 @@ eventLoop:
 				op = reconfig.OpRepair
 			}
 			before := st.Report()
+			scope := embed.Scoped(tok, cfg.RemapDeadline)
+			mgr.SetResources(scope)
 			err := mgr.Apply(op, ev.Node, eng.ApplyPlacement)
+			scope.Release()
 			if after := st.Report(); err != nil &&
 				(after.Remaps != before.Remaps || after.TotalDowntime != before.TotalDowntime) {
 				rep.violate("rolled-back %s reached the stream: remaps %d→%d, downtime %v→%v",

@@ -156,12 +156,9 @@ func (a Adversarial) Sample(rng *rand.Rand, g *graph.Graph, size int) bitset.Set
 // more faulty node at a time until k faults have occurred, mirroring how
 // faults arrive in a deployed array. Deterministic per seed.
 type Injector struct {
-	g       *graph.Graph
-	model   string
-	seq     []int
-	next    int
-	current bitset.Set
-
+	seq      []int
+	next     int
+	current  bitset.Set
 	injected *obs.Counter
 }
 
@@ -173,14 +170,13 @@ func NewInjector(model Model, g *graph.Graph, k int, seed int64) *Injector {
 	seq := set.Slice()
 	rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 	return &Injector{
-		g: g, model: model.Name(), seq: seq, current: bitset.New(g.NumNodes()),
+		seq: seq, current: bitset.New(g.NumNodes()),
 		injected: obs.Default().Counter("faults_injected_total", obs.L("model", model.Name())),
 	}
 }
 
 // Next reveals the next fault. ok is false when the sequence is exhausted.
-// Each revealed fault is counted and traced (node id, kind, model) through
-// the default obs registry.
+// Each revealed fault is counted per model in the default obs registry.
 func (in *Injector) Next() (node int, ok bool) {
 	if in.next >= len(in.seq) {
 		return -1, false
@@ -189,8 +185,6 @@ func (in *Injector) Next() (node int, ok bool) {
 	in.next++
 	in.current.Add(node)
 	in.injected.Inc()
-	obs.Default().Eventf("fault_injected", "node=%d kind=%s model=%s %d/%d",
-		node, in.g.Kind(node), in.model, in.next, len(in.seq))
 	return node, true
 }
 

@@ -1,7 +1,6 @@
 package faults_test
 
 import (
-	"strings"
 	"testing"
 
 	"gdpn/internal/construct"
@@ -9,8 +8,8 @@ import (
 	"gdpn/internal/obs"
 )
 
-// TestInjectorTracesFaults checks each revealed fault is counted and
-// appears in the event trace with its node id and model name.
+// TestInjectorTracesFaults checks each revealed fault is counted under
+// its model name.
 func TestInjectorTracesFaults(t *testing.T) {
 	reg := obs.Default()
 	reg.Reset()
@@ -38,18 +37,5 @@ func TestInjectorTracesFaults(t *testing.T) {
 	s := reg.Snapshot()
 	if got := s.Counters[`faults_injected_total{model="processors-only"}`]; got != 3 {
 		t.Fatalf("injected counter %d, want 3 (%v)", got, s.Counters)
-	}
-	events := 0
-	for _, ev := range s.Events {
-		if ev.Name != "fault_injected" {
-			continue
-		}
-		events++
-		if !strings.Contains(ev.Fields, "node=") || !strings.Contains(ev.Fields, "model=processors-only") {
-			t.Fatalf("event fields %q missing node/model", ev.Fields)
-		}
-	}
-	if events != 3 {
-		t.Fatalf("%d fault_injected events, want 3", events)
 	}
 }

@@ -88,13 +88,13 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Events     []Event                      `json:"events,omitempty"`
 }
 
-// Snapshot captures every instrument value and the buffered trace. Keys
-// are the canonical instrument identities (name plus labels).
+// Snapshot captures every instrument value. Keys are the canonical
+// instrument identities (name plus labels).
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
@@ -109,8 +109,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, h := range r.histograms {
 		s.Histograms[k] = h.Snapshot()
 	}
-	r.mu.Unlock()
-	s.Events = r.Trace()
 	return s
 }
 

@@ -18,7 +18,6 @@ func populated() *Registry {
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i * 1000)
 	}
-	r.Eventf("fault_injected", "node=%d model=%s", 5, "uniform")
 	return r
 }
 
@@ -96,9 +95,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !ok || hs.Count != 100 || hs.P50 == 0 || hs.Max != 100000 {
 		t.Fatalf("histogram snapshot %+v", hs)
 	}
-	if len(s.Events) != 1 || s.Events[0].Name != "fault_injected" {
-		t.Fatalf("events %+v", s.Events)
-	}
 }
 
 func TestMetricsHandler(t *testing.T) {
@@ -132,17 +128,6 @@ func TestMetricsHandler(t *testing.T) {
 	if !strings.Contains(metrics, "frames_total 128") ||
 		!strings.Contains(metrics, `frame_latency_ns{quantile="0.5"}`) {
 		t.Fatalf("/metrics:\n%s", metrics)
-	}
-	trace := get("/debug/trace")
-	if !strings.Contains(trace, "fault_injected") || !strings.Contains(trace, "node=5") {
-		t.Fatalf("/debug/trace:\n%s", trace)
-	}
-	var events []Event
-	if err := json.Unmarshal([]byte(get("/debug/trace?format=json")), &events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Fields != "node=5 model=uniform" {
-		t.Fatalf("json trace %+v", events)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(get("/metrics?format=json")), &snap); err != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 )
@@ -17,25 +16,6 @@ func (r *Registry) MetricsHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	})
-}
-
-// TraceHandler serves the event trace, one line per event oldest-first
-// (conventionally mounted at /debug/trace). `?format=json` switches to a
-// JSON array of events.
-func (r *Registry) TraceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		events := r.Trace()
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(events)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, e := range events {
-			_, _ = w.Write([]byte(e.String()))
-			_, _ = w.Write([]byte{'\n'})
-		}
 	})
 }
 
@@ -64,12 +44,11 @@ func WithHandler(pattern string, h http.Handler) MuxOption {
 	return func(mux *http.ServeMux) { mux.Handle(pattern, h) }
 }
 
-// Mux returns a ServeMux with /metrics and /debug/trace mounted — what
+// Mux returns a ServeMux with /metrics mounted — what
 // `gdpsim -metrics-addr` serves — plus whatever the options add.
 func (r *Registry) Mux(opts ...MuxOption) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.MetricsHandler())
-	mux.Handle("/debug/trace", r.TraceHandler())
 	for _, opt := range opts {
 		opt(mux)
 	}

@@ -1,11 +1,12 @@
 // Package obs is the runtime's dependency-free observability layer:
-// atomic counters and gauges, log-bucketed latency histograms with
-// quantile estimation, and a bounded ring-buffer event trace, all hanging
-// off a Registry that can be enabled and disabled at runtime.
+// atomic counters and gauges and log-bucketed latency histograms with
+// quantile estimation, all hanging off a Registry that can be enabled and
+// disabled at runtime. Events (what happened, and why) are not kept here:
+// they are span events on the causal span tree of package obs/span.
 //
 // The design constraint is that instrumentation must be free to leave in
 // hot paths: every instrument holds a pointer to its registry's enabled
-// flag, and when the registry is disabled each Add/Set/Observe/Event call
+// flag, and when the registry is disabled each Add/Set/Observe call
 // returns after a single atomic load. Call sites that would need to call
 // time.Now() to produce an observation gate on Enabled() first, so a
 // disabled registry costs neither clock reads nor allocations.
@@ -27,32 +28,24 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Registry owns a set of named instruments and one event trace.
+// Registry owns a set of named instruments.
 type Registry struct {
 	enabled atomic.Bool
-	epoch   time.Time // monotonic base for trace timestamps
 
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	trace      *Trace
 }
 
-// DefaultTraceCap is the event capacity of a registry's trace ring.
-const DefaultTraceCap = 1024
-
-// NewRegistry returns a disabled registry with an empty trace ring.
+// NewRegistry returns a disabled, empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		epoch:      time.Now(),
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
-		trace:      newTrace(DefaultTraceCap),
 	}
 }
 
@@ -146,30 +139,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return h
 }
 
-// Event appends a trace event (no-op when disabled). name identifies the
-// event kind ("fault_injected", "repair", …); fields is free-form
-// `k=v`-style detail. The timestamp is monotonic relative to registry
-// creation.
-func (r *Registry) Event(name, fields string) {
-	if !r.enabled.Load() {
-		return
-	}
-	r.trace.add(Event{At: time.Since(r.epoch), Name: name, Fields: fields})
-}
-
-// Eventf is Event with fmt-style field formatting; the format arguments
-// are not evaluated into a string when the registry is disabled.
-func (r *Registry) Eventf(name, format string, args ...any) {
-	if !r.enabled.Load() {
-		return
-	}
-	r.trace.add(Event{At: time.Since(r.epoch), Name: name, Fields: fmt.Sprintf(format, args...)})
-}
-
-// Trace returns the buffered events, oldest first.
-func (r *Registry) Trace() []Event { return r.trace.snapshot() }
-
-// Reset zeroes every instrument and clears the trace; the enabled state
+// Reset zeroes every instrument; the enabled state
 // is preserved. Meant for benchmarks and tests that reuse Default().
 func (r *Registry) Reset() {
 	r.mu.Lock()
@@ -183,7 +153,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.histograms {
 		h.reset()
 	}
-	r.trace.reset()
 }
 
 // Counter is a monotonically increasing int64, safe for concurrent use.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -14,10 +13,9 @@ func TestDisabledRegistryIsNoOp(t *testing.T) {
 	c.Inc()
 	g.Set(7)
 	h.Observe(100)
-	r.Event("e", "x=1")
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || len(r.Trace()) != 0 {
-		t.Fatalf("disabled registry recorded observations: c=%d g=%d h=%d trace=%d",
-			c.Value(), g.Value(), h.Count(), len(r.Trace()))
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+		t.Fatalf("disabled registry recorded observations: c=%d g=%d h=%d",
+			c.Value(), g.Value(), h.Count())
 	}
 }
 
@@ -38,12 +36,6 @@ func TestEnabledRegistryRecords(t *testing.T) {
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
-	}
-	r.Event("fault", "node=5")
-	r.Eventf("repair", "node=%d tactic=%s", 5, "splice")
-	ev := r.Trace()
-	if len(ev) != 2 || ev[0].Name != "fault" || ev[1].Fields != "node=5 tactic=splice" {
-		t.Fatalf("trace = %+v", ev)
 	}
 }
 
@@ -85,21 +77,17 @@ func TestConcurrentCounters(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(int64(i))
-				r.Eventf("tick", "w=%d i=%d", w, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Fatalf("c=%d h=%d, want 8000 each", c.Value(), h.Count())
-	}
-	if got := len(r.Trace()); got != DefaultTraceCap {
-		t.Fatalf("trace length %d, want ring cap %d", got, DefaultTraceCap)
 	}
 }
 
@@ -110,9 +98,8 @@ func TestResetPreservesEnabledState(t *testing.T) {
 	h := r.Histogram("h_ns")
 	c.Inc()
 	h.Observe(5)
-	r.Event("e", "")
 	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Max() != 0 || len(r.Trace()) != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Max() != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	if !r.Enabled() {
@@ -130,27 +117,6 @@ func TestDefaultRegistryIsShared(t *testing.T) {
 	}
 	if Default().Enabled() {
 		t.Fatal("Default must start disabled")
-	}
-}
-
-func TestEventfSkipsFormattingWhenDisabled(t *testing.T) {
-	r := NewRegistry()
-	// A panicking Stringer proves the args are never formatted.
-	r.Eventf("e", "%v", panicStringer{})
-	if len(r.Trace()) != 0 {
-		t.Fatal("disabled Eventf recorded")
-	}
-}
-
-type panicStringer struct{}
-
-func (panicStringer) String() string { panic("formatted while disabled") }
-
-func TestEventString(t *testing.T) {
-	e := Event{Name: "fault_injected", Fields: "node=3"}
-	s := e.String()
-	if !strings.Contains(s, "fault_injected") || !strings.Contains(s, "node=3") {
-		t.Fatalf("Event.String() = %q", s)
 	}
 }
 

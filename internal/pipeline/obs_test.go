@@ -1,10 +1,12 @@
 package pipeline_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"gdpn/internal/obs"
+	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
 )
 
@@ -98,7 +100,15 @@ func TestProcessRecordsObsMetrics(t *testing.T) {
 		t.Fatal("throughput gauge not set")
 	}
 
-	// A fault must move the repair counters and append trace events.
+	// A fault must move the repair counters and leave one remap span tree
+	// whose plan phase names the tactic.
+	tr := span.Default()
+	tr.Reset()
+	tr.SetEnabled(true)
+	defer func() {
+		tr.SetEnabled(false)
+		tr.Reset()
+	}()
 	victim := mgr.Pipeline()[2]
 	if err := fault(mgr, e, victim); err != nil {
 		t.Fatal(err)
@@ -113,14 +123,24 @@ func TestProcessRecordsObsMetrics(t *testing.T) {
 	if repairs != 1 {
 		t.Fatalf("repair counters sum %d, want 1 (counters %v)", repairs, s.Counters)
 	}
-	foundRepair := false
-	for _, ev := range s.Events {
-		if ev.Name == "repair" {
-			foundRepair = true
+	var remaps []span.Span
+	tactics := map[uint64]string{} // remap span id -> its plan child's tactic
+	for _, sp := range tr.Snapshot() {
+		switch sp.Name {
+		case "remap":
+			remaps = append(remaps, sp)
+		case "plan":
+			tactics[sp.Parent], _ = sp.Attr("tactic")
 		}
 	}
-	if !foundRepair {
-		t.Fatalf("no repair event in trace: %+v", s.Events)
+	if len(remaps) != 1 || remaps[0].Status != span.OK {
+		t.Fatalf("remap spans %+v, want one OK remap root", remaps)
+	}
+	if node, _ := remaps[0].Attr("node"); node != fmt.Sprint(victim) {
+		t.Fatalf("remap span node=%s, want %d", node, victim)
+	}
+	if tactics[remaps[0].ID] == "" {
+		t.Fatalf("remap span has no plan child with a tactic: %v", tactics)
 	}
 	if inj := s.Histograms[`pipeline_remap_ns{op="replan"}`]; inj.Count != 1 {
 		t.Fatalf("placement remap histogram %+v", inj)

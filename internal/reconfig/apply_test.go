@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gdpn/internal/construct"
+	"gdpn/internal/embed"
 	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/reconfig"
@@ -86,7 +87,7 @@ func TestApplyOneTreePerEvent(t *testing.T) {
 	}
 	// A G(10,2) pipeline endpoint has degree 1, so faulting it needs the
 	// full solver, which an expired deadline rolls back.
-	m.SetDeadline(time.Nanosecond)
+	m.SetResources(embed.Scoped(nil, time.Nanosecond))
 	before := st.Report()
 	if err := m.Apply(reconfig.OpFault, m.Pipeline()[0], eng.ApplyPlacement); !errors.Is(err, reconfig.ErrDeadline) {
 		t.Fatalf("terminal fault under 1ns deadline = %v, want ErrDeadline", err)

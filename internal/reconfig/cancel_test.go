@@ -55,25 +55,3 @@ func TestRemapCanceledRollsBack(t *testing.T) {
 		t.Fatalf("retry after detaching token: %v", err)
 	}
 }
-
-// TestDeadlineShimBehaviorPreserved re-pins the SetDeadline contract on
-// top of the token implementation: an expired deadline rolls back with
-// reconfig.ErrDeadline exactly as before the refactor.
-func TestDeadlineShimBehaviorPreserved(t *testing.T) {
-	sol, err := construct.Design(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := reconfig.New(sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetDeadline(1) // 1ns: expired before any solve can finish
-	victim := m.Pipeline()[0]
-	if _, err := m.Fault(victim); !errors.Is(err, reconfig.ErrDeadline) {
-		t.Fatalf("Fault = %v, want ErrDeadline", err)
-	}
-	if m.Faults().Contains(victim) {
-		t.Fatal("deadline rollback left the fault recorded")
-	}
-}

@@ -82,9 +82,10 @@ type Stats struct {
 }
 
 // ErrDeadline is wrapped into the error returned by Fault/Repair when a
-// full-remap solve misses the manager's deadline (SetDeadline). The
-// operation is rolled back: the previous pipeline stays live and the
-// node's fault state is unchanged, so the caller can retry later.
+// full-remap solve misses the deadline of the manager's token
+// (SetResources). The operation is rolled back: the previous pipeline
+// stays live and the node's fault state is unchanged, so the caller can
+// retry later.
 var ErrDeadline = errors.New("remap deadline exceeded")
 
 // DowntimeStats is the per-tactic downtime ledger: how long the pipeline
@@ -113,14 +114,12 @@ type Manager struct {
 	// the SLO degradation gauge reports faults-in-flight against it.
 	k int
 
-	// deadline bounds each repair's full-remap solve (0 = unbounded); see
-	// SetDeadline. downtime/rollbacks feed DowntimeStats.
-	deadline     time.Duration
+	// downtime/rollbacks feed DowntimeStats.
 	downtime     [FullRemap + 1]time.Duration
 	rollbacks    int
 	rollbackTime time.Duration
-	// res is the ambient cancellation token (SetResources); every remap
-	// solve runs under a per-repair child scope of it.
+	// res is the ambient token (SetResources): every full-remap solve runs
+	// under it, and its deadline, if any, bounds the remap.
 	res *embed.Resources
 
 	// pendingDelta is the net fault-set change since the solver last ran:
@@ -176,7 +175,7 @@ func New(sol *construct.Solution) (*Manager, error) {
 		}
 		slo.SetDegradation(0, m.k)
 	}
-	if err := m.fullRemap(time.Now()); err != nil {
+	if err := m.fullRemap(); err != nil {
 		return nil, err
 	}
 	m.stats = Stats{} // the initial mapping is not a repair
@@ -194,21 +193,18 @@ func (m *Manager) Stats() Stats { return m.stats }
 // result does not affect the manager.
 func (m *Manager) Faults() bitset.Set { return m.faults.Clone() }
 
-// SetDeadline bounds every subsequent repair's full-remap solve to d of
-// wall-clock time: the solver gives up (and the operation rolls back to
-// the last valid pipeline) when the deadline expires, and even a solution
-// that arrives late is discarded — a deployment would already have
-// declared the remap failed. The bound is enforced through a per-repair
-// embed.Resources scope (a timer latches the stop flag; the solver's hot
-// loops never read the clock), budgeted with the time the local tactics
-// already consumed. Local tactics themselves are microsecond-scale and
-// are not bounded. 0 disables.
-func (m *Manager) SetDeadline(d time.Duration) { m.deadline = d }
-
 // SetResources attaches an ambient cancellation/budget token: canceling
-// it aborts any in-flight full-remap solve — the repair rolls back like a
-// deadline miss, with errors.Is(err, embed.ErrCanceled) true — and makes
-// subsequent remaps fail fast until the token is replaced. nil detaches.
+// it aborts any in-flight full-remap solve — the repair rolls back, with
+// errors.Is(err, embed.ErrCanceled) true — and makes subsequent remaps
+// fail fast until the token is replaced. nil detaches.
+//
+// The token's own deadline (embed.Scoped) is the remap bound: a full
+// remap that starts after it, or whose solve ends after it, rolls back
+// with ErrDeadline, and a valid solution that arrives late is discarded —
+// a deployment would already have declared the remap failed. The token's
+// timer stops the solver mid-search; its hot loops never read the clock.
+// Local tactics are microsecond-scale and are not bounded. Callers bound
+// each event with a fresh scope, e.g. SetResources(embed.Scoped(tok, d)).
 func (m *Manager) SetResources(r *embed.Resources) { m.res = r }
 
 // Resources returns the ambient token (nil when unset).
@@ -303,6 +299,18 @@ func endPhase(sp *span.S, err error) {
 	sp.End(st)
 }
 
+// pastDeadline returns an error wrapping ErrDeadline once the deadline of
+// the manager's token has passed, nil otherwise (or without a deadline).
+func (m *Manager) pastDeadline() error {
+	if m.res == nil {
+		return nil
+	}
+	if dl, ok := m.res.Deadline(); ok && !time.Now().Before(dl) {
+		return fmt.Errorf("reconfig: %w (%v past)", ErrDeadline, time.Since(dl).Round(time.Microsecond))
+	}
+	return nil
+}
+
 // Downtime returns a copy of the per-tactic downtime ledger.
 func (m *Manager) Downtime() DowntimeStats {
 	ds := DowntimeStats{
@@ -347,7 +355,7 @@ func (m *Manager) Fault(node int) (Tactic, error) {
 		// processor is on the pipeline by definition).
 		m.stats.NoChange++
 		m.account(NoChange, start)
-		m.observeRepair(NoChange, start, node, observing)
+		m.observeRepair(NoChange, start, observing)
 		m.markDown(node)
 		return NoChange, nil
 	}
@@ -375,7 +383,7 @@ func (m *Manager) Fault(node int) (Tactic, error) {
 			m.path = repaired
 			m.bump(tactic)
 			m.account(tactic, start)
-			m.observeRepair(tactic, start, node, observing)
+			m.observeRepair(tactic, start, observing)
 			m.markDown(node)
 			return tactic, nil
 		} else {
@@ -384,20 +392,19 @@ func (m *Manager) Fault(node int) (Tactic, error) {
 		// A local tactic produced an invalid pipeline; the certificate
 		// check caught it and we degrade to the full recompute.
 		m.certFailures.Inc()
-		m.reg.Eventf("cert_check_failed", "node=%d tactic=%s", node, tactic)
+		m.remapSpan.Eventf("cert_check_failed", "node=%d tactic=%s", node, tactic)
 	}
 	// Local tactics failed (or produced something invalid): full remap.
 	m.fallbacks.Inc()
-	m.reg.Eventf("full_remap_fallback", "node=%d", node)
-	if err := m.fullRemap(start); err != nil {
+	m.remapSpan.Eventf("full_remap_fallback", "node=%d", node)
+	if err := m.fullRemap(); err != nil {
 		m.faults.Remove(node)
 		m.noteDelta(node, -1)
 		m.rollback(start)
-		m.reg.Eventf("repair_failed", "node=%d err=%v", node, err)
 		return 0, err
 	}
 	m.account(FullRemap, start)
-	m.observeRepair(FullRemap, start, node, observing)
+	m.observeRepair(FullRemap, start, observing)
 	m.markDown(node)
 	return FullRemap, nil
 }
@@ -487,15 +494,14 @@ func (m *Manager) markUp(node int) {
 	}
 }
 
-// observeRepair records the latency histogram, per-tactic counter, and
-// trace event for one completed repair.
-func (m *Manager) observeRepair(t Tactic, start time.Time, node int, observing bool) {
+// observeRepair records the latency histogram and per-tactic counter for
+// one completed repair.
+func (m *Manager) observeRepair(t Tactic, start time.Time, observing bool) {
 	if !observing {
 		return
 	}
 	m.repairLat[t].ObserveSince(start)
 	m.repairCount[t].Inc()
-	m.reg.Eventf("repair", "node=%d tactic=%s procs=%d", node, t, len(m.path)-2)
 }
 
 // Repair marks a node healthy again and re-inserts it into the pipeline
@@ -518,7 +524,7 @@ func (m *Manager) Repair(node int) (Tactic, error) {
 		// A repaired terminal changes nothing until an endpoint needs it.
 		m.stats.NoChange++
 		m.account(NoChange, start)
-		m.observeRepair(NoChange, start, node, observing)
+		m.observeRepair(NoChange, start, observing)
 		m.markUp(node)
 		return NoChange, nil
 	}
@@ -538,7 +544,7 @@ func (m *Manager) Repair(node int) (Tactic, error) {
 				m.path = repaired
 				m.stats.Insert++
 				m.account(Insert, start)
-				m.observeRepair(Insert, start, node, observing)
+				m.observeRepair(Insert, start, observing)
 				m.markUp(node)
 				return Insert, nil
 			} else {
@@ -549,16 +555,15 @@ func (m *Manager) Repair(node int) (Tactic, error) {
 	plan.SetStr("tactic", "exhausted")
 	plan.End(span.OK)
 	m.fallbacks.Inc()
-	m.reg.Eventf("full_remap_fallback", "node=%d", node)
-	if err := m.fullRemap(start); err != nil {
+	m.remapSpan.Eventf("full_remap_fallback", "node=%d", node)
+	if err := m.fullRemap(); err != nil {
 		m.faults.Add(node)
 		m.noteDelta(node, +1)
 		m.rollback(start)
-		m.reg.Eventf("repair_failed", "node=%d err=%v", node, err)
 		return 0, err
 	}
 	m.account(FullRemap, start)
-	m.observeRepair(FullRemap, start, node, observing)
+	m.observeRepair(FullRemap, start, observing)
 	m.markUp(node)
 	return FullRemap, nil
 }
@@ -654,43 +659,27 @@ func (m *Manager) repairEndpoint(idx int, plan *span.S) (graph.Path, Tactic) {
 	return nil, FullRemap
 }
 
-// fullRemap recomputes the pipeline with the solver. The solve runs under
-// a child scope of the manager's ambient token carrying whatever remains
-// of the repair deadline (`started` is when the repair began — the
-// deadline covers the whole repair, local tactics included). The deadline
-// is enforced twice: the scope's timer stops the solver mid-search, and a
-// result that lands after the deadline — even a valid one — is discarded,
-// because a deployment would already have declared the remap failed.
-func (m *Manager) fullRemap(started time.Time) error {
+// fullRemap recomputes the pipeline with the solver, under the manager's
+// token. The token's deadline is checked against the clock before and
+// after the solve: a remap that starts late fails without running the
+// solver, and a result that lands late — even a valid one — is discarded.
+func (m *Manager) fullRemap() error {
 	solve := span.Start(m.remapSpan, "solve")
 	m.solver.SetSpan(solve)
 	defer m.solver.SetSpan(nil)
+	if err := m.pastDeadline(); err != nil {
+		endPhase(solve, err)
+		return err
+	}
 	if m.res != nil && m.res.Stopped() {
 		err := fmt.Errorf("reconfig: remap aborted: %w", m.res.Err())
 		endPhase(solve, err)
 		return err
 	}
-	if m.deadline > 0 {
-		remaining := m.deadline - time.Since(started)
-		if remaining <= 0 {
-			err := fmt.Errorf("reconfig: %w (%v elapsed, deadline %v)",
-				ErrDeadline, time.Since(started).Round(time.Microsecond), m.deadline)
-			endPhase(solve, err)
-			return err
-		}
-		solve.SetInt("deadline_remaining_ns", int64(remaining))
-		scope := embed.Scoped(m.res, remaining)
-		defer scope.Release()
-		m.solver.SetResources(scope)
-		defer m.solver.SetResources(m.res)
-	} else {
-		m.solver.SetResources(m.res)
-	}
+	m.solver.SetResources(m.res)
 	res := m.solveRemap()
 	solve.SetInt("expansions", res.Expansions)
-	if m.deadline > 0 && time.Since(started) > m.deadline {
-		err := fmt.Errorf("reconfig: %w (%v elapsed, deadline %v)",
-			ErrDeadline, time.Since(started).Round(time.Microsecond), m.deadline)
+	if err := m.pastDeadline(); err != nil {
 		if res.Found {
 			// A valid late result is discarded, not merely missing.
 			solve.SetStr("late_result", "discarded")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gdpn/internal/construct"
+	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/reconfig"
@@ -309,7 +310,7 @@ func TestRemapDeadlineRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetDeadline(time.Nanosecond)
+	m.SetResources(embed.Scoped(nil, time.Nanosecond))
 	before := append(graph.Path(nil), m.Pipeline()...)
 	victim := before[0]
 	_, err = m.Fault(victim)
@@ -329,7 +330,7 @@ func TestRemapDeadlineRollsBack(t *testing.T) {
 		t.Fatalf("rollback not accounted: %+v", ds)
 	}
 	// With the bound lifted the same fault must succeed.
-	m.SetDeadline(0)
+	m.SetResources(nil)
 	if _, err := m.Fault(victim); err != nil {
 		t.Fatalf("retry after lifting deadline: %v", err)
 	}
@@ -338,7 +339,7 @@ func TestRemapDeadlineRollsBack(t *testing.T) {
 		t.Fatalf("full-remap downtime not recorded: %+v", m.Downtime())
 	}
 	// A generous deadline does not get in the way.
-	m.SetDeadline(time.Hour)
+	m.SetResources(embed.Scoped(nil, time.Hour))
 	if _, err := m.Repair(victim); err != nil {
 		t.Fatalf("repair under generous deadline: %v", err)
 	}

@@ -9,6 +9,7 @@ package reconfig_test
 import (
 	"testing"
 
+	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/reconfig"
 )
@@ -97,11 +98,11 @@ func TestManagerDeltaSpansRolledBackFault(t *testing.T) {
 	first := m.Pipeline()[0]
 	// An already-expired deadline fails the remap before the solver runs;
 	// the fault rolls back and the pipeline stays valid.
-	m.SetDeadline(1)
+	m.SetResources(embed.Scoped(nil, 1))
 	if _, err := m.Fault(first); err == nil {
 		t.Fatal("Fault under expired deadline succeeded, want rollback")
 	}
-	m.SetDeadline(0)
+	m.SetResources(nil)
 	if got := m.Faults().Count(); got != 0 {
 		t.Fatalf("faults after rollback = %d, want 0", got)
 	}

@@ -3,10 +3,12 @@ package verify
 import (
 	"time"
 
+	"gdpn/internal/autom"
 	"gdpn/internal/combin"
 	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs/span"
+	"gdpn/internal/store"
 )
 
 // Shard is one contiguous range [From, To) of lexicographic subset ranks
@@ -51,26 +53,79 @@ func Shards(g *graph.Graph, k int, universe FaultUniverse, ranksPer int64) []Sha
 	return out
 }
 
-// ShardRunner verifies successive Shards of one instance in one
-// goroutine, reusing a single solver so FindDelta warm endpoints and the
-// Options.Memo cache survive across shards — a fleet worker gets the
-// same incremental-solve behavior a work-stealing Exhaustive worker has.
-// Orbit reduction (Options.ExploitSymmetry) uses the same deterministic
-// representative test as Exhaustive, so sharded runs reach identical
-// Checked/Represented counts. Not safe for concurrent use: create one
-// runner per goroutine.
-type ShardRunner struct {
+// sweep is the instance state shared by every ShardRunner of one run: the
+// fault universe, the automorphism group and its orbit tester, the store
+// reference, and the two-level stop token. Building it once per run keeps
+// the group computation (and the store attach) out of the per-worker path.
+type sweep struct {
 	g        *graph.Graph
 	k        int
+	opts     Options // defaults filled; Solver.Res is the sweep token
 	universe []int
-	orbit    *orbitTester
-	wk       *worker
-	root     *embed.Resources
-	sweep    *embed.Resources
-	prev     embed.TierStats
-	sub      []int
-	scratch  []int
-	throttle time.Duration
+	group    *autom.Group
+	orbit    *orbitTester // nil until buildOrbit (and without symmetry)
+	ref      *store.GraphRef
+	// root latches external cancellation; its child tok (also
+	// opts.Solver.Res) additionally latches FailFast, so root.Stopped()
+	// alone means Interrupted.
+	root, tok *embed.Resources
+}
+
+func newSweep(g *graph.Graph, k int, opts Options) *sweep {
+	fillDefaults(&opts)
+	root, tok := runTokens(opts)
+	opts.Solver.Res = tok
+	ref := attachStore(g, opts)
+	return &sweep{
+		g:        g,
+		k:        k,
+		opts:     opts,
+		universe: universeNodes(g, opts.Universe),
+		group:    groupFor(g, opts, ref),
+		ref:      ref,
+		root:     root,
+		tok:      tok,
+	}
+}
+
+// buildOrbit builds the orbit tester of a symmetry-reduced run. It is
+// separate from newSweep so a fully warm Exhaustive, which enumerates
+// nothing, skips it.
+func (s *sweep) buildOrbit() {
+	if s.group != nil {
+		s.orbit = newOrbitTester(s.group, s.universe, s.g.NumNodes())
+	}
+}
+
+func (s *sweep) release() {
+	s.tok.Release()
+	s.root.Release()
+}
+
+// runner returns a new ShardRunner on s; id labels its sweep-chunk spans.
+func (s *sweep) runner(id int) *ShardRunner {
+	return &ShardRunner{
+		s:       s,
+		id:      id,
+		wk:      newWorker(s.g, s.opts, s.universe, s.ref),
+		sub:     make([]int, s.k),
+		scratch: make([]int, s.k),
+	}
+}
+
+// ShardRunner verifies successive Shards of one instance in one
+// goroutine, reusing a single solver so FindDelta warm endpoints and the
+// Options.Memo cache survive across shards. It is the one sweep loop:
+// Exhaustive runs one per worker over work-stealing deques of shards, and
+// a fleet worker runs one over leased shards. Not safe for concurrent
+// use: create one runner per goroutine.
+type ShardRunner struct {
+	s       *sweep
+	id      int
+	wk      *worker
+	prev    embed.TierStats
+	sub     []int
+	scratch []int
 }
 
 // NewShardRunner builds a runner for Design instance g at tolerance k.
@@ -78,68 +133,42 @@ type ShardRunner struct {
 // Solver.Res) cancels in-flight shards, whose reports come back marked
 // Interrupted. Call Close when done to release the cancellation tokens.
 func NewShardRunner(g *graph.Graph, k int, opts Options) *ShardRunner {
-	fillDefaults(&opts)
-	universe := universeNodes(g, opts.Universe)
-	root, sweep := runTokens(opts)
-	opts.Solver.Res = sweep
-	ref := attachStore(g, opts)
-	group := groupFor(g, opts, ref)
-	var orbit *orbitTester
-	if group != nil {
-		orbit = newOrbitTester(group, universe, g.NumNodes())
-	}
-	return &ShardRunner{
-		g:        g,
-		k:        k,
-		universe: universe,
-		orbit:    orbit,
-		wk:       newWorker(g, opts, universe, ref),
-		root:     root,
-		sweep:    sweep,
-		sub:      make([]int, k),
-		scratch:  make([]int, k),
-		throttle: opts.Throttle,
-	}
+	s := newSweep(g, k, opts)
+	s.buildOrbit()
+	return s.runner(0)
 }
 
 // Run verifies one shard and returns its partial report. A report with
-// Interrupted set means the runner's token latched mid-shard: the shard
+// Interrupted set means the run's token latched mid-shard: the shard
 // reached no complete verdict and must be re-verified (its counters cover
 // only a prefix). Partial reports from disjoint shards merge with
 // MergeReports into exactly the report a single-process run produces.
 func (r *ShardRunner) Run(sh Shard) *Report {
-	rep := &Report{GraphName: r.g.Name(), K: r.k}
+	s := r.s
+	rep := &Report{GraphName: s.g.Name(), K: s.k}
 	r.wk.local = rep
 	start := time.Now()
 
+	// One span per shard (coarse enough to trace full sweeps); per-set
+	// solve spans nest under it when enabled.
 	csp := span.Start(nil, "sweep-chunk")
-	csp.SetInt("size", int64(sh.Size)).SetInt("from", sh.From).SetInt("ranks", sh.Ranks())
+	csp.SetInt("worker", int64(r.id)).SetInt("size", int64(sh.Size)).
+		SetInt("from", sh.From).SetInt("ranks", sh.Ranks())
 	r.wk.solver.SetSpan(csp)
 	status := span.OK
 
 	sub := r.sub[:sh.Size]
 	if sh.Size > 0 {
-		combin.Unrank(len(r.universe), sh.Size, sh.From, sub)
+		combin.Unrank(len(s.universe), sh.Size, sh.From, sub)
 	}
 	for rank := sh.From; rank < sh.To; rank++ {
 		if rank > sh.From {
-			combin.NextSubset(len(r.universe), sub)
+			combin.NextSubset(len(s.universe), sub)
 		}
-		if r.sweep.Stopped() {
-			rep.Interrupted = true
-			status = span.Canceled
-			break
+		if s.opts.Throttle > 0 {
+			time.Sleep(s.opts.Throttle)
 		}
-		if r.throttle > 0 {
-			time.Sleep(r.throttle)
-		}
-		rep.Represented++
-		if r.orbit != nil && !r.orbit.isMinimal(sub, r.scratch) {
-			continue
-		}
-		if !r.wk.check(sub) {
-			// Abandoned mid-solve: no verdict for this set.
-			rep.Represented--
+		if !r.wk.step(sub, r.scratch, s.orbit) {
 			rep.Interrupted = true
 			status = span.Canceled
 			break
@@ -157,11 +186,8 @@ func (r *ShardRunner) Run(sh Shard) *Report {
 
 // Stopped reports whether the runner's cancellation token has latched;
 // subsequent Run calls would return immediately-interrupted reports.
-func (r *ShardRunner) Stopped() bool { return r.sweep.Stopped() }
+func (r *ShardRunner) Stopped() bool { return r.s.tok.Stopped() }
 
 // Close releases the runner's cancellation tokens. The runner must not be
 // used afterwards.
-func (r *ShardRunner) Close() {
-	r.sweep.Release()
-	r.root.Release()
-}
+func (r *ShardRunner) Close() { r.s.release() }

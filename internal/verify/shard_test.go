@@ -1,7 +1,10 @@
 package verify_test
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gdpn/internal/combin"
@@ -107,5 +110,67 @@ func TestShardReportsMergeOrderIndependent(t *testing.T) {
 	if a, b := mergeAll(fwd), mergeAll(rev); a.VerdictSummary() != b.VerdictSummary() ||
 		a.Checked != b.Checked || a.Represented != b.Represented {
 		t.Errorf("merge order changed the report:\n%v\nvs\n%v", a, b)
+	}
+}
+
+// The verdict summary — including which counterexamples the record cap
+// keeps — must not depend on scheduling: not on the worker count, the
+// steal order, the shard order, or whether a store replays the sweep.
+// G3(2) at k=3 has more failures than the default cap of 16, so a cap
+// filled in walk order instead of canonical order shows here.
+func TestVerdictSummaryIndependentOfSchedule(t *testing.T) {
+	g := construct.G3(2)
+	const k = 3
+	for _, symm := range []bool{false, true} {
+		opts := verify.Options{ExploitSymmetry: symm}
+		summaries := map[string][]string{}
+		note := func(how string, rep *verify.Report) {
+			summaries[rep.VerdictSummary()] = append(summaries[rep.VerdictSummary()], how)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for i := 0; i < 5; i++ {
+				o := opts
+				o.Workers = workers
+				note(fmt.Sprintf("workers=%d", workers), verify.Exhaustive(g, k, o))
+			}
+		}
+
+		shards := verify.Shards(g, k, verify.AllNodes, 7)
+		rand.New(rand.NewSource(3)).Shuffle(len(shards), func(i, j int) {
+			shards[i], shards[j] = shards[j], shards[i]
+		})
+		runner := verify.NewShardRunner(g, k, opts)
+		sharded := &verify.Report{GraphName: g.Name(), K: k}
+		for _, sh := range shards {
+			verify.MergeReports(sharded, runner.Run(sh), 0)
+		}
+		runner.Close()
+		note("shuffled shards", sharded)
+
+		path := filepath.Join(t.TempDir(), "v.gdps")
+		for _, phase := range []struct {
+			name    string
+			workers int
+		}{{"cold store", 3}, {"warm store", 2}, {"warm store", 8}} {
+			s := openStore(t, path)
+			o := opts
+			o.Workers, o.Store = phase.workers, s
+			note(fmt.Sprintf("%s workers=%d", phase.name, phase.workers), verify.Exhaustive(g, k, o))
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if len(summaries) != 1 {
+			for sum, runs := range summaries {
+				t.Errorf("symm=%v: %v printed\n%s", symm, runs, sum)
+			}
+			continue
+		}
+		for sum := range summaries {
+			if !strings.Contains(sum, "FAILED") {
+				t.Fatalf("symm=%v: G3(2) k=%d should fail: %s", symm, k, sum)
+			}
+		}
 	}
 }

@@ -84,10 +84,7 @@ func replayManifest(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, t
 	sp := span.Start(nil, "store-replay")
 	sp.SetInt("size", int64(size)).SetInt("reps", int64(len(sets)))
 
-	// Re-check in parallel (the replay is the warm path's only real work),
-	// but record failures serially afterwards in manifest order, so the
-	// recorded-counterexample cap fills exactly as a cold enumeration's
-	// walk does.
+	// Re-check in parallel (the replay is the warm path's only real work).
 	found := make([]bool, len(sets))
 	shards := opts.Workers
 	if shards > len(sets) {
@@ -135,17 +132,17 @@ func replayManifest(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, t
 		return nil, false
 	}
 
+	// Keep the canonically smallest failures, exactly as a cold sweep's
+	// merged shard reports do, whatever order the manifest lists them in.
 	local := &Report{Checked: int64(len(sets)), Represented: total}
+	var fails []FaultSetRecord
 	for i, set := range sets {
-		if found[i] {
-			continue
-		}
-		local.FailureCount++
-		if len(local.Failures) < opts.MaxRecorded {
-			local.Failures = append(local.Failures,
-				FaultSetRecord{Nodes: append([]int(nil), set...), Err: "no pipeline"})
+		if !found[i] {
+			fails = append(fails, FaultSetRecord{Nodes: set, Err: "no pipeline"})
 		}
 	}
+	local.FailureCount = int64(len(fails))
+	local.Failures = mergeRecords(nil, fails, opts.MaxRecorded)
 	sp.End(span.OK)
 	return local, true
 }
@@ -270,7 +267,7 @@ func (w *worker) applyCached(sub []int, v store.Verdict) bool {
 	w.local.Checked++
 	w.local.FailureCount++
 	record(&w.local.Failures, w.universe, sub, "no pipeline", w.maxRec)
-	if w.failFast && w.stop != nil {
+	if w.failFast {
 		w.stop.Cancel()
 	}
 	return true

@@ -23,9 +23,9 @@ func openStore(t *testing.T, path string) *store.Store {
 
 // warmCold runs Exhaustive three times — without a store, with a cold
 // store, and with the warmed store reopened from disk — and asserts all
-// three VerdictSummary lines are byte-identical. Workers is pinned to 1 so
-// the recorded-counterexample cap is filled in the same deterministic walk
-// order in every run.
+// three VerdictSummary lines are byte-identical. Workers is pinned to 1
+// only to keep the three runs to one goroutine each; the summary does not
+// depend on the worker count (TestVerdictSummaryIndependentOfSchedule).
 func warmCold(t *testing.T, g *graph.Graph, k int, opts verify.Options) (cold, warm *verify.Report) {
 	t.Helper()
 	opts.Workers = 1

@@ -85,9 +85,9 @@ type Options struct {
 	// Off by default: existing callers rely on complete enumeration.
 	FailFast bool
 	// Throttle inserts an artificial delay before each enumerated fault
-	// set. Only ShardRunner honors it; it exists so fleet CI gauntlets can
-	// pace a sweep slowly enough to kill workers and restart coordinators
-	// mid-run. Zero (the default) means full speed.
+	// set of Exhaustive and ShardRunner; it exists so fleet CI gauntlets
+	// can pace a sweep slowly enough to kill workers and restart
+	// coordinators mid-run. Zero (the default) means full speed.
 	Throttle time.Duration
 	// Store attaches the persistent content-addressed verdict store:
 	// Exhaustive and ShardRunner consult it before every solve (positive
@@ -264,46 +264,25 @@ const chunksPerWorker = 16
 // with Options.ExploitSymmetry the proof covers all Represented sets while
 // running the solver only on Checked orbit representatives.
 func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
-	fillDefaults(&opts)
-	universe := universeNodes(g, opts.Universe)
-	rep := &Report{GraphName: g.Name(), K: k}
 	start := time.Now()
-
-	// Two-level stop token: the root latches external cancellation, the
-	// sweep child additionally latches FailFast short-circuits. Which level
-	// stopped distinguishes Interrupted from a legitimate early disproof.
-	root, sweep := runTokens(opts)
-	defer root.Release()
-	defer sweep.Release()
-	opts.Solver.Res = sweep // workers inherit the sweep token
-
-	ref := attachStore(g, opts)
-	group := groupFor(g, opts, ref)
+	s := newSweep(g, k, opts)
+	defer s.release()
+	opts = s.opts
+	universe := s.universe
+	rep := &Report{GraphName: g.Name(), K: k}
 
 	// Warm path: replay whole size classes from the store's sweep manifests
 	// (symmetry-reduced runs only — the manifest records orbit
 	// representatives decided under a specific group signature).
 	var sweepSig uint64
 	replayed := map[int]bool{}
-	if ref != nil && group != nil {
-		sweepSig = ref.SweepSig(universe, k, ref.GroupSig(group))
-		replayed = manifestSizes(g, ref, sweepSig, k, universe, opts, rep)
+	if s.ref != nil && s.group != nil {
+		sweepSig = s.ref.SweepSig(universe, k, s.ref.GroupSig(s.group))
+		replayed = manifestSizes(g, s.ref, sweepSig, k, universe, opts, rep)
 	}
 
-	// The orbit tester is only needed for sizes that will actually be
-	// enumerated; a fully-warm run (every size replayed) skips building it.
-	var orbit *orbitTester
-	if group != nil {
-		for size := 0; size <= k && size <= len(universe); size++ {
-			if !replayed[size] {
-				orbit = newOrbitTester(group, universe, g.NumNodes())
-				break
-			}
-		}
-	}
-
-	// Fine-grained rank chunks, dealt round-robin onto per-worker deques.
-	// The owner pops from the tail (staying on its lexicographic walk, so
+	// Fine-grained shards, dealt round-robin onto per-worker deques. The
+	// owner pops from the tail (staying on its lexicographic walk, so
 	// solver warm-starts see small deltas); idle workers steal from the
 	// head of a victim's deque.
 	deques := make([]*stealQueue, opts.Workers)
@@ -318,98 +297,67 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 		total := combin.Binomial(len(universe), size)
 		per := total/int64(opts.Workers*chunksPerWorker) + 1
 		for from := int64(0); from < total; from += per {
-			to := from + per
-			if to > total {
-				to = total
-			}
-			deques[next%opts.Workers].push(rankChunk{size, from, to})
+			deques[next%opts.Workers].push(Shard{size, from, min(from+per, total)})
 			next++
 		}
 	}
+	// The orbit tester is only needed for sizes that will actually be
+	// enumerated; a fully-warm run (every size replayed) skips building it.
+	if next > 0 {
+		s.buildOrbit()
+	}
+	collect := s.ref != nil && s.orbit != nil
 
-	workers := make([]*worker, opts.Workers)
+	runners := make([]*ShardRunner, opts.Workers)
+	partials := make([]*Report, opts.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := range runners {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wk := newWorker(g, opts, universe, ref)
-			workers[w] = wk
-			if ref != nil && orbit != nil {
+			r, part := s.runner(w), &Report{}
+			if collect {
 				// Collect the representatives each worker actually decides,
 				// so a clean sweep can record per-size manifests.
-				wk.collect = map[int][][]int{}
+				r.wk.collect = map[int][][]int{}
 			}
-			sub := make([]int, k)
-			scratch := make([]int, k)
-		sweepLoop:
-			for {
-				c, ok := deques[w].popTail()
+			// A stopped sweep (ctx cancel or another worker's FailFast hit)
+			// abandons the remaining shards, including any stolen ones.
+			for !r.Stopped() {
+				sh, ok := deques[w].popTail()
 				if !ok {
-					if c, ok = stealFrom(deques, w); !ok {
+					if sh, ok = stealFrom(deques, w); !ok {
 						break
 					}
-					wk.local.Steals++
+					part.Steals++
 				}
-				// One span per rank chunk (coarse enough to trace full
-				// sweeps); per-set solve spans nest under it when enabled.
-				csp := span.Start(nil, "sweep-chunk")
-				csp.SetInt("worker", int64(w)).SetInt("size", int64(c.size)).
-					SetInt("from", c.from).SetInt("ranks", c.to-c.from)
-				wk.solver.SetSpan(csp)
-				ss := sub[:c.size]
-				if c.size > 0 {
-					combin.Unrank(len(universe), c.size, c.from, ss)
-				}
-				for r := c.from; r < c.to; r++ {
-					if r > c.from {
-						combin.NextSubset(len(universe), ss)
-					}
-					// One atomic load per fault set: a stopped sweep (ctx
-					// cancel or another worker's FailFast hit) abandons the
-					// remaining chunks, including any stolen ones.
-					if sweep.Stopped() {
-						csp.End(span.Canceled)
-						break sweepLoop
-					}
-					wk.local.Represented++
-					if orbit != nil && !orbit.isMinimal(ss, scratch) {
-						continue
-					}
-					if !wk.check(ss) {
-						// Abandoned mid-solve: no verdict for this set.
-						wk.local.Represented--
-						csp.End(span.Canceled)
-						break sweepLoop
-					}
-				}
-				csp.End(span.OK)
+				merge(part, r.Run(sh), opts.MaxRecorded)
 			}
-			wk.solver.SetSpan(nil)
-			wk.local.Tiers = wk.solver.Stats()
+			runners[w], partials[w] = r, part
 		}(w)
 	}
 	wg.Wait()
-	for _, wk := range workers {
-		merge(rep, wk.local, opts.MaxRecorded)
+	for _, p := range partials {
+		merge(rep, p, opts.MaxRecorded)
 	}
-	rep.Interrupted = rep.Interrupted || root.Stopped()
+	// A FailFast stop marks its shard's partial interrupted, but the run
+	// ended in a disproof: only an external stop is an interruption.
+	rep.Interrupted = s.root.Stopped()
 	rep.Duration = time.Since(start)
 
 	// A clean, complete sweep may record manifests: every enumerated size
 	// reached a verdict for all its sets, so the per-worker representative
 	// lists are exactly the orbit representatives of each size.
-	if ref != nil && orbit != nil && !opts.FailFast &&
-		!rep.Interrupted && !sweep.Stopped() && rep.UnknownCount == 0 {
+	if collect && !opts.FailFast && !s.tok.Stopped() && rep.UnknownCount == 0 {
 		for size := 0; size <= k && size <= len(universe); size++ {
 			if replayed[size] {
 				continue
 			}
 			var sets [][]int
-			for _, wk := range workers {
-				sets = append(sets, wk.collect[size]...)
+			for _, r := range runners {
+				sets = append(sets, r.wk.collect[size]...)
 			}
-			ref.PutManifest(sweepSig, size, sets)
+			s.ref.PutManifest(sweepSig, size, sets)
 		}
 	}
 
@@ -439,57 +387,50 @@ func runTokens(opts Options) (root, sweep *embed.Resources) {
 	return root, root.Child()
 }
 
-// rankChunk is a contiguous range [from, to) of lexicographic subset ranks
-// at one subset size.
-type rankChunk struct {
-	size     int
-	from, to int64
-}
-
-// stealQueue is one worker's deque of rank chunks. The owner pops from the
-// tail; thieves steal from the head, taking the chunk farthest from where
+// stealQueue is one worker's deque of shards. The owner pops from the
+// tail; thieves steal from the head, taking the shard farthest from where
 // the owner is working.
 type stealQueue struct {
 	mu     sync.Mutex
-	chunks []rankChunk
+	shards []Shard
 }
 
-func (q *stealQueue) push(c rankChunk) {
-	q.chunks = append(q.chunks, c)
+func (q *stealQueue) push(sh Shard) {
+	q.shards = append(q.shards, sh)
 }
 
-func (q *stealQueue) popTail() (rankChunk, bool) {
+func (q *stealQueue) popTail() (Shard, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	n := len(q.chunks)
+	n := len(q.shards)
 	if n == 0 {
-		return rankChunk{}, false
+		return Shard{}, false
 	}
-	c := q.chunks[n-1]
-	q.chunks = q.chunks[:n-1]
-	return c, true
+	sh := q.shards[n-1]
+	q.shards = q.shards[:n-1]
+	return sh, true
 }
 
-func (q *stealQueue) stealHead() (rankChunk, bool) {
+func (q *stealQueue) stealHead() (Shard, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.chunks) == 0 {
-		return rankChunk{}, false
+	if len(q.shards) == 0 {
+		return Shard{}, false
 	}
-	c := q.chunks[0]
-	q.chunks = q.chunks[1:]
-	return c, true
+	sh := q.shards[0]
+	q.shards = q.shards[1:]
+	return sh, true
 }
 
-// stealFrom scans the other deques once, starting after self. Chunks never
-// spawn more chunks, so a full empty scan means the run is complete.
-func stealFrom(deques []*stealQueue, self int) (rankChunk, bool) {
+// stealFrom scans the other deques once, starting after self. Shards never
+// spawn more shards, so a full empty scan means the run is complete.
+func stealFrom(deques []*stealQueue, self int) (Shard, bool) {
 	for i := 1; i <= len(deques); i++ {
-		if c, ok := deques[(self+i)%len(deques)].stealHead(); ok {
-			return c, true
+		if sh, ok := deques[(self+i)%len(deques)].stealHead(); ok {
+			return sh, true
 		}
 	}
-	return rankChunk{}, false
+	return Shard{}, false
 }
 
 // orbitTester holds the automorphism permutations projected onto
@@ -615,17 +556,9 @@ func Random(g *graph.Graph, k, trials int, seed int64, opts Options) *Report {
 				n = rem
 			}
 			for t := 0; t < n; t++ {
-				if sweep.Stopped() {
-					break
-				}
-				size := rng.Intn(k + 1)
-				if size > len(universe) {
-					size = len(universe)
-				}
+				size := min(rng.Intn(k+1), len(universe))
 				buf = combin.RandomSubset(rng, len(universe), size, buf)
-				wk.local.Represented++
-				if !wk.check(buf) {
-					wk.local.Represented--
+				if !wk.step(buf, nil, nil) {
 					break
 				}
 			}
@@ -638,7 +571,7 @@ func Random(g *graph.Graph, k, trials int, seed int64, opts Options) *Report {
 	for local := range results {
 		merge(rep, local, opts.MaxRecorded)
 	}
-	rep.Interrupted = rep.Interrupted || root.Stopped()
+	rep.Interrupted = root.Stopped()
 	rep.Duration = time.Since(start)
 	return rep
 }
@@ -656,7 +589,7 @@ type worker struct {
 	universe []int
 	local    *Report
 	maxRec   int
-	stop     *embed.Resources // the sweep token; nil in unit tests only
+	stop     *embed.Resources // the sweep token
 	failFast bool
 
 	prev, cur      []int // node ids of the previous/current fault set, ascending
@@ -684,6 +617,26 @@ func newWorker(g *graph.Graph, opts Options, universe []int, ref *store.GraphRef
 		failFast: opts.FailFast,
 		ref:      ref,
 	}
+}
+
+// step decides one enumerated fault set (ascending universe indices) into
+// w.local: it is counted as represented, skipped when orbit rejects it as
+// non-minimal, and solved otherwise. It returns false when the sweep token
+// stopped before or during the set, which then stays uncounted; the caller
+// must stop iterating. orbit may be nil (no symmetry reduction).
+func (w *worker) step(sub, scratch []int, orbit *orbitTester) bool {
+	if w.stop.Stopped() {
+		return false
+	}
+	w.local.Represented++
+	if orbit != nil && !orbit.isMinimal(sub, scratch) {
+		return true
+	}
+	if !w.check(sub) {
+		w.local.Represented--
+		return false
+	}
+	return true
 }
 
 // check runs the solver on the fault set given by sub (ascending universe
@@ -717,7 +670,7 @@ func (w *worker) check(sub []int) bool {
 
 	w.local.Checked++
 	res := w.solver.FindDelta(w.faults, w.removed, w.added)
-	if res.Unknown && w.stop != nil && w.stop.Stopped() {
+	if res.Unknown && w.stop.Stopped() {
 		// Canceled mid-solve: Unknown here means "abandoned", not "budget
 		// exhausted" — the set is uncounted rather than misreported.
 		w.local.Checked--
@@ -734,7 +687,7 @@ func (w *worker) check(sub []int) bool {
 		if w.ref != nil {
 			w.ref.PutVerdict(w.cur, store.Verdict{Found: false})
 		}
-		if w.failFast && w.stop != nil {
+		if w.failFast {
 			// First counterexample ends the sweep: every worker observes the
 			// stopped token at its next fault set (or mid-solve expansion).
 			w.stop.Cancel()
