@@ -131,8 +131,14 @@ func TestFindFixedPipeline(t *testing.T) {
 	if len(p) != 8 { // i + 6 procs + o
 		t.Fatalf("fixed pipeline length %d, want 8", len(p))
 	}
-	if !p.IsWalk(g) || !p.Distinct() {
-		t.Fatal("invalid path")
+	// With the two processors p leaves out as faults, p must be a pipeline
+	// of what remains.
+	unused := g.KindSet(graph.Processor)
+	for _, v := range p {
+		unused.Remove(v)
+	}
+	if err := verify.CheckPipeline(g, unused, p); err != nil {
+		t.Fatalf("invalid path: %v", err)
 	}
 	if g.Kind(p[0]) != graph.InputTerminal || g.Kind(p[len(p)-1]) != graph.OutputTerminal {
 		t.Fatal("bad endpoints")

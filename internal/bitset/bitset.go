@@ -50,8 +50,8 @@ func (s Set) Flip(i int) { s[i/wordBits] ^= 1 << (uint(i) % wordBits) }
 
 // Contains reports whether i is in the set.
 func (s Set) Contains(i int) bool {
-	w := i / wordBits
-	if w >= len(s) {
+	w := uint(i) / wordBits // a negative i wraps past every word
+	if w >= uint(len(s)) {
 		return false
 	}
 	return s[w]&(1<<(uint(i)%wordBits)) != 0

@@ -212,6 +212,7 @@ type Solver struct {
 	healthy []int // healthy processor node ids, ascending
 	dpTable []uint32
 	bt      *backtracker
+	chk     *graph.Checker // certifies the planner's paths; built on first use
 
 	// Warm endpoint state for FindDelta: the healthy list and the
 	// start/end candidate sets left behind by the previous call, valid for

@@ -686,39 +686,18 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 	out = append(out, lay.To[d])
 	sc.path = out
 
-	if !s.validatePlanned(out, faults) {
+	if !s.certified(faults, out) {
 		return nil
 	}
 	return slices.Clone(out)
 }
 
-// validatePlanned is a local full check (edges, distinctness, fault
-// avoidance, complete healthy-processor coverage, terminal endpoints) so a
-// planner bug degrades to a fallback rather than an invalid result.
-func (s *Solver) validatePlanned(path graph.Path, faults bitset.Set) bool {
-	if len(path) < 3 || !path.Distinct() || !path.IsWalk(s.g) {
-		return false
+// certified is the verifier's own certificate check plus the orientation
+// every plan has, input terminal first, so a planner bug falls through to
+// the next tier rather than returning an invalid pipeline.
+func (s *Solver) certified(faults bitset.Set, path graph.Path) bool {
+	if s.chk == nil {
+		s.chk = graph.NewChecker(s.g)
 	}
-	for _, v := range path {
-		if faults != nil && faults.Contains(v) {
-			return false
-		}
-	}
-	if s.g.Kind(path[0]) != graph.InputTerminal || s.g.Kind(path[len(path)-1]) != graph.OutputTerminal {
-		return false
-	}
-	healthy := 0
-	for _, pr := range s.procs {
-		if faults == nil || !faults.Contains(pr) {
-			healthy++
-		}
-	}
-	interior := 0
-	for _, v := range path[1 : len(path)-1] {
-		if s.g.Kind(v) != graph.Processor {
-			return false
-		}
-		interior++
-	}
-	return interior == healthy
+	return s.chk.Pipeline(faults, path) == nil && s.g.Kind(path[0]) == graph.InputTerminal
 }

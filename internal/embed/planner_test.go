@@ -2,10 +2,12 @@ package embed
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gdpn/internal/bitset"
 	"gdpn/internal/construct"
+	"gdpn/internal/graph"
 )
 
 // planOrNil runs just the constructive planner on a designed network.
@@ -24,20 +26,26 @@ func planOrNilWith(s *Solver, faults bitset.Set) []int {
 	return s.planAsymptotic(faults)
 }
 
+// planOK is the planner's own acceptance of a path, re-checked on a fresh
+// checker: a pipeline of g \ faults that starts at its input terminal.
+func planOK(s *Solver, faults bitset.Set, path graph.Path) bool {
+	return graph.CheckPipeline(s.g, faults, path) == nil && s.g.Kind(path[0]) == graph.InputTerminal
+}
+
 func TestPlannerFaultFree(t *testing.T) {
 	s, faults, path := planOrNil(t, 40, 4, nil)
 	if path == nil {
 		t.Fatal("planner declined a fault-free instance")
 	}
-	if !s.validatePlanned(path, faults) {
+	if !planOK(s, faults, path) {
 		t.Fatal("planner emitted an invalid path")
 	}
 }
 
 func TestPlannerValidatesEverything(t *testing.T) {
 	// Random ≤k fault sets across several (n, k): every non-nil plan must
-	// be internally valid (validatePlanned runs inside planAsymptotic, so
-	// a non-nil result IS the assertion; here we re-check independently).
+	// be internally valid (the checker runs inside planAsymptotic, so a
+	// non-nil result IS the assertion; here we re-check independently).
 	cases := []struct{ n, k int }{{22, 4}, {40, 4}, {26, 5}, {27, 5}, {80, 6}, {81, 7}}
 	for _, c := range cases {
 		g, lay, err := construct.Asymptotic(c.n, c.k)
@@ -58,7 +66,7 @@ func TestPlannerValidatesEverything(t *testing.T) {
 				continue
 			}
 			planned++
-			if !s.validatePlanned(path, faults) {
+			if !planOK(s, faults, path) {
 				t.Fatalf("n=%d k=%d faults=%v: invalid plan", c.n, c.k, faults.Slice())
 			}
 		}
@@ -66,6 +74,59 @@ func TestPlannerValidatesEverything(t *testing.T) {
 		if planned < 350 {
 			t.Errorf("n=%d k=%d: planner solved only %d/400 (declined %d)", c.n, c.k, planned, declined)
 		}
+	}
+}
+
+// TestPlannerCertifiesLikeVerifier corrupts the planner's own plans and
+// requires its acceptance to be the verifier's check with the input
+// terminal pinned first: a reversed plan is a pipeline but not a plan.
+func TestPlannerCertifiesLikeVerifier(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rejected := 0
+	for _, c := range []struct{ n, k int }{{22, 4}, {26, 5}} {
+		g, lay, err := construct.Asymptotic(c.n, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSolver(g, Options{Layout: lay})
+		for trial := 0; trial < 100; trial++ {
+			faults := bitset.New(g.NumNodes())
+			for faults.Count() < rng.Intn(c.k+1) {
+				faults.Add(rng.Intn(g.NumNodes()))
+			}
+			path := s.planAsymptotic(faults)
+			if path == nil {
+				continue
+			}
+			i, j := 1+rng.Intn(len(path)-2), 1+rng.Intn(len(path)-2)
+			reversed := slices.Clone(path)
+			swapped := slices.Clone(path)
+			swapped[i], swapped[j] = swapped[j], swapped[i]
+			repeated := slices.Clone(path)
+			repeated[i] = repeated[j]
+			outside := slices.Clone(path)
+			outside[i] = g.NumNodes()
+			cases := []graph.Path{path, graph.Path(reversed).Reverse(), swapped, repeated,
+				slices.Delete(slices.Clone(path), i, i+1), outside, path[:2]}
+			for _, q := range cases {
+				want := planOK(s, faults, q)
+				if got := s.certified(faults, q); got != want {
+					t.Fatalf("n=%d k=%d faults=%v path %v: certified %v, verifier with pinned input %v",
+						c.n, c.k, faults.Slice(), q, got, want)
+				}
+				if !want {
+					rejected++
+				}
+			}
+			f := faults.Clone()
+			f.Add(path[i])
+			if s.certified(f, path) || planOK(s, f, path) {
+				t.Fatalf("n=%d k=%d: plan accepted with faulty node %d on it", c.n, c.k, path[i])
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no corrupted plan was rejected")
 	}
 }
 
@@ -84,7 +145,7 @@ func TestPlannerHandlesTerminalFaults(t *testing.T) {
 	if path == nil {
 		t.Fatal("planner declined with only terminal faults")
 	}
-	if !s.validatePlanned(path, faults) {
+	if !planOK(s, faults, path) {
 		t.Fatal("invalid plan")
 	}
 }
@@ -108,7 +169,7 @@ func TestPlannerClusteredRingFaults(t *testing.T) {
 		if runLen <= lay.P && path == nil {
 			t.Errorf("run of %d ≤ p=%d declined", runLen, lay.P)
 		}
-		if path != nil && !s.validatePlanned(path, faults) {
+		if path != nil && !planOK(s, faults, path) {
 			t.Errorf("run of %d: invalid plan", runLen)
 		}
 		// Whatever the planner does, the full structured entry point must
@@ -289,7 +350,7 @@ func TestPlannerAgreesWithDPOnSmallest(t *testing.T) {
 		if planPath != nil && !ref.Found {
 			t.Fatalf("planner found a pipeline the complete engine refutes (fault %d)", v)
 		}
-		if planPath != nil && !s.validatePlanned(planPath, faults) {
+		if planPath != nil && !planOK(s, faults, planPath) {
 			t.Fatalf("invalid plan for fault %d", v)
 		}
 	}
@@ -318,7 +379,7 @@ func TestFindCompressedDirectly(t *testing.T) {
 		switch {
 		case r.Found:
 			found++
-			if !s.validatePlanned(r.Pipeline, faults) {
+			if !planOK(s, faults, r.Pipeline) {
 				t.Fatalf("trial %d: compressed produced invalid pipeline", trial)
 			}
 		case r.Unknown:
@@ -454,7 +515,7 @@ func TestRegressionN100K4FaultSet(t *testing.T) {
 	if path == nil {
 		t.Fatal("planner declined the regression fault set")
 	}
-	if !s.validatePlanned(path, faults) {
+	if !planOK(s, faults, path) {
 		t.Fatal("invalid plan")
 	}
 }

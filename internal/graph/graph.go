@@ -5,10 +5,14 @@
 // construction, embedding, verification, and search packages: sorted
 // adjacency lists, giving O(deg) iteration and O(log deg) edge tests with
 // O(V+E) memory, so million-node asymptotic constructions stay cheap.
+// Beside them each graph caches the rows of its one path Checker (dense
+// adjacency bitsets and a processor mask), which the planner, the
+// verifier and the pipeline engine all certify paths with.
 package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gdpn/internal/bitset"
 )
@@ -56,6 +60,7 @@ type Graph struct {
 	labels []int
 	adj    [][]int32 // kept sorted ascending at all times
 	edges  int
+	rows   atomic.Pointer[checkRows] // built on first check, dropped on mutation
 }
 
 // New returns an empty graph with the given display name.
@@ -73,6 +78,7 @@ func (g *Graph) SetName(name string) { g.name = name }
 // and returns its id.
 func (g *Graph) AddNode(kind Kind, label int) int {
 	id := len(g.kinds)
+	g.rows.Store(nil)
 	g.kinds = append(g.kinds, kind)
 	g.labels = append(g.labels, label)
 	g.adj = append(g.adj, nil)
@@ -94,6 +100,7 @@ func (g *Graph) AddEdge(u, v int) {
 	if g.HasEdge(u, v) {
 		panic(fmt.Sprintf("graph: duplicate edge (%d,%d)", u, v))
 	}
+	g.rows.Store(nil)
 	g.adj[u] = insertSorted(g.adj[u], int32(v))
 	g.adj[v] = insertSorted(g.adj[v], int32(u))
 	g.edges++
@@ -124,6 +131,7 @@ func (g *Graph) RemoveEdge(u, v int) {
 	if !g.HasEdge(u, v) {
 		panic(fmt.Sprintf("graph: RemoveEdge(%d,%d): no such edge", u, v))
 	}
+	g.rows.Store(nil)
 	g.adj[u] = removeVal(g.adj[u], int32(v))
 	g.adj[v] = removeVal(g.adj[v], int32(u))
 	g.edges--
@@ -178,7 +186,10 @@ func (g *Graph) SetLabel(v, label int) { g.labels[v] = label }
 
 // SetKind updates the kind of node v. Used by the Lemma 3.6 extension,
 // which relabels input terminals as processors.
-func (g *Graph) SetKind(v int, k Kind) { g.kinds[v] = k }
+func (g *Graph) SetKind(v int, k Kind) {
+	g.rows.Store(nil)
+	g.kinds[v] = k
+}
 
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }

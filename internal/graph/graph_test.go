@@ -234,20 +234,6 @@ func TestAddCirculantEdgesBadOffset(t *testing.T) {
 func TestPathHelpers(t *testing.T) {
 	g := buildTriangle(t)
 	p := Path{3, 0, 1, 2, 4} // i0, p0, p1, p2, o0
-	if !p.IsWalk(g) {
-		t.Fatal("IsWalk false for valid pipeline")
-	}
-	if !p.Distinct() {
-		t.Fatal("Distinct false")
-	}
-	bad := Path{3, 2}
-	if bad.IsWalk(g) {
-		t.Fatal("IsWalk true for non-adjacent pair")
-	}
-	dup := Path{0, 1, 0}
-	if dup.Distinct() {
-		t.Fatal("Distinct true for duplicate")
-	}
 	rev := Path{1, 2, 3}.Reverse()
 	if rev[0] != 3 || rev[2] != 1 {
 		t.Fatalf("Reverse = %v", rev)

@@ -5,43 +5,8 @@ import "fmt"
 // Path is a sequence of distinct node ids in which consecutive nodes are
 // intended to be adjacent. A pipeline (paper §2) is a Path whose first and
 // last nodes are terminals of opposite kinds and whose interior visits
-// every healthy processor.
+// every healthy processor; a Checker certifies one.
 type Path []int
-
-// IsWalk reports whether consecutive nodes of p are adjacent in g.
-func (p Path) IsWalk(g *Graph) bool {
-	for i := 1; i < len(p); i++ {
-		if !g.HasEdge(p[i-1], p[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Distinct reports whether all nodes of p are distinct. Pipelines are
-// short (≤ the node count), so the quadratic scan beats a hash set — it
-// allocates nothing, which matters on the certificate-replay hot path
-// where CheckPipeline runs once per cached fault set.
-func (p Path) Distinct() bool {
-	if len(p) <= 64 {
-		for i := 1; i < len(p); i++ {
-			for j := 0; j < i; j++ {
-				if p[j] == p[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	seen := make(map[int]struct{}, len(p))
-	for _, v := range p {
-		if _, dup := seen[v]; dup {
-			return false
-		}
-		seen[v] = struct{}{}
-	}
-	return true
-}
 
 // Reverse reverses p in place and returns it.
 func (p Path) Reverse() Path {

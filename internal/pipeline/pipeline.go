@@ -181,23 +181,13 @@ func (e *Engine) StagesOn(pos int) []int {
 // checkPlacement is the engine-side structural audit of a segment: a
 // non-empty simple path of processors in the pool graph. Fault- and
 // coverage-level validation (verify.CheckSegment) is the planner's job —
-// the engine does not track the pool fault set.
+// the engine does not track the pool fault set, so the segment is checked
+// as its own placement with no faults.
 func (e *Engine) checkPlacement(seg graph.Path) error {
 	if len(seg) == 0 {
 		return fmt.Errorf("pipeline: empty placement")
 	}
-	if !seg.Distinct() {
-		return fmt.Errorf("pipeline: placement revisits a node")
-	}
-	if !seg.IsWalk(e.g) {
-		return fmt.Errorf("pipeline: placement uses a non-edge")
-	}
-	for _, v := range seg {
-		if e.g.Kind(v) != graph.Processor {
-			return fmt.Errorf("pipeline: placement node %d is a %v, not a processor", v, e.g.Kind(v))
-		}
-	}
-	return nil
+	return graph.CheckSegment(e.g, "pipeline: placement", nil, seg, seg)
 }
 
 // ApplyPlacement remaps the engine onto a new segment. While a stream is

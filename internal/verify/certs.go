@@ -41,6 +41,7 @@ func Certify(g *graph.Graph, k int, solver embed.Options) (*CertificateSet, erro
 		K:           k,
 	}
 	s := embed.NewSolver(g, solver)
+	chk := graph.NewChecker(g)
 	faults := bitset.New(g.NumNodes())
 	var failed error
 	combin.SubsetsUpTo(g.NumNodes(), k, func(sub []int) bool {
@@ -53,7 +54,7 @@ func Certify(g *graph.Graph, k int, solver embed.Options) (*CertificateSet, erro
 			failed = fmt.Errorf("verify: no pipeline for fault set %v (unknown=%v)", sub, r.Unknown)
 			return false
 		}
-		if err := CheckPipeline(g, faults, r.Pipeline); err != nil {
+		if err := chk.Pipeline(faults, r.Pipeline); err != nil {
 			failed = fmt.Errorf("verify: invalid witness for %v: %w", sub, err)
 			return false
 		}
@@ -87,6 +88,7 @@ func (cs *CertificateSet) Replay(g *graph.Graph) error {
 	}
 	seen := make(map[string]bool, len(cs.Certs))
 	faults := bitset.New(cs.Nodes)
+	chk := graph.NewChecker(g)
 	for i, c := range cs.Certs {
 		ref := cs.certRef(i, c.Faults)
 		if len(c.Faults) > cs.K {
@@ -107,7 +109,7 @@ func (cs *CertificateSet) Replay(g *graph.Graph) error {
 			return fmt.Errorf("verify: duplicate certificate for %s", ref)
 		}
 		seen[key] = true
-		if err := CheckPipeline(g, faults, graph.Path(c.Pipeline)); err != nil {
+		if err := chk.Pipeline(faults, graph.Path(c.Pipeline)); err != nil {
 			return fmt.Errorf("verify: %s: %w", ref, err)
 		}
 	}

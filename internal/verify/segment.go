@@ -1,8 +1,6 @@
 package verify
 
 import (
-	"fmt"
-
 	"gdpn/internal/bitset"
 	"gdpn/internal/graph"
 )
@@ -17,39 +15,5 @@ import (
 // certificate that the tenant runs on every healthy processor it was
 // granted and on nothing else.
 func CheckSegment(g *graph.Graph, faults bitset.Set, placement []int, path graph.Path) error {
-	if len(path) == 0 {
-		return fmt.Errorf("segment is empty")
-	}
-	if !path.Distinct() {
-		return fmt.Errorf("segment revisits a node")
-	}
-	if !path.IsWalk(g) {
-		return fmt.Errorf("segment uses a non-edge")
-	}
-	granted := make(map[int]bool, len(placement))
-	for _, v := range placement {
-		granted[v] = true
-	}
-	for _, v := range path {
-		if g.Kind(v) != graph.Processor {
-			return fmt.Errorf("segment node %d is a %v, not a processor", v, g.Kind(v))
-		}
-		if faults != nil && faults.Contains(v) {
-			return fmt.Errorf("segment visits faulty node %d", v)
-		}
-		if !granted[v] {
-			return fmt.Errorf("segment visits node %d outside its placement", v)
-		}
-	}
-	healthy := 0
-	for _, v := range placement {
-		if faults == nil || !faults.Contains(v) {
-			healthy++
-		}
-	}
-	if len(path) != healthy {
-		return fmt.Errorf("segment uses %d processors; placement grants %d healthy (graceful degradation requires all)",
-			len(path), healthy)
-	}
-	return nil
+	return graph.CheckSegment(g, "segment", faults, placement, path)
 }

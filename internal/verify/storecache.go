@@ -70,7 +70,7 @@ func groupFor(g *graph.Graph, opts Options, ref *store.GraphRef) *autom.Group {
 // anything. It succeeds only when the size's orbit-representative manifest
 // exists and EVERY representative has a stored verdict that survives its
 // re-check — positive verdicts must replay their pipeline certificate
-// through CheckPipeline, negative verdicts are re-screened by the cheap
+// through the pipeline check, negative verdicts are re-screened by the cheap
 // necessary-condition filter (and counted accepted/confirmed). Any miss or
 // replay failure abandons the size entirely (the caller falls back to cold
 // enumeration), so a corrupt store degrades to extra work, never to a
@@ -97,6 +97,7 @@ func replayManifest(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, t
 		go func(s int) {
 			defer wg.Done()
 			faults := bitset.New(g.NumNodes())
+			chk := graph.NewChecker(g)
 			for i := s; i < len(sets); i += shards {
 				if bad.Load() {
 					return
@@ -111,8 +112,7 @@ func replayManifest(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, t
 					faults.Add(x)
 				}
 				if v.Found {
-					err := CheckPipeline(g, faults, graph.Path(v.Path))
-					if err != nil {
+					if chk.Pipeline(faults, graph.Path(v.Path)) != nil {
 						storeReplayFailC.Add(1)
 						bad.Store(true)
 					}
@@ -256,7 +256,7 @@ func (w *worker) applyCached(sub []int, v store.Verdict) bool {
 		}
 	}()
 	if v.Found {
-		if err := CheckPipeline(w.g, w.cacheBits, graph.Path(v.Path)); err != nil {
+		if err := w.chk.Pipeline(w.cacheBits, graph.Path(v.Path)); err != nil {
 			storeReplayFailC.Add(1)
 			return false
 		}

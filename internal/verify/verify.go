@@ -195,46 +195,10 @@ func (r *Report) VerdictSummary() string {
 // paper's definition (§2): a path whose endpoints are a healthy input
 // terminal and a healthy output terminal (in either order) and whose
 // interior is exactly the set of ALL healthy processors. A nil error is a
-// complete certificate.
+// complete certificate. It is graph.Checker.Pipeline for one check; a
+// loop that checks many paths keeps its own graph.Checker instead.
 func CheckPipeline(g *graph.Graph, faults bitset.Set, path graph.Path) error {
-	if len(path) < 3 {
-		return fmt.Errorf("pipeline too short: %d nodes", len(path))
-	}
-	if !path.Distinct() {
-		return fmt.Errorf("pipeline revisits a node")
-	}
-	if !path.IsWalk(g) {
-		return fmt.Errorf("pipeline uses a non-edge")
-	}
-	for _, v := range path {
-		if faults != nil && faults.Contains(v) {
-			return fmt.Errorf("pipeline visits faulty node %d", v)
-		}
-	}
-	first, last := path[0], path[len(path)-1]
-	kf, kl := g.Kind(first), g.Kind(last)
-	validEnds := (kf == graph.InputTerminal && kl == graph.OutputTerminal) ||
-		(kf == graph.OutputTerminal && kl == graph.InputTerminal)
-	if !validEnds {
-		return fmt.Errorf("pipeline endpoints are %v and %v; want one input and one output terminal", kf, kl)
-	}
-	healthy := 0
-	for v, n := 0, g.NumNodes(); v < n; v++ {
-		if g.Kind(v) == graph.Processor && (faults == nil || !faults.Contains(v)) {
-			healthy++
-		}
-	}
-	interior := 0
-	for _, v := range path[1 : len(path)-1] {
-		if g.Kind(v) != graph.Processor {
-			return fmt.Errorf("interior node %d is a %v, not a processor", v, g.Kind(v))
-		}
-		interior++
-	}
-	if interior != healthy {
-		return fmt.Errorf("pipeline uses %d processors; %d are healthy (graceful degradation requires all)", interior, healthy)
-	}
-	return nil
+	return graph.CheckPipeline(g, faults, path)
 }
 
 // Tolerates reports whether g tolerates the specific fault set: a pipeline
@@ -585,6 +549,7 @@ func Random(g *graph.Graph, k, trials int, seed int64, opts Options) *Report {
 type worker struct {
 	g        *graph.Graph
 	solver   *embed.Solver
+	chk      *graph.Checker // certifies every pipeline the solver or the store hands back
 	faults   bitset.Set
 	universe []int
 	local    *Report
@@ -609,6 +574,7 @@ func newWorker(g *graph.Graph, opts Options, universe []int, ref *store.GraphRef
 	return &worker{
 		g:        g,
 		solver:   embed.NewSolver(g, opts.Solver),
+		chk:      graph.NewChecker(g),
 		faults:   bitset.New(g.NumNodes()),
 		universe: universe,
 		local:    &Report{},
@@ -693,7 +659,7 @@ func (w *worker) check(sub []int) bool {
 			w.stop.Cancel()
 		}
 	default:
-		if err := CheckPipeline(w.g, w.faults, res.Pipeline); err != nil {
+		if err := w.chk.Pipeline(w.faults, res.Pipeline); err != nil {
 			record(&w.local.SolverBugs, w.universe, sub, err.Error(), w.maxRec)
 			span.Trip(span.AnomalySolverBug, fmt.Sprintf("verify: faults=%v: %v", w.cur, err))
 		} else if w.ref != nil {
