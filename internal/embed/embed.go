@@ -229,9 +229,9 @@ type Solver struct {
 	memoKey              []byte
 	memoHits, memoMisses int64
 
-	// Planner state (planner.go): the ring plan built for the last faulty
+	// Planner state (planner.go): the ring plans built for the last faulty
 	// ring positions seen, and per-call scratch.
-	ring        ringPlan
+	rings       ringPlans
 	planScratch plannerScratch
 
 	// run is the token governing the current Find call (Options.Res).
@@ -332,14 +332,15 @@ func (s *Solver) Warm() (hits, misses int64) { return s.warmHits, s.warmMisses }
 func (s *Solver) Memo() (hits, misses int64) { return s.memoHits, s.memoMisses }
 
 // InvalidateCache drops every piece of state derived from past solves:
-// the FindDelta warm endpoint state, the planner's ring plan and the
-// Options.Memo result cache.
+// the FindDelta warm endpoint state, the planner's ring plans and
+// certificate checker, and the Options.Memo result cache.
 // Call it whenever the graph changes underneath the solver — cached
 // verdicts and warm endpoint sets are only sound for the topology they
 // were computed on.
 func (s *Solver) InvalidateCache() {
 	s.warmValid = false
-	s.ring.valid = false
+	s.rings.built = 0
+	s.chk = nil
 	if s.memo != nil {
 		clear(s.memo)
 	}

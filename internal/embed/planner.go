@@ -22,18 +22,29 @@ import (
 // leave the other) or — when it is contiguous — zigzagged (enter and leave
 // at the same end on adjacent positions: lo, lo+2, …, top, top∓1, …, lo+1).
 // The healthy S labels and the blocks are threaded together by an exact
-// bitmask DP over at most k+2+2 items (see ringPlan). That ring half
-// depends on the faulty ring positions alone, so it is built once per
-// such set and reused while consecutive calls repeat it; a call that
-// reuses it costs O(n) and allocates only the returned path. Every
-// produced path is validated locally before being returned; nil means "no
-// plan of this shape", and the caller falls back to the complete search
-// engines.
+// bitmask DP over at most k+2+2 items (see ringPlan). When that primary
+// plan finds no order, fallback plans peel 1, 2, … positions off each block
+// end as items of their own, so a route may enter or leave a block at an
+// outer position (see ringPlans). The ring half depends on the faulty ring
+// positions alone, so each plan is built once per such set and reused
+// while consecutive calls repeat it; a call that reuses it costs O(n) and
+// allocates only the returned path. Every produced path is validated
+// locally before being returned; nil means "no plan of this shape", and
+// the caller falls back to the complete search engines.
 func (s *Solver) planAsymptotic(faults bitset.Set) graph.Path {
-	lay := s.opts.Layout
-	if lay == nil {
+	if s.opts.Layout == nil {
 		return nil
 	}
+	// A plan peeling deeper than plannerItemCap/2 positions off a block end
+	// splits that block alone into more items than the cap, so it declines.
+	return s.planToDepth(faults, plannerItemCap/2)
+}
+
+// planToDepth is planAsymptotic with the fallback plans limited to those
+// that peel at most maxDepth positions off each block end; depth 0 is the
+// primary plan alone.
+func (s *Solver) planToDepth(faults bitset.Set, maxDepth int) graph.Path {
+	lay := s.opts.Layout
 	k := lay.K
 	ok := func(v int) bool { return v >= 0 && (faults == nil || !faults.Contains(v)) }
 	sc := &s.planScratch
@@ -65,18 +76,24 @@ func (s *Solver) planAsymptotic(faults bitset.Set) graph.Path {
 		}
 	}
 
-	ring := s.ringPlanFor(faults)
-	for _, b := range sc.bCands {
-		for _, c := range sc.cCands {
-			if b == c {
-				continue
-			}
-			positions := ring.solve(b, c)
-			if positions == nil {
-				continue
-			}
-			if out := s.assemblePlan(lay, faults, b, c, positions); out != nil {
-				return out
+	rings := s.ringPlansFor(faults)
+	for depth := 0; depth <= maxDepth; depth++ {
+		ring := rings.plan(s.g, lay, depth)
+		if ring == nil {
+			return nil
+		}
+		for _, b := range sc.bCands {
+			for _, c := range sc.cCands {
+				if b == c {
+					continue
+				}
+				positions := ring.solve(b, c, &rings.scratch)
+				if positions == nil {
+					continue
+				}
+				if out := s.assemblePlan(lay, faults, b, c, positions); out != nil {
+					return out
+				}
 			}
 		}
 	}
@@ -92,10 +109,11 @@ type plannerScratch struct {
 	path                               graph.Path
 }
 
-// ringPlanFor returns the ring plan for the faulty ring positions of
-// faults, rebuilding the Solver's plan only when they differ from those
-// of the plan's last build. Nothing else feeds the plan, so reuse is exact.
-func (s *Solver) ringPlanFor(faults bitset.Set) *ringPlan {
+// ringPlansFor returns the ring plans for the faulty ring positions of
+// faults, dropping the Solver's plans only when those positions differ
+// from the ones they were built for. Nothing else feeds a plan, so reuse
+// is exact.
+func (s *Solver) ringPlansFor(faults bitset.Set) *ringPlans {
 	lay := s.opts.Layout
 	key := s.planScratch.ringFaulty[:0]
 	for j, v := range lay.C {
@@ -103,14 +121,57 @@ func (s *Solver) ringPlanFor(faults bitset.Set) *ringPlan {
 			key = append(key, j)
 		}
 	}
-	rp := &s.ring
-	if rp.valid && slices.Equal(key, rp.faulty) {
+	rs := &s.rings
+	if slices.Equal(key, rs.faulty) {
 		s.planScratch.ringFaulty = key
-		return rp
+		return rs
 	}
-	s.planScratch.ringFaulty, rp.faulty = rp.faulty, key
-	rp.build(s.g, lay)
-	return rp
+	s.planScratch.ringFaulty, rs.faulty = rs.faulty, key
+	rs.built = 0
+	return rs
+}
+
+// ringPlans holds the ring plans of one set of faulty ring positions. The
+// primary plan, depth 0, sequences whole blocks, which a route can enter
+// and leave only at their ends. When two faulty S labels are one or two
+// apart, the S labels beside them reach only R positions inside a block,
+// and the primary plan has no block end to attach them to. The fallback
+// plan at depth d splits each block's d outer positions at either end off
+// as single-position items and keeps the straight and zigzag variants for
+// the middle, so the DP may enter or leave the block at any of them. Plans
+// are built on first use, one depth after another, and kept until the
+// faulty ring positions change.
+type ringPlans struct {
+	faulty  []int      // the faulty ring positions the plans belong to, ascending
+	built   int        // plans[:built] are built for faulty
+	plans   []ringPlan // plans[d] peels d positions off each block end
+	scratch ringScratch
+}
+
+// plan returns the plan at the given depth, building it and every
+// shallower one first, or nil when no deeper plan differs from the last
+// one or fits plannerItemCap.
+func (rs *ringPlans) plan(g *graph.Graph, lay *construct.Layout, depth int) *ringPlan {
+	for rs.built <= depth {
+		if rs.built > 0 && rs.plans[rs.built-1].deepest {
+			return nil
+		}
+		if rs.built == len(rs.plans) {
+			rs.plans = append(rs.plans, ringPlan{})
+		}
+		rs.plans[rs.built].build(g, lay, rs.faulty, rs.built)
+		rs.built++
+	}
+	return &rs.plans[depth]
+}
+
+// ringScratch is the DP table and route scratch that the plans of one
+// Solver share.
+type ringScratch struct {
+	// dp[mask*n+i] holds the variants of item i that can end a route from
+	// S[b] through exactly the items in mask (c's item counted as visited).
+	dp    []uint8
+	steps []ringStep // route reconstruction
 }
 
 // ringBlock is a maximal internally-jumpable interval of healthy R
@@ -134,37 +195,34 @@ type traversal struct {
 }
 
 // plannerItemCap bounds the items the DP sequences for one (b, c) pair:
-// every healthy S label but c, and every block.
+// every healthy S label but c, and every R item.
 const plannerItemCap = 16
 
-// ringPlan is the ring half of the planner: everything it derives from the
-// set of faulty ring positions alone. Its items are the healthy S labels in
-// label order, then the R blocks in ring order; each has one or more
-// traversal variants (an S label one, a block at most six, so a uint8
-// holds a set of an item's variants). succ is the DP's transition
+// ringPlan is one way of cutting the ring into items for the DP,
+// derived from the set of faulty ring positions alone. Its items are the
+// healthy S labels in label order, then the R items in ring order: whole
+// blocks in the primary plan, and peeled single positions around the
+// middle of each block in a fallback plan. Each item has one or more
+// traversal variants (a single position one, a block at most six, so a
+// uint8 holds a set of an item's variants). succ is the DP's transition
 // relation, computed once per plan, and orders memoizes the DP's answer
 // per (b, c) endpoint pair for as long as the plan lives.
 type ringPlan struct {
-	g      *graph.Graph
-	lay    *construct.Layout
-	valid  bool
-	faulty []int // the faulty ring positions the plan was built for, ascending
+	g   *graph.Graph
+	lay *construct.Layout
 
 	n        int         // items
 	declines bool        // more items than plannerItemCap: no pair is solved
+	deepest  bool        // a deeper peel gives no new plan, or declines too
 	sItem    []int       // S label -> its item, -1 when the label is faulty
 	vars     []traversal // every item's variants, item by item
 	varOff   []int       // item i's variants are vars[varOff[i]:varOff[i+1]]
 	// succ[f*n+j] holds the variants of item j whose entry is one edge from
 	// the exit of vars[f].
-	succ []uint8
-	// dp[mask*n+i] holds the variants of item i that can end a route from
-	// S[b] through exactly the items in mask (c's item counted as visited).
-	dp     []uint8
+	succ   []uint8
 	orders []ringOrder // by b*(k+2)+c
 
-	pos   []int      // healthy R positions, block after block
-	steps []ringStep // route reconstruction scratch
+	pos []int // healthy R positions, block after block
 }
 
 // ringOrder is the memoized ring order of one (b, c) pair.
@@ -177,14 +235,15 @@ type ringOrder struct {
 // the variant it is traversed by.
 type ringStep struct{ item, f int }
 
-// build fills the plan for rp.faulty. Healthy R positions are split into
-// blocks wherever the gap between consecutive healthy positions exceeds
-// the largest offset p+1. With ≤ k faults and 2(p+1) > k there is at most
-// one splitting gap, hence at most two blocks — but the DP handles any
-// number of items up to the cap.
-func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout) {
+// build fills the plan for the faulty ring positions, peeling depth
+// positions off each end of every block. Healthy R positions are split
+// into blocks wherever the gap between consecutive healthy positions
+// exceeds the largest offset p+1. With ≤ k faults and 2(p+1) > k there is
+// at most one splitting gap, hence at most two blocks — but the DP handles
+// any number of items up to the cap.
+func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout, faulty []int, depth int) {
 	k, m, p := lay.K, lay.M, lay.P
-	rp.g, rp.lay, rp.valid = g, lay, true
+	rp.g, rp.lay, rp.deepest = g, lay, true
 	if rp.sItem == nil {
 		rp.sItem = make([]int, k+2)
 		rp.orders = make([]ringOrder, (k+2)*(k+2))
@@ -196,21 +255,37 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout) {
 
 	rp.vars, rp.varOff = rp.vars[:0], rp.varOff[:0]
 	n := 0
+	addItem := func(ts ...traversal) {
+		rp.varOff = append(rp.varOff, len(rp.vars))
+		rp.vars = append(rp.vars, ts...)
+		n++
+	}
 	// Blocks are subslices of pos, so it must not reallocate while filling.
 	pos := slices.Grow(rp.pos[:0], m)
 	blockStart, prev := 0, -1
 	closeBlock := func() {
-		if len(pos) > blockStart {
-			rp.varOff = append(rp.varOff, len(rp.vars))
-			blk := newRingBlock(pos[blockStart:len(pos):len(pos)])
-			rp.vars = append(rp.vars, blockTraversals(blk, edge)...)
-			n++
-			blockStart = len(pos)
+		blk := pos[blockStart:len(pos):len(pos)]
+		blockStart = len(pos)
+		if len(blk) == 0 {
+			return
+		}
+		peel := min(depth, len(blk)/2)
+		for i := range peel {
+			addItem(traversal{enter: blk[i], exit: blk[i], seq: blk[i : i+1]})
+		}
+		if mid := blk[peel : len(blk)-peel]; len(mid) > 0 {
+			addItem(blockTraversals(newRingBlock(mid), edge)...)
+		}
+		for i := len(blk) - peel; i < len(blk); i++ {
+			addItem(traversal{enter: blk[i], exit: blk[i], seq: blk[i : i+1]})
+		}
+		if len(blk) > 2*depth+1 {
+			rp.deepest = false
 		}
 	}
 	fi := 0
 	for j := 0; j < m; j++ {
-		if fi < len(rp.faulty) && rp.faulty[fi] == j {
+		if fi < len(faulty) && faulty[fi] == j {
 			fi++
 			if j <= k+1 {
 				rp.sItem[j] = -1
@@ -219,9 +294,7 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout) {
 		}
 		if j <= k+1 {
 			rp.sItem[j] = n
-			rp.varOff = append(rp.varOff, len(rp.vars))
-			rp.vars = append(rp.vars, traversal{enter: j, exit: j, seq: []int{j}})
-			n++
+			addItem(traversal{enter: j, exit: j, seq: []int{j}})
 			continue
 		}
 		if prev >= 0 && j-prev > p+1 {
@@ -235,6 +308,7 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout) {
 	rp.pos, rp.n = pos, n
 	rp.declines = n-1 > plannerItemCap
 	if rp.declines {
+		rp.deepest = true
 		return
 	}
 
@@ -253,14 +327,14 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout) {
 }
 
 // solve returns a ring order for the endpoint pair (b, c): ring positions
-// starting at S[b], covering every healthy S label except c and every
-// block, and ending at a position with an edge to S[c]. It returns nil
+// starting at S[b], covering every healthy S label except c and every R
+// item, and ending at a position with an edge to S[c]. It returns nil
 // when there is none. The slice belongs to the plan.
-func (rp *ringPlan) solve(b, c int) []int {
+func (rp *ringPlan) solve(b, c int, sc *ringScratch) []int {
 	o := &rp.orders[b*(rp.lay.K+2)+c]
 	if !o.solved {
 		o.solved = true
-		o.pos = rp.sequence(b, c, o.pos[:0])
+		o.pos = rp.sequence(b, c, o.pos[:0], sc)
 	}
 	return o.pos
 }
@@ -268,8 +342,8 @@ func (rp *ringPlan) solve(b, c int) []int {
 // sequence runs the exact DP over (visited mask, last item, last variant),
 // starting at S[b] with c's item marked visited, and appends the positions
 // of the first route it finds — scanning items and variants in plan order
-// — to dst.
-func (rp *ringPlan) sequence(b, c int, dst []int) []int {
+// — to dst. The DP table and route scratch are sc's.
+func (rp *ringPlan) sequence(b, c int, dst []int, sc *ringScratch) []int {
 	bi, ci := rp.sItem[b], rp.sItem[c]
 	if rp.declines || bi < 0 || ci < 0 {
 		return nil
@@ -277,10 +351,10 @@ func (rp *ringPlan) sequence(b, c int, dst []int) []int {
 	n := rp.n
 	start, full := 1<<bi|1<<ci, 1<<n-1
 	size := n << n
-	if cap(rp.dp) < size {
-		rp.dp = make([]uint8, size)
+	if cap(sc.dp) < size {
+		sc.dp = make([]uint8, size)
 	}
-	dp := rp.dp[:size]
+	dp := sc.dp[:size]
 	clear(dp)
 	dp[start*n+bi] = 1
 	for mask := start; mask < full; mask++ {
@@ -301,7 +375,7 @@ func (rp *ringPlan) sequence(b, c int, dst []int) []int {
 
 	// A final state whose exit connects to S[c].
 	g, lay := rp.g, rp.lay
-	steps := rp.steps[:0]
+	steps := sc.steps[:0]
 	for it := 0; it < n && len(steps) == 0; it++ {
 		for vb := dp[full*n+it]; vb != 0; vb &= vb - 1 {
 			f := rp.varOff[it] + bits.TrailingZeros8(vb)
@@ -334,7 +408,7 @@ func (rp *ringPlan) sequence(b, c int, dst []int) []int {
 			return nil // should not happen
 		}
 	}
-	rp.steps = steps
+	sc.steps = steps
 	for i := len(steps) - 1; i >= 0; i-- {
 		dst = append(dst, rp.vars[steps[i].f].seq...)
 	}

@@ -44,6 +44,11 @@ func (r plannerRig) plan(faults bitset.Set) graph.Path {
 //	0 Ti   1 To   2 I   3 O   4 S   5 R
 //	6 a run of p+1 R faults (long enough to split R into two blocks)
 //	7 R faults two apart (a block with an internal gap)
+//
+// An S entry whose position has its top bit set (a byte ≥ 0x80) is two
+// faulty S labels instead, one apart when the position's low bit is clear
+// and two apart when it is set: the shape only fallback ring plans
+// resolve.
 func decodeFaultSets(lay *construct.Layout, nodes int, data []byte, fn func(faults bitset.Set)) {
 	k, p := lay.K, lay.P
 	nR := lay.M - (k + 2)
@@ -74,7 +79,14 @@ func decodeFaultSets(lay *construct.Layout, nodes int, data []byte, fn func(faul
 			case 3:
 				faults.Add(lay.O[idx%(k+1)])
 			case 4:
-				faults.Add(lay.C[idx%(k+2)])
+				if idx < 16 {
+					faults.Add(lay.C[idx%(k+2)])
+					break
+				}
+				gap := 1 + idx&1
+				j := ((idx - 16) >> 1) % (k + 2 - gap)
+				faults.Add(lay.C[j])
+				faults.Add(lay.C[j+gap])
 			case 5:
 				addR(idx)
 			case 6:
@@ -165,31 +177,105 @@ var plannedSink graph.Path
 
 // TestPlannerCacheHitAllocs pins the planner's allocation on a cache hit:
 // with the faulty ring positions unchanged from the previous call, the
-// returned path is the only allocation.
+// returned path is the only allocation. That holds for the primary ring
+// plan and for the fallback plans, which a call reaches only after every
+// endpoint pair of the primary plan has failed.
 func TestPlannerCacheHitAllocs(t *testing.T) {
 	rig := newPlannerRig(t, 26, 5)
 	lay := rig.lay
 	n := rig.g.NumNodes()
-	// One set of faulty ring positions (S[3] and R position 10); the sets
-	// differ only off the ring.
-	var sets []bitset.Set
-	for _, extra := range [][]int{nil, {lay.I[2]}, {lay.O[0], lay.To[4]}, {lay.Ti[1], lay.I[1], lay.O[5]}} {
-		sets = append(sets, bitset.FromSlice(n, append([]int{lay.C[3], lay.C[10]}, extra...)))
+	extras := [][]int{nil, {lay.I[2]}, {lay.O[0], lay.To[4]}, {lay.Ti[1], lay.I[1], lay.O[5]}}
+	for _, tc := range []struct {
+		name     string
+		ring     []int // the faulty ring positions every set shares
+		fallback bool  // only a fallback ring plan resolves the sets
+	}{
+		{"primary", []int{3, 10}, false},
+		{"fallback", []int{2, 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sets []bitset.Set
+			for _, extra := range extras {
+				faults := bitset.FromSlice(n, extra)
+				for _, j := range tc.ring {
+					faults.Add(lay.C[j])
+				}
+				sets = append(sets, faults)
+			}
+			s := embed.NewSolver(rig.g, embed.Options{Layout: lay})
+			for _, faults := range sets {
+				if s.PlanAsymptotic(faults) == nil {
+					t.Fatalf("planner declined %v", faults.Slice())
+				}
+				if primary := s.PlanPrimary(faults) != nil; primary == tc.fallback {
+					t.Fatalf("primary ring plan resolves %v: %v, want %v", faults.Slice(), primary, !tc.fallback)
+				}
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				plannedSink = s.PlanAsymptotic(sets[i%len(sets)])
+				i++
+			})
+			t.Logf("allocations per planner call on a cache hit: %.2f", allocs)
+			if allocs > 1 {
+				t.Errorf("planner allocated %.2f times per cache-hit call, want ≤ 1 (the returned path)", allocs)
+			}
+		})
 	}
+}
+
+// TestPlannerCacheDroppedByInvalidate plans a G(26,5) fault set that only a
+// fallback ring plan resolves, removes one ring hop of the planned route
+// from the graph, calls InvalidateCache and plans again. The Solver must
+// not reuse a plan or a certificate check built on the old topology: its
+// answer must equal a fresh Solver's on the mutated graph and be a valid
+// pipeline of it. Every ring hop of the route is tried in turn, each on
+// its own copy of the graph.
+func TestPlannerCacheDroppedByInvalidate(t *testing.T) {
+	rig := newPlannerRig(t, 26, 5)
+	lay := rig.lay
+	faults := bitset.FromSlice(rig.g.NumNodes(), []int{lay.C[2], lay.C[3]})
 	s := embed.NewSolver(rig.g, embed.Options{Layout: lay})
-	for _, faults := range sets {
-		if s.PlanAsymptotic(faults) == nil {
-			t.Fatalf("planner declined %v", faults.Slice())
+	if s.PlanPrimary(faults) != nil {
+		t.Fatalf("primary ring plan resolves %v; want a set only a fallback plan resolves", faults.Slice())
+	}
+	route := s.PlanAsymptotic(faults)
+	if route == nil {
+		t.Fatalf("planner declined %v", faults.Slice())
+	}
+	onRing := make(map[int]bool, len(lay.C))
+	for _, v := range lay.C {
+		onRing[v] = true
+	}
+	hops, replanned := 0, 0
+	for i := 1; i < len(route); i++ {
+		u, v := route[i-1], route[i]
+		if !onRing[u] || !onRing[v] {
+			continue
+		}
+		hops++
+		rig := newPlannerRig(t, 26, 5)
+		warm := embed.NewSolver(rig.g, embed.Options{Layout: rig.lay})
+		if got := warm.PlanAsymptotic(faults); !slices.Equal(got, route) {
+			t.Fatalf("planner is not deterministic: %v, then %v", route, got)
+		}
+		rig.g.RemoveEdge(u, v)
+		warm.InvalidateCache()
+		got, want := warm.PlanAsymptotic(faults), rig.plan(faults)
+		if !slices.Equal(got, want) {
+			t.Fatalf("without ring hop %d–%d: invalidated solver planned %v, fresh solver %v", u, v, got, want)
+		}
+		if got == nil {
+			continue
+		}
+		replanned++
+		if err := graph.CheckPipeline(rig.g, faults, got); err != nil {
+			t.Fatalf("without ring hop %d–%d: planned %v, not a pipeline: %v", u, v, got, err)
 		}
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		plannedSink = s.PlanAsymptotic(sets[i%len(sets)])
-		i++
-	})
-	t.Logf("allocations per planner call on a cache hit: %.2f", allocs)
-	if allocs > 1 {
-		t.Errorf("planner allocated %.2f times per cache-hit call, want ≤ 1 (the returned path)", allocs)
+	t.Logf("%d ring hops removed one at a time; the planner rerouted around %d", hops, replanned)
+	if replanned == 0 {
+		t.Fatalf("the planner rerouted around none of the %d ring hops", hops)
 	}
 }
 
