@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -35,80 +36,102 @@ func (s *Store) Register(g *graph.Graph) *GraphRef {
 	return &GraphRef{s: s, slot: s.registerLocked(g, cf), lab: cf.Labeling, inv: inv}
 }
 
-// toCanon maps original node ids to sorted canonical ids. Fault sets are
-// small (≤ k elements), so insertion sort — no closure, no interface
-// boxing — keeps the per-lookup cost down on the replay hot path.
-func (r *GraphRef) toCanon(orig []int) []int32 {
-	out := make([]int32, len(orig))
-	for i, v := range orig {
-		out[i] = r.lab[v]
+// canonSet appends the canonical ids of the nodes orig to dst and sorts
+// the appended ids. Fault sets are small (≤ k elements), so insertion
+// sort — no closure, no interface boxing — keeps the per-lookup cost down
+// on the replay hot path.
+func (r *GraphRef) canonSet(dst []int32, orig []int) []int32 {
+	start := len(dst)
+	for _, v := range orig {
+		dst = append(dst, r.lab[v])
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for i := start + 1; i < len(dst); i++ {
+		for j := i; j > start && dst[j] < dst[j-1]; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
 	}
-	return out
+	return dst
 }
 
-// fromCanon maps canonical ids back to original node ids, preserving
-// order (a certificate path's order is meaningful).
-func (r *GraphRef) fromCanon(canon []int32) []int {
-	out := make([]int, len(canon))
-	for i, c := range canon {
-		out[i] = int(r.inv[c])
+// verdictKey appends the fault set's verdict key to dst: the first bytes
+// of its verdict payload (see verdictIndex).
+func (r *GraphRef) verdictKey(dst []byte, faults []int) []byte {
+	var ids [16]int32
+	dst = binary.AppendUvarint(dst, uint64(r.slot))
+	return appendIDs(dst, r.canonSet(ids[:0], faults))
+}
+
+// origID maps a stored canonical id to the graph's node id; ok is false
+// for an id outside the graph.
+func (r *GraphRef) origID(c int32) (v int32, ok bool) {
+	if uint32(c) >= uint32(len(r.inv)) {
+		return -1, false
 	}
-	return out
+	return r.inv[c], true
 }
 
 // Verdict is one cached per-fault-set answer in original node ids. Path
-// is nil for negative verdicts. The caller MUST re-verify before trusting
-// it: replay Path via verify.CheckPipeline for positives, re-screen
-// negatives with cheap necessary conditions.
+// is empty for negative verdicts. The caller MUST re-verify before
+// trusting it: replay Path via verify.CheckPipeline for positives,
+// re-screen negatives with cheap necessary conditions.
 type Verdict struct {
 	Found bool
 	Path  []int
 }
 
 // LookupVerdict returns the cached verdict for the fault set (original
-// node ids), if any.
-func (r *GraphRef) LookupVerdict(faults []int) (Verdict, bool) {
-	key := verdictKey{r.slot, idsKey(r.toCanon(faults))}
-	r.s.mu.Lock()
-	v, ok := r.s.verdicts[key]
-	r.s.mu.Unlock()
-	if !ok {
+// node ids), if any. The verdict's Path is path[:0] extended by the
+// stored certificate, so a caller that hands each Path back as the next
+// buffer looks verdicts up without allocating. A stored id outside the
+// graph reads as -1, which no certificate check accepts.
+func (r *GraphRef) LookupVerdict(faults, path []int) (Verdict, bool) {
+	var kb [64]byte
+	key := r.verdictKey(kb[:0], faults)
+	path = path[:0]
+	r.s.mu.RLock()
+	_, off := r.s.verdicts.find(r.s.buf, key)
+	found := false
+	if off != 0 {
+		// Open or PutVerdict decoded this payload already: it parses.
+		p := payloadReader{b: r.s.buf[off+len(key):]}
+		if found = p.byte() != 0; found {
+			for n := p.count(1); n > 0; n-- {
+				v, _ := r.origID(id32(p.uvarint()))
+				path = append(path, int(v))
+			}
+		}
+	}
+	r.s.mu.RUnlock()
+	if off == 0 {
 		r.s.miss("verdict")
-		return Verdict{}, false
+		return Verdict{Path: path}, false
 	}
 	r.s.hit("verdict")
-	out := Verdict{Found: v.found}
-	if v.found {
-		out.Path = r.fromCanon(v.path)
-	}
-	return out, true
+	return Verdict{Found: found, Path: path}, true
 }
 
 // PutVerdict records a verdict for the fault set. Re-recording an
-// existing key is a no-op (idempotent warm runs do not grow the file).
+// existing key is a no-op (idempotent warm runs do not grow the file):
+// the first write wins.
 func (r *GraphRef) PutVerdict(faults []int, v Verdict) {
-	set := r.toCanon(faults)
-	key := verdictKey{r.slot, idsKey(set)}
-	var path []int32
+	payload := r.verdictKey(nil, faults)
+	klen := len(payload)
+	payload = append(payload, boolByte(v.Found))
 	if v.Found {
-		path = make([]int32, len(v.Path))
-		for i, x := range v.Path {
-			path[i] = r.lab[x]
+		payload = binary.AppendUvarint(payload, uint64(len(v.Path)))
+		for _, x := range v.Path {
+			payload = binary.AppendUvarint(payload, uint64(r.lab[x]))
 		}
 	}
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if _, ok := r.s.verdicts[key]; ok {
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h, off := s.verdicts.find(s.buf, payload[:klen])
+	if off != 0 {
 		return
 	}
-	val := verdictVal{found: v.Found, path: path}
-	r.s.verdicts[key] = val
-	r.s.appendLocked(kindVerdict, encodeVerdict(key, val))
+	s.verdicts.insert(h, len(s.buf)+payloadOff)
+	s.appendLocked(kindVerdict, payload)
 }
 
 // LookupGroup rebuilds the cached automorphism group through
@@ -118,29 +141,44 @@ func (r *GraphRef) PutVerdict(faults []int, v Verdict) {
 // generator imperfectly — impossible for byte-equal forms, but cheap to
 // defend against) turns the hit into a miss.
 func (r *GraphRef) LookupGroup(g *graph.Graph) (*autom.Group, bool) {
-	r.s.mu.Lock()
+	r.s.mu.RLock()
 	gv, ok := r.s.groups[r.slot]
-	r.s.mu.Unlock()
+	r.s.mu.RUnlock()
 	if !ok {
 		r.s.miss("group")
 		return nil, false
 	}
-	gens := make([]autom.Perm, len(gv.gens))
-	for i, pr := range gv.gens {
+	if gens, ok := r.origGens(gv.gens); ok {
+		if gr, err := autom.FromGenerators(g, gens, gv.complete, 0); err == nil {
+			r.s.hit("group")
+			return gr, true
+		}
+	}
+	r.s.miss("group")
+	return nil, false
+}
+
+// origGens translates stored generators to the graph's node ids; ok is
+// false when one is not a permutation map of the graph's length or maps
+// to an id outside the graph.
+func (r *GraphRef) origGens(recs []permRec) (gens []autom.Perm, ok bool) {
+	gens = make([]autom.Perm, len(recs))
+	for i, pr := range recs {
+		if len(pr.m) != len(r.inv) {
+			return nil, false
+		}
 		m := make([]int32, len(pr.m))
 		for c, tc := range pr.m {
 			// canonical perm q: q[c] = tc; original perm p = inv ∘ q ∘ lab.
-			m[r.inv[c]] = r.inv[tc]
+			v, ok := r.origID(tc)
+			if !ok {
+				return nil, false
+			}
+			m[r.inv[c]] = v
 		}
 		gens[i] = autom.Perm{Map: m, IOSwap: pr.ioswap}
 	}
-	gr, err := autom.FromGenerators(g, gens, gv.complete, 0)
-	if err != nil {
-		r.s.miss("group")
-		return nil, false
-	}
-	r.s.hit("group")
-	return gr, true
+	return gens, true
 }
 
 // PutGroup caches the group's generators (translated to canonical ids).
@@ -216,7 +254,7 @@ func (r *GraphRef) SweepSig(universe []int, k int, groupSig uint64) uint64 {
 	}
 	put(uint64(k))
 	put(groupSig)
-	for _, c := range r.toCanon(universe) {
+	for _, c := range r.canonSet(nil, universe) {
 		put(uint64(c))
 	}
 	return h.Sum64()
@@ -224,23 +262,30 @@ func (r *GraphRef) SweepSig(universe []int, k int, groupSig uint64) uint64 {
 
 // LookupManifest returns the recorded orbit-representative fault sets
 // (original node ids) for one size class of a sweep, if a clean full
-// sweep recorded them. The sets come back in the stored order.
+// sweep recorded them. The sets come back in the stored order, as
+// slices of one array. A stored id outside the graph makes it a miss.
 func (r *GraphRef) LookupManifest(sig uint64, size int) ([][]int, bool) {
 	key := manifestKey{r.slot, sig, size}
-	r.s.mu.Lock()
-	sets, ok := r.s.manifests[key]
-	r.s.mu.Unlock()
+	r.s.mu.RLock()
+	mv, ok := r.s.manifests[key]
+	r.s.mu.RUnlock()
+	ids := make([]int, len(mv.ids))
+	for i, c := range mv.ids {
+		v, in := r.origID(c)
+		ok = ok && in
+		ids[i] = int(v)
+	}
 	if !ok {
 		r.s.miss("manifest")
 		return nil, false
 	}
-	out := make([][]int, len(sets))
-	for i, set := range sets {
-		out[i] = r.fromCanon(set)
-		sort.Ints(out[i]) // fault sets are sorted ascending everywhere
+	sets := make([][]int, mv.count)
+	for i := range sets {
+		sets[i] = ids[i*size : (i+1)*size : (i+1)*size]
+		sort.Ints(sets[i]) // fault sets are sorted ascending everywhere
 	}
 	r.s.hit("manifest")
-	return out, true
+	return sets, true
 }
 
 // PutManifest records the orbit representatives of one size class. Only
@@ -249,17 +294,17 @@ func (r *GraphRef) LookupManifest(sig uint64, size int) ([][]int, bool) {
 // Idempotent per key: the first stored manifest wins.
 func (r *GraphRef) PutManifest(sig uint64, size int, sets [][]int) {
 	key := manifestKey{r.slot, sig, size}
-	enc := make([][]int32, len(sets))
-	for i, set := range sets {
-		enc[i] = r.toCanon(set)
+	mv := manifestVal{ids: make([]int32, 0, len(sets)*size), count: len(sets)}
+	for _, set := range sets {
+		mv.ids = r.canonSet(mv.ids, set)
 	}
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
 	if _, ok := r.s.manifests[key]; ok {
 		return
 	}
-	r.s.manifests[key] = enc
-	r.s.appendLocked(kindManifest, encodeManifest(key, enc))
+	r.s.manifests[key] = mv
+	r.s.appendLocked(kindManifest, encodeManifest(key, mv))
 }
 
 // Blob returns the named opaque payload attached to this graph's slot.
@@ -268,9 +313,9 @@ func (r *GraphRef) PutManifest(sig uint64, size int, sets [][]int) {
 // (CRC) and atomic persistence, not semantic validity — callers apply
 // their own re-checks per the package trust model.
 func (r *GraphRef) Blob(name string) ([]byte, bool) {
-	r.s.mu.Lock()
+	r.s.mu.RLock()
 	v, ok := r.s.blobs[blobKey{r.slot, name}]
-	r.s.mu.Unlock()
+	r.s.mu.RUnlock()
 	if !ok {
 		r.s.miss("blob")
 		return nil, false
@@ -291,13 +336,9 @@ func (r *GraphRef) PutBlob(name string, data []byte) {
 		}
 		r.s.garbage += old.sz
 	}
-	off := len(r.s.buf)
+	start := len(r.s.buf)
 	r.s.appendLocked(kindBlob, encodeBlob(key, data))
-	r.s.blobs[key] = blobVal{
-		data: append([]byte(nil), data...),
-		off:  off,
-		sz:   len(r.s.buf) - off,
-	}
+	r.s.blobs[key] = blobVal{data: r.s.lastPayloadTail(len(data)), sz: len(r.s.buf) - start}
 }
 
 // Slot exposes the slot id (stable within one store file) for diagnostics.

@@ -98,12 +98,14 @@ func replayManifest(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, t
 			defer wg.Done()
 			faults := bitset.New(g.NumNodes())
 			chk := graph.NewChecker(g)
+			var path []int
 			for i := s; i < len(sets); i += shards {
 				if bad.Load() {
 					return
 				}
 				set := sets[i]
-				v, ok := ref.LookupVerdict(set)
+				v, ok := ref.LookupVerdict(set, path)
+				path = v.Path
 				if !ok {
 					bad.Store(true)
 					return

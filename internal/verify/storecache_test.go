@@ -1,9 +1,13 @@
 package verify_test
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"gdpn/internal/autom"
 	"gdpn/internal/construct"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
@@ -232,5 +236,156 @@ func TestShardRunnerUsesStore(t *testing.T) {
 	}
 	if rep.Tiers.Total() != 0 {
 		t.Errorf("warm sharded run made %d solver calls, want 0", rep.Tiers.Total())
+	}
+}
+
+// TestStoreFileFromEarlierReleaseReplays opens a store file written by the
+// map-decoding store reader this package used before verdicts were read in
+// place: a cold and a warm symmetry-reduced sweep of G2(2), k=2 and of
+// G3(2), k=3, written by that release with Workers 1. Both proofs must
+// replay from it with no miss, no replay failure and no solver call, and
+// reach the verdicts of a sweep without a store.
+func TestStoreFileFromEarlierReleaseReplays(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "store-v1.gdps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	for _, workers := range []int{1, 2} {
+		s := openStore(t, path)
+		for _, tc := range []struct {
+			g *graph.Graph
+			k int
+		}{{construct.G2(2), 2}, {construct.G3(2), 3}} {
+			reg.Reset()
+			base := verify.Exhaustive(tc.g, tc.k, verify.Options{Workers: workers, ExploitSymmetry: true})
+			warm := verify.Exhaustive(tc.g, tc.k, verify.Options{Workers: workers, ExploitSymmetry: true, Store: s})
+			if got, want := warm.VerdictSummary(), base.VerdictSummary(); got != want {
+				t.Errorf("%s workers=%d: replayed verdict differs:\n got %q\nwant %q", tc.g.Name(), workers, got, want)
+			}
+			hits := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value()
+			misses := reg.Counter("store_miss_total", obs.L("kind", "verdict")).Value()
+			fails := reg.Counter("store_replay_fail_total").Value()
+			if hits != warm.Checked || misses != 0 || fails != 0 || warm.Tiers.Total() != 0 {
+				t.Errorf("%s workers=%d: hits %d of %d checked, misses %d, replay failures %d, solver calls %d; want every set replayed",
+					tc.g.Name(), workers, hits, warm.Checked, misses, fails, warm.Tiers.Total())
+			}
+		}
+		if st := s.Stats(); st.Dirty != 0 || st.Bytes != len(raw) {
+			t.Errorf("workers=%d: the warm proofs wrote to the store: %+v", workers, st)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// poisonedStore writes a store file whose slot 0 is g, followed by records
+// of the given kinds and payloads, each with a valid CRC, as a foreign
+// writer might, and opens it.
+func poisonedStore(t *testing.T, g *graph.Graph, recs ...[]byte) (*store.Store, *store.GraphRef) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	s.Register(g)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		start := len(img)
+		img = append(img, 1, r[0])
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(r)-1))
+		img = append(img, r[1:]...)
+		img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[start:]))
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, path)
+	ref := s.Register(g)
+	if ref.Slot() != 0 {
+		t.Fatalf("graph registered as slot %d, want 0", ref.Slot())
+	}
+	return s, ref
+}
+
+// Record kinds of the store file format, and uvarints for payloads.
+const (
+	kindVerdict  = 2
+	kindGroup    = 3
+	kindManifest = 4
+)
+
+func uv(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func TestStoreOutOfRangeVerdictIDFallsBackToSolver(t *testing.T) {
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	reg.Reset()
+
+	g := construct.G2(2)
+	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1})
+	// A positive verdict for {0} whose path holds canonical id 200, far
+	// outside the graph.
+	lab := g.Canonical().Labeling
+	s, _ := poisonedStore(t, g, uv([]byte{kindVerdict}, 0, 1, uint64(lab[0]), 1, 3, 0, 200, 1))
+	defer s.Close()
+	rep := verify.Exhaustive(g, 2, verify.Options{Workers: 1, Store: s})
+	if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
+		t.Errorf("out-of-range verdict id changed the verdict:\n got %q\nwant %q", got, want)
+	}
+	if got := reg.Counter("store_replay_fail_total").Value(); got != 1 {
+		t.Errorf("store_replay_fail_total = %d, want 1", got)
+	}
+}
+
+func TestStoreOutOfRangeManifestAndGroupIDsMiss(t *testing.T) {
+	g := construct.G2(2)
+	n := g.NumNodes()
+	gr := autom.Compute(g, autom.Options{})
+	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1, ExploitSymmetry: true})
+
+	// A size-1 manifest under the sweep's signature listing canonical id
+	// 200, and a group whose one generator maps a node to id 200.
+	_, ref := poisonedStore(t, g)
+	universe := make([]int, n)
+	for i := range universe {
+		universe[i] = i
+	}
+	sig := ref.SweepSig(universe, 2, ref.GroupSig(gr))
+	manifest := binary.LittleEndian.AppendUint64(uv([]byte{kindManifest}, 0), sig)
+	manifest = uv(manifest, 1, 1, 200)
+	group := uv([]byte{kindGroup}, 0, 1, 1, 0, uint64(n))
+	for c := 0; c < n-1; c++ {
+		group = uv(group, uint64(c))
+	}
+	group = uv(group, 200)
+	for _, opts := range []verify.Options{
+		{Workers: 1, ExploitSymmetry: true, Group: gr},
+		{Workers: 1, ExploitSymmetry: true},
+	} {
+		s, _ := poisonedStore(t, g, manifest, group)
+		opts.Store = s
+		rep := verify.Exhaustive(g, 2, opts)
+		if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
+			t.Errorf("out-of-range manifest or group id changed the verdict:\n got %q\nwant %q", got, want)
+		}
+		s.Close()
 	}
 }

@@ -563,10 +563,12 @@ type worker struct {
 	// Verdict-store state. ref is nil when no store is attached. cacheBits
 	// is a separate bitset for replaying cached certificates: w.faults must
 	// keep describing the last set the SOLVER saw, or FindDelta warm starts
-	// would diverge after a cache hit. collect, when non-nil, accumulates
-	// the decided orbit representatives per size for manifest recording.
+	// would diverge after a cache hit. cert is the buffer stored
+	// certificates are read into. collect, when non-nil, accumulates the
+	// decided orbit representatives per size for manifest recording.
 	ref       *store.GraphRef
 	cacheBits bitset.Set
+	cert      []int
 	collect   map[int][][]int
 }
 
@@ -621,7 +623,9 @@ func (w *worker) check(sub []int) bool {
 	// solver entirely — and leaves w.prev/w.faults untouched, so the next
 	// cold solve still computes a correct warm-start delta.
 	if w.ref != nil {
-		if v, ok := w.ref.LookupVerdict(w.cur); ok && w.applyCached(sub, v) {
+		v, ok := w.ref.LookupVerdict(w.cur, w.cert)
+		w.cert = v.Path
+		if ok && w.applyCached(sub, v) {
 			return true
 		}
 	}
