@@ -249,8 +249,8 @@ func FromGenerators(g *graph.Graph, gens []Perm, complete bool, maxElements int)
 	return gr, nil
 }
 
-// knownElement reports whether p duplicates a generator already kept; used
-// only to dedupe the seed list.
+// knownElement reports whether p duplicates a generator already kept; it
+// dedupes the seeds and the searched IO-swap representative.
 func (gr *Group) knownElement(p Perm) bool {
 	for _, e := range gr.gens {
 		if permEqual(e, p) {

@@ -222,3 +222,38 @@ func TestPermAlgebra(t *testing.T) {
 		}
 	}
 }
+
+// The IO-swap search re-finds the circulant reflection when it is seeded;
+// Compute must keep it once, or the computed group's generator list (and
+// with it the store's group signature) differs from the same group
+// reloaded through FromGenerators.
+func TestComputeKeepsEachGeneratorOnce(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{22, 4}, {26, 5}} {
+		sol, err := construct.Design(c.n, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refl, err := Reflection(sol.Graph, sol.Layout)
+		if err != nil {
+			t.Fatalf("Reflection(%d,%d): %v", c.n, c.k, err)
+		}
+		gens := Compute(sol.Graph, Options{Seeds: []Perm{refl}}).Generators()
+		for i := range gens {
+			for j := i + 1; j < len(gens); j++ {
+				if permEqual(gens[i], gens[j]) {
+					t.Errorf("G(%d,%d): generators %d and %d are equal", c.n, c.k, i, j)
+				}
+			}
+		}
+		if len(gens) == 0 || !permEqual(gens[0], refl) {
+			t.Errorf("G(%d,%d): the reflection seed is not the first generator", c.n, c.k)
+		}
+		re, err := FromGenerators(sol.Graph, gens, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(re.Generators()) != len(gens) {
+			t.Errorf("G(%d,%d): %d computed generators reload as %d", c.n, c.k, len(gens), len(re.Generators()))
+		}
+	}
+}

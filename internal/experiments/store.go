@@ -17,7 +17,7 @@ func init() {
 }
 
 // warmSpeedupFloor is the acceptance gate for the warm re-sweep: replaying
-// stored verdicts (manifest fast path: no enumeration, no orbit testing,
+// stored verdicts (proof-block fast path: no enumeration, no orbit testing,
 // no solving) must be at least this much faster than the cold sweep that
 // produced them. CI runs the full experiment, so the gate is enforced on
 // every push.
@@ -109,7 +109,7 @@ func runStore(cfg Config) *Table {
 			fmt.Sprintf("%.1fx", speedup), boolCell(byteEqual), fmt.Sprint(fails))
 		t.OK = t.OK && ok
 	}
-	t.Note("warm run replays per-size orbit manifests: no enumeration, no orbit testing, no solver; every positive verdict re-passes CheckPipeline before being trusted")
+	t.Note("warm run replays per-size proof blocks: no enumeration, no orbit testing, no solver; every positive verdict re-passes CheckPipeline before being trusted")
 	if cfg.Quick {
 		t.Note("quick mode: speedup measured but not gated (full runs enforce ≥%.0fx on G3,5)", warmSpeedupFloor)
 	}

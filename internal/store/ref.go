@@ -88,6 +88,7 @@ func (r *GraphRef) LookupVerdict(faults, path []int) (Verdict, bool) {
 	var kb [64]byte
 	key := r.verdictKey(kb[:0], faults)
 	path = path[:0]
+	r.s.ensureIndex()
 	r.s.mu.RLock()
 	_, off := r.s.verdicts.find(r.s.buf, key)
 	found := false
@@ -126,6 +127,7 @@ func (r *GraphRef) PutVerdict(faults []int, v Verdict) {
 	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.indexLocked()
 	h, off := s.verdicts.find(s.buf, payload[:klen])
 	if off != 0 {
 		return
@@ -204,11 +206,11 @@ func (r *GraphRef) PutGroup(gr *autom.Group) {
 }
 
 // GroupSig returns a labeling-invariant signature of the group as used by
-// sweep manifests: the FNV hash of the sorted canonical-id generator
-// encodings plus the completeness flag. Two runs over byte-equal
+// proof blocks and manifests: the FNV hash of the sorted canonical-id
+// generator encodings plus the completeness flag. Two runs over byte-equal
 // canonical forms that use the same group (computed or cache-loaded)
-// produce the same signature; any group difference invalidates manifests
-// rather than risking a different orbit partition.
+// produce the same signature; any group difference invalidates proof
+// blocks rather than risking a different orbit partition.
 func (r *GraphRef) GroupSig(gr *autom.Group) uint64 {
 	if gr == nil {
 		return 0
@@ -240,7 +242,7 @@ func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// SweepSig identifies a sweep configuration for manifest lookups: the
+// SweepSig identifies a sweep configuration for proof-block lookups: the
 // fault universe (canonical ids), the fault budget k, and the group
 // signature under which orbit minimality was decided.
 func (r *GraphRef) SweepSig(universe []int, k int, groupSig uint64) uint64 {
@@ -258,53 +260,6 @@ func (r *GraphRef) SweepSig(universe []int, k int, groupSig uint64) uint64 {
 		put(uint64(c))
 	}
 	return h.Sum64()
-}
-
-// LookupManifest returns the recorded orbit-representative fault sets
-// (original node ids) for one size class of a sweep, if a clean full
-// sweep recorded them. The sets come back in the stored order, as
-// slices of one array. A stored id outside the graph makes it a miss.
-func (r *GraphRef) LookupManifest(sig uint64, size int) ([][]int, bool) {
-	key := manifestKey{r.slot, sig, size}
-	r.s.mu.RLock()
-	mv, ok := r.s.manifests[key]
-	r.s.mu.RUnlock()
-	ids := make([]int, len(mv.ids))
-	for i, c := range mv.ids {
-		v, in := r.origID(c)
-		ok = ok && in
-		ids[i] = int(v)
-	}
-	if !ok {
-		r.s.miss("manifest")
-		return nil, false
-	}
-	sets := make([][]int, mv.count)
-	for i := range sets {
-		sets[i] = ids[i*size : (i+1)*size : (i+1)*size]
-		sort.Ints(sets[i]) // fault sets are sorted ascending everywhere
-	}
-	r.s.hit("manifest")
-	return sets, true
-}
-
-// PutManifest records the orbit representatives of one size class. Only
-// call after a clean, complete sweep of that size (no interruption, no
-// fail-fast stop): a partial manifest would silently shrink later sweeps.
-// Idempotent per key: the first stored manifest wins.
-func (r *GraphRef) PutManifest(sig uint64, size int, sets [][]int) {
-	key := manifestKey{r.slot, sig, size}
-	mv := manifestVal{ids: make([]int32, 0, len(sets)*size), count: len(sets)}
-	for _, set := range sets {
-		mv.ids = r.canonSet(mv.ids, set)
-	}
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if _, ok := r.s.manifests[key]; ok {
-		return
-	}
-	r.s.manifests[key] = mv
-	r.s.appendLocked(kindManifest, encodeManifest(key, mv))
 }
 
 // Blob returns the named opaque payload attached to this graph's slot.

@@ -5,10 +5,10 @@
 // records, held in memory as the file's image with indexes over it;
 // verdicts are read in place from the image. Records are never mutated
 // in place; newer records supersede older ones (blobs) or are ignored
-// duplicates (verdicts, groups, manifests: the first record wins), and
-// Compact rewrites the file keeping only live records. Flush persists
-// atomically by writing the complete image to a temp file in the same
-// directory and renaming it over the store path, so a crash can never
+// duplicates (verdicts, groups, manifests, proof blocks: the first record
+// wins), and Compact rewrites the file keeping only live records. Flush
+// persists atomically by writing the complete image to a temp file in the
+// same directory and renaming it over the store path, so a crash can never
 // leave a half-written store; a torn or corrupted tail from a foreign
 // writer is detected by the per-record CRC32 on open and dropped (the
 // valid prefix is kept).
@@ -26,9 +26,9 @@
 // merging would be unsound while splitting is merely a cache miss.
 //
 // Everything inside a slot lives in canonical node ids (fault sets,
-// certificate paths, automorphism generators, manifests), translated
-// through the registering graph's CanonicalForm.Labeling on the way in
-// and its inverse on the way out. Two byte-identical canonical forms
+// certificate paths, automorphism generators, manifests, proof blocks),
+// translated through the registering graph's CanonicalForm.Labeling on the
+// way in and its inverse on the way out. Two byte-identical canonical forms
 // therefore share entries even when the concrete graphs label their
 // nodes differently.
 //
@@ -53,6 +53,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
@@ -68,6 +69,7 @@ const (
 	kindGroup    = 3
 	kindManifest = 4
 	kindBlob     = 5
+	kindProof    = 6
 )
 
 var fileMagic = [4]byte{'G', 'D', 'P', 'S'}
@@ -83,7 +85,8 @@ const (
 )
 
 // Store is the record image of one store file plus the indexes over it.
-// All methods are safe for concurrent use; lookups share a read lock.
+// All methods are safe for concurrent use; lookups share a read lock, and
+// a proof-block replay takes none.
 type Store struct {
 	mu   sync.RWMutex
 	path string
@@ -101,10 +104,20 @@ type Store struct {
 
 	slots     []*slot
 	byHash    map[uint64][]int
-	verdicts  verdictIndex
 	groups    map[int]groupVal
 	manifests map[manifestKey]manifestVal
+	proofs    map[manifestKey]proofVal
 	blobs     map[blobKey]blobVal
+
+	// verdicts is built on first use (indexLocked), from the verdict
+	// records of buf[:openEnd], of which Open counted openVerdicts: a warm
+	// proof that replays proof blocks never needs it. Until it is built no
+	// verdict is appended, so buf[:openEnd] holds them all. indexed is set
+	// under the write lock once it is built.
+	verdicts     verdictIndex
+	indexed      atomic.Bool
+	openEnd      int
+	openVerdicts int
 
 	hitC, missC      map[string]*obs.Counter
 	collisionC       map[string]*obs.Counter
@@ -129,6 +142,7 @@ type permRec struct {
 	ioswap bool
 }
 
+// manifestKey keys a size class of a sweep: its manifest or proof block.
 type manifestKey struct {
 	slot int
 	sig  uint64
@@ -139,6 +153,15 @@ type manifestKey struct {
 type manifestVal struct {
 	ids   []int32
 	count int
+}
+
+// proofVal is one proof block: its payload, a slice of buf, and the
+// header fields Open read from it. entries is the payload past the header.
+// count is 0 for a block whose header does not describe its entries,
+// which then only shadows later blocks under its key.
+type proofVal struct {
+	payload, entries []byte
+	count, width     int
 }
 
 type blobKey struct {
@@ -154,7 +177,9 @@ type blobVal struct {
 // Open loads (or creates) the store at path. A missing file yields an
 // empty store; a corrupt tail is dropped with only the valid record
 // prefix retained. Every record of that prefix is decoded, so a payload
-// that does not parse is an error.
+// that does not parse is an error; a proof block is decoded only as far
+// as its header, and its entries by the replay that walks them. The
+// verdict index is left to the first verdict lookup or put.
 func Open(path string) (*Store, error) {
 	s := &Store{
 		path:       path,
@@ -162,6 +187,7 @@ func Open(path string) (*Store, error) {
 		byHash:     map[uint64][]int{},
 		groups:     map[int]groupVal{},
 		manifests:  map[manifestKey]manifestVal{},
+		proofs:     map[manifestKey]proofVal{},
 		blobs:      map[blobKey]blobVal{},
 		hitC:       map[string]*obs.Counter{},
 		missC:      map[string]*obs.Counter{},
@@ -178,7 +204,7 @@ func Open(path string) (*Store, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) || err == nil && len(raw) == 0 {
 		s.buf = appendHeader(nil)
-		s.verdicts.reset(0)
+		s.openEnd = len(s.buf)
 		s.publishSizes()
 		return s, nil
 	}
@@ -191,20 +217,17 @@ func Open(path string) (*Store, error) {
 	if v := binary.LittleEndian.Uint16(raw[4:6]); v != fileVersion {
 		return nil, fmt.Errorf("store: %s has unsupported version %d", path, v)
 	}
-	// The CRC-valid prefix, and the verdicts in it to size the index.
-	end, verdicts := headerLen, 0
+	// The CRC-valid prefix.
+	end := headerLen
 	for end < len(raw) {
 		n, ok := checkRecord(raw[end:])
 		if !ok {
 			break // torn/corrupt tail: keep the valid prefix
 		}
-		if raw[end+1] == kindVerdict {
-			verdicts++
-		}
 		end += n
 	}
 	s.buf = raw[:end]
-	s.verdicts.reset(verdicts)
+	s.openEnd = end
 	for off := headerLen; off < end; {
 		plen := int(binary.LittleEndian.Uint32(raw[off+2:]))
 		if err := s.apply(raw[off+1], off+payloadOff, plen); err != nil {
@@ -247,12 +270,25 @@ func appendRecord(buf []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// apply decodes the record of the given kind whose plen-byte payload
-// starts at buf[off] into the indexes. Of two verdicts, groups or
-// manifests under one key the first wins, as it does for the puts; a
+// apply validates the record of the given kind whose plen-byte payload
+// starts at buf[off] and enters it in the indexes; verdicts are only
+// validated and counted, for indexLocked. Of two groups, manifests or
+// proof blocks under one key the first wins, as it does for the puts; a
 // later blob supersedes an earlier one.
 func (s *Store) apply(kind byte, off, plen int) error {
-	p := &payloadReader{b: s.buf[off : off+plen : off+plen]}
+	payload := s.buf[off : off+plen : off+plen]
+	if kind == kindVerdict {
+		// The common verdict, every uvarint one byte long, is validated
+		// from its count fields alone.
+		if !shortVerdict(payload, len(s.slots)) {
+			if err := s.checkVerdict(payload); err != nil {
+				return err
+			}
+		}
+		s.openVerdicts++
+		return nil
+	}
+	p := &payloadReader{b: payload}
 	switch kind {
 	case kindGraph:
 		slotID := p.uvarint()
@@ -267,22 +303,6 @@ func (s *Store) apply(kind byte, off, plen int) error {
 		}
 		s.slots = append(s.slots, &slot{hash: hash, bytes: cb, exact: exact})
 		s.byHash[hash] = append(s.byHash[hash], int(slotID))
-	case kindVerdict:
-		slotID := p.uvarint()
-		p.skipIDs()
-		key := s.buf[off : off+plen-len(p.b)]
-		if p.byte() != 0 {
-			p.skipIDs()
-		}
-		if p.err != nil {
-			return p.err
-		}
-		if slotID >= uint64(len(s.slots)) {
-			return fmt.Errorf("verdict for unknown slot %d", slotID)
-		}
-		if h, found := s.verdicts.find(s.buf, key); found == 0 {
-			s.verdicts.insert(h, off)
-		}
 	case kindGroup:
 		slotID := p.uvarint()
 		complete := p.byte() != 0
@@ -338,10 +358,99 @@ func (s *Store) apply(kind byte, off, plen int) error {
 			s.garbage += old.sz
 		}
 		s.blobs[k] = blobVal{data: data, sz: recordOverhead + plen}
+	case kindProof:
+		// A proof block is checked only as far as its header: its entries
+		// are decoded by the replay that walks them. A malformed block
+		// costs a miss, never the store: one whose header does not parse
+		// is dropped, one whose header is inconsistent is a miss.
+		k, pv, ok := parseProof(payload, len(s.slots))
+		if !ok {
+			s.garbage += recordOverhead + plen
+			break
+		}
+		if _, dup := s.proofs[k]; !dup {
+			s.proofs[k] = pv
+		}
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
 	return nil
+}
+
+// checkVerdict validates a verdict payload: the slot, the fault set's ids,
+// the found byte and, for a positive, the path's ids. Bytes past the path
+// are ignored.
+func (s *Store) checkVerdict(payload []byte) error {
+	p := &payloadReader{b: payload}
+	slotID := p.uvarint()
+	p.skipIDs()
+	if p.byte() != 0 {
+		p.skipIDs()
+	}
+	if p.err != nil {
+		return p.err
+	}
+	if slotID >= uint64(len(s.slots)) {
+		return fmt.Errorf("verdict for unknown slot %d", slotID)
+	}
+	return nil
+}
+
+// shortVerdict reports whether b is a valid verdict payload of a known
+// slot in which every byte is below 0x80, so that each uvarint is one
+// byte long: then the id counts alone say whether the payload is whole,
+// just as checkVerdict decides it. false means "take checkVerdict".
+func shortVerdict(b []byte, slots int) bool {
+	if len(b) < 3 || int(b[0]) >= slots || !below0x80(b) {
+		return false
+	}
+	found := 2 + int(b[1]) // the found byte's index
+	if found >= len(b) {
+		return false
+	}
+	if b[found] == 0 {
+		return true
+	}
+	return found+1 < len(b) && found+2+int(b[found+1]) <= len(b)
+}
+
+// below0x80 reports whether every byte of b is below 0x80, eight bytes at
+// a time.
+func below0x80(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b)&0x8080808080808080 != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// parseProof reads a proof block's header: slot, sweep signature, set
+// size and entry count, then the id width. ok is false when the header
+// does not parse or names an unknown slot. The block's count is left 0
+// when its width is not 1 or 2, or it claims no entries, or more than
+// its payload holds at their smallest (size ids and a path length).
+func parseProof(payload []byte, slots int) (manifestKey, proofVal, bool) {
+	p := &payloadReader{b: payload}
+	slotID := p.uvarint()
+	sig := p.u64()
+	size := p.uvarint()
+	count := p.uvarint()
+	width := uint64(p.byte())
+	if p.err != nil || slotID >= uint64(slots) {
+		return manifestKey{}, proofVal{}, false
+	}
+	pv := proofVal{payload: payload, entries: p.b, width: int(width)}
+	rest := uint64(len(p.b))
+	if (width == 1 || width == 2) && size < rest && count <= rest/((size+1)*width) {
+		pv.count = int(count)
+	}
+	return manifestKey{int(slotID), sig, int(size)}, pv, true
 }
 
 // id32 narrows a stored id; one past int32 becomes -1, outside every graph.
@@ -350,6 +459,13 @@ func id32(v uint64) int32 {
 		return -1
 	}
 	return int32(v)
+}
+
+// moved returns pv with its slices on payload, a copy of its payload.
+func (pv proofVal) moved(payload []byte) proofVal {
+	pv.entries = payload[len(payload)-len(pv.entries):]
+	pv.payload = payload
+	return pv
 }
 
 // payloadReader decodes record payloads. The first error is latched and
@@ -518,6 +634,40 @@ func (x *verdictIndex) place(e indexEnt) {
 	x.ents[i] = e
 }
 
+// indexLocked builds the verdict index, under the write lock, unless it
+// is built. Open validated every verdict payload it reads.
+func (s *Store) indexLocked() {
+	if s.indexed.Load() {
+		return
+	}
+	s.verdicts.reset(s.openVerdicts)
+	for off := headerLen; off < s.openEnd; {
+		plen := int(binary.LittleEndian.Uint32(s.buf[off+2:]))
+		if s.buf[off+1] == kindVerdict {
+			start := off + payloadOff
+			p := payloadReader{b: s.buf[start : start+plen]}
+			p.uvarint()
+			p.skipIDs()
+			key := s.buf[start : start+plen-len(p.b)]
+			if h, found := s.verdicts.find(s.buf, key); found == 0 {
+				s.verdicts.insert(h, start)
+			}
+		}
+		off += recordOverhead + plen
+	}
+	s.indexed.Store(true)
+}
+
+// ensureIndex builds the verdict index if no caller has yet. It takes
+// the write lock only the first time.
+func (s *Store) ensureIndex() {
+	if !s.indexed.Load() {
+		s.mu.Lock()
+		s.indexLocked()
+		s.mu.Unlock()
+	}
+}
+
 // appendLocked appends one new record under s.mu.
 func (s *Store) appendLocked(kind byte, payload []byte) {
 	s.buf = appendRecord(s.buf, kind, payload)
@@ -591,9 +741,11 @@ func (s *Store) Compact() error {
 
 // compactLocked rewrites buf as the graphs in slot order, the verdicts by
 // slot and then by their ids' encoding, the groups in slot order, the
-// manifests by key and the blobs by slot and name. Slices of the old image
-// are moved onto the new one, so the old image can be freed.
+// manifests by key, the proof blocks by key and the blobs by slot and
+// name. Slices of the old image are moved onto the new one, so the old
+// image can be freed.
 func (s *Store) compactLocked() {
+	s.indexLocked()
 	old := s.buf
 	verdicts := s.verdicts.sorted(old)
 	s.buf = appendHeader(make([]byte, 0, len(old)))
@@ -618,8 +770,13 @@ func (s *Store) compactLocked() {
 			s.appendLocked(kindGroup, encodeGroup(slotID, gv))
 		}
 	}
-	for _, k := range sortedManifestKeys(s.manifests) {
+	for _, k := range sortedKeys(s.manifests) {
 		s.appendLocked(kindManifest, encodeManifest(k, s.manifests[k]))
+	}
+	for _, k := range sortedKeys(s.proofs) {
+		pv := s.proofs[k]
+		s.appendLocked(kindProof, pv.payload)
+		s.proofs[k] = pv.moved(s.lastPayloadTail(len(pv.payload)))
 	}
 	for _, k := range sortedBlobKeys(s.blobs) {
 		b := s.blobs[k]
@@ -707,7 +864,7 @@ func encodeBlob(k blobKey, data []byte) []byte {
 	return payload
 }
 
-func sortedManifestKeys(m map[manifestKey]manifestVal) []manifestKey {
+func sortedKeys[V any](m map[manifestKey]V) []manifestKey {
 	keys := make([]manifestKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gdpn/internal/autom"
+	"gdpn/internal/construct"
 	"gdpn/internal/graph"
 )
 
@@ -67,10 +69,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	ref := s.Register(g)
 	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
 	ref.PutVerdict([]int{0, 2, 4}, Verdict{Found: false})
+	ref.PutVerdict([]int{0, 2}, Verdict{Found: false})
 	gr := autom.Compute(g, autom.Options{})
 	ref.PutGroup(gr)
 	sig := ref.SweepSig([]int{0, 1, 2, 3, 4, 5}, 3, ref.GroupSig(gr))
-	ref.PutManifest(sig, 2, [][]int{{1, 3}, {0, 2}})
+	ref.PutProof(sig, 2, [][]int{{1, 3}, {0, 2}})
+	putManifest(ref, sig+1, 2, [][]int{{1, 3}, {0, 2}})
 	ref.PutBlob("chunk/0-100", []byte("report-json"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -108,9 +112,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	if ref2.GroupSig(gr2) != ref.GroupSig(gr) {
 		t.Fatal("group signature changed across reload")
 	}
-	sets, ok := ref2.LookupManifest(sig, 2)
-	if !ok || len(sets) != 2 || sets[0][0] != 1 || sets[0][1] != 3 {
-		t.Fatalf("manifest lost or mangled: %v ok=%v", sets, ok)
+	// The proof block, and the block built from the manifest and the
+	// verdicts, list the sets in the order put, with their witnesses.
+	for _, sig := range []uint64{sig, sig + 1} {
+		if got, want := readProof(t, ref2, sig, 2), "[1 3]:[6 0 5 4 2 7] [0 2]:[]"; got != want {
+			t.Fatalf("proof block lost or mangled: %q, want %q", got, want)
+		}
 	}
 	if b, ok := ref2.Blob("chunk/0-100"); !ok || string(b) != "report-json" {
 		t.Fatalf("blob lost: %q ok=%v", b, ok)
@@ -390,6 +397,50 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
+// putManifest files an orbit manifest, the record a store written before
+// proof blocks holds in their place: the sets in canonical ids, the first
+// manifest under a key winning.
+func putManifest(r *GraphRef, sig uint64, size int, sets [][]int) {
+	key := manifestKey{r.slot, sig, size}
+	mv := manifestVal{ids: make([]int32, 0, len(sets)*size), count: len(sets)}
+	for _, set := range sets {
+		mv.ids = r.canonSet(mv.ids, set)
+	}
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	if _, ok := r.s.manifests[key]; ok {
+		return
+	}
+	r.s.manifests[key] = mv
+	r.s.appendLocked(kindManifest, encodeManifest(key, mv))
+}
+
+// readProof replays the proof block of (sig, size) through ref and
+// renders its entries as "set:path", each set sorted, or "miss" when the
+// lookup or a decode fails.
+func readProof(t *testing.T, ref *GraphRef, sig uint64, size int) string {
+	t.Helper()
+	blk, ok := ref.LookupProof(sig, size)
+	if !ok {
+		return "miss"
+	}
+	cur, _ := blk.Cursor(0)
+	var out []string
+	var set, path []int
+	for i := 0; i < blk.Len(); i++ {
+		if set, path, ok = cur.Next(set, path); !ok {
+			return "miss"
+		}
+		sorted := append([]int(nil), set...)
+		sort.Ints(sorted)
+		out = append(out, fmt.Sprintf("%v:%v", sorted, path))
+	}
+	if !cur.Done() {
+		return "miss"
+	}
+	return strings.Join(out, " ")
+}
+
 // rec is one hand-built record of a store image.
 type rec struct {
 	kind    byte
@@ -521,8 +572,8 @@ func TestStoreOutOfRangeIDs(t *testing.T) {
 	if !ok || !v.Found || len(v.Path) != 3 || v.Path[1] != -1 {
 		t.Errorf("verdict with canonical id 200: got %+v ok=%v, want a hit whose second node is -1", v, ok)
 	}
-	if sets, ok := ref.LookupManifest(sig, 1); ok {
-		t.Errorf("manifest with canonical id 200 hit: %v", sets)
+	if _, ok := ref.LookupProof(sig, 1); ok {
+		t.Error("manifest with canonical id 200 hit")
 	}
 	if gr, ok := ref.LookupGroup(g); ok {
 		t.Errorf("group with canonical id 200 hit: %v", gr.Generators())
@@ -584,9 +635,9 @@ func TestStoreCompactImageDigest(t *testing.T) {
 		gr := autom.Compute(g, autom.Options{})
 		ref.PutGroup(gr)
 		sig := ref.SweepSig([]int{0, 1, 2, 3}, 2, ref.GroupSig(gr))
-		ref.PutManifest(sig, 0, [][]int{{}})
-		ref.PutManifest(sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}})
-		ref.PutManifest(sig+1, 1, [][]int{{3}, {1}})
+		putManifest(ref, sig, 0, [][]int{{}})
+		putManifest(ref, sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}})
+		putManifest(ref, sig+1, 1, [][]int{{3}, {1}})
 		for i := 0; i < 5; i++ {
 			ref.PutBlob("chunk/b", []byte{byte(i), 1, 2})
 			ref.PutBlob("chunk/a", []byte{9, byte(i)})
@@ -605,5 +656,294 @@ func TestStoreCompactImageDigest(t *testing.T) {
 	const want = "a108f9cfcddeb321f32c0b80552da76a4860788e791524ff8ac9e8bc01416fd1"
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 3344 {
 		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 3344 bytes", got, len(raw), want)
+	}
+}
+
+// TestStoreCompactImageDigestWithProofs pins the bytes Compact writes for
+// a store with proof blocks: blocks put out of key order, one shadowed
+// re-put, next to a manifest. The blocks follow the manifests, by key.
+func TestStoreCompactImageDigestWithProofs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.gdps")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ringGraph(t, 6)
+	ref := s.Register(g)
+	for x := 0; x < 6; x++ {
+		ref.PutVerdict([]int{x}, Verdict{Found: true, Path: []int{6, x, (x + 1) % 6, 7}})
+		for y := x + 1; y < 6; y++ {
+			ref.PutVerdict([]int{x, y}, Verdict{Found: x%2 == 0, Path: []int{6, y, x, 7}})
+		}
+	}
+	gr := autom.Compute(g, autom.Options{})
+	ref.PutGroup(gr)
+	sig := ref.SweepSig([]int{0, 1, 2, 3, 4, 5}, 2, ref.GroupSig(gr))
+	ref.PutProof(sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}})
+	ref.PutProof(sig, 1, [][]int{{3}, {1}})
+	ref.PutProof(sig, 1, [][]int{{5}}) // the first block under a key wins
+	putManifest(ref, sig+1, 1, [][]int{{2}})
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "c9687456e7d401f7b3e82a795b85f40ce62afda6e5fb019ad02368140a271d52"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 565 {
+		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 565 bytes", got, len(raw), want)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref = s.Register(g)
+	if got, want := readProof(t, ref, sig, 1), "[3]:[6 3 4 7] [1]:[6 1 2 7]"; got != want {
+		t.Errorf("size-1 block after Compact: %q, want %q", got, want)
+	}
+	if got, want := readProof(t, ref, sig, 2), "[1 3]:[] [0 2]:[6 2 0 7] [2 4]:[6 4 2 7]"; got != want {
+		t.Errorf("size-2 block after Compact: %q, want %q", got, want)
+	}
+}
+
+// TestStoreProofNeedsEveryVerdict checks that PutProof writes no block
+// when a set has no stored verdict, or a positive one with no path, and
+// that the size then misses.
+func TestStoreProofNeedsEveryVerdict(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref := s.Register(ringGraph(t, 6))
+	ref.PutVerdict([]int{1}, Verdict{Found: false})
+	ref.PutVerdict([]int{2}, Verdict{Found: true})
+	before := s.Stats().Bytes
+	ref.PutProof(1, 1, [][]int{{1}, {3}})
+	ref.PutProof(2, 1, [][]int{{1}, {2}})
+	if got := s.Stats().Bytes; got != before {
+		t.Errorf("blocks with a set the store cannot witness were written: %d -> %d bytes", before, got)
+	}
+	for _, sig := range []uint64{1, 2} {
+		if got := readProof(t, ref, sig, 1); got != "miss" {
+			t.Errorf("sig %d: %q, want a miss", sig, got)
+		}
+	}
+}
+
+// TestStoreProofReplayBuildsNoIndex checks that Open leaves the verdict
+// index unbuilt and that replaying a proof block does not build it; the
+// first verdict lookup does.
+func TestStoreProofReplayBuildsNoIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.gdps")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ringGraph(t, 6)
+	ref := s.Register(g)
+	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
+	ref.PutProof(9, 2, [][]int{{1, 3}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref = s.Register(g)
+	if got, want := readProof(t, ref, 9, 2), "[1 3]:[6 0 5 4 2 7]"; got != want {
+		t.Fatalf("block: %q, want %q", got, want)
+	}
+	if s.indexed.Load() {
+		t.Error("Open or a proof-block replay built the verdict index")
+	}
+	if _, ok := ref.LookupVerdict([]int{3, 1}, nil); !ok || !s.indexed.Load() {
+		t.Errorf("first LookupVerdict: hit=%v, index built=%v", ok, s.indexed.Load())
+	}
+}
+
+func TestStoreProofCursorZeroAllocs(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref := s.Register(ringGraph(t, 6))
+	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
+	ref.PutVerdict([]int{0, 2}, Verdict{Found: false})
+	ref.PutProof(9, 2, [][]int{{1, 3}, {0, 2}})
+	blk, ok := ref.LookupProof(9, 2)
+	if !ok {
+		t.Fatal("block lost")
+	}
+	set, path := make([]int, 0, 2), make([]int, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		cur, ok := blk.Cursor(1)
+		if !ok {
+			t.Fatal("cursor past the block")
+		}
+		if set, path, ok = cur.Next(set, path); !ok || len(set) != 2 || len(path) != 0 || !cur.Done() {
+			t.Fatalf("entry 1: %v:%v ok=%v", set, path, ok)
+		}
+		cur, _ = blk.Cursor(0)
+		if set, path, ok = cur.Next(set, path); !ok || len(path) != 6 {
+			t.Fatalf("entry 0: %v:%v ok=%v", set, path, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cursor decode into caller buffers: %v allocs, want 0", allocs)
+	}
+}
+
+// TestStoreLazyIndexRace reopens a store, so its verdict index is not yet
+// built, and races first-time LookupVerdict callers against PutVerdict
+// callers: every stored verdict must hit with its value while the index
+// is built, and every put must be visible afterwards.
+func TestStoreLazyIndexRace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.gdps")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	g := ringGraph(t, n)
+	ref := s.Register(g)
+	var old, fresh [][]int
+	for x := 0; x < n; x++ {
+		for y := x + 1; y < n; y++ {
+			if (x+y)%2 == 0 {
+				old = append(old, []int{x, y})
+			} else {
+				fresh = append(fresh, []int{x, y})
+			}
+		}
+	}
+	want := func(set []int) Verdict {
+		if set[0]%3 == 0 {
+			return Verdict{}
+		}
+		return Verdict{Found: true, Path: []int{n, set[1], set[0], n + 1}}
+	}
+	same := func(a, b Verdict) bool { return a.Found == b.Found && fmt.Sprint(a.Path) == fmt.Sprint(b.Path) }
+	for _, set := range old {
+		ref.PutVerdict(set, want(set))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := s.Register(g)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if w%2 == 1 {
+					for i := w / 2; i < len(fresh); i += 2 {
+						ref.PutVerdict(fresh[i], want(fresh[i]))
+					}
+					return
+				}
+				var path []int
+				for _, set := range old {
+					v, ok := ref.LookupVerdict(set, path)
+					path = v.Path
+					if !ok || !same(v, want(set)) {
+						t.Errorf("stored set %v: got %+v ok=%v, want %+v", set, v, ok, want(set))
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, set := range append(old, fresh...) {
+			if v, ok := ref.LookupVerdict(set, nil); !ok || !same(v, want(set)) {
+				t.Fatalf("set %v after the race: got %+v ok=%v, want %+v", set, v, ok, want(set))
+			}
+		}
+		// Only the first round's puts are new; later rounds re-put them.
+		if st := s.Stats(); round > 0 && st.Dirty != 0 {
+			t.Errorf("round %d: re-puts wrote %d records", round, st.Dirty)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreShortVerdictMatchesDecoder checks the one-byte validation
+// fast path against the full decoder on every short payload of bytes
+// below 0x80 drawn from a small alphabet: the fast path may only accept
+// payloads the decoder accepts.
+func TestStoreShortVerdictMatchesDecoder(t *testing.T) {
+	s := &Store{slots: make([]*slot, 2)}
+	alphabet := []byte{0, 1, 2, 3, 0x7f}
+	var payload []byte
+	var walk func(n int)
+	accepted := 0
+	walk = func(n int) {
+		if short := shortVerdict(payload, len(s.slots)); short {
+			accepted++
+			if err := s.checkVerdict(payload); err != nil {
+				t.Fatalf("payload %v: fast path accepts, decoder rejects: %v", payload, err)
+			}
+		} else if s.checkVerdict(payload) == nil && len(payload) > 0 && below0x80(payload) {
+			t.Fatalf("payload %v: decoder accepts, fast path does not", payload)
+		}
+		if n == 0 {
+			return
+		}
+		for _, b := range alphabet {
+			payload = append(payload, b)
+			walk(n - 1)
+			payload = payload[:len(payload)-1]
+		}
+	}
+	walk(7)
+	if accepted == 0 {
+		t.Fatal("the fast path accepted no payload")
+	}
+}
+
+// TestStoreGroupSigSurvivesReload checks that the group computed for the
+// circulant designs, seeded with their reflection as verify does, has the
+// signature of the same group reloaded from the store: a warm proof then
+// finds the cold proof's blocks under the same sweep signature.
+func TestStoreGroupSigSurvivesReload(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{22, 4}, {26, 5}} {
+		sol, err := construct.Design(c.n, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refl, err := autom.Reflection(sol.Graph, sol.Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr := autom.Compute(sol.Graph, autom.Options{Seeds: []autom.Perm{refl}})
+		s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := s.Register(sol.Graph)
+		ref.PutGroup(gr)
+		loaded, ok := ref.LookupGroup(sol.Graph)
+		if !ok {
+			t.Fatalf("G(%d,%d): group lost", c.n, c.k)
+		}
+		if a, b := ref.GroupSig(gr), ref.GroupSig(loaded); a != b {
+			t.Errorf("G(%d,%d): computed group signature %x, reloaded %x", c.n, c.k, a, b)
+		}
+		s.Close()
 	}
 }

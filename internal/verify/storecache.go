@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -65,86 +66,98 @@ func groupFor(g *graph.Graph, opts Options, ref *store.GraphRef) *autom.Group {
 	return group
 }
 
-// replayManifest attempts the warm path for one fault-set size: re-derive
-// the size's full verdict from the store without enumerating or solving
-// anything. It succeeds only when the size's orbit-representative manifest
-// exists and EVERY representative has a stored verdict that survives its
-// re-check — positive verdicts must replay their pipeline certificate
-// through the pipeline check, negative verdicts are re-screened by the cheap
-// necessary-condition filter (and counted accepted/confirmed). Any miss or
-// replay failure abandons the size entirely (the caller falls back to cold
-// enumeration), so a corrupt store degrades to extra work, never to a
-// wrong report. total is the size's full subset count, credited to
-// Represented exactly as a cold enumeration would.
-func replayManifest(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, total int64, opts Options) (*Report, bool) {
-	sets, ok := ref.LookupManifest(sig, size)
+// replayProof attempts the warm path for one fault-set size: re-derive the
+// size's full verdict from its proof block in the store, without
+// enumerating or solving anything. The block's entries are split into
+// one contiguous range per worker, each walked front to back. It
+// succeeds only when every entry decodes and survives its re-check:
+// positive verdicts must replay their pipeline certificate through the
+// pipeline check, negative verdicts are re-screened by the cheap
+// necessary-condition filter (and counted accepted/confirmed). Any
+// undecodable entry, replay failure or stray byte abandons the size
+// entirely (the caller falls back to cold enumeration), so a corrupt
+// store degrades to extra work, never to a wrong report. total is the
+// size's full subset count, credited to Represented exactly as a cold
+// enumeration would.
+func replayProof(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, total int64, opts Options) (*Report, bool) {
+	blk, ok := ref.LookupProof(sig, size)
 	if !ok {
 		return nil, false
 	}
-	sp := span.Start(nil, "store-replay")
-	sp.SetInt("size", int64(size)).SetInt("reps", int64(len(sets)))
-
-	// Re-check in parallel (the replay is the warm path's only real work).
-	found := make([]bool, len(sets))
-	shards := opts.Workers
-	if shards > len(sets) {
-		shards = 1
+	n := blk.Len()
+	if int64(n) > total {
+		// More representatives than sets: no sweep wrote this block.
+		blk.Miss()
+		return nil, false
 	}
-	var bad atomic.Bool
+	sp := span.Start(nil, "store-replay")
+	sp.SetInt("size", int64(size)).SetInt("reps", int64(n))
+
+	shards := min(opts.Workers, n)
+	var bad, malformed atomic.Bool
+	fails := make([][]FaultSetRecord, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			from, to := s*n/shards, (s+1)*n/shards
+			cur, ok := blk.Cursor(from)
+			if !ok {
+				malformed.Store(true)
+				return
+			}
 			faults := bitset.New(g.NumNodes())
 			chk := graph.NewChecker(g)
-			var path []int
-			for i := s; i < len(sets); i += shards {
-				if bad.Load() {
-					return
+			var set, path []int
+			for i := from; i < to; i++ {
+				if i%64 == 0 && (bad.Load() || malformed.Load()) {
+					return // another worker failed: the size is abandoned
 				}
-				set := sets[i]
-				v, ok := ref.LookupVerdict(set, path)
-				path = v.Path
-				if !ok {
-					bad.Store(true)
+				if set, path, ok = cur.Next(set, path); !ok {
+					malformed.Store(true)
 					return
 				}
 				for _, x := range set {
 					faults.Add(x)
 				}
-				if v.Found {
-					if chk.Pipeline(faults, graph.Path(v.Path)) != nil {
+				if len(path) > 0 {
+					if chk.Pipeline(faults, graph.Path(path)) != nil {
 						storeReplayFailC.Add(1)
 						bad.Store(true)
 					}
 				} else {
 					recheckNegative(g, faults)
+					nodes := append([]int(nil), set...)
+					sort.Ints(nodes) // fault sets are sorted ascending everywhere
+					fails[s] = append(fails[s], FaultSetRecord{Nodes: nodes, Err: "no pipeline"})
 				}
 				for _, x := range set {
 					faults.Remove(x)
 				}
-				found[i] = v.Found
+			}
+			if s == shards-1 && !cur.Done() {
+				malformed.Store(true)
 			}
 		}(s)
 	}
 	wg.Wait()
-	if bad.Load() {
+	if malformed.Load() {
+		blk.Miss()
+	}
+	if bad.Load() || malformed.Load() {
 		sp.End(span.Errored)
 		return nil, false
 	}
+	blk.Hit()
 
 	// Keep the canonically smallest failures, exactly as a cold sweep's
-	// merged shard reports do, whatever order the manifest lists them in.
-	local := &Report{Checked: int64(len(sets)), Represented: total}
-	var fails []FaultSetRecord
-	for i, set := range sets {
-		if !found[i] {
-			fails = append(fails, FaultSetRecord{Nodes: set, Err: "no pipeline"})
-		}
+	// merged shard reports do, whatever order the block lists them in.
+	local := &Report{Checked: int64(n), Represented: total}
+	for _, f := range fails {
+		local.FailureCount += int64(len(f))
+		local.Failures = mergeRecords(local.Failures, f, opts.MaxRecorded)
 	}
-	local.FailureCount = int64(len(fails))
-	local.Failures = mergeRecords(nil, fails, opts.MaxRecorded)
 	sp.End(span.OK)
 	return local, true
 }
@@ -275,20 +288,20 @@ func (w *worker) applyCached(sub []int, v store.Verdict) bool {
 	return true
 }
 
-// manifestSizes computes the warm-path replays for Exhaustive: for every
-// size whose manifest replays cleanly, the merged partial report; the
+// replayedSizes computes the warm-path replays for Exhaustive: for every
+// size whose proof block replays cleanly, the merged partial report; the
 // returned set marks sizes the sweep must NOT enumerate. FailFast runs
 // never replay (a cold FailFast sweep stops at the first counterexample
 // with prefix-only counters; replaying full sizes would change the
 // verdict's coverage shape).
-func manifestSizes(g *graph.Graph, ref *store.GraphRef, sig uint64, k int, universe []int, opts Options, rep *Report) map[int]bool {
+func replayedSizes(g *graph.Graph, ref *store.GraphRef, sig uint64, k int, universe []int, opts Options, rep *Report) map[int]bool {
 	replayed := make(map[int]bool)
 	if opts.FailFast {
 		return replayed
 	}
 	for size := 0; size <= k && size <= len(universe); size++ {
 		total := combin.Binomial(len(universe), size)
-		if local, ok := replayManifest(g, ref, sig, size, total, opts); ok {
+		if local, ok := replayProof(g, ref, sig, size, total, opts); ok {
 			merge(rep, local, opts.MaxRecorded)
 			replayed[size] = true
 		}

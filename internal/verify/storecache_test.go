@@ -9,6 +9,7 @@ import (
 
 	"gdpn/internal/autom"
 	"gdpn/internal/construct"
+	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
 	"gdpn/internal/store"
@@ -387,5 +388,212 @@ func TestStoreOutOfRangeManifestAndGroupIDsMiss(t *testing.T) {
 			t.Errorf("out-of-range manifest or group id changed the verdict:\n got %q\nwant %q", got, want)
 		}
 		s.Close()
+	}
+}
+
+// kindProof is the proof-block record kind.
+const kindProof = 6
+
+// editProofs rewrites, in the store file at path, the entries of every
+// proof block of the given set size through edit, which gets the id
+// width and the entries and returns the new entries. The header is kept;
+// the record's length and CRC are recomputed, as a foreign writer would.
+// It returns how many blocks it rewrote.
+func editProofs(t *testing.T, path string, size int, edit func(width int, entries []byte) []byte) int {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), img[:6]...)
+	edited := 0
+	for b := img[6:]; len(b) > 0; {
+		plen := int(binary.LittleEndian.Uint32(b[2:6]))
+		kind, payload := b[1], b[6:6+plen]
+		b = b[10+plen:]
+		if kind == kindProof {
+			p := payload
+			_, n := binary.Uvarint(p) // slot
+			p = p[n+8:]               // and the sweep signature
+			sz, n := binary.Uvarint(p)
+			p = p[n:]
+			_, n = binary.Uvarint(p) // count
+			p = p[n:]
+			if int(sz) == size {
+				hdr := len(payload) - len(p) + 1
+				payload = append(payload[:hdr:hdr], edit(int(p[0]), append([]byte(nil), p[1:]...))...)
+				edited++
+			}
+		}
+		start := len(out)
+		out = append(out, 1, kind)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return edited
+}
+
+// TestStoreProofBlockTrustBoundary damages the size-1 proof block of a
+// cold symmetry-reduced sweep of G3(5), k=2, in ways a foreign writer
+// could, and runs a warm sweep on each damaged store. Every warm verdict
+// must equal the sweep's without a store, with size 1 falling back to
+// enumeration: a certificate that no longer checks counts a replay
+// failure, and an undecodable block counts a manifest miss.
+func TestStoreProofBlockTrustBoundary(t *testing.T) {
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	g := construct.G3(5)
+	const k = 2
+	opts := verify.Options{Workers: 2, ExploitSymmetry: true}
+	base := verify.Exhaustive(g, k, opts)
+	clean := filepath.Join(t.TempDir(), "clean.gdps")
+	s := openStore(t, clean)
+	opts.Store = s
+	verify.Exhaustive(g, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		edit             func(width int, entries []byte) []byte
+		replayFail, miss int64
+	}{
+		{"path id flipped to a faulty node", func(w int, e []byte) []byte {
+			// The first positive entry's second path node becomes the
+			// set's faulty node.
+			for i := 0; i < len(e); i += 2 + int(e[i+1]) {
+				if e[i+1] != 0 {
+					e[i+3] = e[i]
+					return e
+				}
+			}
+			t.Fatal("no positive entry in the size-1 block")
+			return e
+		}, 1, 0},
+		{"set id outside the graph", func(w int, e []byte) []byte {
+			e[0] = 200
+			return e
+		}, 0, 1},
+		{"truncated entry", func(w int, e []byte) []byte { return e[:len(e)-1] }, 0, 1},
+		{"stray byte", func(w int, e []byte) []byte { return append(e, 0) }, 0, 1},
+	} {
+		path := filepath.Join(t.TempDir(), "v.gdps")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n := editProofs(t, path, 1, func(w int, e []byte) []byte {
+			if w != 1 {
+				t.Fatalf("G3(5) block of width %d, want 1", w)
+			}
+			return tc.edit(w, e)
+		}); n != 1 {
+			t.Fatalf("%s: edited %d size-1 blocks, want 1", tc.name, n)
+		}
+		reg.Reset()
+		s := openStore(t, path)
+		opts.Store = s
+		warm := verify.Exhaustive(g, k, opts)
+		s.Close()
+		if got, want := warm.VerdictSummary(), base.VerdictSummary(); got != want {
+			t.Errorf("%s: verdict changed:\n got %q\nwant %q", tc.name, got, want)
+		}
+		fails := reg.Counter("store_replay_fail_total").Value()
+		misses := reg.Counter("store_miss_total", obs.L("kind", "manifest")).Value()
+		hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value()
+		if fails != tc.replayFail || misses != tc.miss || hits != k {
+			t.Errorf("%s: replay failures %d, manifest misses %d, manifest hits %d; want %d, %d, %d",
+				tc.name, fails, misses, hits, tc.replayFail, tc.miss, k)
+		}
+		// Size 1 was enumerated again, each of its sets read from its
+		// verdict record.
+		if vh := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value(); vh != warm.Checked {
+			t.Errorf("%s: %d verdict hits for %d checked sets", tc.name, vh, warm.Checked)
+		}
+	}
+}
+
+// TestStoreWarmProofReplaysNegatives checks that a warm symmetry-reduced
+// proof of a failing instance replays every size from its proof block,
+// re-screening each negative entry, and records the cold run's
+// counterexamples.
+func TestStoreWarmProofReplaysNegatives(t *testing.T) {
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	g := construct.G3(2)
+	const k = 3
+	opts := verify.Options{Workers: 2, ExploitSymmetry: true}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	cold := verify.Exhaustive(g, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cold.FailureCount == 0 {
+		t.Fatal("test premise: G3(2) must fail at k=3")
+	}
+	reg.Reset()
+	s = openStore(t, path)
+	defer s.Close()
+	opts.Store = s
+	warm := verify.Exhaustive(g, k, opts)
+	if got, want := warm.VerdictSummary(), cold.VerdictSummary(); got != want {
+		t.Errorf("warm verdict differs:\n got %q\nwant %q", got, want)
+	}
+	rechecked := reg.Counter("store_negative_recheck_total", obs.L("result", "confirmed")).Value() +
+		reg.Counter("store_negative_recheck_total", obs.L("result", "accepted")).Value()
+	if warm.Tiers.Total() != 0 || rechecked != cold.FailureCount {
+		t.Errorf("warm run: %d solver calls, %d negatives re-screened; want 0 and %d", warm.Tiers.Total(), rechecked, cold.FailureCount)
+	}
+}
+
+// TestStoreFirstWarmProofWritesNothing runs a cold symmetry-reduced proof
+// of G(22,4), k=4 with the circulant reflection as the group's seed, as
+// gdpverify does, then one warm proof: the warm proof must load the group
+// under the cold proof's signature, replay every size from its proof
+// block and write nothing.
+func TestStoreFirstWarmProofWritesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold G(22,4) proof")
+	}
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	sol, err := construct.Design(22, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	opts := verify.Options{Workers: 2, ExploitSymmetry: true, Solver: embed.Options{Layout: sol.Layout}}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	cold := verify.Exhaustive(sol.Graph, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg.Reset()
+	s = openStore(t, path)
+	defer s.Close()
+	opts.Store = s
+	warm := verify.Exhaustive(sol.Graph, k, opts)
+	if got, want := warm.VerdictSummary(), cold.VerdictSummary(); got != want {
+		t.Errorf("warm verdict differs:\n got %q\nwant %q", got, want)
+	}
+	if hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value(); hits != k+1 || warm.Tiers.Total() != 0 {
+		t.Errorf("warm proof: %d of %d sizes replayed, %d solver calls", hits, k+1, warm.Tiers.Total())
+	}
+	if st := s.Stats(); st.Dirty != 0 {
+		t.Errorf("the first warm proof wrote %d records", st.Dirty)
 	}
 }

@@ -94,8 +94,9 @@ type Options struct {
 	// hits replay their pipeline certificate, negative hits are re-screened
 	// by cheap necessary conditions — see storecache.go) and append every
 	// fresh verdict after. With ExploitSymmetry, clean full sweeps also
-	// record per-size orbit-representative manifests, letting a warm re-run
-	// of the same instance skip enumeration and orbit testing entirely.
+	// record per-size proof blocks (orbit representatives with their
+	// witnesses), letting a warm re-run of the same instance skip
+	// enumeration and orbit testing entirely.
 	// The caller owns the store's lifecycle (Flush/Close). nil disables
 	// caching.
 	Store *store.Store
@@ -235,14 +236,14 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 	universe := s.universe
 	rep := &Report{GraphName: g.Name(), K: k}
 
-	// Warm path: replay whole size classes from the store's sweep manifests
-	// (symmetry-reduced runs only — the manifest records orbit
-	// representatives decided under a specific group signature).
+	// Warm path: replay whole size classes from the store's proof blocks
+	// (symmetry-reduced runs only — a block records orbit representatives
+	// decided under a specific group signature).
 	var sweepSig uint64
 	replayed := map[int]bool{}
 	if s.ref != nil && s.group != nil {
 		sweepSig = s.ref.SweepSig(universe, k, s.ref.GroupSig(s.group))
-		replayed = manifestSizes(g, s.ref, sweepSig, k, universe, opts, rep)
+		replayed = replayedSizes(g, s.ref, sweepSig, k, universe, opts, rep)
 	}
 
 	// Fine-grained shards, dealt round-robin onto per-worker deques. The
@@ -282,7 +283,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			r, part := s.runner(w), &Report{}
 			if collect {
 				// Collect the representatives each worker actually decides,
-				// so a clean sweep can record per-size manifests.
+				// so a clean sweep can record per-size proof blocks.
 				r.wk.collect = map[int][][]int{}
 			}
 			// A stopped sweep (ctx cancel or another worker's FailFast hit)
@@ -309,9 +310,11 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 	rep.Interrupted = s.root.Stopped()
 	rep.Duration = time.Since(start)
 
-	// A clean, complete sweep may record manifests: every enumerated size
-	// reached a verdict for all its sets, so the per-worker representative
-	// lists are exactly the orbit representatives of each size.
+	// A clean, complete sweep may record proof blocks: every enumerated
+	// size reached a verdict for all its sets, so the per-worker
+	// representative lists are exactly the orbit representatives of each
+	// size, and each has its witness in the store (PutProof writes no
+	// block for a size where one has none, as after a solver bug).
 	if collect && !opts.FailFast && !s.tok.Stopped() && rep.UnknownCount == 0 {
 		for size := 0; size <= k && size <= len(universe); size++ {
 			if replayed[size] {
@@ -321,7 +324,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			for _, r := range runners {
 				sets = append(sets, r.wk.collect[size]...)
 			}
-			s.ref.PutManifest(sweepSig, size, sets)
+			s.ref.PutProof(sweepSig, size, sets)
 		}
 	}
 
@@ -565,7 +568,7 @@ type worker struct {
 	// keep describing the last set the SOLVER saw, or FindDelta warm starts
 	// would diverge after a cache hit. cert is the buffer stored
 	// certificates are read into. collect, when non-nil, accumulates the
-	// decided orbit representatives per size for manifest recording.
+	// decided orbit representatives per size for proof-block recording.
 	ref       *store.GraphRef
 	cacheBits bitset.Set
 	cert      []int
