@@ -1,16 +1,16 @@
 // Command gdpverify machine-checks k-graceful degradability of a designed
-// solution graph, exhaustively or by random sampling, and can emit or
-// replay solver-independent certificate files.
+// solution graph, exhaustively or by random sampling, and can re-check a
+// proof from its verdict store with no solver.
 //
 // Usage:
 //
 //	gdpverify -n 22 -k 4                  # exhaustive: a proof for this instance
 //	gdpverify -n 200 -k 6 -trials 100000  # randomized at scale
 //	gdpverify -n 10 -k 2 -merge           # merged model, processor faults only
-//	gdpverify -n 10 -k 2 -certify g.certs # write one witness per fault set
-//	gdpverify -n 10 -k 2 -replay g.certs  # re-check witnesses (no solver trust)
 //	gdpverify -n 22 -k 4 -symmetry        # orbit-reduced exhaustive proof
 //	gdpverify -n 22 -k 4 -store v.gdps    # incremental: replay cached verdicts, append new ones
+//	gdpverify -n 22 -k 4 -symmetry -store v.gdps  # also files the proof's per-size proof blocks
+//	gdpverify -n 22 -k 4 -store v.gdps -replay    # re-check those blocks (no solver, nothing written)
 //	gdpverify -n 22 -k 4 -json            # machine-readable report + metrics
 //	gdpverify -n 22 -k 4 -race-engines    # race DP vs backtracker on hard sets
 //	gdpverify -n 22 -k 4 -fail-fast       # stop at the first counterexample
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -33,7 +32,6 @@ import (
 
 	"gdpn/internal/construct"
 	"gdpn/internal/embed"
-	"gdpn/internal/graph"
 	"gdpn/internal/obs"
 	"gdpn/internal/store"
 	"gdpn/internal/telemetry"
@@ -48,14 +46,13 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		merge    = flag.Bool("merge", false, "verify the merged model (processor faults only)")
 		work     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		certify  = flag.String("certify", "", "write a certificate file (one witness per fault set)")
-		replay   = flag.String("replay", "", "replay a certificate file instead of searching")
+		replay   = flag.Bool("replay", false, "prove from the proof blocks of an existing -store file with no solver, writing nothing to it")
 		symm     = flag.Bool("symmetry", false, "exhaustive mode: solve one representative per automorphism orbit of fault sets")
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON blob (report + metrics) on stdout")
 		raceEng  = flag.Bool("race-engines", false, "race the exact DP and the backtracker on hard fault sets (verdict-identical, often faster)")
 		failFast = flag.Bool("fail-fast", false, "exhaustive mode: stop the sweep at the first counterexample")
 		summary  = flag.String("summary", "", "write the canonical verdict summary to this file (diffable against gdpfleet serve -summary)")
-		storeP   = flag.String("store", "", "content-addressed verdict store file (created if absent): sweeps replay cached verdicts instead of re-solving and append new ones; -certify reuses a cached certificate set when it replays cleanly")
+		storeP   = flag.String("store", "", "content-addressed verdict store file (created if absent): sweeps replay cached verdicts instead of re-solving and append new ones; a clean -symmetry sweep also files its proof blocks, which -replay re-checks")
 		addr     = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address during the run")
 	)
 	tf := telemetry.Register()
@@ -76,11 +73,6 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "gdpverify: serving /metrics, /debug/spans, /slo on %s\n", *addr)
 	}
-	if *certify != "" || *replay != "" {
-		certMode(*n, *k, *certify, *replay, *storeP)
-		return
-	}
-
 	// SIGINT/SIGTERM cancel the sweep; the partial report still flushes.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -109,6 +101,9 @@ func main() {
 	}
 	var st *store.Store
 	if *storeP != "" {
+		if _, err := os.Stat(*storeP); *replay && err != nil {
+			fatal(err) // nothing to replay, and a replay creates no store
+		}
 		st, err = store.Open(*storeP)
 		if err != nil {
 			fatal(err)
@@ -119,13 +114,16 @@ func main() {
 		fmt.Println(g.Summary())
 	}
 	var rep *verify.Report
-	if *trials > 0 {
+	switch {
+	case *replay:
+		rep = verify.Replay(g, *k, opts)
+	case *trials > 0:
 		rep = verify.Random(g, *k, *trials, *seed, opts)
-	} else {
+	default:
 		rep = verify.Exhaustive(g, *k, opts)
 	}
-	// Close (flushing appends) before any exit path below.
-	if st != nil {
+	// Close (flushing appends) before any exit path below; a replay writes nothing.
+	if st != nil && !*replay {
 		if err := st.Close(); err != nil {
 			fatal(err)
 		}
@@ -165,90 +163,6 @@ func main() {
 	if !tf.Report(os.Stderr) || !rep.OK() {
 		os.Exit(1)
 	}
-}
-
-// certMode writes or replays a certificate file for Design(n, k). With a
-// store attached, -certify caches the certificate-set JSON as a blob on
-// the graph's slot and reuses it on later runs — but only after a full
-// Replay against the freshly constructed graph re-establishes it, per
-// the store's untrusted-hint model.
-func certMode(n, k int, certifyPath, replayPath, storePath string) {
-	sol, err := construct.Design(n, k)
-	if err != nil {
-		fatal(err)
-	}
-	if certifyPath != "" {
-		var st *store.Store
-		var ref *store.GraphRef
-		blobName := fmt.Sprintf("certset/k%d", k)
-		if storePath != "" {
-			if st, err = store.Open(storePath); err != nil {
-				fatal(err)
-			}
-			ref = st.Register(sol.Graph)
-		}
-		cs := cachedCertSet(ref, blobName, sol.Graph, k)
-		if cs == nil {
-			if cs, err = verify.Certify(sol.Graph, k, embed.Options{Layout: sol.Layout}); err != nil {
-				fatal(err)
-			}
-			if ref != nil {
-				var buf bytes.Buffer
-				if err := cs.Write(&buf); err != nil {
-					fatal(err)
-				}
-				ref.PutBlob(blobName, buf.Bytes())
-			}
-		}
-		if st != nil {
-			if err := st.Close(); err != nil {
-				fatal(err)
-			}
-		}
-		f, err := os.Create(certifyPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := cs.Write(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d certificates for %s to %s\n", len(cs.Certs), sol.Graph.Name(), certifyPath)
-		return
-	}
-	f, err := os.Open(replayPath)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	cs, err := verify.ReadCertificates(f)
-	if err != nil {
-		fatal(err)
-	}
-	if err := cs.Replay(sol.Graph); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("replayed %d certificates for %s: GD(G, %d) re-established without a solver\n",
-		len(cs.Certs), sol.Graph.Name(), k)
-}
-
-// cachedCertSet returns the store's cached certificate set for the slot
-// if it decodes AND replays cleanly against g; any failure (missing blob,
-// corrupt JSON, failed replay) returns nil and the caller re-certifies.
-func cachedCertSet(ref *store.GraphRef, name string, g *graph.Graph, k int) *verify.CertificateSet {
-	if ref == nil {
-		return nil
-	}
-	b, ok := ref.Blob(name)
-	if !ok {
-		return nil
-	}
-	cs, err := verify.ReadCertificates(bytes.NewReader(b))
-	if err != nil || cs.K != k || cs.Replay(g) != nil {
-		return nil
-	}
-	fmt.Printf("reusing %d cached certificates (replayed cleanly from store)\n", len(cs.Certs))
-	return cs
 }
 
 func fatal(err error) {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -20,11 +19,7 @@ func TestSIGINTFlushesPartialJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and signals a real binary")
 	}
-	bin := filepath.Join(t.TempDir(), "gdpverify")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildGdpverify(t)
 
 	// ~C(220,4) fault sets: minutes of sweep, so the interrupt always
 	// lands mid-run.

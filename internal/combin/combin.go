@@ -109,7 +109,7 @@ func SubsetsUpTo(n, k int, fn func(sub []int) bool) int64 {
 
 // Unrank writes into dst the k-subset of {0..n-1} with lexicographic rank r
 // (0-based) and returns dst. dst must have length k. Unrank is the inverse
-// of Rank and is used to split an exhaustive verification run into
+// of Ranker.Rank and is used to split an exhaustive verification run into
 // independent contiguous chunks for worker goroutines.
 func Unrank(n, k int, r int64, dst []int) []int {
 	if len(dst) != k {
@@ -131,19 +131,30 @@ func Unrank(n, k int, r int64, dst []int) []int {
 	return dst
 }
 
-// Rank returns the 0-based lexicographic rank of the k-subset sub of
-// {0..n-1}. sub must be strictly increasing.
-func Rank(n int, sub []int) int64 {
-	var r int64
-	prev := -1
-	k := len(sub)
-	for i, v := range sub {
-		for x := prev + 1; x < v; x++ {
-			r += Binomial(n-x-1, k-i-1)
-		}
-		prev = v
+// Ranker gives the 0-based lexicographic rank of a k-subset {v_0 < v_1 < …}
+// of {0..n-1} in O(k) from a table: C(n, k) - 1 - Σ_i C(n-1-v_i, k-i).
+type Ranker struct {
+	n    int
+	last int64   // C(n, k) - 1
+	t    []int64 // t[i*n+v] = C(n-1-v, k-i)
+}
+
+// NewRanker builds the table for the k-subsets of {0..n-1}.
+func NewRanker(n, k int) Ranker {
+	r := Ranker{n: n, last: Binomial(n, k) - 1, t: make([]int64, k*n)}
+	for i := range r.t {
+		r.t[i] = Binomial(n-1-i%n, k-i/n)
 	}
 	return r
+}
+
+// Rank returns the rank of sub, which must be strictly increasing.
+func (r Ranker) Rank(sub []int) int64 {
+	rank := r.last
+	for i, v := range sub {
+		rank -= r.t[i*r.n+v]
+	}
+	return rank
 }
 
 // RandomSubset writes a uniformly random size-k subset of {0..n-1} into dst

@@ -115,7 +115,7 @@ func TestRankUnrankRoundTrip(t *testing.T) {
 	dst := make([]int, k)
 	var r int64
 	Subsets(n, k, func(sub []int) bool {
-		if got := Rank(n, sub); got != r {
+		if got := NewRanker(n, k).Rank(sub); got != r {
 			t.Fatalf("Rank(%v) = %d, want %d", sub, got, r)
 		}
 		Unrank(n, k, r, dst)
@@ -232,7 +232,7 @@ func TestQuickRankUnrank(t *testing.T) {
 		if sub[k-1] >= n || sub[0] < 0 {
 			return false
 		}
-		return Rank(n, sub) == r
+		return NewRanker(n, k).Rank(sub) == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -17,8 +17,8 @@ func init() {
 }
 
 // warmSpeedupFloor is the acceptance gate for the warm re-sweep: replaying
-// stored verdicts (proof-block fast path: no enumeration, no orbit testing,
-// no solving) must be at least this much faster than the cold sweep that
+// stored verdicts (proof-block fast path: no enumeration, no solving)
+// must be at least this much faster than the cold sweep that
 // produced them. CI runs the full experiment, so the gate is enforced on
 // every push.
 const warmSpeedupFloor = 5.0
@@ -109,7 +109,7 @@ func runStore(cfg Config) *Table {
 			fmt.Sprintf("%.1fx", speedup), boolCell(byteEqual), fmt.Sprint(fails))
 		t.OK = t.OK && ok
 	}
-	t.Note("warm run replays per-size proof blocks: no enumeration, no orbit testing, no solver; every positive verdict re-passes CheckPipeline before being trusted")
+	t.Note("warm run replays per-size proof blocks: no enumeration, no solver; every positive verdict re-passes CheckPipeline before being trusted, and each block must cover its size under the certified automorphisms")
 	if cfg.Quick {
 		t.Note("quick mode: speedup measured but not gated (full runs enforce ≥%.0fx on G3,5)", warmSpeedupFloor)
 	}

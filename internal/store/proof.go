@@ -16,7 +16,8 @@ import "encoding/binary"
 // no lock, and decodes each entry into the caller's buffers. Open checks
 // only a block's header, and drops a block whose header does not parse; a
 // block whose entries do not parse, or name a fault-set node outside the
-// graph, is a miss when replayed.
+// graph, is a miss when replayed. Nothing here trusts a block to list
+// every orbit of its size: the caller checks that (verify's replayProof).
 
 // maxProofNodes is the largest graph a width-2 block can name every node
 // of; a larger graph gets no proof blocks.

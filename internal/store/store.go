@@ -37,9 +37,10 @@
 // (verify.CheckPipeline) before trusting the hit; automorphism groups are
 // rebuilt through autom.FromGenerators, which certificate-checks every
 // generator; negative verdicts are re-screened by cheap necessary
-// conditions on the caller side. A corrupt or adversarial store can
-// therefore cause extra work (misses, replay failures counted by
-// store_replay_fail_total) but never a wrong verdict.
+// conditions, and proof blocks must cover their size, on the caller side.
+// A corrupt or adversarial store can therefore cause extra work (misses,
+// replay failures counted by store_replay_fail_total) but never a wrong
+// verdict.
 package store
 
 import (

@@ -63,7 +63,7 @@ type sweep struct {
 	opts     Options // defaults filled; Solver.Res is the sweep token
 	universe []int
 	group    *autom.Group
-	orbit    *orbitTester // nil until buildOrbit (and without symmetry)
+	orbit    *orbitTester // nil without symmetry
 	ref      *store.GraphRef
 	// root latches external cancellation; its child tok (also
 	// opts.Solver.Res) additionally latches FailFast, so root.Stopped()
@@ -76,7 +76,7 @@ func newSweep(g *graph.Graph, k int, opts Options) *sweep {
 	root, tok := runTokens(opts)
 	opts.Solver.Res = tok
 	ref := attachStore(g, opts)
-	return &sweep{
+	s := &sweep{
 		g:        g,
 		k:        k,
 		opts:     opts,
@@ -86,15 +86,10 @@ func newSweep(g *graph.Graph, k int, opts Options) *sweep {
 		root:     root,
 		tok:      tok,
 	}
-}
-
-// buildOrbit builds the orbit tester of a symmetry-reduced run. It is
-// separate from newSweep so a fully warm Exhaustive, which enumerates
-// nothing, skips it.
-func (s *sweep) buildOrbit() {
 	if s.group != nil {
-		s.orbit = newOrbitTester(s.group, s.universe, s.g.NumNodes())
+		s.orbit = newOrbitTester(s.group, s.universe, g.NumNodes())
 	}
+	return s
 }
 
 func (s *sweep) release() {
@@ -133,9 +128,7 @@ type ShardRunner struct {
 // Solver.Res) cancels in-flight shards, whose reports come back marked
 // Interrupted. Call Close when done to release the cancellation tokens.
 func NewShardRunner(g *graph.Graph, k int, opts Options) *ShardRunner {
-	s := newSweep(g, k, opts)
-	s.buildOrbit()
-	return s.runner(0)
+	return newSweep(g, k, opts).runner(0)
 }
 
 // Run verifies one shard and returns its partial report. A report with

@@ -1,9 +1,10 @@
 package verify
 
 import (
-	"sort"
+	"fmt"
+	"math/bits"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"gdpn/internal/autom"
 	"gdpn/internal/bitset"
@@ -66,100 +67,177 @@ func groupFor(g *graph.Graph, opts Options, ref *store.GraphRef) *autom.Group {
 	return group
 }
 
-// replayProof attempts the warm path for one fault-set size: re-derive the
-// size's full verdict from its proof block in the store, without
-// enumerating or solving anything. The block's entries are split into
-// one contiguous range per worker, each walked front to back. It
-// succeeds only when every entry decodes and survives its re-check:
-// positive verdicts must replay their pipeline certificate through the
-// pipeline check, negative verdicts are re-screened by the cheap
-// necessary-condition filter (and counted accepted/confirmed). Any
-// undecodable entry, replay failure or stray byte abandons the size
-// entirely (the caller falls back to cold enumeration), so a corrupt
-// store degrades to extra work, never to a wrong report. total is the
-// size's full subset count, credited to Represented exactly as a cold
-// enumeration would.
-func replayProof(g *graph.Graph, ref *store.GraphRef, sig uint64, size int, total int64, opts Options) (*Report, bool) {
-	blk, ok := ref.LookupProof(sig, size)
+// replayProof re-derives one size's full verdict from its proof block,
+// one contiguous range of entries per worker, with no enumeration and no
+// solver. Each entry must decode and pass its re-check (a positive
+// replays its certificate, a negative is re-screened by the cheap
+// necessary conditions), and the entries must cover the size: distinct
+// least sets of their orbits under the tester's certified automorphisms,
+// which carry a verdict to the whole orbit, whose orbits add up to the
+// size. Otherwise the caller enumerates the size cold, and the record
+// says why: a corrupt or incomplete store costs work, never a wrong report.
+func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
+	blk, ok := s.ref.LookupProof(sig, size)
 	if !ok {
-		return nil, false
+		return nil, replayFault(size, nil, -1, "no proof block")
 	}
-	n := blk.Len()
-	if int64(n) > total {
-		// More representatives than sets: no sweep wrote this block.
+	m, n := len(s.universe), blk.Len()
+	total := combin.Binomial(m, size)
+	// Generators alone do not give the orbits' sizes, and a rank bitmap
+	// far larger than the block is not worth building.
+	if s.orbit.order == 0 || m > 64 || total > 64*int64(n)*int64(s.orbit.order) {
 		blk.Miss()
-		return nil, false
+		return nil, replayFault(size, nil, -1, fmt.Sprintf("cannot check that %d entries cover %d sets", n, total))
 	}
 	sp := span.Start(nil, "store-replay")
 	sp.SetInt("size", int64(size)).SetInt("reps", int64(n))
 
-	shards := min(opts.Workers, n)
-	var bad, malformed atomic.Bool
-	fails := make([][]FaultSetRecord, shards)
+	rk := combin.NewRanker(m, size)
+	type shard struct {
+		fails   []FaultSetRecord
+		reps    []uint64 // a bitmap of the entries that are least in their orbits
+		covered int64    // the sizes of those orbits
+		fault   *FaultSetRecord
+	}
+	shards := make([]shard, min(s.opts.Workers, n))
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for i := range shards {
 		wg.Add(1)
-		go func(s int) {
+		go func(o *shard, from, to int) {
 			defer wg.Done()
-			from, to := s*n/shards, (s+1)*n/shards
+			// The shards share cache lines: o is written only at the end.
 			cur, ok := blk.Cursor(from)
-			if !ok {
-				malformed.Store(true)
-				return
-			}
-			faults := bitset.New(g.NumNodes())
-			chk := graph.NewChecker(g)
+			reps, covered := make([]uint64, (total+63)/64), int64(0)
+			defer func() { o.reps, o.covered = reps, covered }()
+			faults := bitset.New(s.g.NumNodes())
+			chk := graph.NewChecker(s.g)
 			var set, path []int
-			for i := from; i < to; i++ {
-				if i%64 == 0 && (bad.Load() || malformed.Load()) {
-					return // another worker failed: the size is abandoned
+			sub := make([]int, size)
+			for i := from; ok && i < to; i++ {
+				var r, orbit int64
+				if set, path, ok = cur.Next(set, path); ok {
+					r, orbit, ok = s.orbit.entry(rk, set, sub)
 				}
-				if set, path, ok = cur.Next(set, path); !ok {
-					malformed.Store(true)
-					return
+				if !ok {
+					break
 				}
 				for _, x := range set {
 					faults.Add(x)
 				}
-				if len(path) > 0 {
-					if chk.Pipeline(faults, graph.Path(path)) != nil {
-						storeReplayFailC.Add(1)
-						bad.Store(true)
-					}
-				} else {
-					recheckNegative(g, faults)
-					nodes := append([]int(nil), set...)
-					sort.Ints(nodes) // fault sets are sorted ascending everywhere
-					fails[s] = append(fails[s], FaultSetRecord{Nodes: nodes, Err: "no pipeline"})
+				if len(path) == 0 {
+					recheckNegative(s.g, faults)
+					o.fails = append(o.fails, FaultSetRecord{Nodes: nodesOf(s.universe, sub), Err: "no pipeline"})
+				} else if err := chk.Pipeline(faults, graph.Path(path)); err != nil {
+					storeReplayFailC.Add(1)
+					o.fault = replayFault(size, nodesOf(s.universe, sub), r, err.Error())
+					return
 				}
 				for _, x := range set {
 					faults.Remove(x)
 				}
+				if orbit > 0 {
+					reps[r>>6] |= 1 << (r & 63)
+					covered += orbit
+				}
 			}
-			if s == shards-1 && !cur.Done() {
-				malformed.Store(true)
+			if !ok || to == n && !cur.Done() {
+				o.fault = replayFault(size, nil, -1, "entries do not decode")
 			}
-		}(s)
+		}(&shards[i], i*n/len(shards), (i+1)*n/len(shards))
 	}
 	wg.Wait()
-	if malformed.Load() {
-		blk.Miss()
+
+	local := &Report{Checked: int64(n), Represented: total}
+	var fault *FaultSetRecord
+	reps, distinct, covered := shards[0].reps, 0, int64(0)
+	for _, o := range shards {
+		if fault == nil {
+			fault = o.fault
+		}
+		covered += o.covered
+		// Keep the canonically smallest failures, exactly as a cold
+		// sweep's merged shard reports do, whatever the block's order.
+		local.FailureCount += int64(len(o.fails))
+		local.Failures = mergeRecords(local.Failures, o.fails, s.opts.MaxRecorded)
+		for j := range o.reps {
+			reps[j] |= o.reps[j]
+		}
 	}
-	if bad.Load() || malformed.Load() {
+	for _, w := range reps {
+		distinct += bits.OnesCount64(w)
+	}
+	// Distinct least sets lie in distinct orbits. Where they miss some,
+	// name the first set in none: the first least set that is no entry.
+	// Only a failed certificate is no miss.
+	miss := fault == nil || fault.Nodes == nil
+	if fault == nil && (distinct != n || covered != total) {
+		fault = replayFault(size, nil, -1, fmt.Sprintf("%d entries, %d distinct least sets of orbits", n, distinct))
+		r, scratch := int64(0), make([]int, size)
+		combin.Subsets(m, size, func(sub []int) bool {
+			if reps[r>>6]&(1<<(r&63)) == 0 && s.orbit.isMinimal(sub, scratch) {
+				fault = replayFault(size, nodesOf(s.universe, sub), r, "in no entry's orbit")
+				return false
+			}
+			r++
+			return true
+		})
+	}
+	if fault != nil {
+		if miss {
+			blk.Miss()
+		}
 		sp.End(span.Errored)
-		return nil, false
+		return nil, fault
 	}
 	blk.Hit()
-
-	// Keep the canonically smallest failures, exactly as a cold sweep's
-	// merged shard reports do, whatever order the block lists them in.
-	local := &Report{Checked: int64(n), Represented: total}
-	for _, f := range fails {
-		local.FailureCount += int64(len(f))
-		local.Failures = mergeRecords(local.Failures, f, opts.MaxRecorded)
-	}
 	sp.End(span.OK)
-	return local, true
+	return local, nil
+}
+
+// replayFault records why a size did not replay: the size, and the fault
+// set and its rank among the size's sets where one is at fault (rank ≥ 0).
+func replayFault(size int, nodes []int, rank int64, why string) *FaultSetRecord {
+	if rank < 0 {
+		return &FaultSetRecord{Err: fmt.Sprintf("size %d: %s", size, why)}
+	}
+	return &FaultSetRecord{Nodes: nodes, Err: fmt.Sprintf("size %d rank %d: %s", size, rank, why)}
+}
+
+// entry reads a proof-block entry's fault set, node ids in any order, as
+// a bit mask over a universe of at most 64 nodes and into sub as
+// ascending universe indices, and returns its rank and, if it is the
+// least set of its orbit, the orbit's size (else 0). ok is false when set
+// is not len(sub) distinct universe nodes.
+func (t *orbitTester) entry(rk combin.Ranker, set, sub []int) (r, orbit int64, ok bool) {
+	var mask uint64
+	for _, v := range set {
+		if t.idx[v] < 0 {
+			return 0, 0, false
+		}
+		mask |= 1 << t.idx[v]
+	}
+	if len(set) != len(sub) || bits.OnesCount64(mask) != len(sub) {
+		return 0, 0, false
+	}
+	for i, m := 0, mask; m != 0; i, m = i+1, m&(m-1) {
+		sub[i] = bits.TrailingZeros64(m)
+	}
+	// Of two sets of one size, the lesser holds the least node of their
+	// difference. The orbit has order/stab sets, stab counting the
+	// elements fixing it, which include those missing from perms.
+	r, stab := rk.Rank(sub), t.order-len(t.perms)
+	for _, q := range t.perms {
+		var img uint64
+		for _, x := range sub {
+			img |= 1 << q[x]
+		}
+		if d := img ^ mask; img&d&-d != 0 {
+			return r, 0, true
+		} else if d == 0 {
+			stab++
+		}
+	}
+	return r, int64(t.order / stab), true
 }
 
 // recheckNegative screens a stored negative verdict with the cheap
@@ -288,23 +366,42 @@ func (w *worker) applyCached(sub []int, v store.Verdict) bool {
 	return true
 }
 
-// replayedSizes computes the warm-path replays for Exhaustive: for every
-// size whose proof block replays cleanly, the merged partial report; the
-// returned set marks sizes the sweep must NOT enumerate. FailFast runs
-// never replay (a cold FailFast sweep stops at the first counterexample
-// with prefix-only counters; replaying full sizes would change the
-// verdict's coverage shape).
-func replayedSizes(g *graph.Graph, ref *store.GraphRef, sig uint64, k int, universe []int, opts Options, rep *Report) map[int]bool {
-	replayed := make(map[int]bool)
-	if opts.FailFast {
-		return replayed
-	}
-	for size := 0; size <= k && size <= len(universe); size++ {
-		total := combin.Binomial(len(universe), size)
-		if local, ok := replayProof(g, ref, sig, size, total, opts); ok {
-			merge(rep, local, opts.MaxRecorded)
+// replaySizes replays every size's proof block into rep, for Exhaustive
+// and Replay. It returns the sizes replayed, and a report of the rest:
+// their sets counted as unknowns, each size's with a record of why.
+func (s *sweep) replaySizes(rep *Report) (map[int]bool, *Report) {
+	replayed, rest := map[int]bool{}, &Report{}
+	sig := s.ref.SweepSig(s.universe, s.k, s.ref.GroupSig(s.group))
+	for size := 0; size <= s.k && size <= len(s.universe); size++ {
+		if local, fault := s.replayProof(sig, size); fault != nil {
+			rest.UnknownCount += combin.Binomial(len(s.universe), size)
+			rest.Unknowns = append(rest.Unknowns, *fault)
+		} else {
+			merge(rep, local, s.opts.MaxRecorded)
 			replayed[size] = true
 		}
 	}
-	return replayed
+	return replayed, rest
+}
+
+// Replay proves GD(G, k) from the proof blocks in opts.Store alone, as a
+// warm symmetry-reduced Exhaustive does, and builds no solver: a clean
+// Report trusts only the pipeline check and the certified automorphisms,
+// and has the VerdictSummary of the cold sweep that wrote the blocks.
+// Options are read as by Exhaustive, with ExploitSymmetry implied and
+// FailFast ignored. A size without a clean block is left unknown, with a
+// record of why. Replay appends to the store at most g and its group.
+func Replay(g *graph.Graph, k int, opts Options) *Report {
+	start := time.Now()
+	opts.ExploitSymmetry = true
+	s := newSweep(g, k, opts)
+	defer s.release()
+	rep := &Report{GraphName: g.Name(), K: k}
+	rest := &Report{UnknownCount: combin.CountUpTo(len(s.universe), k), Unknowns: []FaultSetRecord{{Err: "no verdict store"}}}
+	if s.ref != nil {
+		_, rest = s.replaySizes(rep)
+	}
+	merge(rep, rest, s.opts.MaxRecorded)
+	rep.Duration = time.Since(start)
+	return rep
 }

@@ -94,11 +94,9 @@ type Options struct {
 	// hits replay their pipeline certificate, negative hits are re-screened
 	// by cheap necessary conditions — see storecache.go) and append every
 	// fresh verdict after. With ExploitSymmetry, clean full sweeps also
-	// record per-size proof blocks (orbit representatives with their
-	// witnesses), letting a warm re-run of the same instance skip
-	// enumeration and orbit testing entirely.
-	// The caller owns the store's lifecycle (Flush/Close). nil disables
-	// caching.
+	// record per-size proof blocks, which a warm re-run or Replay checks
+	// instead of enumerating. The caller owns the store's lifecycle
+	// (Flush/Close). nil disables caching.
 	Store *store.Store
 }
 
@@ -238,12 +236,10 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 
 	// Warm path: replay whole size classes from the store's proof blocks
 	// (symmetry-reduced runs only — a block records orbit representatives
-	// decided under a specific group signature).
-	var sweepSig uint64
+	// decided under a specific group signature; never under FailFast).
 	replayed := map[int]bool{}
-	if s.ref != nil && s.group != nil {
-		sweepSig = s.ref.SweepSig(universe, k, s.ref.GroupSig(s.group))
-		replayed = replayedSizes(g, s.ref, sweepSig, k, universe, opts, rep)
+	if s.ref != nil && s.orbit != nil && !opts.FailFast {
+		replayed, _ = s.replaySizes(rep)
 	}
 
 	// Fine-grained shards, dealt round-robin onto per-worker deques. The
@@ -266,12 +262,8 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			next++
 		}
 	}
-	// The orbit tester is only needed for sizes that will actually be
-	// enumerated; a fully-warm run (every size replayed) skips building it.
-	if next > 0 {
-		s.buildOrbit()
-	}
-	collect := s.ref != nil && s.orbit != nil
+	// Only blocks that replayProof can check are worth collecting.
+	collect := s.ref != nil && s.orbit != nil && s.orbit.order > 0 && len(universe) <= 64
 
 	runners := make([]*ShardRunner, opts.Workers)
 	partials := make([]*Report, opts.Workers)
@@ -316,6 +308,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 	// size, and each has its witness in the store (PutProof writes no
 	// block for a size where one has none, as after a solver bug).
 	if collect && !opts.FailFast && !s.tok.Stopped() && rep.UnknownCount == 0 {
+		sig := s.ref.SweepSig(universe, k, s.ref.GroupSig(s.group))
 		for size := 0; size <= k && size <= len(universe); size++ {
 			if replayed[size] {
 				continue
@@ -324,7 +317,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			for _, r := range runners {
 				sets = append(sets, r.wk.collect[size]...)
 			}
-			s.ref.PutProof(sweepSig, size, sets)
+			s.ref.PutProof(sig, size, sets)
 		}
 	}
 
@@ -405,6 +398,11 @@ func stealFrom(deques []*stealQueue, self int) (Shard, bool) {
 // immutable after construction and shared by all workers.
 type orbitTester struct {
 	perms [][]int32
+	// idx maps a node id to its universe index, -1 outside the universe.
+	idx []int32
+	// order is the order of the group keeping the universe when perms are
+	// all its elements that move a universe node, 0 if only generators.
+	order int
 }
 
 // maxOrbitPerms caps how many permutations isMinimal applies per fault set.
@@ -415,8 +413,9 @@ const maxOrbitPerms = 1024
 
 func newOrbitTester(group *autom.Group, universe []int, n int) *orbitTester {
 	var perms []autom.Perm
+	t := &orbitTester{}
 	if elems, ok := group.Elements(); ok && len(elems) <= maxOrbitPerms {
-		perms = elems
+		perms, t.order = elems, 1
 	} else {
 		for _, p := range group.Generators() {
 			perms = append(perms, p, p.Inverse())
@@ -429,7 +428,7 @@ func newOrbitTester(group *autom.Group, universe []int, n int) *orbitTester {
 	for i, v := range universe {
 		idxOf[v] = int32(i)
 	}
-	t := &orbitTester{}
+	t.idx = idxOf
 	for _, p := range perms {
 		q := make([]int32, len(universe))
 		usable, ident := true, true
@@ -446,6 +445,9 @@ func newOrbitTester(group *autom.Group, universe []int, n int) *orbitTester {
 			if int(u) != i {
 				ident = false
 			}
+		}
+		if usable && t.order > 0 {
+			t.order++
 		}
 		if usable && !ident {
 			t.perms = append(t.perms, q)
@@ -704,11 +706,16 @@ func record(dst *[]FaultSetRecord, universe, sub []int, msg string, maxRec int) 
 	if len(*dst) >= maxRec {
 		return
 	}
+	*dst = append(*dst, FaultSetRecord{Nodes: nodesOf(universe, sub), Err: msg})
+}
+
+// nodesOf returns the node ids of the universe indices sub.
+func nodesOf(universe, sub []int) []int {
 	nodes := make([]int, len(sub))
 	for i, idx := range sub {
 		nodes[i] = universe[idx]
 	}
-	*dst = append(*dst, FaultSetRecord{Nodes: nodes, Err: msg})
+	return nodes
 }
 
 // merge accumulates local into rep. It is commutative and associative:
