@@ -133,9 +133,6 @@ func BenchmarkReconfigureN1000K6Auto(b *testing.B) { benchReconfigure(b, 1000, 6
 func BenchmarkReconfigureN10000K6Auto(b *testing.B) {
 	benchReconfigure(b, 10_000, 6, embed.Auto)
 }
-func BenchmarkReconfigureN100K4Structured(b *testing.B) {
-	benchReconfigure(b, 100, 4, embed.Structured)
-}
 func BenchmarkReconfigureN22K4DP(b *testing.B) { benchReconfigure(b, 22, 4, embed.DP) }
 func BenchmarkReconfigureN22K4Backtracking(b *testing.B) {
 	benchReconfigure(b, 22, 4, embed.Backtracking)

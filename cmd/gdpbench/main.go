@@ -54,7 +54,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		symm    = flag.Bool("symmetry", false, "orbit-reduced exhaustive verification inside every experiment")
 		jsonOut = flag.Bool("json", false, "emit a machine-readable JSON blob (tables + metrics) on stdout")
-		raceEng = flag.Bool("race-engines", false, "race the exact DP and the backtracker on hard fault sets in every verification")
 		batch   = flag.Int("batch", 0, "transport batch size for the streaming experiments (0 = pipeline default)")
 		storeP  = flag.String("store", "", "content-addressed verdict store file (created if absent): repeated gdpbench runs replay cached verdicts instead of re-solving")
 		addr    = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address during the run")
@@ -92,7 +91,7 @@ func main() {
 	defer cancel()
 
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Symmetry: *symm,
-		Race: *raceEng, Batch: *batch, Context: ctx}
+		Batch: *batch, Context: ctx}
 	// closeStore flushes appended verdicts; called explicitly because the
 	// exit paths below use os.Exit (which skips defers).
 	closeStore := func() {}

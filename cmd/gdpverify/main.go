@@ -12,7 +12,6 @@
 //	gdpverify -n 22 -k 4 -symmetry -store v.gdps  # also files the proof's per-size proof blocks
 //	gdpverify -n 22 -k 4 -store v.gdps -replay    # re-check those blocks (no solver, nothing written)
 //	gdpverify -n 22 -k 4 -json            # machine-readable report + metrics
-//	gdpverify -n 22 -k 4 -race-engines    # race DP vs backtracker on hard sets
 //	gdpverify -n 22 -k 4 -fail-fast       # stop at the first counterexample
 //
 // SIGINT/SIGTERM cancel the run: workers stop mid-sweep (abandoning any
@@ -49,7 +48,6 @@ func main() {
 		replay   = flag.Bool("replay", false, "prove from the proof blocks of an existing -store file with no solver, writing nothing to it")
 		symm     = flag.Bool("symmetry", false, "exhaustive mode: solve one representative per automorphism orbit of fault sets")
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON blob (report + metrics) on stdout")
-		raceEng  = flag.Bool("race-engines", false, "race the exact DP and the backtracker on hard fault sets (verdict-identical, often faster)")
 		failFast = flag.Bool("fail-fast", false, "exhaustive mode: stop the sweep at the first counterexample")
 		summary  = flag.String("summary", "", "write the canonical verdict summary to this file (diffable against gdpfleet serve -summary)")
 		storeP   = flag.String("store", "", "content-addressed verdict store file (created if absent): sweeps replay cached verdicts instead of re-solving and append new ones; a clean -symmetry sweep also files its proof blocks, which -replay re-checks")
@@ -89,7 +87,7 @@ func main() {
 	g := sol.Graph
 	opts := verify.Options{
 		Workers:         *work,
-		Solver:          embed.Options{Layout: sol.Layout, Race: *raceEng},
+		Solver:          embed.Options{Layout: sol.Layout},
 		ExploitSymmetry: *symm,
 		Context:         ctx,
 		FailFast:        *failFast,
@@ -97,7 +95,7 @@ func main() {
 	if *merge {
 		g = construct.Merge(g)
 		opts.Universe = verify.ProcessorsOnly
-		opts.Solver = embed.Options{Race: *raceEng}
+		opts.Solver = embed.Options{}
 	}
 	var st *store.Store
 	if *storeP != "" {

@@ -17,7 +17,7 @@
 //
 //   - internal/core: Design / Inject / Pipeline — the top-level API
 //   - internal/construct: the paper's constructions (§3)
-//   - internal/embed: exact, backtracking, and structured solvers
+//   - internal/embed: planner, exact, and backtracking solvers
 //   - internal/verify: machine proofs of GD(G, k) and optimality checks
 //   - internal/search: Lemma 3.14 re-proof and special-solution derivation
 //   - internal/pipeline + internal/stages: the streaming runtime

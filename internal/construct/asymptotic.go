@@ -7,8 +7,8 @@ import (
 )
 
 // Layout records the structural metadata of the §3.4 asymptotic
-// construction: which node ids play which role. The structured
-// reconfiguration solver (internal/embed) consumes it to find pipelines in
+// construction: which node ids play which role. The constructive
+// reconfiguration planner (internal/embed) consumes it to find pipelines in
 // O(n) instead of by general search.
 type Layout struct {
 	N int // minimum pipeline processors

@@ -143,12 +143,12 @@ func TestAsymptoticRandomFaultsVerified(t *testing.T) {
 }
 
 func TestAsymptoticStructuredMatchesBacktracking(t *testing.T) {
-	// The structured solver must agree with the complete engine.
+	// The planner-first Auto ladder must agree with the complete engine.
 	g, lay, err := construct.Asymptotic(80, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	structured := embed.NewSolver(g, embed.Options{Layout: lay, Method: embed.Structured})
+	auto := embed.NewSolver(g, embed.Options{Layout: lay})
 	for seed := 0; seed < 40; seed++ {
 		faults := bitset.New(g.NumNodes())
 		// Deterministic pseudo-random 4-subsets.
@@ -157,9 +157,9 @@ func TestAsymptoticStructuredMatchesBacktracking(t *testing.T) {
 			x = x*1103515245 + 12345
 			faults.Add(((x >> 8) & 0x7fffffff) % g.NumNodes())
 		}
-		res := structured.Find(faults)
+		res := auto.Find(faults)
 		if !res.Found {
-			t.Fatalf("seed %d: structured (with fallback) found no pipeline for faults %v", seed, faults.Slice())
+			t.Fatalf("seed %d: auto ladder found no pipeline for faults %v", seed, faults.Slice())
 		}
 		if err := verify.CheckPipeline(g, faults, res.Pipeline); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -35,7 +35,7 @@ func DegreeLowerBound(n, k int) int {
 type Solution struct {
 	Graph *graph.Graph
 	// Layout is non-nil when the asymptotic construction was used; it
-	// enables the O(n) structured reconfiguration solver.
+	// enables the O(n) constructive reconfiguration planner.
 	Layout *Layout
 	N, K   int
 	// Method names the construction used ("G1", "extend(G2)×3",
@@ -154,7 +154,7 @@ func designSmallK(n, k int) (*Solution, error) {
 func designLargeK(n, k int) (*Solution, error) {
 	if n >= MinAsymptoticN(k) {
 		// Degree-optimal and comes with a Layout, which enables the O(n)
-		// structured reconfiguration solver — preferable to the extension
+		// constructive reconfiguration planner — preferable to the extension
 		// chains at scale even where both apply.
 		g, lay, err := Asymptotic(n, k)
 		if err != nil {

@@ -217,7 +217,7 @@ func TestExecutorShedReadmit(t *testing.T) {
 	}
 }
 
-// TestExecutorBudgetShed runs the planner without the structured layout
+// TestExecutorBudgetShed runs the planner without the asymptotic layout
 // (so every solve costs real expansions) and gives one tenant a 1-node
 // budget: its first charged replan must shed it permanently.
 func TestExecutorBudgetShed(t *testing.T) {

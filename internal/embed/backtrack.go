@@ -97,7 +97,7 @@ func (s *Solver) findBacktrack(e endpoints, budget int64, res *Resources) Result
 	}
 	// Isolated vertices are fatal unless np == 1 (handled by caller).
 	if bt.zeroCount > 0 {
-		return Result{Found: false, Method: Backtracking}
+		return Result{Found: false}
 	}
 	// Try low-degree starts first: they are the most constrained.
 	sort.Slice(starts, func(a, b int) bool {
@@ -113,16 +113,15 @@ func (s *Solver) findBacktrack(e endpoints, budget int64, res *Resources) Result
 			return Result{
 				Pipeline:   s.assemble(e, procPath),
 				Found:      true,
-				Method:     Backtracking,
 				Expansions: bt.expansions,
 			}
 		}
 		bt.unvisit(st)
 		if bt.exhausted {
-			return Result{Unknown: true, Method: Backtracking, Expansions: bt.expansions}
+			return Result{Unknown: true, Expansions: bt.expansions}
 		}
 	}
-	return Result{Found: false, Method: Backtracking, Expansions: bt.expansions}
+	return Result{Found: false, Expansions: bt.expansions}
 }
 
 func (bt *backtracker) visit(v int) {

@@ -3,22 +3,23 @@
 // healthy input terminal, ends at a healthy output terminal, and visits
 // every healthy processor (the paper's definition of "G tolerates F", §2).
 //
-// Four engine tiers are provided, and the Auto method stages them from
-// cheapest to most general:
+// Three engines are provided:
 //
 //   - a constructive planner for the §3.4 asymptotic family (planner.go):
-//     O(n) for fixed k, search-free, resolves ≥99.8% of random fault sets
-//     (experiment P3);
+//     O(n) for fixed k, search-free, it builds the paper's reconfiguration
+//     (Theorem 3.17) and resolves ≥99.8% of random fault sets (experiment
+//     P3);
 //   - an exact Held–Karp dynamic program (exact.go), complete for up to
 //     MaxDPProcessors healthy processors; used where nonexistence must be
 //     decided (the search module, uniqueness proofs);
 //   - a pruned backtracking search (backtrack.go), complete when given an
 //     unlimited budget, with Warnsdorff ordering, forced-move and
-//     degree/connectivity pruning; the workhorse of exhaustive
-//     verification;
-//   - a run-compression search for the asymptotic family (structured.go)
-//     that collapses long healthy circulant runs into three-node corridors
-//     and solves a fault-local subproblem whose size depends on k but not n.
+//     degree/connectivity pruning.
+//
+// The Auto method runs them as one ladder, cheapest first: the planner
+// (when a Layout is supplied), the DP for at most 18 healthy processors,
+// a budget-capped backtracking probe, the DP up to MaxDPProcessors, and
+// finally the full-budget backtracker.
 //
 // Every engine returns either a full pipeline (which callers re-validate
 // with verify.CheckPipeline) or "not found"; the search engines can also
@@ -45,15 +46,13 @@ const MaxDPProcessors = 22
 type Method int
 
 const (
-	// Auto picks: Structured when a layout is supplied and applicable,
-	// otherwise DP for small instances, otherwise Backtracking.
+	// Auto runs the staged ladder: the planner when a layout is supplied,
+	// then DP for small instances, then Backtracking.
 	Auto Method = iota
 	// DP forces the exact Held–Karp dynamic program.
 	DP
 	// Backtracking forces the pruned DFS.
 	Backtracking
-	// Structured forces the asymptotic-family solver (requires Options.Layout).
-	Structured
 )
 
 // String returns the engine name.
@@ -65,8 +64,6 @@ func (m Method) String() string {
 		return "dp"
 	case Backtracking:
 		return "backtracking"
-	case Structured:
-		return "structured"
 	default:
 		return fmt.Sprintf("method(%d)", int(m))
 	}
@@ -76,8 +73,8 @@ func (m Method) String() string {
 type Options struct {
 	// Method selects the engine (default Auto).
 	Method Method
-	// Layout enables the structured engine for graphs built by
-	// construct.Asymptotic.
+	// Layout enables the constructive planner (Auto's first tier) for
+	// graphs built by construct.Asymptotic.
 	Layout *construct.Layout
 	// Budget bounds the number of DFS node expansions in the backtracking
 	// engine; 0 means DefaultBudget. When the budget is exhausted the
@@ -87,16 +84,9 @@ type Options struct {
 	// FindDelta call of this solver: cancel it and the search engines
 	// return Unknown at their next expansion. nil = never stops. A
 	// wall-clock bound is a token with a deadline, e.g. Scoped(nil, d).
-	// The O(n) planner and structured tiers are not bounded — they finish
-	// far below any useful deadline.
+	// The O(n) planner tier is not bounded — it finishes far below any
+	// useful deadline.
 	Res *Resources
-	// Race upgrades Auto for hard instances: when the planner/structured
-	// tiers miss and the instance fits the exact DP, the backtracker and
-	// the Held–Karp DP run concurrently under sibling Resources tokens and
-	// the first definitive answer (found, or exhaustive not-found) cancels
-	// the loser. Verdicts are identical to the staged ladder; only the
-	// wall-clock path to them changes.
-	Race bool
 	// Memo retains solved results across calls, keyed by the exact fault
 	// set: a repeated fault set (chaos churn revisiting nearby
 	// configurations, fault/repair cycles) returns the cached verdict and
@@ -105,13 +95,11 @@ type Options struct {
 	// The cache survives remaps by design; call InvalidateCache when the
 	// graph changes underneath the solver. Off by default.
 	Memo bool
-	// MemoCap bounds the number of retained results (0 = DefaultMemoCap);
-	// reaching the cap clears the cache rather than evicting piecemeal.
-	MemoCap int
 }
 
-// DefaultMemoCap is the Options.Memo entry bound used when MemoCap is 0.
-const DefaultMemoCap = 4096
+// memoCap bounds the number of results Options.Memo retains; reaching it
+// clears the cache rather than evicting piecemeal.
+const memoCap = 4096
 
 // DefaultBudget is the backtracking node-expansion budget used when
 // Options.Budget is 0. It is far above what any instance in the test and
@@ -129,22 +117,20 @@ type Result struct {
 	// the search space was covered; Found is false but nonexistence has
 	// NOT been established.
 	Unknown bool
-	// Method is the engine that produced the outcome.
-	Method Method
 	// Expansions counts DFS node expansions (backtracking) or DP
 	// transitions (exact).
 	Expansions int64
 }
 
 // TierStats counts which engine tier resolved each Find call — the
-// portfolio's division of labour, reported by the P1/P3 ablation
-// experiments. Tiers are mutually exclusive per call. Under the racing
-// Auto portfolio the winner of each race is attributed to its tier (DP or
-// Full); the embed_race_won_total counters record that it won by racing.
+// ladder's division of labour, reported by the P1/P3 ablation
+// experiments. Tiers are mutually exclusive per call.
 type TierStats struct {
 	// Planner counts calls solved by the constructive asymptotic planner.
 	Planner int64 `json:"planner"`
-	// Compressed counts calls solved by the run-compression search.
+	// Compressed is always zero: the run-compression tier it counted is
+	// gone. The field stays because the benchmark's sweep report still
+	// reads it.
 	Compressed int64 `json:"compressed"`
 	// Probe counts calls resolved by the cheap first-pass backtracking.
 	Probe int64 `json:"probe"`
@@ -159,13 +145,12 @@ type TierStats struct {
 
 // Total returns the number of Find calls accounted for.
 func (t TierStats) Total() int64 {
-	return t.Planner + t.Compressed + t.Probe + t.DP + t.Full + t.Trivial
+	return t.Planner + t.Probe + t.DP + t.Full + t.Trivial
 }
 
 // Add accumulates other into t (merging per-worker solver stats).
 func (t *TierStats) Add(other TierStats) {
 	t.Planner += other.Planner
-	t.Compressed += other.Compressed
 	t.Probe += other.Probe
 	t.DP += other.DP
 	t.Full += other.Full
@@ -177,24 +162,11 @@ func (t *TierStats) Add(other TierStats) {
 // chunk of work was resolved — without resetting the solver.
 func (t TierStats) Sub(other TierStats) TierStats {
 	return TierStats{
-		Planner:    t.Planner - other.Planner,
-		Compressed: t.Compressed - other.Compressed,
-		Probe:      t.Probe - other.Probe,
-		DP:         t.DP - other.DP,
-		Full:       t.Full - other.Full,
-		Trivial:    t.Trivial - other.Trivial,
-	}
-}
-
-// Publish exports the stats as embed_tier_stats{tier=...} gauges on reg —
-// the division-of-labour view at /metrics. Gauges accumulate across
-// Publish calls (a verification run publishes its workers' totals once at
-// the end).
-func (t TierStats) Publish(reg *obs.Registry) {
-	for i, v := range tierDeltas(t) {
-		if v != 0 {
-			reg.Gauge("embed_tier_stats", obs.L("tier", tierNames[i])).Add(v)
-		}
+		Planner: t.Planner - other.Planner,
+		Probe:   t.Probe - other.Probe,
+		DP:      t.DP - other.DP,
+		Full:    t.Full - other.Full,
+		Trivial: t.Trivial - other.Trivial,
 	}
 }
 
@@ -237,22 +209,18 @@ type Solver struct {
 	// run is the token governing the current Find call (Options.Res).
 	run *Resources
 
-	// spanParent is the causal parent for per-call solve spans (SetSpan);
-	// raceWinner records which engine won the last racing Auto call ("" =
-	// no race) so the span can carry a race_winner attribute.
+	// spanParent is the causal parent for per-call solve spans (SetSpan).
 	spanParent *span.S
-	raceWinner string
 
 	reg        *obs.Registry
 	findTime   *obs.Histogram  // wall time per Find call
 	expansions *obs.Counter    // DFS node expansions / DP transitions
-	tiers      [6]*obs.Counter // per-tier resolutions, same order as tierDeltas
+	tiers      [5]*obs.Counter // per-tier resolutions, same order as tierDeltas
 	warmHit    *obs.Counter
 	warmMiss   *obs.Counter
 	memoHit    *obs.Counter
 	memoMiss   *obs.Counter
-	cancels    *obs.Counter    // calls abandoned because the token stopped
-	raceWon    [2]*obs.Counter // racing Auto wins, [0]=dp [1]=backtrack
+	cancels    *obs.Counter // calls abandoned because the token stopped
 }
 
 // NewSolver returns a Solver for g.
@@ -281,20 +249,15 @@ func NewSolver(g *graph.Graph, opts Options) *Solver {
 	s.warmMiss = s.reg.Counter("embed_warm_total", obs.L("result", "miss"))
 	s.memoHit = s.reg.Counter("embed_memo_hit_total")
 	s.memoMiss = s.reg.Counter("embed_memo_miss_total")
-	if s.opts.MemoCap <= 0 {
-		s.opts.MemoCap = DefaultMemoCap
-	}
 	s.cancels = s.reg.Counter("embed_cancel_total")
-	s.raceWon[0] = s.reg.Counter("embed_race_won_total", obs.L("engine", "dp"))
-	s.raceWon[1] = s.reg.Counter("embed_race_won_total", obs.L("engine", "backtrack"))
 	return s
 }
 
-var tierNames = [6]string{"planner", "compressed", "probe", "dp", "full", "trivial"}
+var tierNames = [5]string{"planner", "probe", "dp", "full", "trivial"}
 
 // tierDeltas flattens a TierStats in the tierNames order.
-func tierDeltas(t TierStats) [6]int64 {
-	return [6]int64{t.Planner, t.Compressed, t.Probe, t.DP, t.Full, t.Trivial}
+func tierDeltas(t TierStats) [5]int64 {
+	return [5]int64{t.Planner, t.Probe, t.DP, t.Full, t.Trivial}
 }
 
 // Stats returns cumulative per-tier resolution counts for this solver.
@@ -350,9 +313,8 @@ func (s *Solver) InvalidateCache() {
 // copy; hits hand out fresh copies (Result.Pipeline is documented as
 // freshly allocated).
 type memoEntry struct {
-	found  bool
-	method Method
-	path   graph.Path
+	found bool
+	path  graph.Path
 }
 
 // memoKeyFor encodes the fault set into s.memoKey (reused scratch) as
@@ -381,7 +343,7 @@ func (s *Solver) memoLookup(faults bitset.Set) (Result, bool) {
 	}
 	s.memoHits++
 	s.memoHit.Inc()
-	res := Result{Found: e.found, Method: e.method}
+	res := Result{Found: e.found}
 	if e.found {
 		res.Pipeline = make(graph.Path, len(e.path))
 		copy(res.Pipeline, e.path)
@@ -393,10 +355,10 @@ func (s *Solver) memoLookup(faults bitset.Set) (Result, bool) {
 func (s *Solver) memoStore(res Result) {
 	if s.memo == nil {
 		s.memo = make(map[string]memoEntry)
-	} else if len(s.memo) >= s.opts.MemoCap {
+	} else if len(s.memo) >= memoCap {
 		clear(s.memo)
 	}
-	e := memoEntry{found: res.Found, method: res.Method}
+	e := memoEntry{found: res.Found}
 	if res.Found {
 		e.path = make(graph.Path, len(res.Pipeline))
 		copy(e.path, res.Pipeline)
@@ -413,9 +375,8 @@ func (s *Solver) Resources() *Resources { return s.opts.Res }
 
 // SetSpan attaches the causal parent for subsequent Find / FindDelta
 // calls: each call then records a "solve" child span carrying the
-// resolving tier, warm-start reuse, expansions, and — after a racing Auto
-// call — the winning engine. nil detaches (solve spans become roots, or
-// disappear entirely while the tracer is disabled).
+// resolving tier, warm-start reuse and expansions. nil detaches (solve
+// spans become roots, or disappear entirely while the tracer is disabled).
 func (s *Solver) SetSpan(sp *span.S) { s.spanParent = sp }
 
 func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool) Result {
@@ -427,7 +388,6 @@ func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool) Resu
 	start := time.Now()
 	before := tierDeltas(s.stats)
 	warmBefore := s.warmHits
-	s.raceWinner = ""
 	res := s.find(faults, removed, added, delta)
 	if observing {
 		s.findTime.ObserveSince(start)
@@ -451,8 +411,8 @@ func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool) Resu
 	return res
 }
 
-// endSolveSpan finishes one per-call solve span with the tier, warm-start,
-// race, and cancellation-reason attributes.
+// endSolveSpan finishes one per-call solve span with the tier, warm-start
+// and cancellation-reason attributes.
 func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string, warm bool) {
 	if tier != "" {
 		sp.SetStr("tier", tier)
@@ -460,9 +420,6 @@ func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string, warm bool) {
 	sp.SetInt("expansions", res.Expansions)
 	if warm {
 		sp.SetStr("warm", "hit")
-	}
-	if s.raceWinner != "" {
-		sp.SetStr("race_winner", s.raceWinner)
 	}
 	status := span.OK
 	switch {
@@ -542,7 +499,7 @@ func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool) Resul
 			}
 		}
 		if ti >= 0 && to >= 0 {
-			return Result{Pipeline: graph.Path{ti, p, to}, Found: true, Method: Auto}
+			return Result{Pipeline: graph.Path{ti, p, to}, Found: true}
 		}
 		return Result{Found: false}
 	}
@@ -563,36 +520,27 @@ func (s *Solver) dispatch(faults bitset.Set, ends endpoints) Result {
 		return s.findDP(ends, s.run)
 	case Backtracking:
 		return s.findBacktrack(ends, s.opts.Budget, s.run)
-	case Structured:
-		res := s.findStructured(faults, ends)
-		if res.Found || !res.Unknown {
-			return res
-		}
-		// Structured solver declined; escalate to the complete portfolio.
-		fb := s.portfolio(faults, ends)
-		fb.Method = Structured
-		return fb
-	default: // Auto: staged portfolio, cheapest engine first.
-		return s.portfolio(faults, ends)
+	default: // Auto: the staged ladder, cheapest engine first.
+		return s.ladder(faults, ends)
 	}
 }
 
-// probeBudget is the cheap first-pass backtracking budget in the portfolio;
+// probeBudget is the cheap first-pass backtracking budget in the ladder;
 // typical instances resolve within a few hundred expansions, so anything
-// that exhausts it is handed to the structured engine (when a layout is
-// available), then the exact DP, then a full-budget backtracking pass.
+// that exhausts it is handed to the exact DP when it fits, otherwise to a
+// full-budget backtracking pass.
 const probeBudget = 50_000
 
-// portfolio runs the engines in increasing-cost order. Its result is exact
+// ladder runs the engines in increasing-cost order. Its result is exact
 // unless the final full-budget pass itself reports Unknown.
-func (s *Solver) portfolio(faults bitset.Set, e endpoints) Result {
+func (s *Solver) ladder(faults bitset.Set, e endpoints) Result {
 	// The constructive planner is the cheapest applicable tier on the
 	// asymptotic family: O(n), no search, and it covers almost every fault
 	// set (experiment P3 measures the hit rate).
 	if s.opts.Layout != nil {
 		if planned := s.planAsymptotic(faults); planned != nil {
 			s.stats.Planner++
-			return Result{Pipeline: planned, Found: true, Method: Structured}
+			return Result{Pipeline: planned, Found: true}
 		}
 	}
 	np := len(e.healthyProcs)
@@ -608,18 +556,6 @@ func (s *Solver) portfolio(faults bitset.Set, e endpoints) Result {
 	if !res.Unknown {
 		s.stats.Probe++
 		return res
-	}
-	if s.opts.Layout != nil {
-		cr := s.findCompressed(faults, e)
-		if cr.Found || !cr.Unknown {
-			return cr
-		}
-	}
-	// Hard instance: every cheap tier has missed. With racing enabled and
-	// the DP applicable, run both complete engines concurrently under
-	// sibling tokens — first definitive answer wins, loser is canceled.
-	if s.opts.Race && np <= MaxDPProcessors {
-		return s.race(e)
 	}
 	if np <= MaxDPProcessors {
 		s.stats.DP++

@@ -157,7 +157,7 @@ func TestStructuredAgreesWithAutoExhaustive1Fault(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreeOnAll(t, g, 1,
-		embed.Options{Method: embed.Structured, Layout: lay},
+		embed.Options{Layout: lay},
 		embed.Options{Method: embed.Backtracking})
 }
 
@@ -176,8 +176,7 @@ func TestBudgetExhaustionReportsUnknown(t *testing.T) {
 func TestMethodString(t *testing.T) {
 	for m, want := range map[embed.Method]string{
 		embed.Auto: "auto", embed.DP: "dp",
-		embed.Backtracking: "backtracking", embed.Structured: "structured",
-		embed.Method(42): "method(42)",
+		embed.Backtracking: "backtracking", embed.Method(42): "method(42)",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("Method(%d).String() = %q, want %q", m, got, want)
@@ -207,7 +206,7 @@ func TestSolverReuseAcrossFaultSets(t *testing.T) {
 }
 
 func TestStructuredLargeNetworkFast(t *testing.T) {
-	// n = 2000: the structured engine must find a pipeline without the
+	// n = 2000: the planner must find a pipeline without the
 	// full-graph engines (which would be visible as a timeout here).
 	g, lay, err := construct.Asymptotic(2000, 6)
 	if err != nil {

@@ -19,14 +19,12 @@ import (
 func (s *Solver) findDP(e endpoints, res *Resources) Result {
 	np := len(e.healthyProcs)
 	if np > MaxDPProcessors {
-		r := s.findBacktrack(e, s.opts.Budget, res)
-		r.Method = DP
-		return r
+		return s.findBacktrack(e, s.opts.Budget, res)
 	}
 	// Entry check: small tables finish between batched in-loop checks, so an
 	// already-stopped token must be honored before any work happens.
 	if stopped(res) {
-		return Result{Unknown: true, Method: DP}
+		return Result{Unknown: true}
 	}
 
 	// Local adjacency bitmasks over healthy-processor indices.
@@ -72,7 +70,7 @@ func (s *Solver) findDP(e endpoints, res *Resources) Result {
 		// are charged to the token in the same batches.
 		if mask&1023 == 0 && res != nil {
 			if !res.Charge(expansions - lastCharged) {
-				return Result{Unknown: true, Method: DP, Expansions: expansions}
+				return Result{Unknown: true, Expansions: expansions}
 			}
 			lastCharged = expansions
 		}
@@ -95,7 +93,7 @@ func (s *Solver) findDP(e endpoints, res *Resources) Result {
 	}
 	finals := dp[full] & endMask
 	if finals == 0 {
-		return Result{Found: false, Method: DP, Expansions: expansions}
+		return Result{Found: false, Expansions: expansions}
 	}
 
 	// Reconstruct backwards: at (mask, last), a predecessor is any vertex
@@ -123,7 +121,6 @@ func (s *Solver) findDP(e endpoints, res *Resources) Result {
 	return Result{
 		Pipeline:   s.assemble(e, rev),
 		Found:      true,
-		Method:     DP,
 		Expansions: expansions,
 	}
 }

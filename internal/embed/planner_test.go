@@ -172,8 +172,7 @@ func TestPlannerClusteredRingFaults(t *testing.T) {
 		if path != nil && !planOK(s, faults, path) {
 			t.Errorf("run of %d: invalid plan", runLen)
 		}
-		// Whatever the planner does, the full structured entry point must
-		// succeed (fallback chain).
+		// Whatever the planner does, the full Auto ladder must succeed.
 		res := s.Find(faults)
 		if !res.Found {
 			t.Errorf("run of %d: no pipeline found at all", runLen)
@@ -353,43 +352,6 @@ func TestPlannerAgreesWithDPOnSmallest(t *testing.T) {
 		if planPath != nil && !planOK(s, faults, planPath) {
 			t.Fatalf("invalid plan for fault %d", v)
 		}
-	}
-}
-
-func TestFindCompressedDirectly(t *testing.T) {
-	// The run-compression tier is the planner's fallback; exercise it
-	// directly across fault patterns and validate every produced pipeline.
-	g, lay, err := construct.Asymptotic(60, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSolver(g, Options{Layout: lay})
-	rng := rand.New(rand.NewSource(13))
-	found, unknown := 0, 0
-	for trial := 0; trial < 60; trial++ {
-		faults := bitset.New(g.NumNodes())
-		for faults.Count() < rng.Intn(7) {
-			faults.Add(rng.Intn(g.NumNodes()))
-		}
-		e, ok := s.endpoints(faults)
-		if !ok {
-			continue
-		}
-		r := s.findCompressed(faults, e)
-		switch {
-		case r.Found:
-			found++
-			if !planOK(s, faults, r.Pipeline) {
-				t.Fatalf("trial %d: compressed produced invalid pipeline", trial)
-			}
-		case r.Unknown:
-			unknown++ // compression blind spot: acceptable, handled by fallback
-		default:
-			t.Fatalf("trial %d: compressed returned a definite NO (it must defer)", trial)
-		}
-	}
-	if found == 0 {
-		t.Fatalf("compressed tier never succeeded (found=%d unknown=%d)", found, unknown)
 	}
 }
 

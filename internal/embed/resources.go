@@ -27,8 +27,8 @@ import (
 // add per batch, not per node.
 //
 // Tokens form a tree: Child() returns a token that stops when its parent
-// stops (and can be stopped independently — the racing Auto portfolio
-// runs sibling engines under sibling tokens and cancels the loser).
+// stops (and can be stopped independently — a per-call scope ends without
+// touching the pool-wide root).
 // Budget charges propagate to ancestors, so a parent budget bounds the
 // sum of work done under all descendants.
 //
@@ -105,9 +105,9 @@ func NewResources(ctx context.Context, budget int64, deadline time.Duration) *Re
 
 // Child returns a token that stops when r stops, and can additionally be
 // stopped (Cancel), bounded (budget), or deadlined on its own. Charges to
-// the child propagate to r. Call Release on the child when done — racing
-// siblings and per-call scopes are created at high rates, and Release is
-// what detaches them from the parent.
+// the child propagate to r. Call Release on the child when done —
+// per-call scopes are created at high rates, and Release is what detaches
+// them from the parent.
 func (r *Resources) Child() *Resources {
 	return r.child(0, 0)
 }
@@ -170,8 +170,8 @@ func (r *Resources) arm(ctx context.Context, deadline time.Duration) {
 func (r *Resources) Stopped() bool { return r.stop.Load() }
 
 // Cancel stops the token and every descendant. Idempotent; safe from any
-// goroutine — this is how the first definitive racing engine cancels its
-// sibling and how a verify worker's counterexample cancels the sweep.
+// goroutine — this is how a verify worker's counterexample cancels the
+// sweep.
 func (r *Resources) Cancel() { r.stopAs(StopCanceled) }
 
 // stopAs latches the stop flag with the given cause (first cause wins)
@@ -248,7 +248,7 @@ func (r *Resources) Deadline() (time.Time, bool) {
 
 // Release tears the token down: the deadline timer is stopped, the
 // context registration removed, and the token detached from its parent so
-// short-lived scopes (per-call deadlines, racing siblings) do not
+// short-lived scopes (per-call deadlines) do not
 // accumulate. The token itself stays usable as a plain stopped/unstopped
 // flag; Release does NOT cancel it.
 func (r *Resources) Release() {

@@ -265,53 +265,3 @@ func TestSolverScopedDeadline(t *testing.T) {
 		t.Fatal("detaching the token should restore normal solving")
 	}
 }
-
-// TestRaceMatchesStagedOnAllFaultSets is the engine-level A/B: on a small
-// instance, racing Auto must reach the identical found/not-found verdict
-// as staged Auto for every fault set of size <= k.
-func TestRaceMatchesStagedOnAllFaultSets(t *testing.T) {
-	g := construct.G2(3) // 21 nodes: hard enough to exercise both engines
-	staged := NewSolver(g, Options{})
-	racing := NewSolver(g, Options{Race: true})
-	n := g.NumNodes()
-	faults := bitset.New(n)
-	var sets int
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			faults.Clear()
-			faults.Add(a)
-			if b != a {
-				faults.Add(b)
-			}
-			sr := staged.Find(faults)
-			rr := racing.Find(faults)
-			if sr.Unknown || rr.Unknown {
-				t.Fatalf("unexpected Unknown on faults {%d,%d}: staged=%v racing=%v",
-					a, b, sr.Unknown, rr.Unknown)
-			}
-			if sr.Found != rr.Found {
-				t.Fatalf("verdict mismatch on faults {%d,%d}: staged=%v racing=%v",
-					a, b, sr.Found, rr.Found)
-			}
-			sets++
-		}
-	}
-	if sets == 0 {
-		t.Fatal("no fault sets enumerated")
-	}
-}
-
-// TestRaceUnderCanceledParent: with the parent token canceled, the race
-// returns Unknown rather than fabricating a verdict.
-func TestRaceUnderCanceledParent(t *testing.T) {
-	g := construct.G2(3)
-	r := NewResources(nil, 0, 0)
-	defer r.Release()
-	r.Cancel()
-	s := NewSolver(g, Options{Race: true, Res: r})
-	res := s.Find(nil)
-	if res.Found || !res.Unknown {
-		t.Fatalf("race under canceled parent: Found=%v Unknown=%v, want Unknown",
-			res.Found, res.Unknown)
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"gdpn/internal/construct"
-	"gdpn/internal/embed"
 	"gdpn/internal/store"
 	"gdpn/internal/verify"
 )
@@ -37,11 +36,6 @@ type Config struct {
 	// verdicts are identical (SYM re-proves this per family); the solver
 	// call counts drop by up to the automorphism group order.
 	Symmetry bool
-	// Race enables the racing Auto solver portfolio in every verification:
-	// on hard instances the exact DP and the backtracker run concurrently
-	// and the first definitive answer wins. Verdict-identical to the
-	// staged ladder (the TestRaceAB gate re-proves it).
-	Race bool
 	// Batch sets the transport batch size for the streaming experiments
 	// (S3). ≤ 0 uses the pipeline default.
 	Batch int
@@ -63,12 +57,11 @@ func (cfg Config) VerifyOptions() verify.Options {
 		Workers:         cfg.Workers,
 		ExploitSymmetry: cfg.Symmetry,
 		Context:         cfg.Context,
-		Solver:          embed.Options{Race: cfg.Race},
 		Store:           cfg.Store,
 	}
 }
 
-// layoutOpts is VerifyOptions with the structured-solver layout attached.
+// layoutOpts is VerifyOptions with the planner's layout attached.
 func layoutOpts(cfg Config, lay *construct.Layout) verify.Options {
 	o := cfg.VerifyOptions()
 	o.Solver.Layout = lay

@@ -156,13 +156,13 @@ func runE1(cfg Config) *Table {
 	return t
 }
 
-// runP3 measures which tier of the Auto portfolio resolves each fault set:
+// runP3 measures which tier of the Auto ladder resolves each fault set:
 // the constructive planner should dominate on asymptotic-family graphs,
 // with search engines as a thin safety net.
 func runP3(cfg Config) *Table {
 	t := &Table{
-		Claim: "(ablation) the staged portfolio resolves almost everything in its cheapest applicable tier",
-		Cols:  []string{"graph", "trials", "planner", "compressed", "probe", "dp", "full", "trivial"},
+		Claim: "(ablation) the staged ladder resolves almost everything in its cheapest applicable tier",
+		Cols:  []string{"graph", "trials", "planner", "probe", "dp", "full", "trivial"},
 	}
 	t.OK = true
 	trials := 2000
@@ -191,7 +191,7 @@ func runP3(cfg Config) *Table {
 		}
 		st := solver.Stats()
 		t.AddRow(sol.Graph.Name(), fmt.Sprint(st.Total()),
-			fmt.Sprint(st.Planner), fmt.Sprint(st.Compressed), fmt.Sprint(st.Probe),
+			fmt.Sprint(st.Planner), fmt.Sprint(st.Probe),
 			fmt.Sprint(st.DP), fmt.Sprint(st.Full), fmt.Sprint(st.Trivial))
 		// The planner must carry the overwhelming majority.
 		if st.Planner*10 < st.Total()*8 {
@@ -462,7 +462,7 @@ func runS2(cfg Config) *Table {
 // asymptotic family: completeness class, median/max behaviour.
 func runP1(cfg Config) *Table {
 	t := &Table{
-		Claim: "(ablation) the structured engine dominates at scale; DP is exact but bounded; backtracking is the general fallback",
+		Claim: "(ablation) the planner-first auto ladder dominates at scale; DP is exact but bounded; backtracking is the general fallback",
 		Cols:  []string{"engine", "n", "found", "failed", "unknown", "total time", "max expansions"},
 	}
 	t.OK = true
@@ -480,7 +480,6 @@ func runP1(cfg Config) *Table {
 			name string
 			opts embed.Options
 		}{
-			{"structured", embed.Options{Method: embed.Structured, Layout: lay}},
 			{"backtracking", embed.Options{Method: embed.Backtracking, Budget: 2_000_000}},
 			{"auto", embed.Options{Layout: lay}},
 		}
@@ -511,9 +510,9 @@ func runP1(cfg Config) *Table {
 			}
 			t.AddRow(e.name, fmt.Sprint(n), fmt.Sprint(found), fmt.Sprint(failed),
 				fmt.Sprint(unknown), time.Since(start).Round(time.Millisecond).String(), fmt.Sprint(maxExp))
-			// Structured (with fallback) and auto must find everything the
-			// workload admits; genuine failures only occur when a fault set
-			// isolates terminals, which all engines must agree on.
+			// Auto must find everything the workload admits; genuine
+			// failures only occur when a fault set isolates terminals,
+			// which all engines must agree on.
 			if e.name != "backtracking" && unknown > 0 {
 				t.OK = false
 			}

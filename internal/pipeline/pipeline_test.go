@@ -202,7 +202,7 @@ func TestNewRequiresStages(t *testing.T) {
 }
 
 func TestLargeNetworkRemapLatency(t *testing.T) {
-	// Structured solver keeps remap fast on a large network.
+	// The constructive planner keeps remap fast on a large network.
 	sol := design(t, 1000, 4)
 	e, mgr := managed(t, sol, chain())
 	for _, node := range []int{50, 300, 700, 900} {

@@ -64,7 +64,7 @@ func (p *Plan) Assignment(tenant string) *Assignment {
 // Planner compiles a Topology into placement Plans for successive fault
 // sets. It owns the pool's only solver, configured with Options.Memo so
 // repeated fault sets (churn, fault/repair cycles) replan from cache, and
-// with the pool's Layout so the structured engine stays on its fast path.
+// with the pool's Layout so the constructive planner stays on its fast path.
 // Not safe for concurrent use; the executor serializes replans.
 type Planner struct {
 	g      *graph.Graph

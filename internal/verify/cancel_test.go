@@ -112,46 +112,3 @@ func TestExhaustiveReportsTierStats(t *testing.T) {
 		t.Fatalf("tier stats account for %d calls, want Checked=%d", got, rep.Checked)
 	}
 }
-
-// TestRaceAB is the racing-vs-staged A/B required by the CI gate: on G3(5),
-// the racing Auto portfolio must reach verdicts identical to the staged one
-// — same coverage, same failure and unknown counts — both on the exhaustive
-// sweep and on a seeded random sample of a larger instance whose
-// healthy-processor count falls inside the racing window.
-func TestRaceAB(t *testing.T) {
-	g := construct.G3(5)
-	staged := verify.Exhaustive(g, 2, verify.Options{Workers: 4})
-	racing := verify.Exhaustive(g, 2, verify.Options{
-		Workers: 4, Solver: embed.Options{Race: true},
-	})
-	compareAB(t, "G3(5) exhaustive", staged, racing)
-
-	// ExtendTimes(G3(5), 2) has 20 processors: above the direct-DP cutoff,
-	// within MaxDPProcessors, so hard fault sets actually race.
-	ge := construct.ExtendTimes(construct.G3(5), 2)
-	sr := verify.Random(ge, 5, 120, 11, verify.Options{Workers: 4})
-	rr := verify.Random(ge, 5, 120, 11, verify.Options{
-		Workers: 4, Solver: embed.Options{Race: true},
-	})
-	compareAB(t, "Extend²(G3(5)) random", sr, rr)
-}
-
-func compareAB(t *testing.T, name string, staged, racing *verify.Report) {
-	t.Helper()
-	if staged.Checked != racing.Checked || staged.Represented != racing.Represented {
-		t.Fatalf("%s: coverage differs: staged %d/%d, racing %d/%d",
-			name, staged.Checked, staged.Represented, racing.Checked, racing.Represented)
-	}
-	if staged.FailureCount != racing.FailureCount {
-		t.Fatalf("%s: failure counts differ: staged %d, racing %d",
-			name, staged.FailureCount, racing.FailureCount)
-	}
-	if staged.UnknownCount != racing.UnknownCount {
-		t.Fatalf("%s: unknown counts differ: staged %d, racing %d",
-			name, staged.UnknownCount, racing.UnknownCount)
-	}
-	if staged.OK() != racing.OK() {
-		t.Fatalf("%s: verdict differs: staged OK=%v, racing OK=%v",
-			name, staged.OK(), racing.OK())
-	}
-}

@@ -327,7 +327,6 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			reg.Counter("verify_orbit_total", obs.L("result", "pruned")).Add(rep.Represented - rep.Checked)
 		}
 		reg.Counter("verify_steals_total").Add(rep.Steals)
-		rep.Tiers.Publish(reg)
 	}
 	return rep
 }
