@@ -12,21 +12,24 @@
 // -snapshot-interval.
 //
 // With -chaos the epoch model is replaced by the soak harness
-// (internal/chaos): frames stream continuously while a seeded stochastic
-// fault/repair process (-mtbf, -mttr, -burst-prob) churns the network
-// live, every remap drains and requeues in-flight frames, and the run
-// ends with an invariant report — zero frames lost, zero duplicated,
-// every healthy processor in use after every remap. The exit status is
-// non-zero if any invariant failed; rerun a failing seed with the same
-// -seed to reproduce the exact fault sequence. SIGINT/SIGTERM end the
+// (internal/chaos): one Gold tenant (default stage chain, -frame samples
+// per frame) runs on the whole pool through the control plane while a
+// seeded stochastic fault/repair process (-mtbf, -mttr, -burst-prob)
+// churns the network live. Each event is one coordinated replan: the
+// planner's reconfig.Manager repairs the pipeline (locally when it can),
+// and the tenant drains and requeues in-flight frames onto the new
+// placement. The run ends with an invariant report — zero frames lost,
+// zero duplicated, every healthy processor in use after every replan. The
+// exit status is non-zero if any invariant failed; rerun a failing seed
+// with the same -seed to reproduce the exact fault sequence.
+// -remap-deadline bounds each replan's full-remap fallback (a miss rolls
+// the event back; it is counted, not a failure). SIGINT/SIGTERM end the
 // soak early: the stream drains cleanly and the report — marked
 // "interrupted" — is still printed (or emitted as JSON with -json).
 //
-// With -tenants <topology.json> the run is the multi-tenant control-plane
-// soak: the planner/executor layers (internal/plan, internal/control) run
-// every tenant declared in the topology file on one shared pool, the
-// fault schedule hits the pool, and each event triggers one coordinated
-// replan remapping every affected tenant with per-tenant zero-loss
+// With -tenants <topology.json> the same soak runs every tenant declared
+// in the topology file on its shared pool: each event remaps every
+// affected tenant in one coordinated replan, with per-tenant zero-loss
 // drain/requeue. The report (and exit status) covers per-tenant sink
 // audits and the partition invariant — running segments always tile the
 // healthy processors. Example topologies live under examples/topologies/.
@@ -56,12 +59,12 @@ import (
 
 	"gdpn/internal/chaos"
 	"gdpn/internal/construct"
+	"gdpn/internal/control"
 	"gdpn/internal/faults"
 	"gdpn/internal/obs"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
 	"gdpn/internal/reconfig"
-	"gdpn/internal/stages"
 	"gdpn/internal/telemetry"
 	"gdpn/internal/workload"
 )
@@ -81,7 +84,7 @@ func main() {
 		chanDep  = flag.Int("chan-depth", 0, "per-stage channel depth in batches (0 = default 4)")
 
 		chaosMode = flag.Bool("chaos", false, "run the continuous chaos soak instead of the epoch demo")
-		tenants   = flag.String("tenants", "", "run the multi-tenant control-plane soak over this topology JSON file (pool size comes from the file; honors -duration, -mtbf, -mttr, -burst-prob, -seed, -quiet, -json)")
+		tenants   = flag.String("tenants", "", "run the chaos soak over every tenant of this topology JSON file (pool size comes from the file; -n, -k and -frame are ignored)")
 		duration  = flag.Duration("duration", 30*time.Second, "chaos: soak length")
 		mtbf      = flag.Duration("mtbf", 3*time.Second, "chaos: mean time between processor failures")
 		mttr      = flag.Duration("mttr", 800*time.Millisecond, "chaos: mean time to repair")
@@ -120,10 +123,21 @@ func main() {
 		}
 	}
 
-	if *tenants != "" {
-		// The topology file declares its own pool; -n/-k are ignored.
+	if *chaosMode || *tenants != "" {
+		// The soak's own counters (chaos_faults_injected_total, the frame-loss
+		// gauge, per-tactic repairs) are part of its contract: always observe.
 		reg.SetEnabled(true)
-		topo, err := plan.Load(*tenants)
+		// A topology file declares its own pool (-n/-k are ignored there);
+		// -chaos soaks one Gold tenant over the whole G(n,k) pool.
+		var topo *plan.Topology
+		var err error
+		mode, rerun := "chaos", "-chaos"
+		if *tenants != "" {
+			topo, err = plan.Load(*tenants)
+			mode, rerun = "multi-tenant", "-tenants "+*tenants
+		} else {
+			topo, err = chaos.OneTenant(*n, *k, *size)
+		}
 		if err != nil {
 			fatal(err)
 		}
@@ -131,6 +145,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// SIGINT/SIGTERM end the soak early; the report still flushes.
+		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer cancel()
 		cfg := chaos.MultiConfig{
 			Topology:  topo,
 			Seed:      *seed,
@@ -138,6 +155,12 @@ func main() {
 			MTBF:      *mtbf,
 			MTTR:      *mttr,
 			BurstProb: *burstProb,
+			Executor: control.Config{
+				ReplanDeadline: *remapDL,
+				Batch:          *batch,
+				ChannelDepth:   *chanDep,
+			},
+			Context: ctx,
 		}
 		if !*quiet && !*jsonOut {
 			cfg.Logf = func(format string, args ...any) {
@@ -146,8 +169,8 @@ func main() {
 		}
 		if !*jsonOut {
 			fmt.Println(sol.Graph.Summary())
-			fmt.Printf("multi-tenant soak: topology=%s tenants=%d seed=%d duration=%v mtbf=%v mttr=%v burst-prob=%.2f\n",
-				*tenants, len(topo.Tenants), *seed, *duration, *mtbf, *mttr, *burstProb)
+			fmt.Printf("%s soak: tenants=%d seed=%d duration=%v mtbf=%v mttr=%v burst-prob=%.2f remap-deadline=%v\n",
+				mode, len(topo.Tenants), *seed, *duration, *mtbf, *mttr, *burstProb, *remapDL)
 		}
 		rep, err := chaos.MultiRun(sol, cfg)
 		if err != nil {
@@ -174,7 +197,7 @@ func main() {
 		}
 		healthy := tf.Report(os.Stderr)
 		if !rep.OK() {
-			fmt.Fprintf(os.Stderr, "gdpsim: multi-tenant soak FAILED (rerun with -tenants %s -seed %d to reproduce)\n", *tenants, *seed)
+			fmt.Fprintf(os.Stderr, "gdpsim: %s soak FAILED (rerun with %s -seed %d to reproduce)\n", mode, rerun, *seed)
 			os.Exit(1)
 		}
 		if !healthy {
@@ -189,83 +212,18 @@ func main() {
 		fatal(err)
 	}
 
-	if *chaosMode {
-		// The soak's own counters (chaos_faults_injected_total, the frame-loss
-		// gauge, remap downtime) are part of its contract: always observe.
-		reg.SetEnabled(true)
-		// SIGINT/SIGTERM end the soak early; the report still flushes.
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer cancel()
-		cfg := chaos.Config{
-			Seed:          *seed,
-			Duration:      *duration,
-			MTBF:          *mtbf,
-			MTTR:          *mttr,
-			BurstProb:     *burstProb,
-			RemapDeadline: *remapDL,
-			FrameSamples:  *size,
-			Batch:         *batch,
-			ChannelDepth:  *chanDep,
-			Context:       ctx,
-		}
-		if !*quiet && !*jsonOut {
-			cfg.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-		}
-		if !*jsonOut {
-			fmt.Println(sol.Graph.Summary())
-			fmt.Printf("chaos soak: seed=%d duration=%v mtbf=%v mttr=%v burst-prob=%.2f remap-deadline=%v\n",
-				*seed, *duration, *mtbf, *mttr, *burstProb, *remapDL)
-		}
-		rep, err := chaos.Run(sol, nil, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			out := struct {
-				OK      bool          `json:"ok"`
-				Graph   string        `json:"graph"`
-				Seed    int64         `json:"seed"`
-				Report  *chaos.Report `json:"report"`
-				Metrics obs.Snapshot  `json:"metrics"`
-			}{rep.OK(), sol.Graph.Name(), *seed, rep, reg.Snapshot()}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(out); err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Print(rep.Summary())
-		}
-		if *addr != "" {
-			fmt.Fprintln(os.Stderr, summaryLine(reg))
-		}
-		healthy := tf.Report(os.Stderr)
-		if !rep.OK() {
-			fmt.Fprintf(os.Stderr, "gdpsim: chaos soak FAILED (rerun with -chaos -seed %d to reproduce)\n", *seed)
-			os.Exit(1)
-		}
-		if !healthy {
-			fmt.Fprintln(os.Stderr, "gdpsim: SLO objective breached")
-			os.Exit(1)
-		}
-		return
-	}
-
 	// Epoch mode: the manager plans each fault's pipeline, the engine runs
 	// frames on its interior between faults.
 	mgr, err := reconfig.New(sol)
 	if err != nil {
 		fatal(err)
 	}
-	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), []stages.Stage{
-		stages.NewSubsample(2),
-		&stages.Rescale{Gain: 1.5, Offset: 0.1},
-		stages.NewFIR([]float64{0.25, 0.5, 0.25}),
-		stages.NewQuantize(-16, 16, 256),
-		stages.NewLZ78(4096),
-	}, pipeline.WithBatchSize(*batch), pipeline.WithChannelDepth(*chanDep))
+	stgs, err := (&plan.TenantSpec{Stages: plan.DefaultStages()}).BuildStages()
+	if err != nil {
+		fatal(err)
+	}
+	eng, err := pipeline.NewPlaced(sol.Graph, mgr.Interior(), stgs,
+		pipeline.WithBatchSize(*batch), pipeline.WithChannelDepth(*chanDep))
 	if err != nil {
 		fatal(err)
 	}

@@ -56,10 +56,12 @@ func TestChaosSIGINTFlushesReport(t *testing.T) {
 		OK     bool `json:"ok"`
 		Report struct {
 			Interrupted bool `json:"interrupted"`
-			Stream      struct {
-				Submitted int64 `json:"submitted"`
-				Delivered int64 `json:"delivered"`
-			} `json:"stream"`
+			Tenants     []struct {
+				Stream struct {
+					Submitted int64 `json:"submitted"`
+					Delivered int64 `json:"delivered"`
+				} `json:"stream"`
+			} `json:"tenants"`
 		} `json:"report"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &out); err != nil {
@@ -71,7 +73,10 @@ func TestChaosSIGINTFlushesReport(t *testing.T) {
 	if !out.OK {
 		t.Fatalf("interrupted soak reported invariant failures:\n%s", stdout.Bytes())
 	}
-	if out.Report.Stream.Delivered != out.Report.Stream.Submitted {
-		t.Fatalf("interrupted shutdown lost frames: %+v", out.Report.Stream)
+	if len(out.Report.Tenants) != 1 {
+		t.Fatalf("chaos soak reported %d tenants, want 1:\n%s", len(out.Report.Tenants), stdout.Bytes())
+	}
+	if st := out.Report.Tenants[0].Stream; st.Submitted == 0 || st.Delivered != st.Submitted {
+		t.Fatalf("interrupted shutdown lost frames: %+v", st)
 	}
 }

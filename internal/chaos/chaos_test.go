@@ -6,11 +6,22 @@ import (
 	"time"
 
 	"gdpn/internal/construct"
+	"gdpn/internal/control"
 )
 
+// oneTenant builds the single-pipeline soak's topology over sol's pool.
+func oneTenant(t *testing.T, sol *construct.Solution) MultiConfig {
+	t.Helper()
+	topo, err := OneTenant(sol.N, sol.K, 256)
+	if err != nil {
+		t.Fatalf("OneTenant: %v", err)
+	}
+	return MultiConfig{Topology: topo}
+}
+
 // TestSoakShortRun is the in-tree smoke version of the nightly soak: a
-// fast fault process on G(12,3) for ~1.5s must finish with a clean
-// stream, zero invariant violations, and actual fault churn.
+// fast fault process on a one-tenant G(12,3) for ~1.5s must finish with a
+// clean stream, zero invariant violations, and actual fault churn.
 func TestSoakShortRun(t *testing.T) {
 	sol, err := construct.Design(12, 3)
 	if err != nil {
@@ -20,15 +31,15 @@ func TestSoakShortRun(t *testing.T) {
 	if testing.Short() {
 		dur = 400 * time.Millisecond
 	}
-	rep, err := Run(sol, nil, Config{
-		Seed:      1,
-		Duration:  dur,
-		MTBF:      120 * time.Millisecond,
-		MTTR:      40 * time.Millisecond,
-		BurstProb: 0.2,
-	})
+	cfg := oneTenant(t, sol)
+	cfg.Seed = 1
+	cfg.Duration = dur
+	cfg.MTBF = 120 * time.Millisecond
+	cfg.MTTR = 40 * time.Millisecond
+	cfg.BurstProb = 0.2
+	rep, err := MultiRun(sol, cfg)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("MultiRun: %v", err)
 	}
 	if !rep.OK() {
 		t.Fatalf("soak failed:\n%s", rep.Summary())
@@ -36,8 +47,8 @@ func TestSoakShortRun(t *testing.T) {
 	if rep.FaultsInjected == 0 {
 		t.Fatalf("no faults injected in %v (MTBF too long for test?)", dur)
 	}
-	if rep.Stream.Submitted == 0 || rep.Stream.Delivered != rep.Stream.Submitted {
-		t.Fatalf("stream not clean: %+v", rep.Stream)
+	if st := rep.Tenants[0].Stream; st.Submitted == 0 || st.Delivered != st.Submitted {
+		t.Fatalf("stream not clean: %+v", st)
 	}
 	if rep.Checks == 0 {
 		t.Fatalf("no invariant checks ran")
@@ -45,26 +56,28 @@ func TestSoakShortRun(t *testing.T) {
 }
 
 // TestSoakDeadlineRollbacksLeaveStreamUntouched forces full-remap
-// rollbacks with a 1ns remap deadline. The soak must still pass, which
-// includes Run's own per-event check that a rolled-back event adds no
-// stream remap and no downtime, and the stream must count exactly one
-// remap per applied event.
+// rollbacks with a 1ns replan deadline. The soak must still pass, which
+// includes MultiRun's own check that each stream counts one remap per
+// replan that moved its tenant, and the stream must count exactly one
+// remap per event that moved the tenant: a rolled-back event adds none,
+// and an applied one that left the segment unchanged (a terminal fault or
+// repair) adds none either.
 func TestSoakDeadlineRollbacksLeaveStreamUntouched(t *testing.T) {
 	sol, err := construct.Design(12, 3)
 	if err != nil {
 		t.Fatalf("Design(12,3): %v", err)
 	}
-	rep, err := Run(sol, nil, Config{
-		Seed:          2,
-		Duration:      600 * time.Millisecond,
-		MTBF:          40 * time.Millisecond,
-		MTTR:          15 * time.Millisecond,
-		TerminalMTBF:  40 * time.Millisecond,
-		TerminalMTTR:  15 * time.Millisecond,
-		RemapDeadline: time.Nanosecond,
-	})
+	cfg := oneTenant(t, sol)
+	cfg.Seed = 2
+	cfg.Duration = 600 * time.Millisecond
+	cfg.MTBF = 40 * time.Millisecond
+	cfg.MTTR = 15 * time.Millisecond
+	cfg.TerminalMTBF = 40 * time.Millisecond
+	cfg.TerminalMTTR = 15 * time.Millisecond
+	cfg.Executor = control.Config{ReplanDeadline: time.Nanosecond}
+	rep, err := MultiRun(sol, cfg)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("MultiRun: %v", err)
 	}
 	if !rep.OK() {
 		t.Fatalf("soak failed:\n%s", rep.Summary())
@@ -72,9 +85,10 @@ func TestSoakDeadlineRollbacksLeaveStreamUntouched(t *testing.T) {
 	if rep.DeadlineRollbacks == 0 {
 		t.Fatalf("no deadline rollbacks in %v:\n%s", rep.Elapsed, rep.Summary())
 	}
-	if applied := int64(rep.FaultsInjected + rep.RepairsApplied); rep.Stream.Remaps != applied || rep.Stream.RemapFailures != 0 {
-		t.Fatalf("stream saw %d remaps and %d failures for %d applied events",
-			rep.Stream.Remaps, rep.Stream.RemapFailures, applied)
+	st, moved := rep.Tenants[0].Stream, rep.Moved[rep.Tenants[0].Tenant]
+	if moved == 0 || st.Remaps != moved || st.RemapFailures != 0 {
+		t.Fatalf("stream saw %d remaps and %d failures for %d events that moved the tenant",
+			st.Remaps, st.RemapFailures, moved)
 	}
 }
 
@@ -91,18 +105,17 @@ func TestSoakSeedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Design(10,2): %v", err)
 	}
-	cfg := Config{
-		Seed:     7,
-		Duration: 600 * time.Millisecond,
-		MTBF:     100 * time.Millisecond,
-		MTTR:     30 * time.Millisecond,
-	}
-	a, err := Run(sol, nil, cfg)
+	cfg := oneTenant(t, sol)
+	cfg.Seed = 7
+	cfg.Duration = 600 * time.Millisecond
+	cfg.MTBF = 100 * time.Millisecond
+	cfg.MTTR = 30 * time.Millisecond
+	a, err := MultiRun(sol, cfg)
 	if err != nil {
 		t.Fatalf("run A: %v", err)
 	}
 	sol2, _ := construct.Design(10, 2)
-	b, err := Run(sol2, nil, cfg)
+	b, err := MultiRun(sol2, cfg)
 	if err != nil {
 		t.Fatalf("run B: %v", err)
 	}
@@ -131,15 +144,15 @@ func TestSoakContextCancelFlushesCleanly(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	rep, err := Run(sol, nil, Config{
-		Seed:     1,
-		Duration: time.Hour, // would run forever without the cancel
-		MTBF:     60 * time.Millisecond,
-		MTTR:     30 * time.Millisecond,
-		Context:  ctx,
-	})
+	cfg := oneTenant(t, sol)
+	cfg.Seed = 1
+	cfg.Duration = time.Hour // would run forever without the cancel
+	cfg.MTBF = 60 * time.Millisecond
+	cfg.MTTR = 30 * time.Millisecond
+	cfg.Context = ctx
+	rep, err := MultiRun(sol, cfg)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("MultiRun: %v", err)
 	}
 	if !rep.Interrupted {
 		t.Fatal("canceled soak not marked interrupted")
@@ -150,7 +163,7 @@ func TestSoakContextCancelFlushesCleanly(t *testing.T) {
 	if rep.TotalViolations != 0 {
 		t.Fatalf("cancellation produced violations:\n%s", rep.Summary())
 	}
-	if !rep.Stream.Clean() {
-		t.Fatalf("interrupted shutdown lost frames: %+v", rep.Stream)
+	if st := rep.Tenants[0].Stream; !st.Clean() {
+		t.Fatalf("interrupted shutdown lost frames: %+v", st)
 	}
 }

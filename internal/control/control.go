@@ -15,6 +15,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
+	"gdpn/internal/reconfig"
 )
 
 var (
@@ -48,9 +50,15 @@ type Config struct {
 	// replan (0 = unlimited). Per-tenant budgets from the topology nest
 	// under it.
 	Budget int64
-	// ReplanDeadline bounds each coordinated replan's solver call
-	// (0 = none).
+	// ReplanDeadline bounds the full-remap fallback of each replan a fault
+	// or repair triggers (0 = none); a miss rolls the event back with an
+	// error wrapping reconfig.ErrDeadline. Local repairs and the bootstrap
+	// plan are not bounded.
 	ReplanDeadline time.Duration
+	// Batch / ChannelDepth tune every tenant engine's batched transport
+	// (frames per carrier batch, per-stage channel depth). ≤ 0 keeps the
+	// defaults.
+	Batch, ChannelDepth int
 }
 
 // tenant is the executor's live state for one topology entry.
@@ -119,7 +127,7 @@ type TenantReport struct {
 // backpressure never stalls a replan.
 type Executor struct {
 	g       *graph.Graph
-	k       int
+	cfg     Config
 	topo    *plan.Topology
 	planner *plan.Planner
 	root    *embed.Resources
@@ -148,7 +156,7 @@ func New(sol *construct.Solution, topo *plan.Topology, cfg Config) (*Executor, e
 	reg := obs.Default()
 	x := &Executor{
 		g:        sol.Graph,
-		k:        sol.K,
+		cfg:      cfg,
 		topo:     topo,
 		planner:  plan.NewPlanner(sol, topo),
 		root:     embed.NewResources(nil, cfg.Budget, 0),
@@ -178,16 +186,10 @@ func New(sol *construct.Solution, topo *plan.Topology, cfg Config) (*Executor, e
 			framesC: reg.Counter("control_frames_total", obs.L("tenant", spec.Name)),
 		}
 	}
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		for _, kind := range []graph.Kind{graph.Processor, graph.InputTerminal, graph.OutputTerminal} {
-			slo.RegisterClass(kind.String(), sol.Graph.CountKind(kind))
-		}
-		slo.SetDegradation(0, sol.K)
-	}
 
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if _, err := x.replanLocked(cfg.ReplanDeadline, "bootstrap", -1); err != nil {
+	if _, err := x.replanLocked(0, "bootstrap", -1); err != nil {
 		x.releaseLocked()
 		return nil, err
 	}
@@ -259,13 +261,14 @@ func (x *Executor) GetBuffer(name string, n int) []float64 {
 	return eng.GetBuffer(n)
 }
 
-// Inject faults one pool node and runs a coordinated replan: one solver
-// call (memo-warm) recomputes the global pipeline, and every tenant whose
+// Inject faults one pool node and runs a coordinated replan: the
+// planner's reconfig.Manager repairs the global pipeline (locally when it
+// can, with the memo-warm solver otherwise), and every tenant whose
 // segment moved is remapped live under a single "replan" root span, with
 // per-tenant drain/requeue preserving the zero-loss contract. On error
-// (fault beyond tolerance, solver budget) the fault is rolled back and
-// every placement is left untouched — the caller decides whether to force
-// the issue (it cannot, via this API) or deny the event.
+// (fault beyond tolerance, solver budget, ReplanDeadline) the fault is
+// rolled back and every placement is left untouched — the caller decides
+// whether to force the issue (it cannot, via this API) or deny the event.
 func (x *Executor) Inject(node int) (*ReplanResult, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -279,14 +282,10 @@ func (x *Executor) Inject(node int) (*ReplanResult, error) {
 		return nil, fmt.Errorf("control: node %d already faulty", node)
 	}
 	x.faults.Add(node)
-	res, err := x.replanLocked(0, "inject", node)
+	res, err := x.replanLocked(x.cfg.ReplanDeadline, "inject", node)
 	if err != nil {
 		x.faults.Remove(node)
 		return nil, err
-	}
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		slo.NodeDown(x.g.Kind(node).String())
-		slo.SetDegradation(x.faults.Count(), x.k)
 	}
 	x.faultsG.Set(int64(x.faults.Count()))
 	return res, nil
@@ -304,23 +303,20 @@ func (x *Executor) Repair(node int) (*ReplanResult, error) {
 		return nil, fmt.Errorf("control: node %d is not faulty", node)
 	}
 	x.faults.Remove(node)
-	res, err := x.replanLocked(0, "repair", node)
+	res, err := x.replanLocked(x.cfg.ReplanDeadline, "repair", node)
 	if err != nil {
 		x.faults.Add(node)
 		return nil, err
-	}
-	if slo := span.DefaultSLO(); slo.Enabled() {
-		slo.NodeUp(x.g.Kind(node).String())
-		slo.SetDegradation(x.faults.Count(), x.k)
 	}
 	x.faultsG.Set(int64(x.faults.Count()))
 	return res, nil
 }
 
-// replanLocked is the coordinated replan: plan, charge budgets, diff, and
-// apply. Caller holds x.mu. The budget-shed loop is bounded: a tenant
-// whose token stops is added to the persistent exclusion set, and the
-// planner re-solves (a memo hit — the fault set is unchanged) without it.
+// replanLocked is the coordinated replan under one "replan" root span:
+// plan, charge budgets, diff, and apply. Caller holds x.mu. A fault-driven
+// replan ends its root as Manager.Apply ends a remap root (status, remap
+// SLO sample, flight-recorder trip on failure); the bootstrap is not a
+// fault event and only ends its root.
 func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) (*ReplanResult, error) {
 	start := time.Now()
 	root := span.Start(nil, "replan")
@@ -329,7 +325,37 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 		root.SetInt("node", int64(node))
 	}
 	root.SetInt("faults", int64(x.faults.Count()))
+	res, err := x.applyPlanLocked(deadline, root)
+	if err != nil {
+		root.SetStr("error", err.Error())
+	} else {
+		// Only fault-driven replans count toward the coordination
+		// high-water mark; the bootstrap admits everyone by definition.
+		if moved := len(res.Affected) + len(res.Admitted) + len(res.Shed); cause != "bootstrap" && moved > x.maxAffected {
+			x.maxAffected = moved
+		}
+		x.replans.Add(1)
+		x.replanC.Inc()
+		x.replanLat.ObserveDuration(time.Since(start))
+		x.refreshGaugesLocked()
+		root.SetInt("affected", int64(len(res.Affected))).
+			SetInt("admitted", int64(len(res.Admitted))).
+			SetInt("shed", int64(len(res.Shed))).
+			SetInt("expansions", res.Expansions)
+	}
+	if cause == "bootstrap" {
+		reconfig.EndPhase(root, err)
+	} else {
+		reconfig.FinishRemap(root, start, err)
+	}
+	return res, err
+}
 
+// applyPlanLocked plans the current fault set and moves the tenants onto
+// it. The budget-shed loop is bounded: a tenant whose token stops is added
+// to the persistent exclusion set, and the planner re-plans (the fault set
+// is unchanged, so the manager does no work) without it.
+func (x *Executor) applyPlanLocked(deadline time.Duration, root *span.S) (*ReplanResult, error) {
 	var pl *plan.Plan
 	for {
 		scope := embed.Scoped(x.root, deadline)
@@ -337,8 +363,6 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 		pl, err = x.planner.Plan(x.faults, x.excluded, scope, root)
 		scope.Release()
 		if err != nil {
-			root.SetStr("error", err.Error())
-			root.End(span.Errored)
 			return nil, err
 		}
 		// Charge the solver work to the tenants whose placement it
@@ -355,7 +379,7 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 				}
 			}
 			if stopped {
-				continue // re-solve without the exhausted tenants (memo hit)
+				continue // re-plan without the exhausted tenants
 			}
 		}
 		break
@@ -386,51 +410,25 @@ func (x *Executor) replanLocked(deadline time.Duration, cause string, node int) 
 		switch {
 		case !t.running:
 			if err := x.startTenantLocked(t, seg, root); err != nil {
-				root.SetStr("error", err.Error())
-				root.End(span.Errored)
 				return nil, fmt.Errorf("control: starting tenant %q: %w", name, err)
 			}
 			res.Admitted = append(res.Admitted, name)
-		case segEqual(t.segment, seg):
+		case slices.Equal(t.segment, seg):
 			res.Unchanged = append(res.Unchanged, name)
 		default:
 			// The tenant's remap span: the engine hangs its
 			// drain/requeue/rewire phases under it.
 			sp := span.Start(root, "remap").SetStr("op", "replan").SetStr("tenant", name)
 			err := t.eng.ApplyPlacement(seg, sp)
+			reconfig.EndPhase(sp, err)
 			if err != nil {
-				sp.End(span.Errored)
-				root.SetStr("error", err.Error())
-				root.End(span.Errored)
 				return nil, fmt.Errorf("control: remapping tenant %q: %w", name, err)
 			}
-			sp.End(span.OK)
 			t.segment = append(t.segment[:0:0], seg...)
 			t.procsG.Set(int64(len(seg)))
 			res.Affected = append(res.Affected, name)
 		}
 	}
-
-	// The bootstrap plan admits everyone by definition; only fault-driven
-	// replans count toward the coordination high-water mark and, once per
-	// event as reconfig.Apply does for a single pipeline, the remap SLO.
-	if cause != "bootstrap" {
-		if moved := len(res.Affected) + len(res.Admitted) + len(res.Shed); moved > x.maxAffected {
-			x.maxAffected = moved
-		}
-		if slo := span.DefaultSLO(); slo.Enabled() {
-			slo.Observe("remap", time.Since(start))
-		}
-	}
-	x.replans.Add(1)
-	x.replanC.Inc()
-	x.replanLat.ObserveDuration(time.Since(start))
-	x.refreshGaugesLocked()
-	root.SetInt("affected", int64(len(res.Affected))).
-		SetInt("admitted", int64(len(res.Admitted))).
-		SetInt("shed", int64(len(res.Shed))).
-		SetInt("expansions", pl.Expansions)
-	root.End(span.OK)
 	return res, nil
 }
 
@@ -443,7 +441,8 @@ func (x *Executor) startTenantLocked(t *tenant, seg graph.Path, parent *span.S) 
 	if err != nil {
 		return err
 	}
-	eng, err := pipeline.NewPlaced(x.g, seg, stgs, pipeline.WithTenant(t.spec.Name))
+	eng, err := pipeline.NewPlaced(x.g, seg, stgs, pipeline.WithTenant(t.spec.Name),
+		pipeline.WithBatchSize(x.cfg.Batch), pipeline.WithChannelDepth(x.cfg.ChannelDepth))
 	if err != nil {
 		return err
 	}
@@ -516,6 +515,14 @@ func (x *Executor) Replans() (n int64, maxAffected int) {
 	return x.replans.Load(), x.maxAffected
 }
 
+// Tactics returns the planner's repair counts and per-tactic downtime
+// ledger: how the global pipeline was repaired across every replan.
+func (x *Executor) Tactics() (reconfig.Stats, reconfig.DowntimeStats) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.planner.Tactics()
+}
+
 // Faults returns a copy of the current pool fault set.
 func (x *Executor) Faults() bitset.Set {
 	x.mu.Lock()
@@ -576,18 +583,6 @@ func (x *Executor) releaseLocked() {
 		t.res.Release()
 	}
 	x.root.Release()
-}
-
-func segEqual(a, b graph.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sumReports folds incarnation reports: counters add, MaxDowntime takes

@@ -3,14 +3,21 @@ package control_test
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"gdpn/internal/construct"
 	"gdpn/internal/control"
 	"gdpn/internal/graph"
+	"gdpn/internal/obs"
+	"gdpn/internal/obs/span"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/plan"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/verify"
 )
 
@@ -284,5 +291,227 @@ func TestExecutorBudgetShed(t *testing.T) {
 	}
 	if len(gSeg) != len(sol.Graph.Processors()) {
 		t.Fatalf("surviving tenant holds %d procs, want the whole pool (%d)", len(gSeg), len(sol.Graph.Processors()))
+	}
+}
+
+// bareG123 is G(12,3) without its asymptotic layout, so every full remap
+// runs the searching tiers.
+func bareG123(t *testing.T) *construct.Solution {
+	t.Helper()
+	sol, err := construct.Design(12, 3)
+	if err != nil {
+		t.Fatalf("Design: %v", err)
+	}
+	bare := *sol
+	bare.Layout = nil
+	return &bare
+}
+
+// probeFault returns, for the fault-free pipeline every planner over sol
+// starts from, one processor whose fault a local tactic settles and one
+// node whose fault needs the full-remap fallback.
+func probeFault(t *testing.T, sol *construct.Solution) (local, full int) {
+	t.Helper()
+	local, full = -1, -1
+	m, err := reconfig.New(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range m.Pipeline() {
+		m, err := reconfig.New(sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tac, err := m.Fault(v)
+		if err != nil {
+			t.Fatalf("Fault(%d): %v", v, err)
+		}
+		switch {
+		case tac == reconfig.FullRemap && full < 0:
+			full = v
+		case (tac == reconfig.Splice || tac == reconfig.Rewire) && local < 0:
+			local = v
+		}
+	}
+	if local < 0 || full < 0 {
+		t.Fatalf("no local (%d) or full-remap (%d) fault on the pipeline", local, full)
+	}
+	return local, full
+}
+
+// TestExecutorReplanDeadlineRollsBack: ReplanDeadline bounds the replans
+// that faults trigger. Under a 1ns deadline an Inject that needs a full
+// remap fails with reconfig.ErrDeadline, the fault is rolled back, every
+// placement is unchanged and no tenant stream counts a remap. The
+// bootstrap plan is not bounded, so New succeeds.
+func TestExecutorReplanDeadlineRollsBack(t *testing.T) {
+	sol := bareG123(t)
+	_, full := probeFault(t, sol)
+	topo, err := plan.Parse([]byte(mixedTopo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := control.New(sol, topo, control.Config{ReplanDeadline: time.Nanosecond})
+	if err != nil {
+		t.Fatalf("New under a 1ns replan deadline: %v", err)
+	}
+	before := x.Segments()
+	if _, err := x.Inject(full); !errors.Is(err, reconfig.ErrDeadline) {
+		t.Fatalf("Inject(%d) = %v, want an error wrapping reconfig.ErrDeadline", full, err)
+	}
+	if x.Faults().Contains(full) {
+		t.Fatalf("fault %d not rolled back", full)
+	}
+	if after := x.Segments(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("placements changed by a rolled-back replan:\n%v\n%v", before, after)
+	}
+	for _, r := range x.Close() {
+		if r.Stream.Remaps != 0 || r.Stream.RemapFailures != 0 {
+			t.Fatalf("tenant %s stream counted %d remaps, %d failures for a rolled-back replan",
+				r.Tenant, r.Stream.Remaps, r.Stream.RemapFailures)
+		}
+	}
+}
+
+// TestExecutorOneTreePerEvent is the executor's form of the manager's
+// TestApplyOneTreePerEvent. A deadline miss and a local repair each yield
+// exactly one "replan" root. The planner's plan span carries the
+// manager's detect/plan phases, and the successful root carries one
+// remap per moved tenant with the engine's drain under it. The miss trips
+// exactly one remap_deadline dump and never reaches an engine. The remap
+// SLO sees each event once, and the SLO counts one processor down per
+// applied fault, not two.
+func TestExecutorOneTreePerEvent(t *testing.T) {
+	tr, slo, rec, reg := span.Default(), span.DefaultSLO(), span.DefaultRecorder(), obs.Default()
+	wasObserving := reg.Enabled()
+	reg.SetEnabled(true) // the SLO gauges record only while the registry is on
+	slo.SetEnabled(true)
+	dir := t.TempDir()
+	if err := rec.Arm(span.RecorderConfig{Dir: dir, Cooldown: time.Nanosecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		rec.Disarm()
+		slo.SetEnabled(false)
+		reg.SetEnabled(wasObserving)
+		tr.SetEnabled(false)
+		tr.Reset()
+	}()
+	sloCounts := func() (remaps int64, procsDown int) {
+		h := slo.Snapshot()
+		for _, o := range h.Objectives {
+			if o.Name == "remap" {
+				remaps = o.Count
+			}
+		}
+		for _, c := range h.Availability {
+			if c.Class == graph.Processor.String() {
+				procsDown = c.DownNow
+			}
+		}
+		return remaps, procsDown
+	}
+
+	sol := bareG123(t)
+	local, full := probeFault(t, sol)
+	topo, err := plan.Parse([]byte(mixedTopo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := control.New(sol, topo, control.Config{ReplanDeadline: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remaps0, down0 := sloCounts()
+	tr.Reset() // only the events' spans count, not the bootstrap's
+
+	if _, err := x.Inject(full); !errors.Is(err, reconfig.ErrDeadline) {
+		t.Fatalf("Inject(%d) = %v, want ErrDeadline", full, err)
+	}
+	res, err := x.Inject(local)
+	if err != nil {
+		t.Fatalf("Inject(%d): %v", local, err)
+	}
+	if len(res.Affected) == 0 || res.Expansions != 0 {
+		t.Fatalf("local repair moved %v at %d expansions, want some tenant at 0", res.Affected, res.Expansions)
+	}
+	remaps, down := sloCounts()
+	if remaps-remaps0 != 2 {
+		t.Fatalf("remap SLO observed %d times, want once per event (2)", remaps-remaps0)
+	}
+	if down-down0 != 1 {
+		t.Fatalf("SLO counts %d processors down after one applied fault, want 1", down-down0)
+	}
+	if g := reg.Gauge("slo_nodes_down", obs.L("class", "processor")); g.Value() != int64(down) {
+		t.Fatalf("slo_nodes_down{class=processor} = %d, ledger says %d", g.Value(), down)
+	}
+	if written, _ := rec.Dumps(); written != 1 {
+		t.Fatalf("flight recorder wrote %d dumps, want 1 (the deadline miss)", written)
+	}
+	if dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*-"+string(span.AnomalyDeadline)+".json")); len(dumps) != 1 {
+		t.Fatalf("remap_deadline dumps = %v, want exactly one", dumps)
+	}
+
+	var roots []span.Span
+	kids := map[uint64][]span.Span{}
+	for _, sp := range tr.Snapshot() {
+		if sp.Parent == 0 {
+			roots = append(roots, sp)
+		} else {
+			kids[sp.Parent] = append(kids[sp.Parent], sp)
+		}
+	}
+	names := func(id uint64) []string {
+		var out []string
+		for _, sp := range kids[id] {
+			out = append(out, sp.Name)
+		}
+		return out
+	}
+	if len(roots) != 2 {
+		t.Fatalf("got %d root spans %v, want one replan root per event", len(roots), roots)
+	}
+	for _, root := range roots {
+		var planSpan *span.Span
+		var remapped []string
+		for i, c := range kids[root.ID] {
+			switch c.Name {
+			case "plan":
+				planSpan = &kids[root.ID][i]
+			case "remap":
+				if !slices.Contains(names(c.ID), "drain") {
+					t.Fatalf("remap of %v lacks the engine's drain: %v", c, names(c.ID))
+				}
+				tenant, _ := c.Attr("tenant")
+				remapped = append(remapped, tenant)
+			}
+		}
+		if root.Name != "replan" || planSpan == nil {
+			t.Fatalf("root %s has children %v, want a replan with a plan span", root.Name, names(root.ID))
+		}
+		if phases := names(planSpan.ID); !slices.Contains(phases, "detect") || !slices.Contains(phases, "plan") {
+			t.Fatalf("plan span children %v lack the manager's detect/plan phases", phases)
+		}
+		switch root.Status {
+		case span.OK:
+			if !slices.Equal(remapped, res.Affected) {
+				t.Fatalf("replan remapped %v, result says %v", remapped, res.Affected)
+			}
+		case span.Deadline:
+			if reason, _ := root.Attr("cancel_reason"); reason != "deadline" || len(remapped) != 0 {
+				t.Fatalf("deadline root cancel_reason=%q remapped %v, want deadline and none", reason, remapped)
+			}
+		default:
+			t.Fatalf("replan root status %v", root.Status)
+		}
+	}
+	for _, r := range x.Close() {
+		want := int64(0)
+		if slices.Contains(res.Affected, r.Tenant) {
+			want = 1
+		}
+		if !r.Stream.Clean() || r.Stream.Remaps != want {
+			t.Fatalf("tenant %s stream %+v, want clean with %d remaps", r.Tenant, r.Stream, want)
+		}
 	}
 }

@@ -138,8 +138,8 @@ func (r *Resources) child(budget int64, deadline time.Duration) *Resources {
 }
 
 // Scoped returns a child of parent carrying its own deadline (0 = none).
-// A nil parent yields a detached root. chaos.Run bounds each fault
-// event's remap with one (reconfig reads its deadline).
+// A nil parent yields a detached root. control.Executor bounds each fault
+// event's replan with one (reconfig reads its deadline).
 func Scoped(parent *Resources, deadline time.Duration) *Resources {
 	if parent == nil {
 		return NewResources(nil, 0, deadline)

@@ -120,7 +120,7 @@ func TestPlanPartition(t *testing.T) {
 }
 
 // TestPlanDegradesUnderFaults replans across fault sets and checks the
-// partition shrinks gracefully and the memo makes revisits free.
+// partition shrinks gracefully and revisits are free.
 func TestPlanDegradesUnderFaults(t *testing.T) {
 	sol := mustPool(t, 12, 3)
 	topo := mustTopo(t, mixedTopo)
@@ -156,17 +156,14 @@ func TestPlanDegradesUnderFaults(t *testing.T) {
 		t.Fatalf("gen = %d, want %d", pl1.Gen, pl0.Gen+1)
 	}
 
-	// Repair back to the empty fault set: the memoized solver must answer
-	// from cache.
+	// Repair back to the empty fault set: the revisit must cost no solver
+	// work (the manager re-inserts the processor, or its memo answers).
 	pl2, err := p.Plan(empty, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("Plan gen2: %v", err)
 	}
 	if pl2.Expansions != 0 {
-		t.Fatalf("memo miss on repeated fault set: %d expansions", pl2.Expansions)
-	}
-	if hits, _ := p.Solver().Memo(); hits == 0 {
-		t.Fatal("solver memo recorded no hits")
+		t.Fatalf("revisit of a known fault set cost %d expansions", pl2.Expansions)
 	}
 }
 

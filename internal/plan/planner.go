@@ -8,6 +8,7 @@ import (
 	"gdpn/internal/embed"
 	"gdpn/internal/graph"
 	"gdpn/internal/obs/span"
+	"gdpn/internal/reconfig"
 	"gdpn/internal/verify"
 )
 
@@ -46,8 +47,8 @@ type Plan struct {
 	Assignments []Assignment `json:"assignments"`
 	// Shed lists the tenants this plan could not place.
 	Shed []Shed `json:"shed,omitempty"`
-	// Expansions is the solver search work this plan cost (0 on a memo
-	// hit — replans revisiting a known fault set are free).
+	// Expansions is the solver search work of the full-remap fallbacks
+	// this plan needed (0 when local repairs or memo hits settled it).
 	Expansions int64 `json:"expansions"`
 }
 
@@ -62,35 +63,45 @@ func (p *Plan) Assignment(tenant string) *Assignment {
 }
 
 // Planner compiles a Topology into placement Plans for successive fault
-// sets. It owns the pool's only solver, configured with Options.Memo so
-// repeated fault sets (churn, fault/repair cycles) replan from cache, and
-// with the pool's Layout so the constructive planner stays on its fast path.
-// Not safe for concurrent use; the executor serializes replans.
+// sets. It keeps the pool's one global pipeline in a reconfig.Manager, so
+// a replan repairs that pipeline locally (splice, rewire, endpoint swap,
+// insert) and the manager's memo-warm solver runs only when no local
+// tactic applies. Not safe for concurrent use; the executor serializes
+// replans.
 type Planner struct {
-	g      *graph.Graph
-	topo   *Topology
-	solver *embed.Solver
-	gen    int
+	sol  *construct.Solution
+	topo *Topology
+	mgr  *reconfig.Manager // built by the first Plan
+	gen  int
 }
 
 // NewPlanner builds a planner for the topology over the given pool
 // solution. The topology must already be validated (Load/Parse do this).
 func NewPlanner(sol *construct.Solution, topo *Topology) *Planner {
-	return &Planner{
-		g:      sol.Graph,
-		topo:   topo,
-		solver: embed.NewSolver(sol.Graph, embed.Options{Layout: sol.Layout, Memo: true}),
-	}
+	return &Planner{sol: sol, topo: topo}
 }
 
-// Solver exposes the shared solver for warm/memo statistics.
-func (p *Planner) Solver() *embed.Solver { return p.solver }
+// Tactics returns the manager's repair counts and per-tactic downtime
+// ledger over every replan so far (zero before the first Plan).
+func (p *Planner) Tactics() (reconfig.Stats, reconfig.DowntimeStats) {
+	if p.mgr == nil {
+		return reconfig.Stats{}, reconfig.DowntimeStats{}
+	}
+	return p.mgr.Stats(), p.mgr.Downtime()
+}
 
 // Plan computes placements for the given pool fault set. exclude names
 // tenants the caller has already shed (budget exhaustion, operator
 // action); they are skipped before admission control runs. res, when
-// non-nil, bounds the solver's search (cancellation and expansion budget)
-// and parent becomes the causal parent of the "plan" span.
+// non-nil, bounds the solver's search (cancellation, deadline and
+// expansion budget) and parent becomes the causal parent of the "plan"
+// span, under which the manager's detect/plan/solve/audit phases hang.
+//
+// The manager moves to the fault set one node at a time, repairs first,
+// so the fault count never exceeds the larger of the old and new sets. A
+// step that fails (deadline, budget, beyond tolerance) is rolled back by
+// the manager and Plan returns its error; steps before it stand, and the
+// next Plan starts from there.
 //
 // Admission control: tenants are dropped lowest class first (Bronze
 // before Silver before Gold), later topology index first within a class,
@@ -101,26 +112,21 @@ func (p *Planner) Solver() *embed.Solver { return p.solver }
 func (p *Planner) Plan(faults bitset.Set, exclude map[string]bool, res *embed.Resources, parent *span.S) (*Plan, error) {
 	sp := span.Start(parent, "plan")
 	sp.SetInt("gen", int64(p.gen))
-	p.solver.SetResources(res)
-	p.solver.SetSpan(sp)
-	r := p.solver.Find(faults)
-	if !r.Found {
-		sp.SetStr("error", "no pipeline")
-		if r.Unknown {
-			sp.End(span.Deadline)
-			return nil, fmt.Errorf("plan: solver budget exhausted before a pipeline was found (%d expansions)", r.Expansions)
-		}
-		sp.End(span.Errored)
-		return nil, fmt.Errorf("plan: no pipeline exists for this fault set (beyond design tolerance)")
+	expansions, err := p.follow(faults, res, sp)
+	if err != nil {
+		sp.SetStr("error", err.Error())
+		reconfig.EndPhase(sp, err)
+		return nil, fmt.Errorf("plan: %w", err)
 	}
-	interior := r.Pipeline[1 : len(r.Pipeline)-1]
+	global := p.mgr.Pipeline()
+	interior := global[1 : len(global)-1]
 	capacity := len(interior)
 
 	pl := &Plan{
 		Gen:        p.gen,
 		Capacity:   capacity,
-		Global:     append(graph.Path(nil), r.Pipeline...),
-		Expansions: r.Expansions,
+		Global:     append(graph.Path(nil), global...),
+		Expansions: expansions,
 	}
 
 	// Admission: start from every non-excluded tenant, then shed until the
@@ -206,7 +212,7 @@ func (p *Planner) Plan(faults bitset.Set, exclude map[string]bool, res *embed.Re
 	for i, c := range admitted {
 		seg := append(graph.Path(nil), interior[off:off+shares[i]]...)
 		off += shares[i]
-		if err := verify.CheckSegment(p.g, faults, seg, seg); err != nil {
+		if err := verify.CheckSegment(p.sol.Graph, faults, seg, seg); err != nil {
 			sp.SetStr("error", err.Error())
 			sp.End(span.Errored)
 			return nil, fmt.Errorf("plan: tenant %q segment failed verification: %w", c.t.Name, err)
@@ -220,4 +226,42 @@ func (p *Planner) Plan(faults bitset.Set, exclude map[string]bool, res *embed.Re
 	p.gen++
 	sp.End(span.OK)
 	return pl, nil
+}
+
+// follow moves the manager to faults and returns the solver work its
+// full-remap fallbacks cost, the initial mapping's on the first call.
+func (p *Planner) follow(faults bitset.Set, res *embed.Resources, sp *span.S) (int64, error) {
+	var before int64
+	if p.mgr == nil {
+		m, err := reconfig.New(p.sol)
+		if err != nil {
+			return 0, err
+		}
+		p.mgr = m
+	} else {
+		before = p.mgr.Stats().Expansions
+	}
+	m := p.mgr
+	m.SetResources(res)
+	m.SetSpan(sp)
+	defer func() {
+		m.SetResources(nil)
+		m.SetSpan(nil)
+	}()
+	cur := m.Faults()
+	for _, v := range cur.Slice() {
+		if !faults.Contains(v) {
+			if _, err := m.Repair(v); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for _, v := range faults.Slice() {
+		if !cur.Contains(v) {
+			if _, err := m.Fault(v); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return m.Stats().Expansions - before, nil
 }

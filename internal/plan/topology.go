@@ -1,13 +1,14 @@
 // Package plan is the planner layer of the multi-tenant control plane:
 // it compiles declarative tenant topologies (stages + SLO class + share
 // weights, loaded from JSON) into placement plans over one shared
-// construct.Solution pool. The planner owns the only solver: it computes
-// the single global healthy pipeline for the current fault set (memoized
-// across replans, so fault/repair churn revisiting a configuration costs
-// one cache hit) and carves its interior into contiguous per-tenant
-// segments. Each segment is therefore a Hamiltonian path of its placement
-// by construction — the per-tenant graceful-degradation guarantee is
-// inherited from the paper's global one rather than re-proved per tenant.
+// construct.Solution pool. The planner keeps the single global healthy
+// pipeline for the current fault set in a reconfig.Manager, which repairs
+// it locally (splice, rewire, endpoint swap, insert) and falls back to its
+// memo-warm solver only when no local tactic applies, and carves its
+// interior into contiguous per-tenant segments. Each segment is therefore
+// a Hamiltonian path of its placement by construction — the per-tenant
+// graceful-degradation guarantee is inherited from the paper's global one
+// rather than re-proved per tenant.
 //
 // The planner is pure policy: it never touches engines or frames. The
 // executor (internal/control) turns plans into running pipeline.Stream

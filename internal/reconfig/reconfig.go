@@ -75,10 +75,18 @@ func (t Tactic) String() string {
 
 // Stats counts repairs by tactic.
 type Stats struct {
-	NoChange, Splice, Rewire, EndpointSwap, Insert, FullRemap int
+	NoChange     int `json:"no_change"`
+	Splice       int `json:"splice"`
+	Rewire       int `json:"rewire"`
+	EndpointSwap int `json:"endpoint_swap"`
+	Insert       int `json:"insert"`
+	FullRemap    int `json:"full_remap"`
 	// MovedStages accumulates |positions whose processor changed| across
 	// repairs — the state-migration cost a deployment would pay.
-	MovedStages int
+	MovedStages int `json:"moved_stages"`
+	// Expansions is the solver search work of every full remap, the
+	// initial mapping's included; local tactics add nothing.
+	Expansions int64 `json:"expansions"`
 }
 
 // ErrDeadline is wrapped into the error returned by Fault/Repair when a
@@ -93,14 +101,14 @@ var ErrDeadline = errors.New("remap deadline exceeded")
 // under each repair tactic, plus the time burnt on rolled-back attempts.
 type DowntimeStats struct {
 	// PerTactic accumulates repair latency by the tactic that resolved it.
-	PerTactic [FullRemap + 1]time.Duration
+	PerTactic [FullRemap + 1]time.Duration `json:"per_tactic_ns"`
 	// Total is the sum over PerTactic (rollback time excluded).
-	Total time.Duration
+	Total time.Duration `json:"total_ns"`
 	// Rollbacks counts operations undone after a deadline miss or an
 	// unsolvable (beyond-budget) fault set.
-	Rollbacks int
+	Rollbacks int `json:"rollbacks"`
 	// RollbackTime accumulates the time spent on rolled-back attempts.
-	RollbackTime time.Duration
+	RollbackTime time.Duration `json:"rollback_ns"`
 }
 
 // Manager holds the live pipeline of one network.
@@ -142,9 +150,9 @@ type Manager struct {
 	fallbacks    *obs.Counter                  // local tactics exhausted → full recompute
 
 	// remapSpan is the causal parent for this remap's phase spans
-	// (detect/plan/solve/audit): Apply's root "remap" span while it runs.
-	// Remaps are serialized by the manager's single owner, so one slot
-	// suffices. nil (direct Fault/Repair calls, untraced runs) makes every
+	// (detect/plan/solve/audit): Apply's root "remap" span while it runs,
+	// or the parent set by SetSpan. Remaps are serialized by the manager's
+	// single owner, so one slot suffices. nil (untraced runs) makes every
 	// phase span a no-op or a root.
 	remapSpan *span.S
 }
@@ -178,7 +186,7 @@ func New(sol *construct.Solution) (*Manager, error) {
 	if err := m.fullRemap(); err != nil {
 		return nil, err
 	}
-	m.stats = Stats{} // the initial mapping is not a repair
+	m.stats = Stats{Expansions: m.stats.Expansions} // the initial mapping is not a repair
 	return m, nil
 }
 
@@ -210,6 +218,12 @@ func (m *Manager) SetResources(r *embed.Resources) { m.res = r }
 // Resources returns the ambient token (nil when unset).
 func (m *Manager) Resources() *embed.Resources { return m.res }
 
+// SetSpan attaches the causal parent for the detect/plan/solve/audit
+// phase spans of subsequent Fault and Repair calls, as Solver.SetSpan does
+// for solve spans. nil detaches. Apply parents its phases on the event's
+// own "remap" root instead.
+func (m *Manager) SetSpan(sp *span.S) { m.remapSpan = sp }
+
 // Interior returns the current pipeline's processors: the pipeline
 // without its two terminals, which is the placement a runtime executes
 // (aliased; do not modify).
@@ -233,7 +247,7 @@ const (
 // rolled-back plan (deadline, budget, beyond-k) never reaches place, so a
 // live stream keeps flowing on the previous pipeline untouched. The root
 // feeds the "remap" SLO once per event, and its error trips the flight
-// recorder; see finishRemap.
+// recorder; see FinishRemap.
 func (m *Manager) Apply(op Op, node int, place func(seg graph.Path, parent *span.S) error) error {
 	start := time.Now()
 	name, plan := "inject", m.Fault
@@ -241,24 +255,25 @@ func (m *Manager) Apply(op Op, node int, place func(seg graph.Path, parent *span
 		name, plan = "repair", m.Repair
 	}
 	root := span.Start(nil, "remap").SetStr("op", name).SetInt("node", int64(node))
-	m.remapSpan = root
+	m.SetSpan(root)
 	_, err := plan(node)
-	m.remapSpan = nil
+	m.SetSpan(nil)
 	if err == nil {
 		err = place(m.Interior(), root)
 	}
-	finishRemap(root, start, err)
+	FinishRemap(root, start, err)
 	return err
 }
 
-// finishRemap ends a root remap span with the status and cancellation
-// reason derived from err, feeds the SLO remap-latency objective, and —
-// after the span is in the ring, so a dump contains the whole tree —
-// trips the flight recorder on deadline misses, budget exhaustion and
-// rollbacks. Deliberate cancellations (shutdown) are not anomalies and do
-// not trip.
-func finishRemap(root *span.S, start time.Time, err error) {
-	endPhase(root, err)
+// FinishRemap ends the root span of one fault event with the status and
+// cancellation reason derived from err, feeds the SLO remap-latency
+// objective, and — after the span is in the ring, so a dump contains the
+// whole tree — trips the flight recorder on deadline misses, budget
+// exhaustion and rollbacks. Deliberate cancellations (shutdown) are not
+// anomalies and do not trip. Apply and the multi-tenant executor's replan
+// both end their roots here.
+func FinishRemap(root *span.S, start time.Time, err error) {
+	EndPhase(root, err)
 	if slo := span.DefaultSLO(); slo.Enabled() {
 		slo.Observe("remap", time.Since(start))
 	}
@@ -290,8 +305,9 @@ func remapStatus(err error) (span.Status, string) {
 	}
 }
 
-// endPhase finishes a phase span with the status/reason derived from err.
-func endPhase(sp *span.S, err error) {
+// EndPhase finishes a span with the status and cancel_reason attribute
+// that err maps to (see remapStatus).
+func EndPhase(sp *span.S, err error) {
 	st, reason := remapStatus(err)
 	if reason != "" {
 		sp.SetStr("cancel_reason", reason)
@@ -668,23 +684,24 @@ func (m *Manager) fullRemap() error {
 	m.solver.SetSpan(solve)
 	defer m.solver.SetSpan(nil)
 	if err := m.pastDeadline(); err != nil {
-		endPhase(solve, err)
+		EndPhase(solve, err)
 		return err
 	}
 	if m.res != nil && m.res.Stopped() {
 		err := fmt.Errorf("reconfig: remap aborted: %w", m.res.Err())
-		endPhase(solve, err)
+		EndPhase(solve, err)
 		return err
 	}
 	m.solver.SetResources(m.res)
 	res := m.solveRemap()
+	m.stats.Expansions += res.Expansions
 	solve.SetInt("expansions", res.Expansions)
 	if err := m.pastDeadline(); err != nil {
 		if res.Found {
 			// A valid late result is discarded, not merely missing.
 			solve.SetStr("late_result", "discarded")
 		}
-		endPhase(solve, err)
+		EndPhase(solve, err)
 		return err
 	}
 	if !res.Found {
@@ -694,7 +711,7 @@ func (m *Manager) fullRemap() error {
 		} else {
 			err = fmt.Errorf("reconfig: no pipeline (unknown=%v, faults=%v)", res.Unknown, m.faults.Slice())
 		}
-		endPhase(solve, err)
+		EndPhase(solve, err)
 		return err
 	}
 	solve.End(span.OK)
