@@ -55,7 +55,7 @@ func main() {
 		symm    = flag.Bool("symmetry", false, "orbit-reduced exhaustive verification inside every experiment")
 		jsonOut = flag.Bool("json", false, "emit a machine-readable JSON blob (tables + metrics) on stdout")
 		batch   = flag.Int("batch", 0, "transport batch size for the streaming experiments (0 = pipeline default)")
-		storeP  = flag.String("store", "", "content-addressed verdict store file (created if absent): repeated gdpbench runs replay cached verdicts instead of re-solving")
+		storeP  = flag.String("store", "", "content-addressed verdict store file (created if absent): repeated gdpbench runs replay the proof blocks of earlier sweeps instead of re-solving")
 		addr    = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address during the run")
 	)
 	tf := telemetry.Register()
@@ -92,7 +92,7 @@ func main() {
 
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Symmetry: *symm,
 		Batch: *batch, Context: ctx}
-	// closeStore flushes appended verdicts; called explicitly because the
+	// closeStore flushes filed proof blocks; called explicitly because the
 	// exit paths below use os.Exit (which skips defers).
 	closeStore := func() {}
 	if *storeP != "" {

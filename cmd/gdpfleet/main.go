@@ -9,7 +9,7 @@
 //	gdpfleet work  -coord http://host:7117 -j 4
 //	gdpfleet serve -local 3 -n 3 -k 5 -symmetry          # one-binary fleet
 //	gdpfleet serve ... -redundancy 2                     # double-solve chunks
-//	gdpfleet serve ... -store sweep.gdps                 # content-keyed resume + verdict cache
+//	gdpfleet serve ... -store sweep.gdps                 # content-keyed resume of completed chunks
 //	gdpfleet serve ... -summary verdict.txt -json        # CI-diffable outputs
 //
 // A SIGKILLed coordinator restarted with the same -checkpoint file
@@ -51,7 +51,7 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "serve: chunk lease duration; silent workers lose their chunks after this")
 		checkpoint = flag.String("checkpoint", "", "serve: JSON progress file — written after every chunk, resumed from on restart")
 		local      = flag.Int("local", 0, "serve: also run this many in-process workers over loopback HTTP")
-		storeP     = flag.String("store", "", "content-addressed verdict store file (created if absent): serve resumes already-proven chunks from it and persists each completion; work replays cached verdicts inside its runners — give each process its own file")
+		storeP     = flag.String("store", "", "serve: content-addressed store file (created if absent): the coordinator resumes already-proven chunks from it and persists each completion")
 		jsonOut    = flag.Bool("json", false, "serve: emit the machine-readable result (report + fleet accounting + metrics) on stdout")
 		summary    = flag.String("summary", "", "serve: also write the canonical verdict summary to this file (diffable against gdpverify -summary)")
 
@@ -71,6 +71,10 @@ func main() {
 	}
 	cmd := os.Args[1]
 	flag.CommandLine.Parse(os.Args[2:])
+	if cmd == "work" && *storeP != "" {
+		fmt.Fprintln(os.Stderr, "gdpfleet: -store is a serve flag: workers keep no store")
+		os.Exit(2)
+	}
 	if err := tf.Activate(); err != nil {
 		fatal(err)
 	}
@@ -90,29 +94,19 @@ func main() {
 		Throttle: *throttle, Retry: *retry, Memo: *memo, Logf: logf,
 	}
 
-	// One store handle per process (serve shares it between the
-	// coordinator and any -local workers; a remote worker opens its own
-	// file — the store is a single-writer format).
-	var st *store.Store
-	if *storeP != "" {
-		var err error
-		if st, err = store.Open(*storeP); err != nil {
-			fatal(err)
-		}
-		workerCfg.Store = st
-	}
-
 	switch cmd {
 	case "work":
 		if err := fleet.RunWorker(ctx, workerCfg); err != nil && ctx.Err() == nil {
 			fatal(err)
 		}
-		if st != nil {
-			if err := st.Close(); err != nil {
+	case "serve":
+		var st *store.Store
+		if *storeP != "" {
+			var err error
+			if st, err = store.Open(*storeP); err != nil {
 				fatal(err)
 			}
 		}
-	case "serve":
 		serve(ctx, tf, spec, workerCfg, st, *addr, *leaseTTL, *checkpoint, *local, *jsonOut, *summary, logf)
 	}
 }

@@ -31,6 +31,7 @@
 package autom
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"gdpn/internal/construct"
@@ -66,7 +67,11 @@ func (p Perm) Inverse() Perm {
 
 // compose returns a∘b: v ↦ a(b(v)).
 func compose(a, b Perm) Perm {
-	m := make([]int32, len(a.Map))
+	return composeInto(make([]int32, len(a.Map)), a, b)
+}
+
+// composeInto is compose with its map in m, of the maps' length.
+func composeInto(m []int32, a, b Perm) Perm {
 	for v := range m {
 		m[v] = a.Map[b.Map[v]]
 	}
@@ -281,19 +286,21 @@ func (gr *Group) materialize(cap int) {
 	}
 	seen := make(map[string]bool, 64)
 	id := identityPerm(gr.n)
-	seen[permKey(id)] = true
+	key, scratch := appendPermKey(nil, id), make([]int32, gr.n)
+	seen[string(key)] = true
 	var elems []Perm
 	frontier := []Perm{id}
 	for len(frontier) > 0 {
 		var next []Perm
 		for _, e := range frontier {
 			for _, gen := range gr.gens {
-				c := compose(gen, e)
-				k := permKey(c)
-				if seen[k] {
+				// Only a new element allocates: its map and its key.
+				key = appendPermKey(key[:0], composeInto(scratch, gen, e))
+				if seen[string(key)] {
 					continue
 				}
-				seen[k] = true
+				seen[string(key)] = true
+				c := compose(gen, e)
 				elems = append(elems, c)
 				if len(elems) > cap {
 					return // closure too large; keep elems nil
@@ -314,19 +321,18 @@ func identityPerm(n int) Perm {
 	return Perm{Map: m}
 }
 
-// permKey packs the permutation into a map key.
-func permKey(p Perm) string {
-	buf := make([]byte, 1+4*len(p.Map))
+// appendPermKey appends the map key of the permutation to dst: its IO
+// swap flag, then its map as little-endian uint32s.
+func appendPermKey(dst []byte, p Perm) []byte {
 	if p.IOSwap {
-		buf[0] = 1
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
 	}
-	for i, v := range p.Map {
-		buf[1+4*i] = byte(v)
-		buf[2+4*i] = byte(v >> 8)
-		buf[3+4*i] = byte(v >> 16)
-		buf[4+4*i] = byte(v >> 24)
+	for _, v := range p.Map {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	return string(buf)
+	return dst
 }
 
 // Reflection builds the cheap closed-form generator of the §3.4 asymptotic

@@ -39,11 +39,12 @@ type Config struct {
 	// Batch sets the transport batch size for the streaming experiments
 	// (S3). ≤ 0 uses the pipeline default.
 	Batch int
-	// Store attaches a content-addressed verdict store to every
+	// Store attaches a content-addressed proof store to every exhaustive
 	// verification the experiments run, making repeated gdpbench
-	// invocations incremental (cached verdicts replay instead of
-	// re-solving). The ST experiment measures its effect with a private
-	// store regardless. The caller owns the lifecycle. nil disables it.
+	// invocations incremental (each size an earlier sweep decided in full
+	// replays its proof block instead of re-solving). The ST experiment
+	// measures its effect with a private store regardless. The caller
+	// owns the lifecycle. nil disables it.
 	Store *store.Store
 	// Context cancels in-flight verifications (SIGINT → partial report).
 	Context context.Context

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"gdpn/internal/store"
 	"gdpn/internal/verify"
 )
 
@@ -34,11 +33,6 @@ type WorkerConfig struct {
 	Retry time.Duration
 	// Memo enables the solver result memo (on by default in gdpfleet).
 	Memo bool
-	// Store attaches a local content-addressed verdict store to every
-	// ShardRunner: cached verdicts short-circuit solves (after replay or
-	// re-screening) and fresh ones are appended. The caller owns the
-	// store's lifecycle. nil disables it.
-	Store *store.Store
 	// Client is the HTTP client to use (nil = a 10s-timeout client).
 	Client *http.Client
 	// Logf receives progress lines (nil = silent).
@@ -83,7 +77,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	opts.Context = ctx
 	opts.Throttle = cfg.Throttle
 	opts.Solver.Memo = cfg.Memo
-	opts.Store = cfg.Store
 	cfg.Logf("fleet worker %s: job %s k=%d redundancy=%d, %d runner(s)",
 		cfg.ID, inst.Graph.Name(), job.Spec.K, job.Spec.Redundancy, cfg.Parallel)
 

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"gdpn/internal/combin"
@@ -43,13 +43,12 @@ func (g *Graph) WLColors(seed []uint64) []uint64 {
 			for _, u := range g.adj[v] {
 				neigh = append(neigh, colors[u])
 			}
-			sort.Slice(neigh, func(i, j int) bool { return neigh[i] < neigh[j] })
-			h := fnv.New64a()
-			writeU64(h, colors[v])
+			slices.Sort(neigh)
+			h := fnvU64(fnvOffset, colors[v])
 			for _, c := range neigh {
-				writeU64(h, c)
+				h = fnvU64(h, c)
 			}
-			next[v] = h.Sum64()
+			next[v] = h
 		}
 		colors, next = next, colors
 	}
@@ -71,22 +70,26 @@ func (g *Graph) WLColors(seed []uint64) []uint64 {
 func (g *Graph) Fingerprint() uint64 {
 	n := g.NumNodes()
 	final := g.WLColors(nil)
-	sort.Slice(final, func(i, j int) bool { return final[i] < final[j] })
-	h := fnv.New64a()
-	writeU64(h, uint64(n))
-	writeU64(h, uint64(g.edges))
+	slices.Sort(final)
+	h := fnvU64(fnvOffset, uint64(n))
+	h = fnvU64(h, uint64(g.edges))
 	for _, c := range final {
-		writeU64(h, c)
+		h = fnvU64(h, c)
 	}
-	return h.Sum64()
+	return h
 }
 
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var buf [8]byte
+// fnvOffset is the FNV-1a 64-bit offset basis.
+const fnvOffset = 14695981039346656037
+
+// fnvU64 folds v, as 8 little-endian bytes, into the FNV-1a 64-bit hash h.
+func fnvU64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h ^= v & 0xff
+		h *= 1099511628211
+		v >>= 8
 	}
-	h.Write(buf[:])
+	return h
 }
 
 // Canonical-labeling budgets. canonMaxNodes gates the IR search entirely
@@ -329,27 +332,48 @@ func (c *canonCtx) offerLeaf(colors []int) {
 	}
 }
 
-// encode serializes the graph under the discrete coloring: uvarint node and
-// edge counts, node kinds in canonical order, then for each canonical
-// position the sorted canonical neighbors above it (each edge written once).
+// encode serializes the graph under the discrete coloring (EncodeUnder).
 func (c *canonCtx) encode(colors []int) ([]byte, []int32) {
-	n := c.n
-	lab := make([]int32, n)  // orig -> canon
-	orig := make([]int32, n) // canon -> orig
+	lab := make([]int32, c.n) // orig -> canon
 	for v, col := range colors {
 		lab[v] = int32(col)
-		orig[col] = int32(v)
 	}
-	buf := make([]byte, 0, 2+n+4*c.g.edges)
+	enc, _ := c.g.EncodeUnder(lab)
+	return enc, lab
+}
+
+// EncodeUnder serializes g under the labeling lab (original node id ->
+// position), in the format of CanonicalForm.Bytes: uvarint node and edge
+// counts, node kinds in position order, then for each position the sorted
+// positions of its neighbors above it (each edge written once). ok is
+// false when lab is not a permutation of g's node ids. Bytes equal to a
+// CanonicalForm's prove that lab maps g onto the graph those bytes
+// describe.
+func (g *Graph) EncodeUnder(lab []int32) (_ []byte, ok bool) {
+	n := len(g.kinds)
+	if len(lab) != n {
+		return nil, false
+	}
+	orig := make([]int32, n) // position -> orig
+	for i := range orig {
+		orig[i] = -1
+	}
+	for v, pos := range lab {
+		if pos < 0 || int(pos) >= n || orig[pos] >= 0 {
+			return nil, false
+		}
+		orig[pos] = int32(v)
+	}
+	buf := make([]byte, 0, 2+n+4*g.edges)
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(c.g.edges))
+	buf = binary.AppendUvarint(buf, uint64(g.edges))
 	for pos := 0; pos < n; pos++ {
-		buf = append(buf, byte(c.g.kinds[orig[pos]]))
+		buf = append(buf, byte(g.kinds[orig[pos]]))
 	}
 	neigh := make([]int, 0, 16)
 	for pos := 0; pos < n; pos++ {
 		neigh = neigh[:0]
-		for _, u := range c.g.adj[orig[pos]] {
+		for _, u := range g.adj[orig[pos]] {
 			if up := int(lab[u]); up > pos {
 				neigh = append(neigh, up)
 			}
@@ -360,7 +384,7 @@ func (c *canonCtx) encode(colors []int) ([]byte, []int32) {
 			buf = binary.AppendUvarint(buf, uint64(up))
 		}
 	}
-	return buf, lab
+	return buf, true
 }
 
 // DecodeCanonical reconstructs a graph from a CanonicalForm.Bytes

@@ -7,21 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-)
 
-// refVerdict is one verdict as the reference decoder reads it: the path
-// in canonical ids, as stored.
-type refVerdict struct {
-	found bool
-	path  []uint64
-}
+	"gdpn/internal/graph"
+)
 
 // refImage is what the reference decoder keeps of a store image. Every
 // map keeps the first record under a key.
 type refImage struct {
-	verdicts  map[string]refVerdict      // by the payload's key bytes
-	manifests map[manifestKey][][]uint64 // the sets in canonical ids
-	proofs    map[manifestKey]refProof   // blocks whose header parses
+	labs   map[uint64][]uint64   // each graph record's labeling, nil if none
+	proofs map[proofKey]refProof // blocks whose header parses
 }
 
 // refProof is one proof block as the reference decoder reads it: the
@@ -38,15 +32,11 @@ type refEntry struct {
 	set, path []uint64
 }
 
-// refDecode is a map-based reference decoder of the verdict, manifest and
-// proof-block records of a store image whose records all carry valid
-// CRCs. It shares no code with Open.
+// refDecode is a map-based reference decoder of the graph and proof-block
+// records of a store image whose records all carry valid CRCs. It shares
+// no code with Open, and skips every other kind.
 func refDecode(img []byte) (refImage, error) {
-	out := refImage{
-		verdicts:  map[string]refVerdict{},
-		manifests: map[manifestKey][][]uint64{},
-		proofs:    map[manifestKey]refProof{},
-	}
+	out := refImage{labs: map[uint64][]uint64{}, proofs: map[proofKey]refProof{}}
 	uvarint := func(b *[]byte) (uint64, error) {
 		v, n := binary.Uvarint(*b)
 		if n <= 0 {
@@ -55,76 +45,35 @@ func refDecode(img []byte) (refImage, error) {
 		*b = (*b)[n:]
 		return v, nil
 	}
-	list := func(b *[]byte) ([]uint64, error) {
-		n, err := uvarint(b)
-		if err != nil || n > uint64(len(*b)) {
-			return nil, fmt.Errorf("bad list: %v", err)
-		}
-		vs := make([]uint64, n)
-		for i := range vs {
-			if vs[i], err = uvarint(b); err != nil {
-				return nil, err
-			}
-		}
-		return vs, nil
-	}
 	for b := img[headerLen:]; len(b) > 0; {
 		plen := int(binary.LittleEndian.Uint32(b[2:6]))
 		kind, p := b[1], b[6:6+plen]
 		b = b[recordOverhead+plen:]
 		switch kind {
-		case kindVerdict:
-			all := p
-			if _, err := uvarint(&p); err != nil {
-				return out, err
-			}
-			if _, err := list(&p); err != nil {
-				return out, err
-			}
-			key := string(all[:len(all)-len(p)])
-			if len(p) == 0 {
-				return out, errors.New("no found byte")
-			}
-			v := refVerdict{found: p[0] != 0}
-			p = p[1:]
-			if v.found {
-				var err error
-				if v.path, err = list(&p); err != nil {
-					return out, err
-				}
-			}
-			if _, dup := out.verdicts[key]; !dup {
-				out.verdicts[key] = v
-			}
-		case kindManifest:
+		case kindGraph:
 			slot, err := uvarint(&p)
-			if err != nil || len(p) < 8 {
-				return out, errors.New("bad manifest")
+			if err != nil || len(p) < 9 {
+				return out, errors.New("bad graph record")
 			}
-			sig := binary.LittleEndian.Uint64(p)
-			p = p[8:]
-			size, err := uvarint(&p)
-			if err != nil {
-				return out, err
+			p = p[9:] // the fingerprint and the exact flag
+			n, err := uvarint(&p)
+			if err != nil || n > uint64(len(p)) {
+				return out, errors.New("bad canonical bytes")
 			}
-			count, err := uvarint(&p)
-			if err != nil {
-				return out, err
-			}
-			var sets [][]uint64
-			for i := uint64(0); i < count; i++ {
-				set := make([]uint64, size)
-				for j := range set {
-					if set[j], err = uvarint(&p); err != nil {
+			p = p[n:]
+			var lab []uint64
+			if len(p) > 0 {
+				if n, err = uvarint(&p); err != nil || n > uint64(len(p)) {
+					return out, errors.New("bad labeling")
+				}
+				lab = make([]uint64, n)
+				for i := range lab {
+					if lab[i], err = uvarint(&p); err != nil {
 						return out, err
 					}
 				}
-				sets = append(sets, set)
 			}
-			k := manifestKey{int(slot), sig, int(size)}
-			if _, dup := out.manifests[k]; !dup {
-				out.manifests[k] = sets
-			}
+			out.labs[slot] = lab
 		case kindProof:
 			k, blk, parsed := refProofBlock(p)
 			if _, dup := out.proofs[k]; parsed && !dup {
@@ -137,26 +86,26 @@ func refDecode(img []byte) (refImage, error) {
 
 // refProofBlock reads a proof-block payload: its key, its entries, and
 // whether its header parses at all.
-func refProofBlock(p []byte) (manifestKey, refProof, bool) {
+func refProofBlock(p []byte) (proofKey, refProof, bool) {
 	var hdr [4]uint64 // slot, sig, size, count
 	for i := range hdr {
 		if i == 1 {
 			if len(p) < 8 {
-				return manifestKey{}, refProof{}, false
+				return proofKey{}, refProof{}, false
 			}
 			hdr[i], p = binary.LittleEndian.Uint64(p), p[8:]
 			continue
 		}
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
-			return manifestKey{}, refProof{}, false
+			return proofKey{}, refProof{}, false
 		}
 		hdr[i], p = v, p[n:]
 	}
 	if len(p) == 0 {
-		return manifestKey{}, refProof{}, false
+		return proofKey{}, refProof{}, false
 	}
-	k := manifestKey{int(hdr[0]), hdr[1], int(hdr[2])}
+	k := proofKey{int(hdr[0]), hdr[1], int(hdr[2])}
 	width, p := int(p[0]), p[1:]
 	if width != 1 && width != 2 || hdr[3] == 0 {
 		return k, refProof{}, true
@@ -206,21 +155,24 @@ func refProofBlock(p []byte) (manifestKey, refProof, bool) {
 // FuzzStoreOpen feeds Open store files whose records carry valid CRCs, so
 // the payload decoder is what gets exercised. The first record registers
 // an 8-node ring as slot 0; the fuzz input is read as records of one kind
-// byte (mod 6, plus 1), one length byte and that many payload bytes. Open
-// must not panic or exhaust memory. When it succeeds, every lookup
-// through the ring must not panic, and every LookupVerdict and every
-// proof-block replay must agree with the reference decoder: after Open,
-// on the same store after a Compact, and after a reopen of the compacted
-// file.
+// byte (mod 6, plus 1), one length byte and that many payload bytes. A
+// lone byte left over damages the ring's stored labeling (see
+// fuzzLabeling). Open must not panic or exhaust memory. When it succeeds,
+// every lookup through the ring must not panic, Register must trust the
+// stored labeling exactly when it is an isomorphism onto the slot's
+// canonical bytes, and every proof-block replay must agree with the
+// reference decoder: after Open, on the same store after a Compact, and
+// after a reopen of the compacted file.
 func FuzzStoreOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := ringGraph(t, 6)
-		recs := []rec{graphRec(g)}
+		var recs []rec
 		for len(data) >= 2 {
 			kind, n := 1+data[0]%6, min(int(data[1]), len(data)-2)
 			recs = append(recs, rec{kind, data[2 : 2+n]})
 			data = data[2+n:]
 		}
+		recs = append([]rec{graphRecLab(g, fuzzLabeling(g, data))}, recs...)
 		path := filepath.Join(t.TempDir(), "f.gdps")
 		writeImage(t, path, recs...)
 		s, err := Open(path)
@@ -240,14 +192,13 @@ func FuzzStoreOpen(f *testing.F) {
 			if ref.Slot() != 0 {
 				t.Fatalf("ring registered as slot %d, want 0", ref.Slot())
 			}
-			checkAgainstRef(t, ref, want)
+			checkLabelingAgainstRef(t, g, ref, want.labs[0])
 			checkProofsAgainstRef(t, ref, want)
 			ref.LookupGroup(g)
 			ref.Blob("")
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstRef(t, ref, want)
 			checkProofsAgainstRef(t, ref, want)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -260,79 +211,55 @@ func FuzzStoreOpen(f *testing.F) {
 	})
 }
 
-// checkAgainstRef looks up every fault set of up to three nodes of ref's
-// graph and compares each answer with the reference verdicts.
-func checkAgainstRef(t *testing.T, ref *GraphRef, want refImage) {
+// fuzzLabeling returns the labeling the ring's graph record stores: its
+// canonical labeling, unless rest is one byte b, which picks by b%4 no
+// labeling, two entries swapped, the last entry cut, or one entry 200.
+func fuzzLabeling(g *graph.Graph, rest []byte) []int32 {
+	lab := g.Canonical().Labeling
+	if len(rest) != 1 {
+		return lab
+	}
+	b, n := int(rest[0]), len(lab)
+	switch b % 4 {
+	case 0:
+		return nil
+	case 1:
+		i, j := b/4%n, b/32%n
+		lab[i], lab[j] = lab[j], lab[i]
+	case 2:
+		lab = lab[:n-1]
+	case 3:
+		lab[b/4%n] = 200
+	}
+	return lab
+}
+
+// checkLabelingAgainstRef checks that ref took the reference's labeling
+// of slot 0 exactly when it encodes g to the slot's canonical bytes, and
+// the canonical labeling otherwise.
+func checkLabelingAgainstRef(t *testing.T, g *graph.Graph, ref *GraphRef, stored []uint64) {
 	t.Helper()
-	n := len(ref.inv)
-	var sets [][]int
-	sets = append(sets, []int{})
-	for x := 0; x < n; x++ {
-		sets = append(sets, []int{x})
-		for y := x + 1; y < n; y++ {
-			sets = append(sets, []int{x, y})
-			for z := y + 1; z < n; z++ {
-				sets = append(sets, []int{x, y, z})
-			}
+	cf := g.Canonical()
+	want := cf.Labeling
+	if stored != nil {
+		lab := toInt32(stored)
+		if enc, ok := g.EncodeUnder(lab); ok && string(enc) == string(cf.Bytes) {
+			want = lab
 		}
 	}
-	var path []int
-	for _, set := range sets {
-		key := binary.AppendUvarint(nil, 0)
-		key = appendIDs(key, ref.canonSet(nil, set))
-		w, inRef := want.verdicts[string(key)]
-		v, ok := ref.LookupVerdict(set, path)
-		path = v.Path
-		if ok != inRef {
-			t.Fatalf("set %v: hit=%v, reference has it=%v", set, ok, inRef)
-		}
-		if !ok {
-			continue
-		}
-		wantPath := make([]int, len(w.path))
-		for i, c := range w.path {
-			wantPath[i] = -1
-			if c < uint64(n) {
-				wantPath[i] = int(ref.inv[c])
-			}
-		}
-		if v.Found != w.found || fmt.Sprint(v.Path) != fmt.Sprint(wantPath) {
-			t.Fatalf("set %v: got found=%v path %v, reference found=%v path %v", set, v.Found, v.Path, w.found, wantPath)
-		}
+	if fmt.Sprint(ref.lab) != fmt.Sprint(want) {
+		t.Fatalf("stored labeling %v: Register took %v, want %v", stored, ref.lab, want)
 	}
 }
 
-// checkProofsAgainstRef replays every slot-0 proof block, and every
-// slot-0 manifest without one, from its first entry and from its middle
-// one, and compares each entry decoded with the reference's. A miss is
-// always allowed but for a block the reference reads whole. A replay
-// must decode the reference's entries in order, and must fail, on an
-// entry or at the end, for a block the reference cannot read whole or
-// with a fault set that leaves the graph.
+// checkProofsAgainstRef replays every slot-0 proof block from its first
+// entry and from its middle one, and compares each entry decoded with the
+// reference's. A miss is always allowed but for a block the reference
+// reads whole. A replay must decode the reference's entries in order, and
+// must fail, on an entry or at the end, for a block the reference cannot
+// read whole or with a fault set that leaves the graph.
 func checkProofsAgainstRef(t *testing.T, ref *GraphRef, want refImage) {
 	t.Helper()
-	keys := map[manifestKey]refProof{}
-	for k, blk := range want.proofs {
-		keys[k] = blk
-	}
-	for k, sets := range want.manifests {
-		if _, ok := keys[k]; ok {
-			continue
-		}
-		// The reference block of a manifest: each set with its verdict.
-		// One with no verdict has no entry, so the block reads short.
-		blk := refProof{ok: true}
-		for _, set := range sets {
-			key := appendIDs(binary.AppendUvarint(nil, uint64(k.slot)), toInt32(set))
-			v, found := want.verdicts[string(key)]
-			if !found {
-				blk.ok = false
-				break
-			}
-			blk.entries = append(blk.entries, refEntry{set, v.path})
-		}
-		keys[k] = blk
-	}
 	n := len(ref.inv)
 	origOf := func(c uint64) int {
 		if c < uint64(n) {
@@ -340,13 +267,13 @@ func checkProofsAgainstRef(t *testing.T, ref *GraphRef, want refImage) {
 		}
 		return -1
 	}
-	for k, w := range keys {
+	for k, w := range want.proofs {
 		if k.slot != 0 || k.size < 0 {
 			continue
 		}
 		blk, ok := ref.LookupProof(k.sig, k.size)
 		if !ok {
-			if _, proof := want.proofs[k]; proof && w.ok && len(w.entries) > 0 {
+			if w.ok && len(w.entries) > 0 {
 				t.Fatalf("block %+v: a miss, but the reference reads %d entries", k, len(w.entries))
 			}
 			continue

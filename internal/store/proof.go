@@ -2,15 +2,15 @@ package store
 
 import "encoding/binary"
 
-// A proof block holds one size class of a clean symmetry-reduced sweep:
-// its orbit representatives, in the order the sweep decided them, each
-// with its stored witness. Its payload is the slot, the sweep signature
-// (u64), the set size and the entry count as uvarints, then one width
-// byte: 1 when the slot's graph has at most 255 nodes, else 2. Then come
-// the entries, every number in them width bytes wide (little-endian):
-// the size canonical ids of the fault set, the path length, and the
-// path's canonical ids. A path length of 0 is a negative verdict; a
-// pipeline has at least three nodes.
+// A proof block holds one size class of a sweep: its orbit
+// representatives (every set of the size when the sweep has no symmetry),
+// in the order the sweep's workers decided them, each with its witness.
+// Its payload is the slot, the sweep signature (u64), the set size and
+// the entry count as uvarints, then one width byte: 1 when the slot's
+// graph has at most 255 nodes, else 2. Then come the entries, every
+// number in them width bytes wide (little-endian): the size canonical ids
+// of the fault set, the path length, and the path's canonical ids. A path
+// length of 0 is a negative verdict; a pipeline has at least three nodes.
 //
 // A replay walks a block front to back, with no hash, no index probe and
 // no lock, and decodes each entry into the caller's buffers. Open checks
@@ -49,29 +49,56 @@ func fixed(b []byte, width int) int {
 	return int(binary.LittleEndian.Uint16(b))
 }
 
-// PutProof records the proof block of one size class of a sweep: sets,
-// the class's orbit representatives, with the witnesses stored for them.
-// Only call after a clean, complete sweep of that size (no interruption,
-// no fail-fast stop): a partial block would silently shrink later sweeps.
-// When a set has no stored verdict, or one the block cannot hold (a
-// positive with no path, or a longer path than the width allows), no
-// block is written and the size stays cold. Idempotent per key: the
-// first stored block wins.
-func (r *GraphRef) PutProof(sig uint64, size int, sets [][]int) {
+// ProofEntries holds the encoded entries of part of one proof block, as
+// a sweep worker adds them; PutProof files a block from them.
+type ProofEntries struct {
+	b []byte
+	n int
+}
+
+// AddProofEntry adds the entry of one decided fault set (original node
+// ids) to e: path is its certificate-checked witness, or empty for a
+// negative verdict. It adds nothing for a graph too large for blocks.
+func (r *GraphRef) AddProofEntry(e *ProofEntries, set, path []int) {
 	width := idWidth(len(r.inv))
-	if width == 0 || len(sets) == 0 {
+	if width == 0 {
 		return
 	}
-	key := manifestKey{r.slot, sig, size}
-	// An entry holds at most the set, a path length and every node once.
-	n := len(r.inv)
-	payload := make([]byte, 0, 32+len(sets)*(size+1+n)*width)
+	var ids [16]int32
+	for _, c := range r.canonSet(ids[:0], set) {
+		e.b = appendFixed(e.b, int(c), width)
+	}
+	e.b = appendFixed(e.b, len(path), width)
+	for _, v := range path {
+		e.b = appendFixed(e.b, int(r.lab[v]), width)
+	}
+	e.n++
+}
+
+// PutProof files the proof block of one size class of a sweep from the
+// entries of parts, in order. Only call once every set of that size is
+// decided (no interruption, no unknown, no solver bug, no fail-fast
+// stop): a partial block costs the size a miss on replay. Idempotent per
+// key: the first stored block wins.
+func (r *GraphRef) PutProof(sig uint64, size int, parts []ProofEntries) {
+	width, n, count := idWidth(len(r.inv)), 0, 0
+	for _, e := range parts {
+		n, count = n+len(e.b), count+e.n
+	}
+	if width == 0 || count == 0 {
+		return
+	}
+	key := proofKey{r.slot, sig, size}
+	payload := make([]byte, 0, 32+n)
 	payload = binary.AppendUvarint(payload, uint64(r.slot))
 	payload = binary.LittleEndian.AppendUint64(payload, sig)
 	payload = binary.AppendUvarint(payload, uint64(size))
-	payload = binary.AppendUvarint(payload, uint64(len(sets)))
+	payload = binary.AppendUvarint(payload, uint64(count))
 	payload = append(payload, byte(width))
 	hdr := len(payload)
+	for _, e := range parts {
+		payload = append(payload, e.b...)
+	}
 
 	s := r.s
 	s.mu.Lock()
@@ -79,54 +106,9 @@ func (r *GraphRef) PutProof(sig uint64, size int, sets [][]int) {
 	if _, ok := s.proofs[key]; ok {
 		return
 	}
-	s.indexLocked()
-	var ids []int32
-	var kb []byte
-	for _, set := range sets {
-		ids = r.canonSet(ids[:0], set)
-		kb = appendIDs(binary.AppendUvarint(kb[:0], uint64(r.slot)), ids)
-		var ok bool
-		if payload, ok = s.appendEntry(payload, kb, ids, width, n); !ok {
-			return
-		}
-	}
 	s.appendLocked(kindProof, payload)
 	tail := s.lastPayloadTail(len(payload))
-	s.proofs[key] = proofVal{payload: tail, entries: tail[hdr:], count: len(sets), width: width}
-}
-
-// appendEntry appends the proof-block entry of the fault set with
-// canonical ids ids and verdict key kb, read from the verdict index, to
-// b. A path id outside the n-node graph is written as the largest width
-// value, which is outside it too. ok is false when the set has no stored
-// verdict or the block cannot hold its verdict. Under s.mu, with the
-// index built.
-func (s *Store) appendEntry(b, kb []byte, ids []int32, width, n int) ([]byte, bool) {
-	_, off := s.verdicts.find(s.buf, kb)
-	if off == 0 {
-		return b, false
-	}
-	for _, c := range ids {
-		b = appendFixed(b, int(c), width)
-	}
-	p := payloadReader{b: s.buf[off+len(kb):]}
-	if p.byte() == 0 {
-		return appendFixed(b, 0, width), true
-	}
-	m := p.count(1)
-	if m == 0 || m >= 1<<(8*width) {
-		return b, false
-	}
-	b = appendFixed(b, m, width)
-	outside := 1<<(8*width) - 1
-	for ; m > 0; m-- {
-		c := id32(p.uvarint())
-		if c < 0 || int(c) >= n {
-			c = int32(outside)
-		}
-		b = appendFixed(b, int(c), width)
-	}
-	return b, true
+	s.proofs[key] = proofVal{payload: tail, entries: tail[hdr:], count: count, width: width}
 }
 
 // ProofBlock is one size class's proof block, ready to replay through
@@ -139,54 +121,17 @@ type ProofBlock struct {
 	width   int
 }
 
-// LookupProof returns the proof block of one size class of a sweep. A
-// store written before proof blocks existed holds an orbit manifest
-// instead, with a verdict record per set: the block is then built in
-// memory from them, and is a miss when a set has no verdict or a node
-// outside the graph.
+// LookupProof returns the proof block of one size class of a sweep.
 func (r *GraphRef) LookupProof(sig uint64, size int) (*ProofBlock, bool) {
-	key := manifestKey{r.slot, sig, size}
 	s := r.s
 	s.mu.RLock()
-	pv, ok := s.proofs[key]
-	mv, legacy := s.manifests[key]
+	pv, ok := s.proofs[proofKey{r.slot, sig, size}]
 	s.mu.RUnlock()
-	if !ok && legacy {
-		pv, ok = r.manifestProof(mv, size)
-	}
 	if !ok || pv.count == 0 {
 		s.miss("manifest")
 		return nil, false
 	}
 	return &ProofBlock{r: r, entries: pv.entries, count: pv.count, size: size, width: pv.width}, true
-}
-
-// manifestProof builds the proof block of a manifest of count sets of the
-// given size from the verdict index.
-func (r *GraphRef) manifestProof(mv manifestVal, size int) (proofVal, bool) {
-	width := idWidth(len(r.inv))
-	if width == 0 || mv.count == 0 {
-		return proofVal{}, false
-	}
-	s := r.s
-	s.ensureIndex()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var b, kb []byte
-	for i := 0; i < mv.count; i++ {
-		ids := mv.ids[i*size : (i+1)*size]
-		for _, c := range ids {
-			if _, in := r.origID(c); !in {
-				return proofVal{}, false
-			}
-		}
-		kb = appendIDs(binary.AppendUvarint(kb[:0], uint64(r.slot)), ids)
-		var ok bool
-		if b, ok = s.appendEntry(b, kb, ids, width, len(r.inv)); !ok {
-			return proofVal{}, false
-		}
-	}
-	return proofVal{entries: b, count: mv.count, width: width}, true
 }
 
 // Len returns the block's entry count.

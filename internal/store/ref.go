@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -20,26 +19,59 @@ type GraphRef struct {
 	inv  []int32 // canonical id -> original id
 }
 
-// Register computes g's canonical form and returns its store handle,
-// creating the slot on first sight. Isomorphic graphs with byte-equal
-// canonical forms share one slot (and therefore all cached entries) even
-// when their concrete node ids differ.
+// Register returns g's store handle, creating its slot on first sight.
+// Isomorphic graphs with byte-equal canonical forms share one slot (and
+// therefore all stored entries) even when their concrete node ids differ.
+// A slot in g's fingerprint bucket whose stored labeling encodes g to the
+// slot's canonical bytes is taken as it is; otherwise Register computes
+// g's canonical form.
 func (s *Store) Register(g *graph.Graph) *GraphRef {
-	cf := g.Canonical()
-	n := g.NumNodes()
-	inv := make([]int32, n)
-	for v, c := range cf.Labeling {
-		inv[c] = int32(v)
+	if r := s.registered(g); r != nil {
+		return r
 	}
+	cf := g.Canonical()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &GraphRef{s: s, slot: s.registerLocked(g, cf), lab: cf.Labeling, inv: inv}
+	return s.newRef(s.registerLocked(g, cf), cf.Labeling)
+}
+
+// registered returns the handle of a slot whose stored labeling maps g
+// onto its canonical bytes, or nil. Of two slots with those bytes, the
+// handle is the first's, as registerLocked would find it.
+func (s *Store) registered(g *graph.Graph) *GraphRef {
+	h := g.Fingerprint()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	bucket := s.byHash[h]
+	for _, id := range bucket {
+		sl := s.slots[id]
+		if sl.lab == nil {
+			continue
+		}
+		if enc, ok := g.EncodeUnder(sl.lab); ok && string(enc) == string(sl.bytes) {
+			for _, first := range bucket {
+				if string(s.slots[first].bytes) == string(sl.bytes) {
+					return s.newRef(first, sl.lab)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// newRef returns the handle of slot id for a graph labeled by lab.
+func (s *Store) newRef(id int, lab []int32) *GraphRef {
+	inv := make([]int32, len(lab))
+	for v, c := range lab {
+		inv[c] = int32(v)
+	}
+	return &GraphRef{s: s, slot: id, lab: lab, inv: inv}
 }
 
 // canonSet appends the canonical ids of the nodes orig to dst and sorts
 // the appended ids. Fault sets are small (≤ k elements), so insertion
-// sort — no closure, no interface boxing — keeps the per-lookup cost down
-// on the replay hot path.
+// sort — no closure, no interface boxing — keeps the per-entry cost down
+// on the sweep's hot path.
 func (r *GraphRef) canonSet(dst []int32, orig []int) []int32 {
 	start := len(dst)
 	for _, v := range orig {
@@ -53,14 +85,6 @@ func (r *GraphRef) canonSet(dst []int32, orig []int) []int32 {
 	return dst
 }
 
-// verdictKey appends the fault set's verdict key to dst: the first bytes
-// of its verdict payload (see verdictIndex).
-func (r *GraphRef) verdictKey(dst []byte, faults []int) []byte {
-	var ids [16]int32
-	dst = binary.AppendUvarint(dst, uint64(r.slot))
-	return appendIDs(dst, r.canonSet(ids[:0], faults))
-}
-
 // origID maps a stored canonical id to the graph's node id; ok is false
 // for an id outside the graph.
 func (r *GraphRef) origID(c int32) (v int32, ok bool) {
@@ -68,72 +92,6 @@ func (r *GraphRef) origID(c int32) (v int32, ok bool) {
 		return -1, false
 	}
 	return r.inv[c], true
-}
-
-// Verdict is one cached per-fault-set answer in original node ids. Path
-// is empty for negative verdicts. The caller MUST re-verify before
-// trusting it: replay Path via verify.CheckPipeline for positives,
-// re-screen negatives with cheap necessary conditions.
-type Verdict struct {
-	Found bool
-	Path  []int
-}
-
-// LookupVerdict returns the cached verdict for the fault set (original
-// node ids), if any. The verdict's Path is path[:0] extended by the
-// stored certificate, so a caller that hands each Path back as the next
-// buffer looks verdicts up without allocating. A stored id outside the
-// graph reads as -1, which no certificate check accepts.
-func (r *GraphRef) LookupVerdict(faults, path []int) (Verdict, bool) {
-	var kb [64]byte
-	key := r.verdictKey(kb[:0], faults)
-	path = path[:0]
-	r.s.ensureIndex()
-	r.s.mu.RLock()
-	_, off := r.s.verdicts.find(r.s.buf, key)
-	found := false
-	if off != 0 {
-		// Open or PutVerdict decoded this payload already: it parses.
-		p := payloadReader{b: r.s.buf[off+len(key):]}
-		if found = p.byte() != 0; found {
-			for n := p.count(1); n > 0; n-- {
-				v, _ := r.origID(id32(p.uvarint()))
-				path = append(path, int(v))
-			}
-		}
-	}
-	r.s.mu.RUnlock()
-	if off == 0 {
-		r.s.miss("verdict")
-		return Verdict{Path: path}, false
-	}
-	r.s.hit("verdict")
-	return Verdict{Found: found, Path: path}, true
-}
-
-// PutVerdict records a verdict for the fault set. Re-recording an
-// existing key is a no-op (idempotent warm runs do not grow the file):
-// the first write wins.
-func (r *GraphRef) PutVerdict(faults []int, v Verdict) {
-	payload := r.verdictKey(nil, faults)
-	klen := len(payload)
-	payload = append(payload, boolByte(v.Found))
-	if v.Found {
-		payload = binary.AppendUvarint(payload, uint64(len(v.Path)))
-		for _, x := range v.Path {
-			payload = binary.AppendUvarint(payload, uint64(r.lab[x]))
-		}
-	}
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.indexLocked()
-	h, off := s.verdicts.find(s.buf, payload[:klen])
-	if off != 0 {
-		return
-	}
-	s.verdicts.insert(h, len(s.buf)+payloadOff)
-	s.appendLocked(kindVerdict, payload)
 }
 
 // LookupGroup rebuilds the cached automorphism group through
@@ -206,11 +164,12 @@ func (r *GraphRef) PutGroup(gr *autom.Group) {
 }
 
 // GroupSig returns a labeling-invariant signature of the group as used by
-// proof blocks and manifests: the FNV hash of the sorted canonical-id
-// generator encodings plus the completeness flag. Two runs over byte-equal
-// canonical forms that use the same group (computed or cache-loaded)
-// produce the same signature; any group difference invalidates proof
-// blocks rather than risking a different orbit partition.
+// proof blocks, 0 for no group (the identity): the FNV hash of the sorted
+// canonical-id generator encodings plus the completeness flag. Two runs
+// over byte-equal canonical forms that use the same group (computed or
+// cache-loaded) produce the same signature; any group difference
+// invalidates proof blocks rather than risking a different orbit
+// partition.
 func (r *GraphRef) GroupSig(gr *autom.Group) uint64 {
 	if gr == nil {
 		return 0
@@ -263,10 +222,10 @@ func (r *GraphRef) SweepSig(universe []int, k int, groupSig uint64) uint64 {
 }
 
 // Blob returns the named opaque payload attached to this graph's slot.
-// Blob contents are caller-defined (the fleet stores chunk reports, the
-// CLIs store certificate-set JSON); the store only guarantees integrity
-// (CRC) and atomic persistence, not semantic validity — callers apply
-// their own re-checks per the package trust model.
+// Blob contents are caller-defined (the fleet stores chunk reports); the
+// store only guarantees integrity (CRC) and atomic persistence, not
+// semantic validity — callers apply their own re-checks per the package
+// trust model.
 func (r *GraphRef) Blob(name string) ([]byte, bool) {
 	r.s.mu.RLock()
 	v, ok := r.s.blobs[blobKey{r.slot, name}]

@@ -1,46 +1,54 @@
-// Package store is the persistent, content-addressed verdict and
-// certificate store behind incremental re-verification (ROADMAP item 4).
+// Package store is the persistent, content-addressed proof store behind
+// incremental re-verification and -replay.
 //
 // A Store is one file of versioned, checksummed, append-only binary
-// records, held in memory as the file's image with indexes over it;
-// verdicts are read in place from the image. Records are never mutated
+// records, held in memory as the file's image with indexes over it; proof
+// blocks are replayed in place from the image. Records are never mutated
 // in place; newer records supersede older ones (blobs) or are ignored
-// duplicates (verdicts, groups, manifests, proof blocks: the first record
-// wins), and Compact rewrites the file keeping only live records. Flush
-// persists atomically by writing the complete image to a temp file in the
-// same directory and renaming it over the store path, so a crash can never
-// leave a half-written store; a torn or corrupted tail from a foreign
-// writer is detected by the per-record CRC32 on open and dropped (the
-// valid prefix is kept).
+// duplicates (groups, proof blocks: the first record wins), and Compact
+// rewrites the file keeping only live records. Flush persists atomically
+// by writing the complete image to a temp file in the same directory and
+// renaming it over the store path, so a crash can never leave a
+// half-written store; a torn or corrupted tail from a foreign writer is
+// detected by the per-record CRC32 on open and dropped (the valid prefix
+// is kept).
+//
+// The record kinds are graphs (1), automorphism groups (3), blobs (5) and
+// proof blocks (6). Files of earlier releases also hold per-fault-set
+// verdicts (2) and orbit manifests (4): Open counts those as dead records,
+// never decodes them, and Compact drops them.
 //
 // Content addressing: graphs are registered under their strengthened
 // canonical key (graph.CanonicalForm). The WL fingerprint buckets
 // candidate slots; byte equality of the canonical encoding decides slot
 // reuse, so a slot hit is sound even on fingerprint collisions (equal
-// canonical bytes prove isomorphism unconditionally). Colliding
-// fingerprints with unequal bytes get distinct slots — when either form
-// is inexact and the graphs are small, IsomorphicBrute classifies the
-// collision for the store_canon_collision_total counter, but the store
-// conservatively keeps separate slots either way: without an explicit
-// isomorphism there is no labeling to translate fault sets through, so
-// merging would be unsound while splitting is merely a cache miss.
+// canonical bytes prove isomorphism unconditionally). A graph record also
+// keeps the labeling of the graph that created its slot: Register encodes
+// a graph under it first, and takes the slot without computing a
+// canonical form when the bytes match. Colliding fingerprints with unequal
+// bytes get distinct slots — when either form is inexact and the graphs
+// are small, IsomorphicBrute classifies the collision for the
+// store_canon_collision_total counter, but the store conservatively keeps
+// separate slots either way: without an explicit isomorphism there is no
+// labeling to translate fault sets through, so merging would be unsound
+// while splitting is merely a cache miss.
 //
 // Everything inside a slot lives in canonical node ids (fault sets,
-// certificate paths, automorphism generators, manifests, proof blocks),
-// translated through the registering graph's CanonicalForm.Labeling on the
-// way in and its inverse on the way out. Two byte-identical canonical forms
-// therefore share entries even when the concrete graphs label their
-// nodes differently.
+// witness paths, automorphism generators, proof blocks), translated
+// through the registering graph's labeling on the way in and its inverse
+// on the way out. Two byte-identical canonical forms therefore share
+// entries even when the concrete graphs label their nodes differently.
 //
-// Trust model: the store is an untrusted hint, never an oracle. Positive
-// verdicts carry their pipeline certificate and callers must replay it
-// (verify.CheckPipeline) before trusting the hit; automorphism groups are
-// rebuilt through autom.FromGenerators, which certificate-checks every
-// generator; negative verdicts are re-screened by cheap necessary
-// conditions, and proof blocks must cover their size, on the caller side.
-// A corrupt or adversarial store can therefore cause extra work (misses,
-// replay failures counted by store_replay_fail_total) but never a wrong
-// verdict.
+// Trust model: the store is an untrusted hint, never an oracle. A proof
+// block's positive entries carry their pipeline witness, which callers
+// must replay (verify.CheckPipeline) before trusting it; negative entries
+// are re-screened by cheap necessary conditions; a block must cover its
+// size, on the caller side; automorphism groups are rebuilt through
+// autom.FromGenerators, which certificate-checks every generator; a stored
+// labeling is used only when it encodes the graph to the slot's canonical
+// bytes. A corrupt or adversarial store can therefore cause extra work
+// (misses, replay failures counted by store_replay_fail_total) but never
+// a wrong verdict.
 package store
 
 import (
@@ -48,13 +56,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/maphash"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gdpn/internal/graph"
 	"gdpn/internal/obs"
@@ -65,12 +71,15 @@ const (
 	fileVersion   = 1
 	recordVersion = 1
 
-	kindGraph    = 1
+	kindGraph = 1
+	kindGroup = 3
+	kindBlob  = 5
+	kindProof = 6
+
+	// Per-fault-set verdicts and orbit manifests, written by earlier
+	// releases: dead records.
 	kindVerdict  = 2
-	kindGroup    = 3
 	kindManifest = 4
-	kindBlob     = 5
-	kindProof    = 6
 )
 
 var fileMagic = [4]byte{'G', 'D', 'P', 'S'}
@@ -99,40 +108,33 @@ type Store struct {
 	buf     []byte
 	dirty   int
 	entries int
-	// garbage counts superseded record bytes (blob overwrites); Compact
-	// rewrites when it grows past half the file.
+	// garbage counts the bytes of dead records (superseded blobs, dropped
+	// proof blocks, the record kinds of earlier releases); Close compacts
+	// when it grows past half the file.
 	garbage int
 
-	slots     []*slot
-	byHash    map[uint64][]int
-	groups    map[int]groupVal
-	manifests map[manifestKey]manifestVal
-	proofs    map[manifestKey]proofVal
-	blobs     map[blobKey]blobVal
-
-	// verdicts is built on first use (indexLocked), from the verdict
-	// records of buf[:openEnd], of which Open counted openVerdicts: a warm
-	// proof that replays proof blocks never needs it. Until it is built no
-	// verdict is appended, so buf[:openEnd] holds them all. indexed is set
-	// under the write lock once it is built.
-	verdicts     verdictIndex
-	indexed      atomic.Bool
-	openEnd      int
-	openVerdicts int
+	slots  []*slot
+	byHash map[uint64][]int
+	groups map[int]groupVal
+	proofs map[proofKey]proofVal
+	blobs  map[blobKey]blobVal
 
 	hitC, missC      map[string]*obs.Counter
 	collisionC       map[string]*obs.Counter
 	bytesG, entriesG *obs.Gauge
 }
 
+// slot is one registered graph: its canonical form, and the labeling of
+// the graph that created it, nil when its record has none.
 type slot struct {
 	hash  uint64
 	bytes []byte
 	exact bool
+	lab   []int32
 }
 
-// groupVal and manifestVal hold canonical node ids; a stored id past
-// int32 is kept as -1, outside every graph.
+// groupVal holds canonical node ids; a stored id past int32 is kept as
+// -1, outside every graph.
 type groupVal struct {
 	gens     []permRec
 	complete bool
@@ -143,17 +145,11 @@ type permRec struct {
 	ioswap bool
 }
 
-// manifestKey keys a size class of a sweep: its manifest or proof block.
-type manifestKey struct {
+// proofKey keys a size class of a sweep: its proof block.
+type proofKey struct {
 	slot int
 	sig  uint64
 	size int
-}
-
-// manifestVal holds count sets of the key's size back to back in ids.
-type manifestVal struct {
-	ids   []int32
-	count int
 }
 
 // proofVal is one proof block: its payload, a slice of buf, and the
@@ -177,18 +173,15 @@ type blobVal struct {
 
 // Open loads (or creates) the store at path. A missing file yields an
 // empty store; a corrupt tail is dropped with only the valid record
-// prefix retained. Every record of that prefix is decoded, so a payload
-// that does not parse is an error; a proof block is decoded only as far
-// as its header, and its entries by the replay that walks them. The
-// verdict index is left to the first verdict lookup or put.
+// prefix retained. Every live record of that prefix is decoded, so a
+// payload that does not parse is an error; a proof block is decoded only
+// as far as its header, and its entries by the replay that walks them.
 func Open(path string) (*Store, error) {
 	s := &Store{
 		path:       path,
-		verdicts:   verdictIndex{seed: maphash.MakeSeed()},
 		byHash:     map[uint64][]int{},
 		groups:     map[int]groupVal{},
-		manifests:  map[manifestKey]manifestVal{},
-		proofs:     map[manifestKey]proofVal{},
+		proofs:     map[proofKey]proofVal{},
 		blobs:      map[blobKey]blobVal{},
 		hitC:       map[string]*obs.Counter{},
 		missC:      map[string]*obs.Counter{},
@@ -198,6 +191,8 @@ func Open(path string) (*Store, error) {
 	}
 	// Pre-resolve the per-kind counters: hit/miss are called outside s.mu
 	// on the lookup fast path, so the maps must be read-only after Open.
+	// There are no per-set lookups: a replayed block counts one verdict
+	// hit per entry, and verdict misses stay 0.
 	for _, kind := range []string{"verdict", "group", "manifest", "blob"} {
 		s.hitC[kind] = obs.Default().Counter("store_hit_total", obs.L("kind", kind))
 		s.missC[kind] = obs.Default().Counter("store_miss_total", obs.L("kind", kind))
@@ -205,7 +200,6 @@ func Open(path string) (*Store, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) || err == nil && len(raw) == 0 {
 		s.buf = appendHeader(nil)
-		s.openEnd = len(s.buf)
 		s.publishSizes()
 		return s, nil
 	}
@@ -228,7 +222,6 @@ func Open(path string) (*Store, error) {
 		end += n
 	}
 	s.buf = raw[:end]
-	s.openEnd = end
 	for off := headerLen; off < end; {
 		plen := int(binary.LittleEndian.Uint32(raw[off+2:]))
 		if err := s.apply(raw[off+1], off+payloadOff, plen); err != nil {
@@ -272,37 +265,31 @@ func appendRecord(buf []byte, kind byte, payload []byte) []byte {
 }
 
 // apply validates the record of the given kind whose plen-byte payload
-// starts at buf[off] and enters it in the indexes; verdicts are only
-// validated and counted, for indexLocked. Of two groups, manifests or
-// proof blocks under one key the first wins, as it does for the puts; a
-// later blob supersedes an earlier one.
+// starts at buf[off] and enters it in the indexes. Of two groups or proof
+// blocks under one key the first wins, as it does for the puts; a later
+// blob supersedes an earlier one. Verdicts and manifests are dead.
 func (s *Store) apply(kind byte, off, plen int) error {
 	payload := s.buf[off : off+plen : off+plen]
-	if kind == kindVerdict {
-		// The common verdict, every uvarint one byte long, is validated
-		// from its count fields alone.
-		if !shortVerdict(payload, len(s.slots)) {
-			if err := s.checkVerdict(payload); err != nil {
-				return err
-			}
-		}
-		s.openVerdicts++
-		return nil
-	}
 	p := &payloadReader{b: payload}
 	switch kind {
+	case kindVerdict, kindManifest:
+		s.garbage += recordOverhead + plen
 	case kindGraph:
 		slotID := p.uvarint()
 		hash := p.u64()
 		exact := p.byte() != 0
 		cb := p.bytes()
+		var lab []int32
+		if len(p.b) > 0 {
+			lab = p.ids()
+		}
 		if p.err != nil {
 			return p.err
 		}
 		if slotID != uint64(len(s.slots)) {
 			return fmt.Errorf("graph record out of order: slot %d, have %d", slotID, len(s.slots))
 		}
-		s.slots = append(s.slots, &slot{hash: hash, bytes: cb, exact: exact})
+		s.slots = append(s.slots, &slot{hash: hash, bytes: cb, exact: exact, lab: lab})
 		s.byHash[hash] = append(s.byHash[hash], int(slotID))
 	case kindGroup:
 		slotID := p.uvarint()
@@ -321,28 +308,6 @@ func (s *Store) apply(kind byte, off, plen int) error {
 		}
 		if _, ok := s.groups[int(slotID)]; !ok {
 			s.groups[int(slotID)] = groupVal{gens: gens, complete: complete}
-		}
-	case kindManifest:
-		slotID := p.uvarint()
-		sig := p.u64()
-		size := p.uvarint()
-		count := p.uvarint()
-		if size == 0 && count > 1 || size > 0 && count > uint64(len(p.b))/size {
-			return fmt.Errorf("manifest of %d sets of size %d overruns its %d payload bytes", count, size, len(p.b))
-		}
-		ids := make([]int32, count*size)
-		for i := range ids {
-			ids[i] = id32(p.uvarint())
-		}
-		if p.err != nil {
-			return p.err
-		}
-		if slotID >= uint64(len(s.slots)) {
-			return fmt.Errorf("manifest for unknown slot %d", slotID)
-		}
-		k := manifestKey{int(slotID), sig, int(size)}
-		if _, ok := s.manifests[k]; !ok {
-			s.manifests[k] = manifestVal{ids: ids, count: int(count)}
 		}
 	case kindBlob:
 		slotID := p.uvarint()
@@ -378,65 +343,12 @@ func (s *Store) apply(kind byte, off, plen int) error {
 	return nil
 }
 
-// checkVerdict validates a verdict payload: the slot, the fault set's ids,
-// the found byte and, for a positive, the path's ids. Bytes past the path
-// are ignored.
-func (s *Store) checkVerdict(payload []byte) error {
-	p := &payloadReader{b: payload}
-	slotID := p.uvarint()
-	p.skipIDs()
-	if p.byte() != 0 {
-		p.skipIDs()
-	}
-	if p.err != nil {
-		return p.err
-	}
-	if slotID >= uint64(len(s.slots)) {
-		return fmt.Errorf("verdict for unknown slot %d", slotID)
-	}
-	return nil
-}
-
-// shortVerdict reports whether b is a valid verdict payload of a known
-// slot in which every byte is below 0x80, so that each uvarint is one
-// byte long: then the id counts alone say whether the payload is whole,
-// just as checkVerdict decides it. false means "take checkVerdict".
-func shortVerdict(b []byte, slots int) bool {
-	if len(b) < 3 || int(b[0]) >= slots || !below0x80(b) {
-		return false
-	}
-	found := 2 + int(b[1]) // the found byte's index
-	if found >= len(b) {
-		return false
-	}
-	if b[found] == 0 {
-		return true
-	}
-	return found+1 < len(b) && found+2+int(b[found+1]) <= len(b)
-}
-
-// below0x80 reports whether every byte of b is below 0x80, eight bytes at
-// a time.
-func below0x80(b []byte) bool {
-	for ; len(b) >= 8; b = b[8:] {
-		if binary.LittleEndian.Uint64(b)&0x8080808080808080 != 0 {
-			return false
-		}
-	}
-	for _, c := range b {
-		if c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
 // parseProof reads a proof block's header: slot, sweep signature, set
 // size and entry count, then the id width. ok is false when the header
 // does not parse or names an unknown slot. The block's count is left 0
 // when its width is not 1 or 2, or it claims no entries, or more than
 // its payload holds at their smallest (size ids and a path length).
-func parseProof(payload []byte, slots int) (manifestKey, proofVal, bool) {
+func parseProof(payload []byte, slots int) (proofKey, proofVal, bool) {
 	p := &payloadReader{b: payload}
 	slotID := p.uvarint()
 	sig := p.u64()
@@ -444,14 +356,14 @@ func parseProof(payload []byte, slots int) (manifestKey, proofVal, bool) {
 	count := p.uvarint()
 	width := uint64(p.byte())
 	if p.err != nil || slotID >= uint64(slots) {
-		return manifestKey{}, proofVal{}, false
+		return proofKey{}, proofVal{}, false
 	}
 	pv := proofVal{payload: payload, entries: p.b, width: int(width)}
 	rest := uint64(len(p.b))
 	if (width == 1 || width == 2) && size < rest && count <= rest/((size+1)*width) {
 		pv.count = int(count)
 	}
-	return manifestKey{int(slotID), sig, int(size)}, pv, true
+	return proofKey{int(slotID), sig, int(size)}, pv, true
 }
 
 // id32 narrows a stored id; one past int32 becomes -1, outside every graph.
@@ -551,122 +463,12 @@ func (p *payloadReader) ids() []int32 {
 	return out
 }
 
-func (p *payloadReader) skipIDs() {
-	for n := p.count(1); n > 0; n-- {
-		p.uvarint()
-	}
-}
-
 func appendIDs(buf []byte, ids []int32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, v := range ids {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return buf
-}
-
-// verdictIndex is an open-addressed hash table, probed linearly, of the
-// verdict payloads in Store.buf. A verdict's key is its payload's first
-// bytes: the slot, the id count and the ascending canonical ids, as
-// uvarints. That encoding is prefix-free, so a probe that finds the
-// query's bytes at an entry's offset has found its set; a hash collision
-// never returns another set's verdict. A stored set in any other encoding
-// is never found.
-type verdictIndex struct {
-	seed maphash.Seed
-	ents []indexEnt // a power of two long; off 0 marks a free entry
-	n    int
-}
-
-type indexEnt struct {
-	hash uint64
-	off  int // the payload's offset in Store.buf, past the header
-}
-
-// reset empties the index and sizes it for n verdicts. It keeps the
-// seed, so a hash taken before the reset is still valid for insert.
-func (x *verdictIndex) reset(n int) {
-	size := 16
-	for size*3 < n*4 {
-		size *= 2
-	}
-	x.ents = make([]indexEnt, size)
-	x.n = 0
-}
-
-// find returns key's hash and the offset of its verdict payload in buf,
-// or 0 when key is not indexed.
-func (x *verdictIndex) find(buf, key []byte) (uint64, int) {
-	h := maphash.Bytes(x.seed, key)
-	mask := len(x.ents) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		e := x.ents[i]
-		if e.off == 0 {
-			return h, 0
-		}
-		if e.hash == h && e.off+len(key) <= len(buf) && string(buf[e.off:e.off+len(key)]) == string(key) {
-			return h, e.off
-		}
-	}
-}
-
-// insert indexes the verdict payload at off under hash h, which find
-// returned for a key it did not find.
-func (x *verdictIndex) insert(h uint64, off int) {
-	if (x.n+1)*4 > len(x.ents)*3 {
-		old := x.ents
-		x.ents = make([]indexEnt, 2*len(old))
-		for _, e := range old {
-			if e.off != 0 {
-				x.place(e)
-			}
-		}
-	}
-	x.place(indexEnt{hash: h, off: off})
-	x.n++
-}
-
-func (x *verdictIndex) place(e indexEnt) {
-	mask := len(x.ents) - 1
-	i := int(e.hash) & mask
-	for x.ents[i].off != 0 {
-		i = (i + 1) & mask
-	}
-	x.ents[i] = e
-}
-
-// indexLocked builds the verdict index, under the write lock, unless it
-// is built. Open validated every verdict payload it reads.
-func (s *Store) indexLocked() {
-	if s.indexed.Load() {
-		return
-	}
-	s.verdicts.reset(s.openVerdicts)
-	for off := headerLen; off < s.openEnd; {
-		plen := int(binary.LittleEndian.Uint32(s.buf[off+2:]))
-		if s.buf[off+1] == kindVerdict {
-			start := off + payloadOff
-			p := payloadReader{b: s.buf[start : start+plen]}
-			p.uvarint()
-			p.skipIDs()
-			key := s.buf[start : start+plen-len(p.b)]
-			if h, found := s.verdicts.find(s.buf, key); found == 0 {
-				s.verdicts.insert(h, start)
-			}
-		}
-		off += recordOverhead + plen
-	}
-	s.indexed.Store(true)
-}
-
-// ensureIndex builds the verdict index if no caller has yet. It takes
-// the write lock only the first time.
-func (s *Store) ensureIndex() {
-	if !s.indexed.Load() {
-		s.mu.Lock()
-		s.indexLocked()
-		s.mu.Unlock()
-	}
 }
 
 // appendLocked appends one new record under s.mu.
@@ -740,39 +542,22 @@ func (s *Store) Compact() error {
 	return s.flushLocked()
 }
 
-// compactLocked rewrites buf as the graphs in slot order, the verdicts by
-// slot and then by their ids' encoding, the groups in slot order, the
-// manifests by key, the proof blocks by key and the blobs by slot and
-// name. Slices of the old image are moved onto the new one, so the old
-// image can be freed.
+// compactLocked rewrites buf as the graphs in slot order, the groups in
+// slot order, the proof blocks by key and the blobs by slot and name.
+// Slices of the old image are moved onto the new one, so the old image
+// can be freed.
 func (s *Store) compactLocked() {
-	s.indexLocked()
 	old := s.buf
-	verdicts := s.verdicts.sorted(old)
-	s.buf = appendHeader(make([]byte, 0, len(old)))
+	s.buf = appendHeader(make([]byte, 0, len(old)-s.garbage))
 	s.entries = 0
 	s.garbage = 0
 	for id, sl := range s.slots {
-		payload := binary.AppendUvarint(nil, uint64(id))
-		payload = binary.LittleEndian.AppendUint64(payload, sl.hash)
-		payload = append(payload, boolByte(sl.exact))
-		payload = binary.AppendUvarint(payload, uint64(len(sl.bytes)))
-		payload = append(payload, sl.bytes...)
-		s.appendLocked(kindGraph, payload)
-		sl.bytes = s.lastPayloadTail(len(sl.bytes))
-	}
-	s.verdicts.reset(len(verdicts))
-	for _, v := range verdicts {
-		s.verdicts.insert(v.hash, len(s.buf)+payloadOff)
-		s.appendLocked(kindVerdict, v.payload)
+		s.appendGraphLocked(id, sl)
 	}
 	for slotID := range s.slots {
 		if gv, ok := s.groups[slotID]; ok {
 			s.appendLocked(kindGroup, encodeGroup(slotID, gv))
 		}
-	}
-	for _, k := range sortedKeys(s.manifests) {
-		s.appendLocked(kindManifest, encodeManifest(k, s.manifests[k]))
 	}
 	for _, k := range sortedKeys(s.proofs) {
 		pv := s.proofs[k]
@@ -788,50 +573,29 @@ func (s *Store) compactLocked() {
 	s.dirty++ // force the flush even if record counts coincide
 }
 
-// compactVerdict is one indexed verdict payload, with its sort key for
-// compaction: the slot, then the encoding of the ids.
-type compactVerdict struct {
-	hash         uint64
-	slot         uint64
-	ids, payload []byte
-}
-
-// sorted returns the indexed verdicts of buf in compaction order.
-func (x *verdictIndex) sorted(buf []byte) []compactVerdict {
-	out := make([]compactVerdict, 0, x.n)
-	for _, e := range x.ents {
-		if e.off == 0 {
-			continue
-		}
-		rest := buf[e.off:]
-		p := &payloadReader{b: rest}
-		v := compactVerdict{hash: e.hash, slot: p.uvarint()}
-		n := p.count(1)
-		ids := p.b
-		for ; n > 0; n-- {
-			p.uvarint()
-		}
-		v.ids = ids[:len(ids)-len(p.b)]
-		if p.byte() != 0 {
-			p.skipIDs()
-		}
-		v.payload = rest[:len(rest)-len(p.b)]
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].slot != out[j].slot {
-			return out[i].slot < out[j].slot
-		}
-		return string(out[i].ids) < string(out[j].ids)
-	})
-	return out
-}
-
 func boolByte(b bool) byte {
 	if b {
 		return 1
 	}
 	return 0
+}
+
+// appendGraphLocked appends sl's graph record, the slot id, the
+// fingerprint, the exact flag, the canonical bytes and, when sl has one,
+// the labeling, and moves sl.bytes onto the record.
+func (s *Store) appendGraphLocked(id int, sl *slot) {
+	payload := binary.AppendUvarint(nil, uint64(id))
+	payload = binary.LittleEndian.AppendUint64(payload, sl.hash)
+	payload = append(payload, boolByte(sl.exact))
+	payload = binary.AppendUvarint(payload, uint64(len(sl.bytes)))
+	at := len(payload)
+	payload = append(payload, sl.bytes...)
+	if sl.lab != nil {
+		payload = appendIDs(payload, sl.lab)
+	}
+	s.appendLocked(kindGraph, payload)
+	start := len(s.buf) - 4 - len(payload) + at
+	sl.bytes = s.buf[start : start+len(sl.bytes) : start+len(sl.bytes)]
 }
 
 func encodeGroup(slotID int, gv groupVal) []byte {
@@ -845,17 +609,6 @@ func encodeGroup(slotID int, gv groupVal) []byte {
 	return payload
 }
 
-func encodeManifest(k manifestKey, mv manifestVal) []byte {
-	payload := binary.AppendUvarint(nil, uint64(k.slot))
-	payload = binary.LittleEndian.AppendUint64(payload, k.sig)
-	payload = binary.AppendUvarint(payload, uint64(k.size))
-	payload = binary.AppendUvarint(payload, uint64(mv.count))
-	for _, v := range mv.ids {
-		payload = binary.AppendUvarint(payload, uint64(v))
-	}
-	return payload
-}
-
 func encodeBlob(k blobKey, data []byte) []byte {
 	payload := binary.AppendUvarint(nil, uint64(k.slot))
 	payload = binary.AppendUvarint(payload, uint64(len(k.name)))
@@ -865,8 +618,8 @@ func encodeBlob(k blobKey, data []byte) []byte {
 	return payload
 }
 
-func sortedKeys[V any](m map[manifestKey]V) []manifestKey {
-	keys := make([]manifestKey, 0, len(m))
+func sortedKeys(m map[proofKey]proofVal) []proofKey {
+	keys := make([]proofKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -941,7 +694,7 @@ func (s *Store) hit(kind string)  { s.counter(s.hitC, "store_hit_total", kind).A
 func (s *Store) miss(kind string) { s.counter(s.missC, "store_miss_total", kind).Add(1) }
 
 // registerLocked finds or creates the slot for cf, classifying fingerprint
-// collisions per the package trust model.
+// collisions per the package trust model. A new slot keeps cf's labeling.
 func (s *Store) registerLocked(g *graph.Graph, cf graph.CanonicalForm) int {
 	for _, id := range s.byHash[cf.Hash] {
 		sl := s.slots[id]
@@ -959,13 +712,9 @@ func (s *Store) registerLocked(g *graph.Graph, cf graph.CanonicalForm) int {
 		s.counter(s.collisionC, "store_canon_collision_total", result).Add(1)
 	}
 	id := len(s.slots)
-	s.slots = append(s.slots, &slot{hash: cf.Hash, bytes: cf.Bytes, exact: cf.Exact})
+	sl := &slot{hash: cf.Hash, bytes: cf.Bytes, exact: cf.Exact, lab: cf.Labeling}
+	s.slots = append(s.slots, sl)
 	s.byHash[cf.Hash] = append(s.byHash[cf.Hash], id)
-	payload := binary.AppendUvarint(nil, uint64(id))
-	payload = binary.LittleEndian.AppendUint64(payload, cf.Hash)
-	payload = append(payload, boolByte(cf.Exact))
-	payload = binary.AppendUvarint(payload, uint64(len(cf.Bytes)))
-	payload = append(payload, cf.Bytes...)
-	s.appendLocked(kindGraph, payload)
+	s.appendGraphLocked(id, sl)
 	return id
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,22 +60,37 @@ func relabel(g *graph.Graph, seed int64) *graph.Graph {
 	return out
 }
 
+// putBlock files the proof block of (sig, size) through ref from one
+// worker's entries: each set with the path of the same index, a negative
+// where there is none.
+func putBlock(ref *GraphRef, sig uint64, size int, sets, paths [][]int) {
+	var e ProofEntries
+	for i, set := range sets {
+		var path []int
+		if i < len(paths) {
+			path = paths[i]
+		}
+		ref.AddProofEntry(&e, set, path)
+	}
+	ref.PutProof(sig, size, []ProofEntries{e})
+}
+
 func TestStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "verdicts.gdps")
+	path := filepath.Join(t.TempDir(), "proofs.gdps")
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := ringGraph(t, 6)
 	ref := s.Register(g)
-	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
-	ref.PutVerdict([]int{0, 2, 4}, Verdict{Found: false})
-	ref.PutVerdict([]int{0, 2}, Verdict{Found: false})
 	gr := autom.Compute(g, autom.Options{})
 	ref.PutGroup(gr)
 	sig := ref.SweepSig([]int{0, 1, 2, 3, 4, 5}, 3, ref.GroupSig(gr))
-	ref.PutProof(sig, 2, [][]int{{1, 3}, {0, 2}})
-	putManifest(ref, sig+1, 2, [][]int{{1, 3}, {0, 2}})
+	// Two workers' entries make one block, in order.
+	var a, b ProofEntries
+	ref.AddProofEntry(&a, []int{3, 1}, []int{6, 0, 5, 4, 2, 7})
+	ref.AddProofEntry(&b, []int{0, 2}, nil)
+	ref.PutProof(sig, 2, []ProofEntries{a, b})
 	ref.PutBlob("chunk/0-100", []byte("report-json"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -86,21 +102,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	defer s2.Close()
 	ref2 := s2.Register(g)
-	if ref2.Slot() != ref.Slot() {
-		t.Fatalf("slot changed across reopen: %d vs %d", ref2.Slot(), ref.Slot())
-	}
-	v, ok := ref2.LookupVerdict([]int{3, 1}, nil)
-	if !ok || !v.Found {
-		t.Fatalf("positive verdict lost: %+v ok=%v", v, ok)
-	}
-	if len(v.Path) != 6 || v.Path[0] != 6 || v.Path[5] != 7 {
-		t.Fatalf("path mangled: %v", v.Path)
-	}
-	if v, ok := ref2.LookupVerdict([]int{0, 2, 4}, nil); !ok || v.Found {
-		t.Fatalf("negative verdict lost: %+v ok=%v", v, ok)
-	}
-	if _, ok := ref2.LookupVerdict([]int{0, 1}, nil); ok {
-		t.Fatal("phantom verdict")
+	if ref2.Slot() != ref.Slot() || !slices.Equal(ref2.lab, ref.lab) {
+		t.Fatalf("slot or labeling changed across reopen: slot %d vs %d", ref2.Slot(), ref.Slot())
 	}
 	gr2, ok := ref2.LookupGroup(g)
 	if !ok {
@@ -112,12 +115,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	if ref2.GroupSig(gr2) != ref.GroupSig(gr) {
 		t.Fatal("group signature changed across reload")
 	}
-	// The proof block, and the block built from the manifest and the
-	// verdicts, list the sets in the order put, with their witnesses.
-	for _, sig := range []uint64{sig, sig + 1} {
-		if got, want := readProof(t, ref2, sig, 2), "[1 3]:[6 0 5 4 2 7] [0 2]:[]"; got != want {
-			t.Fatalf("proof block lost or mangled: %q, want %q", got, want)
-		}
+	if got, want := readProof(t, ref2, sig, 2), "[1 3]:[6 0 5 4 2 7] [0 2]:[]"; got != want {
+		t.Fatalf("proof block lost or mangled: %q, want %q", got, want)
+	}
+	if got := readProof(t, ref2, sig+1, 2); got != "miss" {
+		t.Fatalf("phantom proof block: %q", got)
 	}
 	if b, ok := ref2.Blob("chunk/0-100"); !ok || string(b) != "report-json" {
 		t.Fatalf("blob lost: %q ok=%v", b, ok)
@@ -136,24 +138,17 @@ func TestStoreSharedSlotAcrossRelabelings(t *testing.T) {
 	if ra.Slot() != rb.Slot() {
 		t.Fatalf("isomorphic graphs got distinct slots %d, %d", ra.Slot(), rb.Slot())
 	}
-	// A verdict stored through a must be visible through b under b's ids.
-	// Find b's image of a's fault set {1,3} by locating the shared slot's
-	// canonical translation: store through a, scan b's id space for a hit.
-	ra.PutVerdict([]int{1, 3}, Verdict{Found: false})
-	hits := 0
-	n := b.NumNodes()
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if b.Kind(x) != graph.Processor || b.Kind(y) != graph.Processor {
-				continue
-			}
-			if v, ok := rb.LookupVerdict([]int{x, y}, nil); ok && !v.Found {
-				hits++
-			}
-		}
+	// A block filed through a must read through b under b's ids: the set
+	// b decodes is the image of a's set.
+	putBlock(ra, 9, 2, [][]int{{1, 3}}, nil)
+	blk, ok := rb.LookupProof(9, 2)
+	if !ok {
+		t.Fatal("block not visible through the relabeled graph")
 	}
-	if hits == 0 {
-		t.Fatal("verdict not visible through the relabeled graph")
+	cur, _ := blk.Cursor(0)
+	set, path, ok := cur.Next(nil, nil)
+	if !ok || len(path) != 0 || !slices.Equal(rb.canonSet(nil, set), ra.canonSet(nil, []int{1, 3})) {
+		t.Fatalf("block read through b: %v:%v ok=%v", set, path, ok)
 	}
 	// The group stored through a must certificate-check through b.
 	gr := autom.Compute(a, autom.Options{})
@@ -202,9 +197,9 @@ func TestStoreFingerprintCollisionSeparatesSlots(t *testing.T) {
 	if r1.Slot() == r2.Slot() {
 		t.Fatal("non-isomorphic colliding graphs merged into one slot")
 	}
-	r1.PutVerdict([]int{0, 1}, Verdict{Found: true, Path: []int{2, 3, 4, 5}})
-	if _, ok := r2.LookupVerdict([]int{0, 1}, nil); ok {
-		t.Fatal("verdict leaked across colliding slots")
+	putBlock(r1, 9, 2, [][]int{{0, 1}}, [][]int{{2, 3, 4, 5}})
+	if _, ok := r2.LookupProof(9, 2); ok {
+		t.Fatal("proof block leaked across colliding slots")
 	}
 }
 
@@ -216,7 +211,7 @@ func TestStoreTornTailDropped(t *testing.T) {
 	}
 	g := ringGraph(t, 6)
 	ref := s.Register(g)
-	ref.PutVerdict([]int{1, 2}, Verdict{Found: false})
+	putBlock(ref, 9, 2, [][]int{{1, 2}}, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +220,7 @@ func TestStoreTornTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append garbage (simulating a torn foreign append) and corrupt it.
-	torn := append(append([]byte(nil), raw...), 1, kindVerdict, 0xff, 0xff, 0xff)
+	torn := append(append([]byte(nil), raw...), 1, kindProof, 0xff, 0xff, 0xff)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +229,11 @@ func TestStoreTornTailDropped(t *testing.T) {
 		t.Fatalf("torn tail must not fail open: %v", err)
 	}
 	defer s2.Close()
-	ref2 := s2.Register(g)
-	if _, ok := ref2.LookupVerdict([]int{1, 2}, nil); !ok {
-		t.Fatal("valid prefix lost with the torn tail")
+	if got := readProof(t, s2.Register(g), 9, 2); got != "[1 2]:[]" {
+		t.Fatalf("valid prefix lost with the torn tail: %q", got)
 	}
-	// Flipping a byte inside a record's payload must drop that record and
-	// everything after it, but never produce a wrong answer.
+	// Flipping a byte of the last record must drop that record, the
+	// block, and everything after it, but never produce a wrong answer.
 	raw[len(raw)-3] ^= 0xa5
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -249,9 +243,8 @@ func TestStoreTornTailDropped(t *testing.T) {
 		t.Fatalf("corrupt record must not fail open: %v", err)
 	}
 	defer s3.Close()
-	ref3 := s3.Register(g)
-	if v, ok := ref3.LookupVerdict([]int{1, 2}, nil); ok && v.Found {
-		t.Fatal("corruption flipped a verdict")
+	if got := readProof(t, s3.Register(g), 9, 2); got != "miss" {
+		t.Fatalf("corrupt block read as %q", got)
 	}
 }
 
@@ -263,16 +256,15 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	}
 	g := ringGraph(t, 6)
 	ref := s.Register(g)
-	ref.PutVerdict([]int{1, 2}, Verdict{Found: false})
+	putBlock(ref, 9, 2, [][]int{{1, 2}}, nil)
 	before := s.Stats().Bytes
-	// Idempotent re-puts must not grow the image.
-	ref.PutVerdict([]int{2, 1}, Verdict{Found: false})
-	ref.PutVerdict([]int{1, 2}, Verdict{Found: true, Path: []int{0}}) // first write wins
+	// Re-puts under the key must not grow the image: the first block wins.
+	putBlock(ref, 9, 2, [][]int{{2, 1}}, [][]int{{6, 0, 3, 4, 5, 7}})
 	if got := s.Stats().Bytes; got != before {
 		t.Fatalf("idempotent puts grew the image: %d -> %d", before, got)
 	}
-	if v, _ := ref.LookupVerdict([]int{1, 2}, nil); v.Found {
-		t.Fatal("re-put overwrote the first verdict")
+	if got := readProof(t, ref, 9, 2); got != "[1 2]:[]" {
+		t.Fatalf("re-put overwrote the first block: %q", got)
 	}
 	// Superseding blob writes create garbage; Compact reclaims it.
 	for i := 0; i < 20; i++ {
@@ -289,17 +281,14 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	if shrunk >= grew {
 		t.Fatalf("compaction did not shrink: %d -> %d", grew, shrunk)
 	}
-	// The live store still finds its verdicts after Compact, and re-puts
+	// The live store still reads its block after Compact, and re-puts
 	// stay idempotent.
-	if v, ok := ref.LookupVerdict([]int{2, 1}, nil); !ok || v.Found {
-		t.Fatalf("verdict lost by Compact: %+v ok=%v", v, ok)
+	if got := readProof(t, ref, 9, 2); got != "[1 2]:[]" {
+		t.Fatalf("block lost by Compact: %q", got)
 	}
-	ref.PutVerdict([]int{1, 2}, Verdict{Found: true, Path: []int{0}})
+	putBlock(ref, 9, 2, [][]int{{1, 2}}, [][]int{{6, 0, 3, 4, 5, 7}})
 	if got := s.Stats().Bytes; got != shrunk {
 		t.Fatalf("re-put after Compact grew the image: %d -> %d", shrunk, got)
-	}
-	if v, _ := ref.LookupVerdict([]int{1, 2}, nil); v.Found {
-		t.Fatal("re-put after Compact overwrote the first verdict")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -313,43 +302,35 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	if b, ok := ref2.Blob("ck"); !ok || b[0] != 19 {
 		t.Fatalf("latest blob lost across compaction: %v ok=%v", b, ok)
 	}
-	if v, ok := ref2.LookupVerdict([]int{1, 2}, nil); !ok || v.Found {
-		t.Fatal("verdict lost across compaction")
+	if got := readProof(t, ref2, 9, 2); got != "[1 2]:[]" {
+		t.Fatalf("block lost across compaction: %q", got)
 	}
 }
 
-// TestStoreConcurrentAccess races lookups against writers that grow the
-// image and the verdict index (from its 16-entry start) and a flusher:
-// a lookup may miss a set not yet put, but every hit must return exactly
-// what was put, and once the writers finish every set must hit.
+// TestStoreConcurrentAccess races block reads against writers that grow
+// the image and a flusher: a read may miss a block not yet put, but every
+// hit must decode exactly what was put, and once the writers finish every
+// block must hit.
 func TestStoreConcurrentAccess(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const n = 16
+	const n, blocks = 16, 600
 	g := ringGraph(t, n)
 	ref := s.Register(g)
-	var sets [][]int
-	for x := 0; x < n; x++ {
-		sets = append(sets, []int{x})
-		for y := x + 1; y < n; y++ {
-			sets = append(sets, []int{x, y})
-			for z := y + 1; z < n; z++ {
-				sets = append(sets, []int{x, y, z})
-			}
-		}
-	}
-	want := func(i int) Verdict {
+	paths := func(i int) [][]int {
 		if i%3 == 0 {
-			return Verdict{}
+			return nil
 		}
-		return Verdict{Found: true, Path: []int{n, i % n, (i + 1) % n, i % 7, n + 1}}
+		return [][]int{{n, i % n, (i + 1) % n, i % 7, n + 1}}
 	}
-	check := func(i int, v Verdict) bool {
-		w := want(i)
-		return v.Found == w.Found && fmt.Sprint(v.Path) == fmt.Sprint(w.Path)
+	want := func(i int) string {
+		if p := paths(i); p != nil {
+			return fmt.Sprintf("[%d]:%v", i%n, p[0])
+		}
+		return fmt.Sprintf("[%d]:[]", i%n)
 	}
 	const writers, readers = 3, 3
 	var wg sync.WaitGroup
@@ -360,8 +341,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			defer writing.Add(-1)
-			for i := w; i < len(sets); i += writers {
-				ref.PutVerdict(sets[i], want(i))
+			for i := w; i < blocks; i += writers {
+				putBlock(ref, uint64(i), 1, [][]int{{i % n}}, paths(i))
 				if i%97 == 0 {
 					ref.PutBlob(fmt.Sprint("b", w), []byte(fmt.Sprint(i)))
 					if err := s.Flush(); err != nil {
@@ -376,13 +357,10 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var path []int
 			for writing.Load() > 0 {
-				for i := r; i < len(sets); i += readers {
-					v, ok := ref.LookupVerdict(sets[i], path)
-					path = v.Path
-					if ok && !check(i, v) {
-						t.Errorf("set %v: got %+v, put %+v", sets[i], v, want(i))
+				for i := r; i < blocks; i += readers {
+					if got := readProof(t, ref, uint64(i), 1); got != "miss" && got != want(i) {
+						t.Errorf("block %d: got %q, put %q", i, got, want(i))
 						return
 					}
 				}
@@ -390,29 +368,11 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	for i, set := range sets {
-		if v, ok := ref.LookupVerdict(set, nil); !ok || !check(i, v) {
-			t.Fatalf("set %v after the writers: got %+v ok=%v, put %+v", set, v, ok, want(i))
+	for i := 0; i < blocks; i++ {
+		if got := readProof(t, ref, uint64(i), 1); got != want(i) {
+			t.Fatalf("block %d after the writers: got %q, put %q", i, got, want(i))
 		}
 	}
-}
-
-// putManifest files an orbit manifest, the record a store written before
-// proof blocks holds in their place: the sets in canonical ids, the first
-// manifest under a key winning.
-func putManifest(r *GraphRef, sig uint64, size int, sets [][]int) {
-	key := manifestKey{r.slot, sig, size}
-	mv := manifestVal{ids: make([]int32, 0, len(sets)*size), count: len(sets)}
-	for _, set := range sets {
-		mv.ids = r.canonSet(mv.ids, set)
-	}
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if _, ok := r.s.manifests[key]; ok {
-		return
-	}
-	r.s.manifests[key] = mv
-	r.s.appendLocked(kindManifest, encodeManifest(key, mv))
 }
 
 // readProof replays the proof block of (sig, size) through ref and
@@ -459,14 +419,35 @@ func writeImage(t *testing.T, path string, recs ...rec) {
 	}
 }
 
-// graphRec is the slot-0 record of g's canonical form.
+// graphRec is the slot-0 record of g's canonical form, with its labeling.
 func graphRec(g *graph.Graph) rec {
+	return graphRecLab(g, g.Canonical().Labeling)
+}
+
+// graphRecLab is the slot-0 record of g's canonical form with the given
+// labeling, none when lab is nil.
+func graphRecLab(g *graph.Graph, lab []int32) rec {
 	cf := g.Canonical()
 	p := binary.AppendUvarint(nil, 0)
 	p = binary.LittleEndian.AppendUint64(p, cf.Hash)
 	p = append(p, boolByte(cf.Exact))
 	p = binary.AppendUvarint(p, uint64(len(cf.Bytes)))
-	return rec{kindGraph, append(p, cf.Bytes...)}
+	p = append(p, cf.Bytes...)
+	if lab != nil {
+		p = appendIDs(p, lab)
+	}
+	return rec{kindGraph, p}
+}
+
+// proofRec is a width-1 slot-0 proof block of count entries, each given
+// as its raw bytes.
+func proofRec(sig uint64, size int, entries ...[]byte) rec {
+	p := binary.LittleEndian.AppendUint64(uv(0), sig)
+	p = append(append(p, uv(uint64(size), uint64(len(entries)))...), 1)
+	for _, e := range entries {
+		p = append(p, e...)
+	}
+	return rec{kindProof, p}
 }
 
 // uv concatenates uvarints.
@@ -487,13 +468,9 @@ func TestStoreOversizedCountFailsOpen(t *testing.T) {
 		payload []byte
 	}{
 		{"graph bytes", kindGraph, append(append(uv(1), make([]byte, 9)...), uv(huge, 1, 2)...)},
-		{"verdict set", kindVerdict, append(uv(0, huge), 1, 2, 3)},
-		{"verdict path", kindVerdict, append(uv(0, 1, 2), append([]byte{1}, uv(huge, 1)...)...)},
+		{"graph labeling", kindGraph, append(append(uv(1), make([]byte, 9)...), uv(0, huge, 1, 2)...)},
 		{"group generators", kindGroup, append(uv(0), append([]byte{1}, uv(huge, 0, 1)...)...)},
 		{"group generator ids", kindGroup, append(uv(0), append([]byte{1}, append(uv(1), append([]byte{0}, uv(huge, 1, 2)...)...)...)...)},
-		{"manifest sets", kindManifest, append(append(uv(0), make([]byte, 8)...), uv(2, huge, 1, 2)...)},
-		{"manifest set size", kindManifest, append(append(uv(0), make([]byte, 8)...), uv(huge, 1, 1, 2)...)},
-		{"manifest of empty sets", kindManifest, append(append(uv(0), make([]byte, 8)...), uv(0, huge)...)},
 		{"blob name", kindBlob, uv(0, huge, 1, 2)},
 		{"blob data", kindBlob, append(uv(0, 1), append([]byte{'x'}, uv(huge, 1)...)...)},
 	} {
@@ -509,38 +486,97 @@ func TestStoreOversizedCountFailsOpen(t *testing.T) {
 	}
 }
 
-func TestStoreFirstVerdictWinsOnReload(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.gdps")
+// TestStoreDeadRecordsOfEarlierReleases opens an image holding the record
+// kinds of earlier releases, per-set verdicts and orbit manifests, one of
+// them with a count no payload could hold: Open must count them as
+// garbage without decoding them, and Compact must drop them.
+func TestStoreDeadRecordsOfEarlierReleases(t *testing.T) {
 	g := ringGraph(t, 6)
+	path := filepath.Join(t.TempDir(), "s.gdps")
+	dead := []rec{
+		{kindVerdict, uv(0, 1<<40, 1, 2)},
+		{kindManifest, append(append(uv(0), make([]byte, 8)...), uv(2, 1<<40, 1, 2)...)},
+		{kindVerdict, uv(7)}, // an unknown slot
+	}
+	writeImage(t, path, append(append([]rec{graphRec(g)}, dead...), proofRec(9, 0, []byte{0}))...)
 	s, err := Open(path)
 	if err != nil {
+		t.Fatalf("records of an earlier release failed Open: %v", err)
+	}
+	defer s.Close()
+	garbage := 0
+	for _, r := range dead {
+		garbage += recordOverhead + len(r.payload)
+	}
+	if st := s.Stats(); st.Entries != 5 || s.garbage != garbage {
+		t.Errorf("opened %d records with %d garbage bytes; want 5 and %d", st.Entries, s.garbage, garbage)
+	}
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	ref := s.Register(g)
-	key := ref.verdictKey(nil, []int{1, 2})
-	var path1 []int32
-	for _, v := range []int{6, 0, 5, 4, 3, 7} {
-		path1 = append(path1, ref.lab[v])
+	if st := s.Stats(); st.Entries != 2 || s.garbage != 0 || readProof(t, ref, 9, 0) != "[]:[]" {
+		t.Errorf("after Compact: %d records, %d garbage bytes, block %q; want the graph and the block", st.Entries, s.garbage, readProof(t, ref, 9, 0))
 	}
-	first := append(append(key[:len(key):len(key)], 1), appendIDs(nil, path1)...)
-	second := append(key[:len(key):len(key)], 0)
-	writeImage(t, path, graphRec(g), rec{kindVerdict, first}, rec{kindVerdict, second})
-	for _, compact := range []bool{false, true} {
+}
+
+// TestStoreRegisterTrustsOnlyAnIsomorphism writes graph records whose
+// labeling is right, another isomorphism onto the canonical graph, wrong,
+// short, not a permutation, or absent, each with a valid CRC. Register
+// must take a stored labeling exactly when it encodes the graph to the
+// slot's canonical bytes, and compute the canonical form otherwise; the
+// slot is the same either way.
+func TestStoreRegisterTrustsOnlyAnIsomorphism(t *testing.T) {
+	g := ringGraph(t, 6) // processors 0-5, input 6 on 0, output 7 on 3
+	canon := g.Canonical().Labeling
+	relabel := func(f func(v int) int) []int32 {
+		lab := make([]int32, len(canon))
+		for v := range lab {
+			lab[v] = canon[f(v)]
+		}
+		return lab
+	}
+	// The reflection of the ring through nodes 0 and 3 fixes both
+	// terminals: an automorphism, so canon after it is an isomorphism too.
+	mirror := relabel(func(v int) int {
+		if v < 6 {
+			return (6 - v) % 6
+		}
+		return v
+	})
+	swapped := relabel(func(v int) int { return []int{1, 0, 2, 3, 4, 5, 6, 7}[v] })
+	dup := slices.Clone(canon)
+	dup[1] = dup[0]
+	far := slices.Clone(canon)
+	far[2] = 200
+	for _, tc := range []struct {
+		name      string
+		lab, want []int32
+	}{
+		{"right", canon, canon},
+		{"another isomorphism", mirror, mirror},
+		{"wrong", swapped, canon},
+		{"short", canon[:7], canon},
+		{"not a permutation", dup, canon},
+		{"outside the graph", far, canon},
+		{"none", nil, canon},
+	} {
+		if enc, ok := g.EncodeUnder(tc.lab); slices.Equal(tc.want, canon) && tc.name != "right" && tc.name != "none" && ok &&
+			string(enc) == string(g.Canonical().Bytes) {
+			t.Fatalf("%s: test premise: the labeling must not be an isomorphism", tc.name)
+		}
+		path := filepath.Join(t.TempDir(), "s.gdps")
+		writeImage(t, path, graphRecLab(g, tc.lab))
 		s, err := Open(path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		ref := s.Register(g)
-		v, ok := ref.LookupVerdict([]int{2, 1}, nil)
-		if !ok || !v.Found || fmt.Sprint(v.Path) != "[6 0 5 4 3 7]" {
-			t.Errorf("compacted=%v: got %+v ok=%v, want the first record's positive", compact, v, ok)
+		if ref.Slot() != 0 || !slices.Equal(ref.lab, tc.want) {
+			t.Errorf("%s: slot %d labeling %v; want slot 0 labeling %v", tc.name, ref.Slot(), ref.lab, tc.want)
 		}
-		if compact {
-			if s.Stats().Entries != 2 {
-				t.Errorf("compaction kept %d records, want the graph and one verdict", s.Stats().Entries)
-			}
-		} else if err := s.Compact(); err != nil {
-			t.Fatal(err)
+		if st := s.Stats(); st.Dirty != 0 {
+			t.Errorf("%s: Register wrote %d records", tc.name, st.Dirty)
 		}
 		s.Close()
 	}
@@ -549,62 +585,52 @@ func TestStoreFirstVerdictWinsOnReload(t *testing.T) {
 func TestStoreOutOfRangeIDs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.gdps")
 	g := ringGraph(t, 6) // 8 nodes
+	inv := make([]int, g.NumNodes())
+	for v, c := range g.Canonical().Labeling {
+		inv[c] = v
+	}
+	c1 := byte(g.Canonical().Labeling[1])
+	writeImage(t, path, graphRec(g),
+		proofRec(42, 1, []byte{c1, 3, 0, 200, 1}),
+		proofRec(43, 1, []byte{200, 0}),
+		rec{kindGroup, append(uv(0), append([]byte{1, 1, 0}, uv(8, 1, 0, 2, 3, 4, 5, 6, 200)...)...)},
+	)
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := s.Register(g)
-	s.Close()
-	key := ref.verdictKey(nil, []int{1})
-	sig := uint64(42)
-	writeImage(t, path, graphRec(g),
-		rec{kindVerdict, append(key[:len(key):len(key)], append([]byte{1}, uv(3, 0, 200, 1)...)...)},
-		rec{kindManifest, append(append(uv(0), binary.LittleEndian.AppendUint64(nil, sig)...), uv(1, 2, 3, 200)...)},
-		rec{kindGroup, append(uv(0), append([]byte{1, 1, 0}, uv(8, 1, 0, 2, 3, 4, 5, 6, 200)...)...)},
-	)
-	s, err = Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer s.Close()
-	ref = s.Register(g)
-	v, ok := ref.LookupVerdict([]int{1}, nil)
-	if !ok || !v.Found || len(v.Path) != 3 || v.Path[1] != -1 {
-		t.Errorf("verdict with canonical id 200: got %+v ok=%v, want a hit whose second node is -1", v, ok)
+	ref := s.Register(g)
+	if got, want := readProof(t, ref, 42, 1), fmt.Sprintf("[1]:[%d -1 %d]", inv[0], inv[1]); got != want {
+		t.Errorf("block whose path holds canonical id 200: %q, want %q", got, want)
 	}
-	if _, ok := ref.LookupProof(sig, 1); ok {
-		t.Error("manifest with canonical id 200 hit")
+	if got := readProof(t, ref, 43, 1); got != "miss" {
+		t.Errorf("block whose set holds canonical id 200: %q, want a miss", got)
 	}
 	if gr, ok := ref.LookupGroup(g); ok {
 		t.Errorf("group with canonical id 200 hit: %v", gr.Generators())
 	}
 }
 
-func TestStoreLookupVerdictZeroAllocs(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
+// deadRecords appends to the store file at path one per-set verdict and
+// one orbit manifest, records of an earlier release, as Compact must drop.
+func deadRecords(t *testing.T, path string) {
+	t.Helper()
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	ref := s.Register(ringGraph(t, 6))
-	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
-	path := make([]int, 0, 8)
-	allocs := testing.AllocsPerRun(100, func() {
-		v, ok := ref.LookupVerdict([]int{3, 1}, path)
-		if !ok || len(v.Path) != 6 {
-			t.Fatal("verdict lost")
-		}
-		path = v.Path
-	})
-	if allocs != 0 {
-		t.Errorf("LookupVerdict hit with a caller buffer: %v allocs, want 0", allocs)
+	img = appendRecord(img, kindVerdict, uv(0, 2, 1, 3, 0))
+	img = appendRecord(img, kindManifest, append(append(uv(0), make([]byte, 8)...), uv(1, 1, 4)...))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestStoreCompactImageDigest pins the bytes Compact writes for a fixed
-// store: two slots, verdicts put in shuffled order, groups, manifests and
-// superseded blobs. A change to the record format or the compaction order
-// moves the digest.
+// store: two slots, proof blocks put out of key order with their entries
+// shuffled, groups, superseded blobs and dead records. A change to the
+// record format or the compaction order moves the digest.
 func TestStoreCompactImageDigest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.gdps")
 	s, err := Open(path)
@@ -612,36 +638,46 @@ func TestStoreCompactImageDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	for _, g := range []*graph.Graph{ringGraph(t, 9), ringGraph(t, 6)} {
+	graphs := []*graph.Graph{ringGraph(t, 9), ringGraph(t, 6)}
+	for _, g := range graphs {
 		ref := s.Register(g)
 		n := g.NumNodes() - 2
-		var sets [][]int
+		bySize := map[int][][]int{}
 		for x := 0; x < n; x++ {
 			for y := x + 1; y < n; y++ {
-				sets = append(sets, []int{x, y})
+				bySize[2] = append(bySize[2], []int{x, y})
 				for z := y + 1; z < n; z++ {
-					sets = append(sets, []int{z, x, y})
+					bySize[3] = append(bySize[3], []int{z, x, y})
 				}
-			}
-		}
-		rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
-		for i, f := range sets {
-			if i%3 == 0 {
-				ref.PutVerdict(f, Verdict{Found: false})
-			} else {
-				ref.PutVerdict(f, Verdict{Found: true, Path: []int{n, f[0], (f[0] + 1) % n, n + 1}})
 			}
 		}
 		gr := autom.Compute(g, autom.Options{})
 		ref.PutGroup(gr)
-		sig := ref.SweepSig([]int{0, 1, 2, 3}, 2, ref.GroupSig(gr))
-		putManifest(ref, sig, 0, [][]int{{}})
-		putManifest(ref, sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}})
-		putManifest(ref, sig+1, 1, [][]int{{3}, {1}})
+		sig := ref.SweepSig([]int{0, 1, 2, 3}, 3, ref.GroupSig(gr))
+		for _, size := range []int{3, 2} {
+			sets := bySize[size]
+			rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
+			paths := make([][]int, len(sets))
+			for i, f := range sets {
+				if i%3 != 0 {
+					paths[i] = []int{n, f[0], (f[0] + 1) % n, n + 1}
+				}
+			}
+			putBlock(ref, sig, size, sets, paths)
+		}
+		putBlock(ref, sig+1, 1, [][]int{{3}, {1}}, nil)
+		putBlock(ref, sig, 0, [][]int{{}}, [][]int{{n, 0, n + 1}})
 		for i := 0; i < 5; i++ {
 			ref.PutBlob("chunk/b", []byte{byte(i), 1, 2})
 			ref.PutBlob("chunk/a", []byte{9, byte(i)})
 		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadRecords(t, path)
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -653,15 +689,15 @@ func TestStoreCompactImageDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "a108f9cfcddeb321f32c0b80552da76a4860788e791524ff8ac9e8bc01416fd1"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 3344 {
-		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 3344 bytes", got, len(raw), want)
+	const want = "3ee56801bbd939b3d9e35cddd077d06e90d2c468bcd8be8268f333619bcd40fd"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 1452 {
+		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 1452 bytes", got, len(raw), want)
 	}
 }
 
 // TestStoreCompactImageDigestWithProofs pins the bytes Compact writes for
-// a store with proof blocks: blocks put out of key order, one shadowed
-// re-put, next to a manifest. The blocks follow the manifests, by key.
+// a store of one slot's proof blocks: put out of key order, one shadowed
+// re-put, next to dead records. The blocks follow the group, by key.
 func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.gdps")
 	s, err := Open(path)
@@ -670,19 +706,20 @@ func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	}
 	g := ringGraph(t, 6)
 	ref := s.Register(g)
-	for x := 0; x < 6; x++ {
-		ref.PutVerdict([]int{x}, Verdict{Found: true, Path: []int{6, x, (x + 1) % 6, 7}})
-		for y := x + 1; y < 6; y++ {
-			ref.PutVerdict([]int{x, y}, Verdict{Found: x%2 == 0, Path: []int{6, y, x, 7}})
-		}
-	}
 	gr := autom.Compute(g, autom.Options{})
 	ref.PutGroup(gr)
 	sig := ref.SweepSig([]int{0, 1, 2, 3, 4, 5}, 2, ref.GroupSig(gr))
-	ref.PutProof(sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}})
-	ref.PutProof(sig, 1, [][]int{{3}, {1}})
-	ref.PutProof(sig, 1, [][]int{{5}}) // the first block under a key wins
-	putManifest(ref, sig+1, 1, [][]int{{2}})
+	putBlock(ref, sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}}, [][]int{nil, {6, 2, 0, 7}, {6, 4, 2, 7}})
+	putBlock(ref, sig, 1, [][]int{{3}, {1}}, [][]int{{6, 3, 4, 7}, {6, 1, 2, 7}})
+	putBlock(ref, sig, 1, [][]int{{5}}, nil) // the first block under a key wins
+	putBlock(ref, sig+1, 1, [][]int{{2}}, nil)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadRecords(t, path)
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -693,9 +730,9 @@ func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "c9687456e7d401f7b3e82a795b85f40ce62afda6e5fb019ad02368140a271d52"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 565 {
-		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 565 bytes", got, len(raw), want)
+	const want = "7a3c14e5ee7dbc168a81ee0c3bdcc245adccf463c48e55aaf38e3ecb64d143fd"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 192 {
+		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 192 bytes", got, len(raw), want)
 	}
 	s, err = Open(path)
 	if err != nil {
@@ -711,64 +748,6 @@ func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	}
 }
 
-// TestStoreProofNeedsEveryVerdict checks that PutProof writes no block
-// when a set has no stored verdict, or a positive one with no path, and
-// that the size then misses.
-func TestStoreProofNeedsEveryVerdict(t *testing.T) {
-	s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ref := s.Register(ringGraph(t, 6))
-	ref.PutVerdict([]int{1}, Verdict{Found: false})
-	ref.PutVerdict([]int{2}, Verdict{Found: true})
-	before := s.Stats().Bytes
-	ref.PutProof(1, 1, [][]int{{1}, {3}})
-	ref.PutProof(2, 1, [][]int{{1}, {2}})
-	if got := s.Stats().Bytes; got != before {
-		t.Errorf("blocks with a set the store cannot witness were written: %d -> %d bytes", before, got)
-	}
-	for _, sig := range []uint64{1, 2} {
-		if got := readProof(t, ref, sig, 1); got != "miss" {
-			t.Errorf("sig %d: %q, want a miss", sig, got)
-		}
-	}
-}
-
-// TestStoreProofReplayBuildsNoIndex checks that Open leaves the verdict
-// index unbuilt and that replaying a proof block does not build it; the
-// first verdict lookup does.
-func TestStoreProofReplayBuildsNoIndex(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.gdps")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := ringGraph(t, 6)
-	ref := s.Register(g)
-	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
-	ref.PutProof(9, 2, [][]int{{1, 3}})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err = Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ref = s.Register(g)
-	if got, want := readProof(t, ref, 9, 2), "[1 3]:[6 0 5 4 2 7]"; got != want {
-		t.Fatalf("block: %q, want %q", got, want)
-	}
-	if s.indexed.Load() {
-		t.Error("Open or a proof-block replay built the verdict index")
-	}
-	if _, ok := ref.LookupVerdict([]int{3, 1}, nil); !ok || !s.indexed.Load() {
-		t.Errorf("first LookupVerdict: hit=%v, index built=%v", ok, s.indexed.Load())
-	}
-}
-
 func TestStoreProofCursorZeroAllocs(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "s.gdps"))
 	if err != nil {
@@ -776,9 +755,7 @@ func TestStoreProofCursorZeroAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	ref := s.Register(ringGraph(t, 6))
-	ref.PutVerdict([]int{1, 3}, Verdict{Found: true, Path: []int{6, 0, 5, 4, 2, 7}})
-	ref.PutVerdict([]int{0, 2}, Verdict{Found: false})
-	ref.PutProof(9, 2, [][]int{{1, 3}, {0, 2}})
+	putBlock(ref, 9, 2, [][]int{{1, 3}, {0, 2}}, [][]int{{6, 0, 5, 4, 2, 7}})
 	blk, ok := ref.LookupProof(9, 2)
 	if !ok {
 		t.Fatal("block lost")
@@ -799,120 +776,6 @@ func TestStoreProofCursorZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cursor decode into caller buffers: %v allocs, want 0", allocs)
-	}
-}
-
-// TestStoreLazyIndexRace reopens a store, so its verdict index is not yet
-// built, and races first-time LookupVerdict callers against PutVerdict
-// callers: every stored verdict must hit with its value while the index
-// is built, and every put must be visible afterwards.
-func TestStoreLazyIndexRace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.gdps")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 12
-	g := ringGraph(t, n)
-	ref := s.Register(g)
-	var old, fresh [][]int
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			if (x+y)%2 == 0 {
-				old = append(old, []int{x, y})
-			} else {
-				fresh = append(fresh, []int{x, y})
-			}
-		}
-	}
-	want := func(set []int) Verdict {
-		if set[0]%3 == 0 {
-			return Verdict{}
-		}
-		return Verdict{Found: true, Path: []int{n, set[1], set[0], n + 1}}
-	}
-	same := func(a, b Verdict) bool { return a.Found == b.Found && fmt.Sprint(a.Path) == fmt.Sprint(b.Path) }
-	for _, set := range old {
-		ref.PutVerdict(set, want(set))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		s, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := s.Register(g)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if w%2 == 1 {
-					for i := w / 2; i < len(fresh); i += 2 {
-						ref.PutVerdict(fresh[i], want(fresh[i]))
-					}
-					return
-				}
-				var path []int
-				for _, set := range old {
-					v, ok := ref.LookupVerdict(set, path)
-					path = v.Path
-					if !ok || !same(v, want(set)) {
-						t.Errorf("stored set %v: got %+v ok=%v, want %+v", set, v, ok, want(set))
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, set := range append(old, fresh...) {
-			if v, ok := ref.LookupVerdict(set, nil); !ok || !same(v, want(set)) {
-				t.Fatalf("set %v after the race: got %+v ok=%v, want %+v", set, v, ok, want(set))
-			}
-		}
-		// Only the first round's puts are new; later rounds re-put them.
-		if st := s.Stats(); round > 0 && st.Dirty != 0 {
-			t.Errorf("round %d: re-puts wrote %d records", round, st.Dirty)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestStoreShortVerdictMatchesDecoder checks the one-byte validation
-// fast path against the full decoder on every short payload of bytes
-// below 0x80 drawn from a small alphabet: the fast path may only accept
-// payloads the decoder accepts.
-func TestStoreShortVerdictMatchesDecoder(t *testing.T) {
-	s := &Store{slots: make([]*slot, 2)}
-	alphabet := []byte{0, 1, 2, 3, 0x7f}
-	var payload []byte
-	var walk func(n int)
-	accepted := 0
-	walk = func(n int) {
-		if short := shortVerdict(payload, len(s.slots)); short {
-			accepted++
-			if err := s.checkVerdict(payload); err != nil {
-				t.Fatalf("payload %v: fast path accepts, decoder rejects: %v", payload, err)
-			}
-		} else if s.checkVerdict(payload) == nil && len(payload) > 0 && below0x80(payload) {
-			t.Fatalf("payload %v: decoder accepts, fast path does not", payload)
-		}
-		if n == 0 {
-			return
-		}
-		for _, b := range alphabet {
-			payload = append(payload, b)
-			walk(n - 1)
-			payload = payload[:len(payload)-1]
-		}
-	}
-	walk(7)
-	if accepted == 0 {
-		t.Fatal("the fast path accepted no payload")
 	}
 }
 

@@ -89,23 +89,23 @@ func TestMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// imageLess must compare the sorted image, not the raw mapped sequence.
+// imageCmp must compare the sorted image, not the raw mapped sequence.
 func TestImageLess(t *testing.T) {
 	// q maps 0↔3, 1↔2 on a 4-element universe.
 	q := []int32{3, 2, 1, 0}
 	scratch := make([]int, 4)
 	cases := []struct {
 		sub  []int
-		want bool
+		want int
 	}{
-		{[]int{0, 1}, false}, // image {3,2} sorts to {2,3} > {0,1}
-		{[]int{2, 3}, true},  // image sorts to {0,1} < {2,3}
-		{[]int{0, 3}, false}, // image {3,0} sorts to {0,3}: equal
-		{[]int{1, 2}, false}, // fixed setwise
+		{[]int{0, 1}, 1},  // image {3,2} sorts to {2,3} > {0,1}
+		{[]int{2, 3}, -1}, // image sorts to {0,1} < {2,3}
+		{[]int{0, 3}, 0},  // image {3,0} sorts to {0,3}: equal
+		{[]int{1, 2}, 0},  // fixed setwise
 	}
 	for _, c := range cases {
-		if got := imageLess(q, c.sub, scratch); got != c.want {
-			t.Errorf("imageLess(%v) = %v, want %v", c.sub, got, c.want)
+		if got := imageCmp(q, c.sub, scratch); got != c.want {
+			t.Errorf("imageCmp(%v) = %v, want %v", c.sub, got, c.want)
 		}
 	}
 }

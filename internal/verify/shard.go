@@ -63,7 +63,7 @@ type sweep struct {
 	opts     Options // defaults filled; Solver.Res is the sweep token
 	universe []int
 	group    *autom.Group
-	orbit    *orbitTester // nil without symmetry
+	orbit    *orbitTester // nil with neither symmetry nor a store
 	ref      *store.GraphRef
 	// root latches external cancellation; its child tok (also
 	// opts.Solver.Res) additionally latches FailFast, so root.Stopped()
@@ -86,8 +86,13 @@ func newSweep(g *graph.Graph, k int, opts Options) *sweep {
 		root:     root,
 		tok:      tok,
 	}
-	if s.group != nil {
+	// A store without symmetry files and replays blocks under the
+	// identity group.
+	if s.group != nil || ref != nil {
 		s.orbit = newOrbitTester(s.group, s.universe, g.NumNodes())
+	}
+	if ref != nil {
+		s.orbit.buildImages(len(s.universe))
 	}
 	return s
 }
@@ -124,10 +129,12 @@ type ShardRunner struct {
 }
 
 // NewShardRunner builds a runner for Design instance g at tolerance k.
-// Options are interpreted exactly as by Exhaustive; Options.Context (or
-// Solver.Res) cancels in-flight shards, whose reports come back marked
-// Interrupted. Call Close when done to release the cancellation tokens.
+// Options are interpreted exactly as by Exhaustive, but for Store, which
+// a runner does not use; Options.Context (or Solver.Res) cancels
+// in-flight shards, whose reports come back marked Interrupted. Call
+// Close when done to release the cancellation tokens.
 func NewShardRunner(g *graph.Graph, k int, opts Options) *ShardRunner {
+	opts.Store = nil
 	return newSweep(g, k, opts).runner(0)
 }
 

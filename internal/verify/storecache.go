@@ -85,7 +85,7 @@ func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
 	total := combin.Binomial(m, size)
 	// Generators alone do not give the orbits' sizes, and a rank bitmap
 	// far larger than the block is not worth building.
-	if s.orbit.order == 0 || m > 64 || total > 64*int64(n)*int64(s.orbit.order) {
+	if s.orbit.order == 0 || total > 64*int64(n)*int64(s.orbit.order) {
 		blk.Miss()
 		return nil, replayFault(size, nil, -1, fmt.Sprintf("cannot check that %d entries cover %d sets", n, total))
 	}
@@ -99,52 +99,60 @@ func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
 		covered int64    // the sizes of those orbits
 		fault   *FaultSetRecord
 	}
-	shards := make([]shard, min(s.opts.Workers, n))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(o *shard, from, to int) {
-			defer wg.Done()
-			// The shards share cache lines: o is written only at the end.
-			cur, ok := blk.Cursor(from)
-			reps, covered := make([]uint64, (total+63)/64), int64(0)
-			defer func() { o.reps, o.covered = reps, covered }()
-			faults := bitset.New(s.g.NumNodes())
-			chk := graph.NewChecker(s.g)
-			var set, path []int
-			sub := make([]int, size)
-			for i := from; ok && i < to; i++ {
-				var r, orbit int64
-				if set, path, ok = cur.Next(set, path); ok {
-					r, orbit, ok = s.orbit.entry(rk, set, sub)
-				}
-				if !ok {
-					break
-				}
-				for _, x := range set {
-					faults.Add(x)
-				}
-				if len(path) == 0 {
-					recheckNegative(s.g, faults)
-					o.fails = append(o.fails, FaultSetRecord{Nodes: nodesOf(s.universe, sub), Err: "no pipeline"})
-				} else if err := chk.Pipeline(faults, graph.Path(path)); err != nil {
-					storeReplayFailC.Add(1)
-					o.fault = replayFault(size, nodesOf(s.universe, sub), r, err.Error())
-					return
-				}
-				for _, x := range set {
-					faults.Remove(x)
-				}
-				if orbit > 0 {
-					reps[r>>6] |= 1 << (r & 63)
-					covered += orbit
-				}
+	// A shard per worker, of at least minReplayShard entries.
+	shards := make([]shard, max(1, min(s.opts.Workers, n/minReplayShard)))
+	run := func(i int) {
+		// The shards share cache lines: o is written only at the end.
+		o, from, to := &shards[i], i*n/len(shards), (i+1)*n/len(shards)
+		cur, ok := blk.Cursor(from)
+		reps, covered := make([]uint64, (total+63)/64), int64(0)
+		defer func() { o.reps, o.covered = reps, covered }()
+		faults := bitset.New(s.g.NumNodes())
+		chk := graph.NewChecker(s.g)
+		var set, path []int
+		sub := make([]int, size)
+		img, mask := make([]uint64, len(s.orbit.perms)*s.orbit.words), make([]uint64, s.orbit.words)
+		for e := from; ok && e < to; e++ {
+			var r, orbit int64
+			if set, path, ok = cur.Next(set, path); ok {
+				r, orbit, ok = s.orbit.entry(rk, set, sub, img, mask)
 			}
-			if !ok || to == n && !cur.Done() {
-				o.fault = replayFault(size, nil, -1, "entries do not decode")
+			if !ok {
+				break
 			}
-		}(&shards[i], i*n/len(shards), (i+1)*n/len(shards))
+			for _, x := range set {
+				faults.Add(x)
+			}
+			if len(path) == 0 {
+				recheckNegative(s.g, faults)
+				o.fails = append(o.fails, FaultSetRecord{Nodes: nodesOf(s.universe, sub), Err: "no pipeline"})
+			} else if err := chk.Pipeline(faults, graph.Path(path)); err != nil {
+				storeReplayFailC.Add(1)
+				o.fault = replayFault(size, nodesOf(s.universe, sub), r, err.Error())
+				return
+			}
+			for _, x := range set {
+				faults.Remove(x)
+			}
+			if orbit > 0 {
+				reps[r>>6] |= 1 << (r & 63)
+				covered += orbit
+			}
+		}
+		if !ok || to == n && !cur.Done() {
+			o.fault = replayFault(size, nil, -1, "entries do not decode")
+		}
 	}
+	// The calling goroutine replays the first shard.
+	var wg sync.WaitGroup
+	for i := 1; i < len(shards); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	run(0)
 	wg.Wait()
 
 	local := &Report{Checked: int64(n), Represented: total}
@@ -194,6 +202,10 @@ func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
 	return local, nil
 }
 
+// minReplayShard is the fewest entries replayProof hands a goroutine of
+// its own: below it, starting one costs more than it saves.
+const minReplayShard = 128
+
 // replayFault records why a size did not replay: the size, and the fault
 // set and its rank among the size's sets where one is at fault (rank ≥ 0).
 func replayFault(size int, nodes []int, rank int64, why string) *FaultSetRecord {
@@ -203,38 +215,75 @@ func replayFault(size int, nodes []int, rank int64, why string) *FaultSetRecord 
 	return &FaultSetRecord{Nodes: nodes, Err: fmt.Sprintf("size %d rank %d: %s", size, rank, why)}
 }
 
-// entry reads a proof-block entry's fault set, node ids in any order, as
-// a bit mask over a universe of at most 64 nodes and into sub as
-// ascending universe indices, and returns its rank and, if it is the
-// least set of its orbit, the orbit's size (else 0). ok is false when set
-// is not len(sub) distinct universe nodes.
-func (t *orbitTester) entry(rk combin.Ranker, set, sub []int) (r, orbit int64, ok bool) {
-	var mask uint64
-	for _, v := range set {
-		if t.idx[v] < 0 {
-			return 0, 0, false
+// buildImages fills t.images and t.words for entry.
+func (t *orbitTester) buildImages(m int) {
+	t.words = (m + 63) / 64
+	t.images = make([][]uint64, m)
+	for x := range t.images {
+		t.images[x] = make([]uint64, len(t.perms)*t.words)
+		for p, q := range t.perms {
+			v := int(q[x])
+			t.images[x][p*t.words+v/64] = 1 << (v % 64)
 		}
-		mask |= 1 << t.idx[v]
 	}
-	if len(set) != len(sub) || bits.OnesCount64(mask) != len(sub) {
+}
+
+// entry reads a proof-block entry's fault set, node ids in any order,
+// into sub as ascending universe indices, and returns its rank and, if it
+// is the least set of its orbit, the orbit's size (else 0). ok is false
+// when set is not len(sub) distinct universe nodes. img and mask are
+// scratches of len(t.perms)·t.words and t.words words; buildImages must
+// have run.
+func (t *orbitTester) entry(rk combin.Ranker, set, sub []int, img, mask []uint64) (r, orbit int64, ok bool) {
+	if len(set) != len(sub) {
 		return 0, 0, false
 	}
-	for i, m := 0, mask; m != 0; i, m = i+1, m&(m-1) {
-		sub[i] = bits.TrailingZeros64(m)
+	for i, v := range set {
+		x := int(t.idx[v])
+		if x < 0 {
+			return 0, 0, false
+		}
+		j := i
+		for ; j > 0 && sub[j-1] > x; j-- {
+			sub[j] = sub[j-1]
+		}
+		if j > 0 && sub[j-1] == x {
+			return 0, 0, false
+		}
+		sub[j] = x
+	}
+	// The orbit has order/stab sets, stab counting the elements fixing
+	// it, which include those missing from perms.
+	r, stab := rk.Rank(sub), t.order-len(t.perms)
+	if len(sub) == 0 {
+		return r, 1, true
+	}
+	// Every element's image of sub at once, as masks of t.words words
+	// over the universe: the union of the images of sub's indices.
+	copy(img, t.images[sub[0]])
+	for _, x := range sub[1:] {
+		for i, v := range t.images[x][:len(img)] {
+			img[i] |= v
+		}
+	}
+	clear(mask)
+	for _, x := range sub {
+		mask[x/64] |= 1 << (x % 64)
 	}
 	// Of two sets of one size, the lesser holds the least node of their
-	// difference. The orbit has order/stab sets, stab counting the
-	// elements fixing it, which include those missing from perms.
-	r, stab := rk.Rank(sub), t.order-len(t.perms)
-	for _, q := range t.perms {
-		var img uint64
-		for _, x := range sub {
-			img |= 1 << q[x]
+	// difference: the lowest bit of the lowest word where they differ.
+	for p, n := 0, len(mask); p < len(img); p += n {
+		v, w := img[p], 0
+		d := v ^ mask[0]
+		for d == 0 && w+1 < n {
+			w++
+			v = img[p+w]
+			d = v ^ mask[w]
 		}
-		if d := img ^ mask; img&d&-d != 0 {
-			return r, 0, true
-		} else if d == 0 {
+		if d == 0 {
 			stab++
+		} else if v&d&-d != 0 {
+			return r, 0, true
 		}
 	}
 	return r, int64(t.order / stab), true
@@ -328,42 +377,6 @@ func cheapNoPipeline(g *graph.Graph, faults bitset.Set) bool {
 		}
 	}
 	return false
-}
-
-// applyCached consumes a stored verdict for the worker's current fault set
-// (w.cur, already built from sub). It deliberately leaves w.prev, w.faults
-// and the solver untouched — they must keep describing the last set the
-// solver actually saw, so the next cold solve still gets a correct
-// FindDelta warm-start delta. Returns false when the cached entry failed
-// its re-check and the caller must fall through to the solver.
-func (w *worker) applyCached(sub []int, v store.Verdict) bool {
-	if w.cacheBits == nil {
-		w.cacheBits = bitset.New(w.g.NumNodes())
-	}
-	for _, x := range w.cur {
-		w.cacheBits.Add(x)
-	}
-	defer func() {
-		for _, x := range w.cur {
-			w.cacheBits.Remove(x)
-		}
-	}()
-	if v.Found {
-		if err := w.chk.Pipeline(w.cacheBits, graph.Path(v.Path)); err != nil {
-			storeReplayFailC.Add(1)
-			return false
-		}
-		w.local.Checked++
-		return true
-	}
-	recheckNegative(w.g, w.cacheBits)
-	w.local.Checked++
-	w.local.FailureCount++
-	record(&w.local.Failures, w.universe, sub, "no pipeline", w.maxRec)
-	if w.failFast {
-		w.stop.Cancel()
-	}
-	return true
 }
 
 // replaySizes replays every size's proof block into rep, for Exhaustive

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gdpn/internal/autom"
+	"gdpn/internal/bitset"
 	"gdpn/internal/combin"
 	"gdpn/internal/construct"
 	"gdpn/internal/embed"
@@ -67,8 +68,7 @@ func warmCold(t *testing.T, g *graph.Graph, k int, opts verify.Options) (cold, w
 func TestStoreWarmMatchesColdClean(t *testing.T) {
 	warmCold(t, construct.G2(2), 2, verify.Options{})
 	warmCold(t, construct.G2(2), 2, verify.Options{ExploitSymmetry: true})
-	// A 68-node fault universe is too large for the proof-block coverage
-	// check: the warm sweep reads each set's verdict instead.
+	// A 68-node fault universe: the coverage check's masks span it.
 	sol, err := construct.Design(60, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -127,68 +127,92 @@ func TestStoreWarmManifestSkipsSolving(t *testing.T) {
 	}
 }
 
+// poisonWitness runs a cold sweep of g into a store file and, in one
+// positive entry of its size-1 proof block, turns the witness's second
+// node into the entry's faulty node, as a foreign writer might. It
+// returns the file's path.
+func poisonWitness(t *testing.T, g *graph.Graph, k int, opts verify.Options) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	verify.Exhaustive(g, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := editProofs(t, path, 1, func(e [][]byte) [][]byte {
+		i := positiveEntry(t, e)
+		e[i][3] = e[i][0]
+		return e
+	}); n != 1 {
+		t.Fatalf("poisoned %d size-1 blocks, want 1", n)
+	}
+	return path
+}
+
+// TestStorePoisonedVerdictFallsBackToSolver poisons a witness in a block
+// filed without symmetry: the warm sweep must count the replay failure,
+// solve that size again and reach the verdict of a sweep without a store.
 func TestStorePoisonedVerdictFallsBackToSolver(t *testing.T) {
 	reg := obs.Default()
 	reg.SetEnabled(true)
 	defer reg.SetEnabled(false)
-	reg.Reset()
 
 	g := construct.G2(2)
-	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1})
+	opts := verify.Options{Workers: 1}
+	base := verify.Exhaustive(g, 2, opts)
+	path := poisonWitness(t, g, 2, opts)
 
-	// Poison the store: a positive verdict whose certificate cannot replay.
-	// First-write-wins means the bogus entry survives the later sweep.
-	s := openStore(t, filepath.Join(t.TempDir(), "v.gdps"))
+	reg.Reset()
+	s := openStore(t, path)
 	defer s.Close()
-	ref := s.Register(g)
-	ref.PutVerdict([]int{0}, store.Verdict{Found: true, Path: []int{0, 1, 2}})
-
-	rep := verify.Exhaustive(g, 2, verify.Options{Workers: 1, Store: s})
+	opts.Store = s
+	rep := verify.Exhaustive(g, 2, opts)
 	if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
-		t.Errorf("poisoned cache changed the verdict:\n got %q\nwant %q", got, want)
+		t.Errorf("poisoned block changed the verdict:\n got %q\nwant %q", got, want)
 	}
 	if got := reg.Counter("store_replay_fail_total").Value(); got == 0 {
 		t.Error("replay failure not counted")
 	}
+	if rep.Tiers.Total() == 0 {
+		t.Error("the poisoned size was not solved again")
+	}
 }
 
+// TestStorePoisonedManifestAbandonsWarmPath poisons a witness in a block
+// of a symmetry-reduced proof: the warm proof must abandon that size,
+// count the replay failure and enumerate it cold.
 func TestStorePoisonedManifestAbandonsWarmPath(t *testing.T) {
 	reg := obs.Default()
 	reg.SetEnabled(true)
 	defer reg.SetEnabled(false)
-	reg.Reset()
 
 	g := construct.G2(2)
-	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1, ExploitSymmetry: true})
+	opts := verify.Options{Workers: 1, ExploitSymmetry: true}
+	base := verify.Exhaustive(g, 2, opts)
+	path := poisonWitness(t, g, 2, opts)
 
-	// Cold symmetry-reduced sweep records manifests — but one of its cached
-	// verdicts was poisoned beforehand, so the next warm run's manifest
-	// replay must abandon that size class and re-enumerate it cold.
-	path := filepath.Join(t.TempDir(), "v.gdps")
+	reg.Reset()
 	s := openStore(t, path)
-	ref := s.Register(g)
-	ref.PutVerdict([]int{0}, store.Verdict{Found: true, Path: []int{0, 1, 2}})
-	verify.Exhaustive(g, 2, verify.Options{Workers: 1, ExploitSymmetry: true, Store: s})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, path)
-	defer s2.Close()
-	warm := verify.Exhaustive(g, 2, verify.Options{Workers: 1, ExploitSymmetry: true, Store: s2})
+	defer s.Close()
+	opts.Store = s
+	warm := verify.Exhaustive(g, 2, opts)
 	if got, want := warm.VerdictSummary(), base.VerdictSummary(); got != want {
-		t.Errorf("poisoned manifest changed the verdict:\n got %q\nwant %q", got, want)
+		t.Errorf("poisoned block changed the verdict:\n got %q\nwant %q", got, want)
 	}
 	if got := reg.Counter("store_replay_fail_total").Value(); got == 0 {
 		t.Error("replay failure not counted")
 	}
+	if hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value(); hits != 2 {
+		t.Errorf("%d sizes replayed, want the 2 unpoisoned ones", hits)
+	}
 }
 
 func TestStoreSharedAcrossRelabeledInstances(t *testing.T) {
-	// Two isomorphic relabelings of one instance share all cached work:
+	// Two isomorphic relabelings of one instance share all stored work:
 	// verifying the second against the first's store must make zero solver
-	// calls on the per-verdict path (no symmetry, to keep the id mapping
-	// exercise maximal).
+	// calls, replaying the blocks filed under the identity group (no
+	// symmetry, to keep the id mapping exercise maximal).
 	g := construct.G2(2)
 	h := relabeledCopy(g)
 
@@ -226,74 +250,66 @@ func relabeledCopy(g *graph.Graph) *graph.Graph {
 	return out
 }
 
-func TestShardRunnerUsesStore(t *testing.T) {
-	g := construct.G2(2)
-	path := filepath.Join(t.TempDir(), "v.gdps")
-	s := openStore(t, path)
-	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1, Store: s})
-	if err := s.Close(); err != nil {
+// recordKinds counts the records of the store file at path by kind.
+func recordKinds(t *testing.T, path string) map[byte]int {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	s2 := openStore(t, path)
-	defer s2.Close()
-	r := verify.NewShardRunner(g, 2, verify.Options{Store: s2})
-	defer r.Close()
-	rep := &verify.Report{GraphName: g.Name(), K: 2}
-	for _, sh := range verify.Shards(g, 2, verify.AllNodes, 0) {
-		verify.MergeReports(rep, r.Run(sh), 0)
+	kinds := map[byte]int{}
+	for b := img[6:]; len(b) > 0; b = b[10+int(binary.LittleEndian.Uint32(b[2:6])):] {
+		kinds[b[1]]++
 	}
-	if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
-		t.Errorf("sharded warm verdict differs:\n got %q\nwant %q", got, want)
-	}
-	if rep.Tiers.Total() != 0 {
-		t.Errorf("warm sharded run made %d solver calls, want 0", rep.Tiers.Total())
-	}
+	return kinds
 }
 
-// TestStoreFileFromEarlierReleaseReplays opens a store file written by the
-// map-decoding store reader this package used before verdicts were read in
-// place: a cold and a warm symmetry-reduced sweep of G2(2), k=2 and of
-// G3(2), k=3, written by that release with Workers 1. Both proofs must
-// replay from it with no miss, no replay failure and no solver call, and
-// reach the verdicts of a sweep without a store.
+// TestStoreFileFromEarlierReleaseReplays opens, unchanged, a store file
+// written by an earlier release: per-set verdicts and orbit manifests of a
+// cold and a warm symmetry-reduced sweep of G2(2), k=2 and of G3(2), k=3,
+// with their groups. Those records are dead: the first proof of each
+// instance solves again, reaches the verdict of a sweep without a store
+// and files its proof blocks; the second replays them with no solver
+// call. Closing the store drops the dead records.
 func TestStoreFileFromEarlierReleaseReplays(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "store-v1.gdps"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "v.gdps")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	if kinds := recordKinds(t, filepath.Join("testdata", "store-v1.gdps")); kinds[kindVerdict] == 0 || kinds[kindManifest] == 0 {
+		t.Fatalf("test premise: the file holds verdicts and manifests, has %v", kinds)
 	}
 	reg := obs.Default()
 	reg.SetEnabled(true)
 	defer reg.SetEnabled(false)
 	for _, workers := range []int{1, 2} {
-		s := openStore(t, path)
+		path := filepath.Join(t.TempDir(), "v.gdps")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
 			g *graph.Graph
 			k int
 		}{{construct.G2(2), 2}, {construct.G3(2), 3}} {
-			reg.Reset()
 			base := verify.Exhaustive(tc.g, tc.k, verify.Options{Workers: workers, ExploitSymmetry: true})
-			warm := verify.Exhaustive(tc.g, tc.k, verify.Options{Workers: workers, ExploitSymmetry: true, Store: s})
-			if got, want := warm.VerdictSummary(), base.VerdictSummary(); got != want {
-				t.Errorf("%s workers=%d: replayed verdict differs:\n got %q\nwant %q", tc.g.Name(), workers, got, want)
-			}
-			hits := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value()
-			misses := reg.Counter("store_miss_total", obs.L("kind", "verdict")).Value()
-			fails := reg.Counter("store_replay_fail_total").Value()
-			if hits != warm.Checked || misses != 0 || fails != 0 || warm.Tiers.Total() != 0 {
-				t.Errorf("%s workers=%d: hits %d of %d checked, misses %d, replay failures %d, solver calls %d; want every set replayed",
-					tc.g.Name(), workers, hits, warm.Checked, misses, fails, warm.Tiers.Total())
+			for round := 0; round < 2; round++ {
+				reg.Reset()
+				s := openStore(t, path)
+				rep := verify.Exhaustive(tc.g, tc.k, verify.Options{Workers: workers, ExploitSymmetry: true, Store: s})
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
+					t.Errorf("%s workers=%d round %d: verdict differs:\n got %q\nwant %q", tc.g.Name(), workers, round, got, want)
+				}
+				hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value()
+				if calls := rep.Tiers.Total(); round == 0 && (calls == 0 || hits != 0) || round == 1 && (calls != 0 || hits != int64(tc.k+1)) {
+					t.Errorf("%s workers=%d round %d: %d solver calls, %d sizes replayed", tc.g.Name(), workers, round, calls, hits)
+				}
 			}
 		}
-		if st := s.Stats(); st.Dirty != 0 || st.Bytes != len(raw) {
-			t.Errorf("workers=%d: the warm proofs wrote to the store: %+v", workers, st)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+		if kinds := recordKinds(t, path); kinds[kindVerdict] != 0 || kinds[kindManifest] != 0 {
+			t.Errorf("workers=%d: dead records survived Close: %v", workers, kinds)
 		}
 	}
 }
@@ -342,10 +358,13 @@ func poisonedStore(t *testing.T, g *graph.Graph, recs ...[]byte) (*store.Store, 
 }
 
 // Record kinds of the store file format, and uvarints for payloads.
+// Verdicts and manifests are the dead kinds of earlier releases.
 const (
+	kindGraph    = 1
 	kindVerdict  = 2
 	kindGroup    = 3
 	kindManifest = 4
+	kindProof    = 6
 )
 
 func uv(b []byte, vs ...uint64) []byte {
@@ -355,44 +374,60 @@ func uv(b []byte, vs ...uint64) []byte {
 	return b
 }
 
+// TestStoreOutOfRangeVerdictIDFallsBackToSolver gives a positive entry
+// of a block filed without symmetry a witness node with canonical id 200,
+// far outside the graph: its replay must fail once, and the warm sweep
+// must reach the verdict of a sweep without a store.
 func TestStoreOutOfRangeVerdictIDFallsBackToSolver(t *testing.T) {
 	reg := obs.Default()
 	reg.SetEnabled(true)
 	defer reg.SetEnabled(false)
-	reg.Reset()
 
 	g := construct.G2(2)
-	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1})
-	// A positive verdict for {0} whose path holds canonical id 200, far
-	// outside the graph.
-	lab := g.Canonical().Labeling
-	s, _ := poisonedStore(t, g, uv([]byte{kindVerdict}, 0, 1, uint64(lab[0]), 1, 3, 0, 200, 1))
+	opts := verify.Options{Workers: 1}
+	base := verify.Exhaustive(g, 2, opts)
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	verify.Exhaustive(g, 2, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	editProofs(t, path, 1, func(e [][]byte) [][]byte {
+		e[positiveEntry(t, e)][3] = 200
+		return e
+	})
+	reg.Reset()
+	s = openStore(t, path)
 	defer s.Close()
-	rep := verify.Exhaustive(g, 2, verify.Options{Workers: 1, Store: s})
+	opts.Store = s
+	rep := verify.Exhaustive(g, 2, opts)
 	if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
-		t.Errorf("out-of-range verdict id changed the verdict:\n got %q\nwant %q", got, want)
+		t.Errorf("out-of-range witness id changed the verdict:\n got %q\nwant %q", got, want)
 	}
 	if got := reg.Counter("store_replay_fail_total").Value(); got != 1 {
 		t.Errorf("store_replay_fail_total = %d, want 1", got)
 	}
 }
 
+// TestStoreOutOfRangeManifestAndGroupIDsMiss files, under the sweep's
+// signature, a size-1 block whose one set has canonical id 200, and a
+// group whose one generator maps a node to id 200: both must miss, with
+// or without an explicit group, and leave the verdict unchanged.
 func TestStoreOutOfRangeManifestAndGroupIDsMiss(t *testing.T) {
 	g := construct.G2(2)
 	n := g.NumNodes()
 	gr := autom.Compute(g, autom.Options{})
 	base := verify.Exhaustive(g, 2, verify.Options{Workers: 1, ExploitSymmetry: true})
 
-	// A size-1 manifest under the sweep's signature listing canonical id
-	// 200, and a group whose one generator maps a node to id 200.
 	_, ref := poisonedStore(t, g)
 	universe := make([]int, n)
 	for i := range universe {
 		universe[i] = i
 	}
 	sig := ref.SweepSig(universe, 2, ref.GroupSig(gr))
-	manifest := binary.LittleEndian.AppendUint64(uv([]byte{kindManifest}, 0), sig)
-	manifest = uv(manifest, 1, 1, 200)
+	block := binary.LittleEndian.AppendUint64(uv([]byte{kindProof}, 0), sig)
+	block = append(uv(block, 1, 1), 1, 200, 0)
 	group := uv([]byte{kindGroup}, 0, 1, 1, 0, uint64(n))
 	for c := 0; c < n-1; c++ {
 		group = uv(group, uint64(c))
@@ -402,65 +437,31 @@ func TestStoreOutOfRangeManifestAndGroupIDsMiss(t *testing.T) {
 		{Workers: 1, ExploitSymmetry: true, Group: gr},
 		{Workers: 1, ExploitSymmetry: true},
 	} {
-		s, _ := poisonedStore(t, g, manifest, group)
+		s, _ := poisonedStore(t, g, block, group)
 		opts.Store = s
 		rep := verify.Exhaustive(g, 2, opts)
 		if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
-			t.Errorf("out-of-range manifest or group id changed the verdict:\n got %q\nwant %q", got, want)
+			t.Errorf("out-of-range block or group id changed the verdict:\n got %q\nwant %q", got, want)
 		}
 		s.Close()
 	}
 }
 
-// kindProof is the proof-block record kind.
-const kindProof = 6
-
-// editProofs rewrites, in the store file at path, every proof block of
-// the given set size through edit, which gets the block's entries one
-// slice each and returns the new entries. The entries must be width 1, as
-// in any graph of at most 255 nodes. The header's count becomes the new
-// number of entries, and the record's length and CRC are recomputed, as a
-// foreign writer would. It returns how many blocks it rewrote.
-func editProofs(t *testing.T, path string, size int, edit func(entries [][]byte) [][]byte) int {
+// rewriteRecords rewrites every record of the store file at path through
+// edit, which gets the record's kind and payload and returns the new
+// payload; the record's length and CRC are recomputed, as a foreign
+// writer would.
+func rewriteRecords(t *testing.T, path string, edit func(kind byte, payload []byte) []byte) {
 	t.Helper()
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := append([]byte(nil), img[:6]...)
-	edited := 0
 	for b := img[6:]; len(b) > 0; {
 		plen := int(binary.LittleEndian.Uint32(b[2:6]))
-		kind, payload := b[1], b[6:6+plen]
+		kind, payload := b[1], edit(b[1], b[6:6+plen])
 		b = b[10+plen:]
-		if kind == kindProof {
-			p := payload
-			slot, n := binary.Uvarint(p)
-			sig := binary.LittleEndian.Uint64(p[n:])
-			p = p[n+8:]
-			sz, n := binary.Uvarint(p)
-			p = p[n:]
-			count, n := binary.Uvarint(p)
-			p = p[n:]
-			if int(sz) == size {
-				if p[0] != 1 {
-					t.Fatalf("proof block of width %d, want 1", p[0])
-				}
-				var entries [][]byte
-				for e, i := p[1:], uint64(0); i < count; i++ {
-					n := size + 1 + int(e[size])
-					entries = append(entries, append([]byte(nil), e[:n]...))
-					e = e[n:]
-				}
-				entries = edit(entries)
-				payload = binary.LittleEndian.AppendUint64(uv(nil, slot), sig)
-				payload = append(uv(payload, sz, uint64(len(entries))), 1)
-				for _, e := range entries {
-					payload = append(payload, e...)
-				}
-				edited++
-			}
-		}
 		start := len(out)
 		out = append(out, 1, kind)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
@@ -470,6 +471,49 @@ func editProofs(t *testing.T, path string, size int, edit func(entries [][]byte)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// editProofs rewrites, in the store file at path, every proof block of
+// the given set size through edit, which gets the block's entries one
+// slice each and returns the new entries. The entries must be width 1, as
+// in any graph of at most 255 nodes. The header's count becomes the new
+// number of entries. It returns how many blocks it rewrote.
+func editProofs(t *testing.T, path string, size int, edit func(entries [][]byte) [][]byte) int {
+	t.Helper()
+	edited := 0
+	rewriteRecords(t, path, func(kind byte, payload []byte) []byte {
+		if kind != kindProof {
+			return payload
+		}
+		p := payload
+		slot, n := binary.Uvarint(p)
+		sig := binary.LittleEndian.Uint64(p[n:])
+		p = p[n+8:]
+		sz, n := binary.Uvarint(p)
+		p = p[n:]
+		count, n := binary.Uvarint(p)
+		p = p[n:]
+		if int(sz) != size {
+			return payload
+		}
+		if p[0] != 1 {
+			t.Fatalf("proof block of width %d, want 1", p[0])
+		}
+		var entries [][]byte
+		for e, i := p[1:], uint64(0); i < count; i++ {
+			n := size + 1 + int(e[size])
+			entries = append(entries, append([]byte(nil), e[:n]...))
+			e = e[n:]
+		}
+		entries = edit(entries)
+		payload = binary.LittleEndian.AppendUint64(uv(nil, slot), sig)
+		payload = append(uv(payload, sz, uint64(len(entries))), 1)
+		for _, e := range entries {
+			payload = append(payload, e...)
+		}
+		edited++
+		return payload
+	})
 	return edited
 }
 
@@ -576,10 +620,10 @@ func (f proofBlockFixture) check(t *testing.T, damages []proofBlockDamage) {
 			t.Errorf("%s: replay failures %d, manifest misses %d, manifest hits %d; want %d, %d, %d",
 				tc.name, fails, misses, hits, tc.replayFail, tc.miss, k)
 		}
-		// Size 1 was enumerated again, each of its sets read from its
-		// verdict record.
-		if vh := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value(); vh != warm.Checked {
-			t.Errorf("%s: %d verdict hits for %d checked sets", tc.name, vh, warm.Checked)
+		// Size 1 was solved again, and every entry of the other sizes'
+		// blocks replayed.
+		if vh, calls := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value(), warm.Tiers.Total(); calls == 0 || vh+calls != warm.Checked {
+			t.Errorf("%s: %d verdict hits and %d solver calls for %d checked sets", tc.name, vh, calls, warm.Checked)
 		}
 
 		s = openStore(t, path)
@@ -734,13 +778,12 @@ func TestReplayErrorsLocateTheCertificate(t *testing.T) {
 	})
 }
 
-// TestStoreProofBlockMustCoverItsSize files, on a store holding every
-// verdict of G3(2), k=3, proof blocks that list only the positive orbit
-// representatives of each size, counts and CRCs intact, as an edited
-// store might. Replayed without a coverage check, they turned the cold
-// disproof into a clean proof. The warm sweep must reach the cold
-// verdict, and Replay must fail, naming the first uncovered set (the
-// least negative one) and its rank.
+// TestStoreProofBlockMustCoverItsSize files, for G3(2), k=3, proof
+// blocks that list only the positive orbit representatives of each size,
+// counts and CRCs intact, as an edited store might. Replayed without a
+// coverage check, they turned the cold disproof into a clean proof. The
+// warm sweep must reach the cold verdict, and Replay must fail, naming
+// the first uncovered set (the least negative one) and its rank.
 func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 	g := construct.G3(2)
 	const k = 3
@@ -758,7 +801,6 @@ func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 
 	s := openStore(t, filepath.Join(t.TempDir(), "v.gdps"))
 	defer s.Close()
-	verify.Exhaustive(g, k, verify.Options{Workers: 2, Store: s}) // every verdict, no proof blocks
 	ref := s.Register(g)
 	universe := make([]int, n)
 	for i := range universe {
@@ -781,20 +823,24 @@ func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 	var gap []int
 	var gapSize int
 	for size := 0; size <= k; size++ {
-		var reps [][]int
+		var reps store.ProofEntries
 		combin.Subsets(n, size, func(sub []int) bool {
-			v, ok := ref.LookupVerdict(sub, nil)
+			faults := bitset.New(n)
+			for _, v := range sub {
+				faults.Add(v)
+			}
+			path, found, err := verify.Tolerates(g, faults, embed.Options{})
 			switch {
-			case !ok:
-				t.Fatalf("no verdict for %v", sub)
-			case !v.Found && gap == nil:
+			case err != nil:
+				t.Fatalf("%v: %v", sub, err)
+			case !found && gap == nil:
 				gap, gapSize = slices.Clone(sub), size
-			case v.Found && minimal(sub):
-				reps = append(reps, slices.Clone(sub))
+			case found && minimal(sub):
+				ref.AddProofEntry(&reps, sub, path)
 			}
 			return true
 		})
-		ref.PutProof(sig, size, reps)
+		ref.PutProof(sig, size, []store.ProofEntries{reps})
 	}
 
 	opts.Store = s
@@ -891,5 +937,167 @@ func TestStoreFirstWarmProofWritesNothing(t *testing.T) {
 	}
 	if st := s.Stats(); st.Dirty != 0 {
 		t.Errorf("the first warm proof wrote %d records", st.Dirty)
+	}
+}
+
+// TestStoreColdProofFilesOnlyBlocks checks that a cold symmetry-reduced
+// proof of G(12,3), k=3 files no per-set record: the store holds the
+// graph, its group and one proof block per size.
+func TestStoreColdProofFilesOnlyBlocks(t *testing.T) {
+	sol, err := construct.Design(12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	rep := verify.Exhaustive(sol.Graph, k, verify.Options{Workers: 2, ExploitSymmetry: true, Store: s, Solver: embed.Options{Layout: sol.Layout}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("test premise: G(12,3) proves: %s", rep.VerdictSummary())
+	}
+	if got, want := fmt.Sprint(recordKinds(t, path)), fmt.Sprint(map[byte]int{kindGraph: 1, kindGroup: 1, kindProof: k + 1}); got != want {
+		t.Errorf("records by kind %s, want %s", got, want)
+	}
+}
+
+// TestStoreWarmProofOver64Nodes checks that a warm symmetry-reduced proof
+// of G(60,2), k=2, whose fault universe has 68 nodes, replays every size
+// from its proof block with no solver call.
+func TestStoreWarmProofOver64Nodes(t *testing.T) {
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	sol, err := construct.Design(60, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 2
+	if n := sol.Graph.NumNodes(); n <= 64 {
+		t.Fatalf("test premise: more than 64 nodes, have %d", n)
+	}
+	opts := verify.Options{Workers: 2, ExploitSymmetry: true, Solver: embed.Options{Layout: sol.Layout}}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	cold := verify.Exhaustive(sol.Graph, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg.Reset()
+	s = openStore(t, path)
+	defer s.Close()
+	opts.Store = s
+	warm := verify.Exhaustive(sol.Graph, k, opts)
+	if got, want := warm.VerdictSummary(), cold.VerdictSummary(); got != want {
+		t.Errorf("warm verdict differs:\n got %q\nwant %q", got, want)
+	}
+	if hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value(); hits != k+1 || warm.Tiers.Total() != 0 {
+		t.Errorf("warm proof: %d of %d sizes replayed, %d solver calls", hits, k+1, warm.Tiers.Total())
+	}
+}
+
+// TestStoreFilesEachCleanSize gives the backtracking solver so small a
+// budget that G2(4), k=2 leaves unknowns at size 2 only. The cold sweep
+// must still file the blocks of sizes 0 and 1, which a warm sweep
+// replays, solving size 2 alone.
+func TestStoreFilesEachCleanSize(t *testing.T) {
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	g := construct.G2(4)
+	const k = 2
+	opts := verify.Options{Workers: 1, ExploitSymmetry: true, Solver: embed.Options{Method: embed.Backtracking, Budget: 5}}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	cold := verify.Exhaustive(g, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range cold.Unknowns {
+		if len(u.Nodes) != k {
+			t.Fatalf("test premise: unknowns at size %d only, have %+v", k, cold.Unknowns)
+		}
+	}
+	if cold.UnknownCount == 0 {
+		t.Fatal("test premise: the budget leaves unknowns")
+	}
+	reg.Reset()
+	s = openStore(t, path)
+	defer s.Close()
+	opts.Store = s
+	warm := verify.Exhaustive(g, k, opts)
+	hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value()
+	replayed := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value()
+	// Size k's sets are all solved again, its unknowns among them.
+	if solved := warm.Checked - replayed; hits != k || warm.Checked != cold.Checked || solved < cold.UnknownCount || solved == cold.Checked {
+		t.Errorf("warm sweep: %d of %d clean sizes replayed (%d entries), %d sets solved, of %d checked; %d unknowns",
+			hits, k, replayed, solved, cold.Checked, cold.UnknownCount)
+	}
+}
+
+// TestStoreWrongGraphLabelingFallsBack rewrites the labeling that the
+// graph record of a cold proof's store keeps, CRC intact, into one that is
+// no isomorphism onto the canonical graph. The warm proof must not use
+// it: it registers through the canonical form, replays every size with no
+// solver call, reaches the cold verdict and writes nothing.
+func TestStoreWrongGraphLabelingFallsBack(t *testing.T) {
+	reg := obs.Default()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(false)
+	g := construct.G3(3)
+	const k = 3
+	opts := verify.Options{Workers: 2, ExploitSymmetry: true}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	s := openStore(t, path)
+	opts.Store = s
+	cold := verify.Exhaustive(g, k, opts)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cf := g.Canonical()
+	rewrote := false
+	rewriteRecords(t, path, func(kind byte, payload []byte) []byte {
+		if kind != kindGraph {
+			return payload
+		}
+		// The labeling follows the slot, fingerprint, exact flag and the
+		// canonical bytes; swap two of its entries so it breaks.
+		head := len(payload) - len(uv(nil, uint64(len(cf.Labeling)))) - len(cf.Labeling)
+		lab := slices.Clone(cf.Labeling)
+		for i := 1; i < len(lab) && !rewrote; i++ {
+			lab[0], lab[i] = lab[i], lab[0]
+			if enc, _ := g.EncodeUnder(lab); string(enc) != string(cf.Bytes) {
+				rewrote = true
+				break
+			}
+			lab[0], lab[i] = lab[i], lab[0]
+		}
+		out := slices.Clone(payload[:head])
+		out = uv(out, uint64(len(lab)))
+		for _, c := range lab {
+			out = uv(out, uint64(c))
+		}
+		return out
+	})
+	if !rewrote {
+		t.Fatal("test premise: a swap of two labels breaks the labeling")
+	}
+	reg.Reset()
+	s = openStore(t, path)
+	defer s.Close()
+	opts.Store = s
+	warm := verify.Exhaustive(g, k, opts)
+	if got, want := warm.VerdictSummary(), cold.VerdictSummary(); got != want {
+		t.Errorf("warm verdict differs:\n got %q\nwant %q", got, want)
+	}
+	if hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value(); hits != k+1 || warm.Tiers.Total() != 0 {
+		t.Errorf("warm proof: %d of %d sizes replayed, %d solver calls", hits, k+1, warm.Tiers.Total())
+	}
+	if st := s.Stats(); st.Dirty != 0 {
+		t.Errorf("the warm proof wrote %d records", st.Dirty)
 	}
 }

@@ -89,14 +89,15 @@ type Options struct {
 	// can pace a sweep slowly enough to kill workers and restart
 	// coordinators mid-run. Zero (the default) means full speed.
 	Throttle time.Duration
-	// Store attaches the persistent content-addressed verdict store:
-	// Exhaustive and ShardRunner consult it before every solve (positive
-	// hits replay their pipeline certificate, negative hits are re-screened
-	// by cheap necessary conditions — see storecache.go) and append every
-	// fresh verdict after. With ExploitSymmetry, clean full sweeps also
-	// record per-size proof blocks, which a warm re-run or Replay checks
-	// instead of enumerating. The caller owns the store's lifecycle
-	// (Flush/Close). nil disables caching.
+	// Store attaches the persistent content-addressed proof store to
+	// Exhaustive and Replay (ShardRunner and Random ignore it). Exhaustive
+	// first replays each size from its proof block (positive entries replay
+	// their pipeline certificate, negative ones are re-screened by cheap
+	// necessary conditions, and the block must cover its size — see
+	// storecache.go); it solves the other sizes and files the block of each
+	// size whose every set it decided. Without ExploitSymmetry the blocks
+	// are filed under the identity group. The caller owns the store's
+	// lifecycle (Flush/Close). nil disables the store.
 	Store *store.Store
 }
 
@@ -235,21 +236,22 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 	rep := &Report{GraphName: g.Name(), K: k}
 
 	// Warm path: replay whole size classes from the store's proof blocks
-	// (symmetry-reduced runs only — a block records orbit representatives
-	// decided under a specific group signature; never under FailFast).
+	// (a block records orbit representatives decided under a specific
+	// group signature; never under FailFast).
 	replayed := map[int]bool{}
-	if s.ref != nil && s.orbit != nil && !opts.FailFast {
+	if s.ref != nil && !opts.FailFast {
 		replayed, _ = s.replaySizes(rep)
 	}
 
 	// Fine-grained shards, dealt round-robin onto per-worker deques. The
 	// owner pops from the tail (staying on its lexicographic walk, so
 	// solver warm-starts see small deltas); idle workers steal from the
-	// head of a victim's deque.
+	// head of a victim's deque. shards counts each size's shards.
 	deques := make([]*stealQueue, opts.Workers)
 	for i := range deques {
 		deques[i] = &stealQueue{}
 	}
+	shards := make([]int, k+1)
 	next := 0
 	for size := 0; size <= k && size <= len(universe); size++ {
 		if replayed[size] {
@@ -259,24 +261,31 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 		per := total/int64(opts.Workers*chunksPerWorker) + 1
 		for from := int64(0); from < total; from += per {
 			deques[next%opts.Workers].push(Shard{size, from, min(from+per, total)})
+			shards[size]++
 			next++
 		}
 	}
 	// Only blocks that replayProof can check are worth collecting.
-	collect := s.ref != nil && s.orbit != nil && s.orbit.order > 0 && len(universe) <= 64
+	collect := s.ref != nil && !opts.FailFast && s.orbit.order > 0
 
-	runners := make([]*ShardRunner, opts.Workers)
-	partials := make([]*Report, opts.Workers)
+	// No more runners than shards: a warm proof that replayed every size
+	// builds no solver. Runners steal from the deques without one.
+	workers := min(opts.Workers, next)
+	runners := make([]*ShardRunner, workers)
+	partials := make([]*Report, workers)
+	// clean[w][size] counts the shards of size worker w ran to their end
+	// with no unknown and no solver bug.
+	clean := make([][]int, workers)
 	var wg sync.WaitGroup
 	for w := range runners {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r, part := s.runner(w), &Report{}
+			r, part, done := s.runner(w), &Report{}, make([]int, k+1)
 			if collect {
-				// Collect the representatives each worker actually decides,
-				// so a clean sweep can record per-size proof blocks.
-				r.wk.collect = map[int][][]int{}
+				// Each worker encodes the proof-block entries of the
+				// representatives it decides, by size.
+				r.wk.blocks = make([]store.ProofEntries, k+1)
 			}
 			// A stopped sweep (ctx cancel or another worker's FailFast hit)
 			// abandons the remaining shards, including any stolen ones.
@@ -288,9 +297,13 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 					}
 					part.Steals++
 				}
-				merge(part, r.Run(sh), opts.MaxRecorded)
+				srep := r.Run(sh)
+				if !srep.Interrupted && srep.UnknownCount == 0 && len(srep.SolverBugs) == 0 {
+					done[sh.Size]++
+				}
+				merge(part, srep, opts.MaxRecorded)
 			}
-			runners[w], partials[w] = r, part
+			runners[w], partials[w], clean[w] = r, part, done
 		}(w)
 	}
 	wg.Wait()
@@ -302,22 +315,25 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 	rep.Interrupted = s.root.Stopped()
 	rep.Duration = time.Since(start)
 
-	// A clean, complete sweep may record proof blocks: every enumerated
-	// size reached a verdict for all its sets, so the per-worker
-	// representative lists are exactly the orbit representatives of each
-	// size, and each has its witness in the store (PutProof writes no
-	// block for a size where one has none, as after a solver bug).
-	if collect && !opts.FailFast && !s.tok.Stopped() && rep.UnknownCount == 0 {
+	// A size whose every shard ran to its end with no unknown and no
+	// solver bug files its proof block: the workers' entries are then
+	// exactly the size's orbit representatives, each decided. This holds
+	// even when the sweep was interrupted or another size was not clean.
+	if collect {
 		sig := s.ref.SweepSig(universe, k, s.ref.GroupSig(s.group))
-		for size := 0; size <= k && size <= len(universe); size++ {
-			if replayed[size] {
+		for size, n := range shards {
+			ran := 0
+			for _, done := range clean {
+				ran += done[size]
+			}
+			if n == 0 || ran != n {
 				continue
 			}
-			var sets [][]int
-			for _, r := range runners {
-				sets = append(sets, r.wk.collect[size]...)
+			parts := make([]store.ProofEntries, len(runners))
+			for i, r := range runners {
+				parts[i] = r.wk.blocks[size]
 			}
-			s.ref.PutProof(sig, size, sets)
+			s.ref.PutProof(sig, size, parts)
 		}
 	}
 
@@ -402,6 +418,10 @@ type orbitTester struct {
 	// order is the order of the group keeping the universe when perms are
 	// all its elements that move a universe node, 0 if only generators.
 	order int
+	// images[x] holds, for each of perms in turn, its image of universe
+	// index x as a mask of words words; built only for a store's replay.
+	images [][]uint64
+	words  int
 }
 
 // maxOrbitPerms caps how many permutations isMinimal applies per fault set.
@@ -410,10 +430,14 @@ type orbitTester struct {
 // representatives (never skips an orbit) at lower per-set cost.
 const maxOrbitPerms = 1024
 
+// newOrbitTester builds the tester of group, or of the identity group
+// (no perms, order 1) when group is nil.
 func newOrbitTester(group *autom.Group, universe []int, n int) *orbitTester {
 	var perms []autom.Perm
 	t := &orbitTester{}
-	if elems, ok := group.Elements(); ok && len(elems) <= maxOrbitPerms {
+	if group == nil {
+		t.order = 1
+	} else if elems, ok := group.Elements(); ok && len(elems) <= maxOrbitPerms {
 		perms, t.order = elems, 1
 	} else {
 		for _, p := range group.Generators() {
@@ -465,16 +489,17 @@ func (t *orbitTester) isMinimal(sub, scratch []int) bool {
 		return true
 	}
 	for _, q := range t.perms {
-		if imageLess(q, sub, scratch) {
+		if imageCmp(q, sub, scratch) < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// imageLess maps sub through q, sorts the image (insertion into scratch),
-// and reports whether it is lexicographically smaller than sub.
-func imageLess(q []int32, sub, scratch []int) bool {
+// imageCmp maps sub through q, sorts the image (insertion into scratch),
+// and compares it lexicographically with sub: -1, 0 or +1 as the image is
+// smaller, equal or larger.
+func imageCmp(q []int32, sub, scratch []int) int {
 	img := scratch[:0]
 	for _, x := range sub {
 		v := int(q[x])
@@ -488,10 +513,13 @@ func imageLess(q []int32, sub, scratch []int) bool {
 	}
 	for i := range sub {
 		if img[i] != sub[i] {
-			return img[i] < sub[i]
+			if img[i] < sub[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // Random samples `trials` fault sets with sizes uniform in [0, k] and
@@ -553,7 +581,7 @@ func Random(g *graph.Graph, k, trials int, seed int64, opts Options) *Report {
 type worker struct {
 	g        *graph.Graph
 	solver   *embed.Solver
-	chk      *graph.Checker // certifies every pipeline the solver or the store hands back
+	chk      *graph.Checker // certifies every pipeline the solver hands back
 	faults   bitset.Set
 	universe []int
 	local    *Report
@@ -564,16 +592,11 @@ type worker struct {
 	prev, cur      []int // node ids of the previous/current fault set, ascending
 	removed, added []int
 
-	// Verdict-store state. ref is nil when no store is attached. cacheBits
-	// is a separate bitset for replaying cached certificates: w.faults must
-	// keep describing the last set the SOLVER saw, or FindDelta warm starts
-	// would diverge after a cache hit. cert is the buffer stored
-	// certificates are read into. collect, when non-nil, accumulates the
-	// decided orbit representatives per size for proof-block recording.
-	ref       *store.GraphRef
-	cacheBits bitset.Set
-	cert      []int
-	collect   map[int][][]int
+	// ref is the store slot, nil when no store is attached. blocks, when
+	// non-nil, accumulates by size the proof-block entries of the
+	// representatives this worker decides.
+	ref    *store.GraphRef
+	blocks []store.ProofEntries
 }
 
 func newWorker(g *graph.Graph, opts Options, universe []int, ref *store.GraphRef) *worker {
@@ -620,19 +643,6 @@ func (w *worker) check(sub []int) bool {
 	for _, idx := range sub {
 		w.cur = append(w.cur, w.universe[idx])
 	}
-	if w.collect != nil {
-		w.collect[len(sub)] = append(w.collect[len(sub)], append([]int(nil), w.cur...))
-	}
-	// Store fast path: a cached verdict that survives its re-check skips the
-	// solver entirely — and leaves w.prev/w.faults untouched, so the next
-	// cold solve still computes a correct warm-start delta.
-	if w.ref != nil {
-		v, ok := w.ref.LookupVerdict(w.cur, w.cert)
-		w.cert = v.Path
-		if ok && w.applyCached(sub, v) {
-			return true
-		}
-	}
 	w.removed, w.added = diffSorted(w.prev, w.cur, w.removed[:0], w.added[:0])
 	for _, v := range w.removed {
 		w.faults.Remove(v)
@@ -658,8 +668,8 @@ func (w *worker) check(sub []int) bool {
 	case !res.Found:
 		w.local.FailureCount++
 		record(&w.local.Failures, w.universe, sub, "no pipeline", w.maxRec)
-		if w.ref != nil {
-			w.ref.PutVerdict(w.cur, store.Verdict{Found: false})
+		if w.blocks != nil {
+			w.ref.AddProofEntry(&w.blocks[len(sub)], w.cur, nil)
 		}
 		if w.failFast {
 			// First counterexample ends the sweep: every worker observes the
@@ -670,10 +680,10 @@ func (w *worker) check(sub []int) bool {
 		if err := w.chk.Pipeline(w.faults, res.Pipeline); err != nil {
 			record(&w.local.SolverBugs, w.universe, sub, err.Error(), w.maxRec)
 			span.Trip(span.AnomalySolverBug, fmt.Sprintf("verify: faults=%v: %v", w.cur, err))
-		} else if w.ref != nil {
-			// Only certificate-checked pipelines enter the store: a cached
+		} else if w.blocks != nil {
+			// Only certificate-checked pipelines enter a block: a stored
 			// positive is always replayable.
-			w.ref.PutVerdict(w.cur, store.Verdict{Found: true, Path: res.Pipeline})
+			w.ref.AddProofEntry(&w.blocks[len(sub)], w.cur, res.Pipeline)
 		}
 	}
 	return true
