@@ -2,6 +2,8 @@ package embed
 
 import (
 	"sort"
+
+	"gdpn/internal/graph"
 )
 
 // backtracker is the pruned-DFS Hamiltonian path engine. It works on local
@@ -37,7 +39,8 @@ type backtracker struct {
 // a completed exhaustive search, i.e. a proof that no pipeline exists. res
 // is the stop token for this call (may be nil); the engine checks it with
 // one atomic load per expansion and charges it in 1024-expansion batches.
-func (s *Solver) findBacktrack(e endpoints, budget int64, res *Resources) Result {
+// A found pipeline is built into dst.
+func (s *Solver) findBacktrack(e endpoints, budget int64, res *Resources, dst graph.Path) Result {
 	np := len(e.healthyProcs)
 	bt := s.bt
 	if bt == nil || cap(bt.adj) < np {
@@ -111,7 +114,7 @@ func (s *Solver) findBacktrack(e endpoints, budget int64, res *Resources) Result
 				procPath[i] = e.healthyProcs[li]
 			}
 			return Result{
-				Pipeline:   s.assemble(e, procPath),
+				Pipeline:   s.assemble(e, procPath, dst),
 				Found:      true,
 				Expansions: bt.expansions,
 			}

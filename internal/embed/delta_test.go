@@ -53,7 +53,7 @@ func TestFindDeltaMatchesColdFind(t *testing.T) {
 			for _, v := range added {
 				faults.Add(v)
 			}
-			wr := warm.FindDelta(faults, removed, added)
+			wr := warm.FindDelta(faults, removed, added, nil)
 
 			coldFaults.Clear()
 			for _, v := range sub {
@@ -98,7 +98,7 @@ func TestFindDeltaRandomJumps(t *testing.T) {
 		for _, v := range added {
 			faults.Add(v)
 		}
-		wr := warm.FindDelta(faults, removed, added)
+		wr := warm.FindDelta(faults, removed, added, nil)
 		cr := cold.Find(bitset.FromSlice(n, cur))
 		if wr.Found != cr.Found || wr.Unknown != cr.Unknown {
 			t.Fatalf("trial %d faults=%v: delta found=%v, cold found=%v", trial, cur, wr.Found, cr.Found)
@@ -119,7 +119,7 @@ func TestFindRewarmsState(t *testing.T) {
 	s.Find(f1)
 	// Delta from {1} to {1, 2}.
 	f1.Add(2)
-	got := s.FindDelta(f1, nil, []int{2})
+	got := s.FindDelta(f1, nil, []int{2}, nil)
 	want := cold.Find(bitset.FromSlice(n, []int{1, 2}))
 	if got.Found != want.Found {
 		t.Fatalf("delta after re-warm: found=%v, cold found=%v", got.Found, want.Found)

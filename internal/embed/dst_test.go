@@ -1,0 +1,73 @@
+package embed_test
+
+import (
+	"slices"
+	"testing"
+
+	"gdpn/internal/bitset"
+	"gdpn/internal/embed"
+	"gdpn/internal/graph"
+)
+
+// TestPipelineStorageContract pins who owns a returned pipeline. Find's
+// path is freshly allocated, so two successive results on one Solver
+// never share storage (callers keep them: the benchmark's certificate
+// check holds hundreds). FindDelta with dst = nil returns a fresh path as
+// well; with a buffer it writes the path into the buffer, also when the
+// result comes from the Options.Memo cache.
+func TestPipelineStorageContract(t *testing.T) {
+	rig := newPlannerRig(t, 26, 5)
+	lay := rig.lay
+	n := rig.g.NumNodes()
+	extra := lay.I[2]
+	one := bitset.FromSlice(n, []int{lay.C[3]})
+	two := bitset.FromSlice(n, []int{lay.C[3], extra})
+	same := func(a, b graph.Path) bool { return &a[0] == &b[0] }
+
+	for _, memo := range []bool{false, true} {
+		s := embed.NewSolver(rig.g, embed.Options{Layout: lay, Memo: memo})
+		var kept []graph.Path
+		var want []graph.Path
+		keep := func(how string, res embed.Result) graph.Path {
+			t.Helper()
+			if !res.Found {
+				t.Fatalf("memo=%v %s: no pipeline", memo, how)
+			}
+			for _, k := range kept {
+				if same(k, res.Pipeline) {
+					t.Fatalf("memo=%v %s: the pipeline shares storage with an earlier result", memo, how)
+				}
+			}
+			kept, want = append(kept, res.Pipeline), append(want, slices.Clone(res.Pipeline))
+			return res.Pipeline
+		}
+		keep("Find", s.Find(one))
+		keep("second Find", s.Find(two))
+		keep("FindDelta(nil)", s.FindDelta(one, []int{extra}, nil, nil))
+
+		buf := make(graph.Path, 0, 2*n)
+		for i, step := range []struct {
+			faults         bitset.Set
+			removed, added []int
+		}{{two, nil, []int{extra}}, {one, []int{extra}, nil}} {
+			memoHits, _ := s.Memo()
+			res := s.FindDelta(step.faults, step.removed, step.added, buf)
+			if !res.Found || !same(res.Pipeline, buf[:1]) {
+				t.Fatalf("memo=%v FindDelta(buf) %d: found=%v, pipeline not in the buffer", memo, i, res.Found)
+			}
+			if hits, _ := s.Memo(); memo && hits != memoHits+1 {
+				t.Fatalf("memo=%v FindDelta(buf) %d: not a memo hit", memo, i)
+			}
+			// Find leaves the endpoint state warm for step.faults, so the
+			// next step's delta still applies.
+			if fresh := s.Find(step.faults); !slices.Equal(res.Pipeline, fresh.Pipeline) {
+				t.Fatalf("memo=%v FindDelta(buf) %d: %v, Find %v", memo, i, res.Pipeline, fresh.Pipeline)
+			}
+		}
+		for i := range kept {
+			if !slices.Equal(kept[i], want[i]) {
+				t.Fatalf("memo=%v: result %d changed from %v to %v after later calls", memo, i, want[i], kept[i])
+			}
+		}
+	}
+}

@@ -24,11 +24,19 @@
 // Every engine returns either a full pipeline (which callers re-validate
 // with verify.CheckPipeline) or "not found"; the search engines can also
 // report "unknown" when an explicit node budget is exhausted.
+//
+// A found pipeline is written into storage the caller chooses. Find
+// always returns a freshly allocated path. FindDelta takes a trailing dst
+// buffer and builds the path as append(dst[:0], …), whichever tier or the
+// result memo answers: a caller that passes the same buffer on every call
+// (the exhaustive verifier's workers) gets a warm planner call that
+// allocates nothing, and one that keeps the path passes nil.
 package embed
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"gdpn/internal/bitset"
@@ -268,7 +276,7 @@ func (s *Solver) Stats() TierStats { return s.stats }
 // the endpoint state from scratch (and leaves it warm for a subsequent
 // FindDelta).
 func (s *Solver) Find(faults bitset.Set) Result {
-	return s.timed(faults, nil, nil, false)
+	return s.timed(faults, nil, nil, false, nil)
 }
 
 // FindDelta is Find for a fault set that differs from the previous call's
@@ -282,8 +290,14 @@ func (s *Solver) Find(faults bitset.Set) Result {
 //
 // Passing a delta that does not match the previous fault set corrupts the
 // endpoint state; callers own that invariant.
-func (s *Solver) FindDelta(faults bitset.Set, removed, added []int) Result {
-	return s.timed(faults, removed, added, true)
+//
+// A found Result.Pipeline is append(dst[:0], …): it shares dst's backing
+// array whenever dst has the capacity, so it is valid only until the
+// caller reuses dst, and dst's contents are unspecified after a call that
+// finds nothing. With dst = nil the path is freshly allocated, as Find's
+// is; a caller that keeps the path must pass nil or copy it out.
+func (s *Solver) FindDelta(faults bitset.Set, removed, added []int, dst graph.Path) Result {
+	return s.timed(faults, removed, added, true, dst)
 }
 
 // Warm returns how many FindDelta calls reused warm endpoint state versus
@@ -310,8 +324,7 @@ func (s *Solver) InvalidateCache() {
 }
 
 // memoEntry is one cached definitive result. path is the solver-owned
-// copy; hits hand out fresh copies (Result.Pipeline is documented as
-// freshly allocated).
+// copy; a hit copies it into the call's dst, as a solved call would.
 type memoEntry struct {
 	found bool
 	path  graph.Path
@@ -332,8 +345,9 @@ func (s *Solver) memoKeyFor(faults bitset.Set) []byte {
 }
 
 // memoLookup consults the result memo; on a hit the cached path is
-// copied out. The built key stays in s.memoKey for a following memoStore.
-func (s *Solver) memoLookup(faults bitset.Set) (Result, bool) {
+// copied into dst. The built key stays in s.memoKey for a following
+// memoStore.
+func (s *Solver) memoLookup(faults bitset.Set, dst graph.Path) (Result, bool) {
 	key := s.memoKeyFor(faults)
 	e, hit := s.memo[string(key)] // no allocation: map lookup special case
 	if !hit {
@@ -345,8 +359,7 @@ func (s *Solver) memoLookup(faults bitset.Set) (Result, bool) {
 	s.memoHit.Inc()
 	res := Result{Found: e.found}
 	if e.found {
-		res.Pipeline = make(graph.Path, len(e.path))
-		copy(res.Pipeline, e.path)
+		res.Pipeline = append(dst[:0], e.path...)
 	}
 	return res, true
 }
@@ -379,16 +392,16 @@ func (s *Solver) Resources() *Resources { return s.opts.Res }
 // spans become roots, or disappear entirely while the tracer is disabled).
 func (s *Solver) SetSpan(sp *span.S) { s.spanParent = sp }
 
-func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool) Result {
+func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool, dst graph.Path) Result {
 	observing := s.reg.Enabled()
 	sp := span.Start(s.spanParent, "solve")
 	if !observing && sp == nil {
-		return s.find(faults, removed, added, delta)
+		return s.find(faults, removed, added, delta, dst)
 	}
 	start := time.Now()
 	before := tierDeltas(s.stats)
 	warmBefore := s.warmHits
-	res := s.find(faults, removed, added, delta)
+	res := s.find(faults, removed, added, delta, dst)
 	if observing {
 		s.findTime.ObserveSince(start)
 		s.expansions.Add(res.Expansions)
@@ -442,7 +455,7 @@ func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string, warm bool) {
 	sp.End(status)
 }
 
-func (s *Solver) find(faults bitset.Set, removed, added []int, delta bool) Result {
+func (s *Solver) find(faults bitset.Set, removed, added []int, delta bool, dst graph.Path) Result {
 	s.run = s.opts.Res
 	var ends endpoints
 	var ok bool
@@ -462,11 +475,11 @@ func (s *Solver) find(faults bitset.Set, removed, added []int, delta bool) Resul
 	// leave the warm state exactly as a solved call would, so the next
 	// FindDelta's delta still applies to it.
 	if s.opts.Memo {
-		if r, hit := s.memoLookup(faults); hit {
+		if r, hit := s.memoLookup(faults, dst); hit {
 			return r
 		}
 	}
-	res := s.solvePrepared(faults, ends, ok)
+	res := s.solvePrepared(faults, ends, ok, dst)
 	if s.opts.Memo && !res.Unknown {
 		s.memoStore(res)
 	}
@@ -475,8 +488,8 @@ func (s *Solver) find(faults bitset.Set, removed, added []int, delta bool) Resul
 
 // solvePrepared runs the trivial cases and engine dispatch for a call
 // whose endpoint state is already prepared (ok=false: no viable
-// endpoints survive the fault set).
-func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool) Result {
+// endpoints survive the fault set). A found path is built into dst.
+func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool, dst graph.Path) Result {
 	if !ok {
 		s.stats.Trivial++
 		return Result{Found: false}
@@ -499,12 +512,12 @@ func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool) Resul
 			}
 		}
 		if ti >= 0 && to >= 0 {
-			return Result{Pipeline: graph.Path{ti, p, to}, Found: true}
+			return Result{Pipeline: append(dst[:0], ti, p, to), Found: true}
 		}
 		return Result{Found: false}
 	}
 
-	res := s.dispatch(faults, ends)
+	res := s.dispatch(faults, ends, dst)
 	if res.Unknown && stopped(s.run) {
 		// The call was abandoned by the token (cancel, deadline, or
 		// budget), not by a genuine search-space exhaustion.
@@ -514,14 +527,14 @@ func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool) Resul
 }
 
 // dispatch routes one prepared call to the selected engine.
-func (s *Solver) dispatch(faults bitset.Set, ends endpoints) Result {
+func (s *Solver) dispatch(faults bitset.Set, ends endpoints, dst graph.Path) Result {
 	switch s.opts.Method {
 	case DP:
-		return s.findDP(ends, s.run)
+		return s.findDP(ends, s.run, dst)
 	case Backtracking:
-		return s.findBacktrack(ends, s.opts.Budget, s.run)
+		return s.findBacktrack(ends, s.opts.Budget, s.run, dst)
 	default: // Auto: the staged ladder, cheapest engine first.
-		return s.ladder(faults, ends)
+		return s.ladder(faults, ends, dst)
 	}
 }
 
@@ -533,12 +546,12 @@ const probeBudget = 50_000
 
 // ladder runs the engines in increasing-cost order. Its result is exact
 // unless the final full-budget pass itself reports Unknown.
-func (s *Solver) ladder(faults bitset.Set, e endpoints) Result {
+func (s *Solver) ladder(faults bitset.Set, e endpoints, dst graph.Path) Result {
 	// The constructive planner is the cheapest applicable tier on the
 	// asymptotic family: O(n), no search, and it covers almost every fault
 	// set (experiment P3 measures the hit rate).
 	if s.opts.Layout != nil {
-		if planned := s.planAsymptotic(faults); planned != nil {
+		if planned := s.planAsymptotic(faults, dst); planned != nil {
 			s.stats.Planner++
 			return Result{Pipeline: planned, Found: true}
 		}
@@ -546,23 +559,23 @@ func (s *Solver) ladder(faults bitset.Set, e endpoints) Result {
 	np := len(e.healthyProcs)
 	if np <= 18 {
 		s.stats.DP++
-		return s.findDP(e, s.run)
+		return s.findDP(e, s.run, dst)
 	}
 	pb := int64(probeBudget)
 	if s.opts.Budget < pb {
 		pb = s.opts.Budget
 	}
-	res := s.findBacktrack(e, pb, s.run)
+	res := s.findBacktrack(e, pb, s.run, dst)
 	if !res.Unknown {
 		s.stats.Probe++
 		return res
 	}
 	if np <= MaxDPProcessors {
 		s.stats.DP++
-		return s.findDP(e, s.run)
+		return s.findDP(e, s.run, dst)
 	}
 	s.stats.Full++
-	return s.findBacktrack(e, s.opts.Budget, s.run)
+	return s.findBacktrack(e, s.opts.Budget, s.run, dst)
 }
 
 // FindPipeline is the convenience form: it builds a throwaway solver with
@@ -695,11 +708,11 @@ func (s *Solver) healthyRemove(p int) {
 }
 
 // assemble wraps a processor path with a healthy input terminal at the
-// front and a healthy output terminal at the back.
-func (s *Solver) assemble(e endpoints, procPath []int) graph.Path {
+// front and a healthy output terminal at the back, into dst.
+func (s *Solver) assemble(e endpoints, procPath []int, dst graph.Path) graph.Path {
 	ti := s.healthyTerminal(procPath[0], graph.InputTerminal, e.faults)
 	to := s.healthyTerminal(procPath[len(procPath)-1], graph.OutputTerminal, e.faults)
-	out := make(graph.Path, 0, len(procPath)+2)
+	out := slices.Grow(dst[:0], len(procPath)+2)
 	out = append(out, ti)
 	out = append(out, procPath...)
 	out = append(out, to)

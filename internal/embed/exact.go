@@ -2,6 +2,8 @@ package embed
 
 import (
 	"math/bits"
+
+	"gdpn/internal/graph"
 )
 
 // findDP decides pipeline existence exactly with a Held–Karp dynamic
@@ -15,11 +17,11 @@ import (
 //
 // res is the stop token for this call (may be nil): checked with one
 // atomic load per mask row and charged in batches, never by reading the
-// clock.
-func (s *Solver) findDP(e endpoints, res *Resources) Result {
+// clock. A found pipeline is built into dst.
+func (s *Solver) findDP(e endpoints, res *Resources, dst graph.Path) Result {
 	np := len(e.healthyProcs)
 	if np > MaxDPProcessors {
-		return s.findBacktrack(e, s.opts.Budget, res)
+		return s.findBacktrack(e, s.opts.Budget, res, dst)
 	}
 	// Entry check: small tables finish between batched in-loop checks, so an
 	// already-stopped token must be honored before any work happens.
@@ -119,7 +121,7 @@ func (s *Solver) findDP(e endpoints, res *Resources) Result {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return Result{
-		Pipeline:   s.assemble(e, rev),
+		Pipeline:   s.assemble(e, rev, dst),
 		Found:      true,
 		Expansions: expansions,
 	}

@@ -87,7 +87,7 @@ func TestMemoAndWarmSurviveRemaps(t *testing.T) {
 				faults.Remove(st.remove)
 				removed = []int{st.remove}
 			}
-			if res := s.FindDelta(faults, removed, added); !res.Found {
+			if res := s.FindDelta(faults, removed, added, nil); !res.Found {
 				t.Fatalf("lap %d: FindDelta(%v) not found", i, faults)
 			}
 			calls++
@@ -111,7 +111,7 @@ func TestMemoAndWarmSurviveRemaps(t *testing.T) {
 	// endpoint state from scratch and the next solve misses the memo.
 	s.InvalidateCache()
 	faults.Add(p1)
-	if res := s.FindDelta(faults, nil, []int{p1}); !res.Found {
+	if res := s.FindDelta(faults, nil, []int{p1}, nil); !res.Found {
 		t.Fatal("post-invalidate FindDelta not found")
 	}
 	if _, m := s.Warm(); m != 1 {

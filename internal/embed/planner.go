@@ -27,23 +27,26 @@ import (
 // end as items of their own, so a route may enter or leave a block at an
 // outer position (see ringPlans). The ring half depends on the faulty ring
 // positions alone, so each plan is built once per such set and reused
-// while consecutive calls repeat it; a call that reuses it costs O(n) and
-// allocates only the returned path. Every produced path is validated
-// locally before being returned; nil means "no plan of this shape", and
-// the caller falls back to the complete search engines.
-func (s *Solver) planAsymptotic(faults bitset.Set) graph.Path {
+// while consecutive calls repeat it; a call that reuses it costs O(n).
+// Plans are built into storage the Solver keeps, and the pipeline is
+// returned as append(dst[:0], …), so once that storage has grown to the
+// layout's size a call allocates nothing unless dst lacks the capacity.
+// Every produced path is validated locally before being returned; nil
+// means "no plan of this shape", and the caller falls back to the complete
+// search engines.
+func (s *Solver) planAsymptotic(faults bitset.Set, dst graph.Path) graph.Path {
 	if s.opts.Layout == nil {
 		return nil
 	}
 	// A plan peeling deeper than plannerItemCap/2 positions off a block end
 	// splits that block alone into more items than the cap, so it declines.
-	return s.planToDepth(faults, plannerItemCap/2)
+	return s.planToDepth(faults, plannerItemCap/2, dst)
 }
 
 // planToDepth is planAsymptotic with the fallback plans limited to those
 // that peel at most maxDepth positions off each block end; depth 0 is the
 // primary plan alone.
-func (s *Solver) planToDepth(faults bitset.Set, maxDepth int) graph.Path {
+func (s *Solver) planToDepth(faults bitset.Set, maxDepth int, dst graph.Path) graph.Path {
 	lay := s.opts.Layout
 	k := lay.K
 	ok := func(v int) bool { return v >= 0 && (faults == nil || !faults.Contains(v)) }
@@ -91,7 +94,7 @@ func (s *Solver) planToDepth(faults bitset.Set, maxDepth int) graph.Path {
 				if positions == nil {
 					continue
 				}
-				if out := s.assemblePlan(lay, faults, b, c, positions); out != nil {
+				if out := s.assemblePlan(lay, faults, b, c, positions, dst); out != nil {
 					return out
 				}
 			}
@@ -101,7 +104,9 @@ func (s *Solver) planToDepth(faults bitset.Set, maxDepth int) graph.Path {
 }
 
 // plannerScratch is planAsymptotic's per-call working storage, kept on the
-// Solver so that a call reusing the ring plan allocates only its result.
+// Solver so that a call allocates nothing once it has grown: path is where
+// a candidate pipeline is stitched and certified before it is copied into
+// the caller's buffer.
 type plannerScratch struct {
 	ringFaulty                         []int // this call's faulty ring positions
 	healthyI, healthyO, bCands, cCands []int // I/O labels
@@ -159,19 +164,21 @@ func (rs *ringPlans) plan(g *graph.Graph, lay *construct.Layout, depth int) *rin
 		if rs.built == len(rs.plans) {
 			rs.plans = append(rs.plans, ringPlan{})
 		}
-		rs.plans[rs.built].build(g, lay, rs.faulty, rs.built)
+		rs.plans[rs.built].build(g, lay, rs.faulty, rs.built, &rs.scratch)
 		rs.built++
 	}
 	return &rs.plans[depth]
 }
 
-// ringScratch is the DP table and route scratch that the plans of one
-// Solver share.
+// ringScratch is the DP table, route scratch and block-traversal scratch
+// that the plans of one Solver share.
 type ringScratch struct {
 	// dp[mask*n+i] holds the variants of item i that can end a route from
 	// S[b] through exactly the items in mask (c's item counted as visited).
-	dp    []uint8
-	steps []ringStep // route reconstruction
+	dp     []uint8
+	steps  []ringStep // route reconstruction
+	mirror []int      // gapZigzagLow's reflected positions
+	zz     zigzagDFS  // dfsZigzag's search state
 }
 
 // ringBlock is a maximal internally-jumpable interval of healthy R
@@ -188,7 +195,8 @@ func newRingBlock(pos []int) ringBlock {
 
 // traversal is one way through an item: the ring positions visited, with
 // enter/exit as first/last. For blocks, seq holds the concrete position
-// order; for S labels it is the single label.
+// order; for S labels it is the single label. seq points into the plan's
+// pos or seqs and lives as long as the plan.
 type traversal struct {
 	enter, exit int
 	seq         []int
@@ -219,16 +227,18 @@ type ringPlan struct {
 	varOff   []int       // item i's variants are vars[varOff[i]:varOff[i+1]]
 	// succ[f*n+j] holds the variants of item j whose entry is one edge from
 	// the exit of vars[f].
-	succ   []uint8
-	orders []ringOrder // by b*(k+2)+c
+	succ     []uint8
+	orders   []ringOrder // by b*(k+2)+c
+	orderPos []int       // the orders' positions, one after another
 
-	pos []int // healthy R positions, block after block
+	pos  []int // healthy R positions, block after block
+	seqs []int // arena of the variants' sequences that are not runs of pos
 }
 
 // ringOrder is the memoized ring order of one (b, c) pair.
 type ringOrder struct {
-	solved bool
-	pos    []int // nil when no order exists
+	solved   bool
+	from, to int // the order is orderPos[from:to], empty when none exists
 }
 
 // ringStep is one item of a reconstructed route and the index in vars of
@@ -240,8 +250,9 @@ type ringStep struct{ item, f int }
 // into blocks wherever the gap between consecutive healthy positions
 // exceeds the largest offset p+1. With ≤ k faults and 2(p+1) > k there is
 // at most one splitting gap, hence at most two blocks — but the DP handles
-// any number of items up to the cap.
-func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout, faulty []int, depth int) {
+// any number of items up to the cap. Everything is rebuilt in the plan's
+// own storage, so a rebuild allocates nothing once it has grown.
+func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout, faulty []int, depth int, sc *ringScratch) {
 	k, m, p := lay.K, lay.M, lay.P
 	rp.g, rp.lay, rp.deepest = g, lay, true
 	if rp.sItem == nil {
@@ -251,14 +262,23 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout, faulty []int, d
 	for i := range rp.orders {
 		rp.orders[i].solved = false
 	}
+	rp.orderPos = rp.orderPos[:0]
 	edge := func(x, y int) bool { return g.HasEdge(lay.C[x], lay.C[y]) }
 
 	rp.vars, rp.varOff = rp.vars[:0], rp.varOff[:0]
+	// The arena holds one position per S label, and per block of r
+	// positions at most five sequences of r: the reverse and two zigzags
+	// with their reverses. Grown to that bound once, no build reallocates
+	// it.
+	rp.seqs = slices.Grow(rp.seqs[:0], k+2+5*(m-k-2))
 	n := 0
-	addItem := func(ts ...traversal) {
+	addItem := func() {
 		rp.varOff = append(rp.varOff, len(rp.vars))
-		rp.vars = append(rp.vars, ts...)
 		n++
+	}
+	addSingle := func(seq []int) {
+		addItem()
+		rp.vars = append(rp.vars, traversal{enter: seq[0], exit: seq[0], seq: seq})
 	}
 	// Blocks are subslices of pos, so it must not reallocate while filling.
 	pos := slices.Grow(rp.pos[:0], m)
@@ -271,13 +291,14 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout, faulty []int, d
 		}
 		peel := min(depth, len(blk)/2)
 		for i := range peel {
-			addItem(traversal{enter: blk[i], exit: blk[i], seq: blk[i : i+1]})
+			addSingle(blk[i : i+1])
 		}
 		if mid := blk[peel : len(blk)-peel]; len(mid) > 0 {
-			addItem(blockTraversals(newRingBlock(mid), edge)...)
+			addItem()
+			rp.blockTraversals(newRingBlock(mid), edge, sc)
 		}
 		for i := len(blk) - peel; i < len(blk); i++ {
-			addItem(traversal{enter: blk[i], exit: blk[i], seq: blk[i : i+1]})
+			addSingle(blk[i : i+1])
 		}
 		if len(blk) > 2*depth+1 {
 			rp.deepest = false
@@ -294,7 +315,8 @@ func (rp *ringPlan) build(g *graph.Graph, lay *construct.Layout, faulty []int, d
 		}
 		if j <= k+1 {
 			rp.sItem[j] = n
-			addItem(traversal{enter: j, exit: j, seq: []int{j}})
+			rp.seqs = append(rp.seqs, j)
+			addSingle(rp.seqs[len(rp.seqs)-1:])
 			continue
 		}
 		if prev >= 0 && j-prev > p+1 {
@@ -334,9 +356,17 @@ func (rp *ringPlan) solve(b, c int, sc *ringScratch) []int {
 	o := &rp.orders[b*(rp.lay.K+2)+c]
 	if !o.solved {
 		o.solved = true
-		o.pos = rp.sequence(b, c, o.pos[:0], sc)
+		from := len(rp.orderPos)
+		if seq := rp.sequence(b, c, rp.orderPos, sc); seq != nil {
+			rp.orderPos, o.from, o.to = seq, from, len(seq)
+		} else {
+			o.from, o.to = from, from
+		}
 	}
-	return o.pos
+	if o.from == o.to {
+		return nil
+	}
+	return rp.orderPos[o.from:o.to:o.to]
 }
 
 // sequence runs the exact DP over (visited mask, last item, last variant),
@@ -415,67 +445,80 @@ func (rp *ringPlan) sequence(b, c int, dst []int, sc *ringScratch) []int {
 	return dst
 }
 
-// blockTraversals enumerates the ways through a block: straight in either
-// direction, plus — when possible — zigzags that enter and exit at the
-// same end (required when the block's other end is a dead end against a
-// long fault run). Contiguous blocks get the analytic zigzag; blocks with
-// internal jumpable gaps get one found by a budget-bounded DFS over the
-// block's own positions.
-func blockTraversals(blk ringBlock, edge func(x, y int) bool) []traversal {
+// blockTraversals appends to rp.vars the ways through a block: straight
+// in either direction, plus — when possible — zigzags that enter and exit
+// at the same end (required when the block's other end is a dead end
+// against a long fault run). Contiguous blocks get the analytic zigzag;
+// blocks with internal jumpable gaps get one found by a budget-bounded
+// DFS over the block's own positions. The sequences that are not the
+// block itself are appended to rp.seqs.
+func (rp *ringPlan) blockTraversals(blk ringBlock, edge func(x, y int) bool, sc *ringScratch) {
 	pos := blk.positions
 	n := len(pos)
 	if n == 1 {
-		return []traversal{{enter: pos[0], exit: pos[0], seq: pos}}
+		rp.vars = append(rp.vars, traversal{enter: pos[0], exit: pos[0], seq: pos})
+		return
 	}
-	rev := make([]int, n)
-	for i, p := range pos {
-		rev[n-1-i] = p
-	}
-	out := []traversal{
-		{enter: pos[0], exit: pos[n-1], seq: pos},
-		{enter: pos[n-1], exit: pos[0], seq: rev},
-	}
-	addZig := func(seq []int) {
-		if seq == nil {
-			return
-		}
+	rp.vars = append(rp.vars, traversal{enter: pos[0], exit: pos[n-1], seq: pos})
+	rp.addReverse(pos)
+	// addZig keeps the sequence at rp.seqs[start:] as a variant, and its
+	// reverse, or drops it.
+	addZig := func(start int, ok bool) {
+		seq := rp.seqs[start:]
 		// The constructive zigzags assume their crossing offsets exist
 		// (true for internal gaps ≤ p−1); re-check every hop against the
 		// real edges so a boundary shape degrades to "variant unavailable"
 		// rather than an invalid plan.
-		for i := 1; i < len(seq); i++ {
-			if !edge(seq[i-1], seq[i]) {
-				return
-			}
+		for i := 1; ok && i < len(seq); i++ {
+			ok = edge(seq[i-1], seq[i])
 		}
-		out = append(out, traversal{enter: seq[0], exit: seq[len(seq)-1], seq: seq})
-		rv := make([]int, len(seq))
-		for i, p := range seq {
-			rv[len(seq)-1-i] = p
+		if !ok {
+			rp.seqs = rp.seqs[:start]
+			return
 		}
+		rp.vars = append(rp.vars, traversal{enter: seq[0], exit: seq[len(seq)-1], seq: seq})
 		// The reverse is a valid traversal of the same positions iff every
 		// hop is an undirected edge — which it is.
-		out = append(out, traversal{enter: rv[0], exit: rv[len(rv)-1], seq: rv})
+		rp.addReverse(seq)
 	}
+	var ok bool
 	if blk.contiguous {
 		lo, hi := pos[0], pos[n-1]
-		addZig(analyticZigzag(lo, hi, true))
-		addZig(analyticZigzag(lo, hi, false))
+		start := len(rp.seqs)
+		rp.seqs = analyticZigzag(rp.seqs, lo, hi, true)
+		addZig(start, true)
+		start = len(rp.seqs)
+		rp.seqs = analyticZigzag(rp.seqs, lo, hi, false)
+		addZig(start, true)
 	} else {
 		// Constructive gap-aware zigzags first; a budget-bounded DFS mops
 		// up shapes the construction declines.
-		if seq := gapZigzagHigh(pos); seq != nil {
-			addZig(seq)
+		start := len(rp.seqs)
+		if rp.seqs, ok = gapZigzagHigh(rp.seqs, pos); ok {
+			addZig(start, true)
 		} else if n <= 4096 {
-			addZig(dfsZigzag(pos, pos[n-1], pos[n-2], edge))
+			rp.seqs, ok = sc.dfsZigzag(rp.seqs, pos, n-1, n-2, edge)
+			addZig(start, ok)
 		}
-		if seq := gapZigzagLow(pos); seq != nil {
-			addZig(seq)
+		start = len(rp.seqs)
+		if rp.seqs, ok = sc.gapZigzagLow(rp.seqs, pos); ok {
+			addZig(start, true)
 		} else if n <= 4096 {
-			addZig(dfsZigzag(pos, pos[0], pos[1], edge))
+			rp.seqs, ok = sc.dfsZigzag(rp.seqs, pos, 0, 1, edge)
+			addZig(start, ok)
 		}
 	}
-	return out
+}
+
+// addReverse appends the variant that runs seq backwards, its sequence in
+// rp.seqs.
+func (rp *ringPlan) addReverse(seq []int) {
+	start := len(rp.seqs)
+	for i := len(seq) - 1; i >= 0; i-- {
+		rp.seqs = append(rp.seqs, seq[i])
+	}
+	rev := rp.seqs[start:]
+	rp.vars = append(rp.vars, traversal{enter: rev[0], exit: rev[len(rev)-1], seq: rev})
 }
 
 // gapZigzagHigh covers a block that may contain internal fault gaps,
@@ -488,11 +531,12 @@ func blockTraversals(blk ringBlock, edge func(x, y int) bool) []traversal {
 // edges a+1→top(F) and top(F)−1→a of offset gap+2. It requires every
 // internal gap ≤ p−1 (offsets up to p+1 must span gap+2) — with ≤ k faults
 // that is automatic except in the odd-k corner where a splitting run and a
-// length-p run coexist — and returns nil for shapes it cannot realize.
-func gapZigzagHigh(pos []int) []int {
+// length-p run coexist. The sequence is appended to dst; ok is false, and
+// dst unchanged, for shapes it cannot realize.
+func gapZigzagHigh(dst, pos []int) (_ []int, ok bool) {
 	n := len(pos)
 	if n < 2 || pos[n-2] != pos[n-1]-1 {
-		return nil
+		return dst, false
 	}
 	// Topmost gap.
 	gi := -1
@@ -504,126 +548,138 @@ func gapZigzagHigh(pos []int) []int {
 	}
 	b := pos[n-1]
 	if gi == -1 {
-		return analyticZigzag(pos[0], b, false)
+		return analyticZigzag(dst, pos[0], b, false), true
 	}
 	a := pos[gi+1] // bottom of the contiguous top segment N = [a..b]
 	fTop := pos[gi]
+	start := len(dst)
 	// Descent: b, b−2, …, ending exactly at a+1.
-	var seq []int
 	switch (b - a) % 2 {
 	case 1: // parity reaches a+1 directly
 		for x := b; x >= a+1; x -= 2 {
-			seq = append(seq, x)
+			dst = append(dst, x)
 		}
 	default: // lands on a+2; a unit step reaches a+1 (needs room for the ascent 3-jump)
 		if b < a+4 {
-			return nil
+			return dst, false
 		}
 		for x := b; x >= a+2; x -= 2 {
-			seq = append(seq, x)
+			dst = append(dst, x)
 		}
-		seq = append(seq, a+1)
+		dst = append(dst, a+1)
 	}
 	// Far part F, covered recursively between the crossings.
-	far := pos[:gi+1]
-	var fSeq []int
-	if len(far) == 1 {
-		fSeq = []int{fTop}
-	} else {
-		fSeq = gapZigzagHigh(far)
-		if fSeq == nil {
-			return nil
-		}
+	if far := pos[:gi+1]; len(far) == 1 {
+		dst = append(dst, fTop)
+	} else if dst, ok = gapZigzagHigh(dst, far); !ok {
+		return dst[:start], false
 	}
-	seq = append(seq, fSeq...)
-	seq = append(seq, a)
+	dst = append(dst, a)
 	// Ascent covering the complement parity, ending at b−1.
 	switch (b - a) % 2 {
 	case 1:
 		for x := a + 2; x <= b-1; x += 2 {
-			seq = append(seq, x)
+			dst = append(dst, x)
 		}
 	default:
 		for x := a + 3; x <= b-1; x += 2 {
-			seq = append(seq, x)
+			dst = append(dst, x)
 		}
 	}
-	return seq
+	return dst, true
 }
 
 // gapZigzagLow is the mirror of gapZigzagHigh: enter the lowest position,
-// exit the second-lowest. Implemented by reflecting the positions.
-func gapZigzagLow(pos []int) []int {
+// exit the second-lowest. Implemented by reflecting the positions into
+// sc.mirror.
+func (sc *ringScratch) gapZigzagLow(dst, pos []int) (_ []int, ok bool) {
 	n := len(pos)
 	if n < 2 {
-		return nil
+		return dst, false
 	}
 	pivot := pos[0] + pos[n-1]
-	mirror := make([]int, n)
+	mirror := slices.Grow(sc.mirror[:0], n)[:n]
+	sc.mirror = mirror
 	for i, x := range pos {
 		mirror[n-1-i] = pivot - x
 	}
-	seq := gapZigzagHigh(mirror)
-	if seq == nil {
-		return nil
+	start := len(dst)
+	if dst, ok = gapZigzagHigh(dst, mirror); !ok {
+		return dst, false
 	}
+	seq := dst[start:]
 	for i, x := range seq {
 		seq[i] = pivot - x
 	}
-	return seq
+	return dst, true
 }
 
-// analyticZigzag covers the contiguous interval [lo..hi] entering and
-// exiting at the low end (lo → lo+1) or, when fromLow is false, at the
-// high end (hi → hi-1): same-parity ascent, one unit step, other-parity
-// descent. Uses only offsets 1 and 2.
-func analyticZigzag(lo, hi int, fromLow bool) []int {
-	var out []int
+// analyticZigzag appends the cover of the contiguous interval [lo..hi]
+// that enters and exits at the low end (lo → lo+1) or, when fromLow is
+// false, at the high end (hi → hi-1): same-parity ascent, one unit step,
+// other-parity descent. Uses only offsets 1 and 2.
+func analyticZigzag(dst []int, lo, hi int, fromLow bool) []int {
 	if fromLow {
 		for x := lo; x <= hi; x += 2 {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 		start := hi
 		if (hi-lo)%2 == 0 {
 			start = hi - 1
 		}
 		for x := start; x >= lo+1; x -= 2 {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 	} else {
 		for x := hi; x >= lo; x -= 2 {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 		start := lo
 		if (hi-lo)%2 == 0 {
 			start = lo + 1
 		}
 		for x := start; x <= hi-1; x += 2 {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
 	}
-	return out
+	return dst
 }
 
-// dfsZigzag finds a Hamiltonian path over the block positions from start
-// to end using the real ring edges, with a budget proportional to the
-// block size. Returns nil when none is found within budget.
-func dfsZigzag(pos []int, start, end int, edge func(x, y int) bool) []int {
+// zigzagWindow is how many block positions on either side dfsZigzag scans
+// for a neighbour: ring offsets are bounded, so only nearby positions can
+// be adjacent, and scanning a small window keeps the search O(n).
+const zigzagWindow = 12
+
+// zigzagDFS is dfsZigzag's search state, kept in the ring scratch so a
+// search allocates nothing once it has grown. adj and visited are over
+// block indices, and adj[i] is a window of adjBuf with room for every
+// neighbour index i can have.
+type zigzagDFS struct {
+	pos     []int
+	adj     [][]int
+	adjBuf  []int
+	visited []bool
+	path    []int
+	end     int
+	budget  int
+}
+
+// dfsZigzag appends to dst a Hamiltonian path over the block positions pos
+// from pos[si] to pos[ei] (si ≠ ei) using the real ring edges, with a
+// budget proportional to the block size. ok is false, and dst unchanged,
+// when none is found within budget.
+func (sc *ringScratch) dfsZigzag(dst, pos []int, si, ei int, edge func(x, y int) bool) (_ []int, ok bool) {
+	z := &sc.zz
 	n := len(pos)
-	idx := make(map[int]int, n)
-	for i, p := range pos {
-		idx[p] = i
+	const deg = 2 * zigzagWindow
+	z.adj = slices.Grow(z.adj[:0], n)[:n]
+	z.adjBuf = slices.Grow(z.adjBuf[:0], n*deg)[:n*deg]
+	adj := z.adj
+	for i := range adj {
+		adj[i] = z.adjBuf[i*deg : i*deg : (i+1)*deg]
 	}
-	si, ok1 := idx[start]
-	ei, ok2 := idx[end]
-	if !ok1 || !ok2 || si == ei {
-		return nil
-	}
-	adj := make([][]int, n)
 	for i := 0; i < n; i++ {
-		// Ring offsets are bounded, so only nearby positions can be
-		// adjacent; scanning a small window keeps this O(n).
-		for j := i + 1; j < n && j <= i+12; j++ {
+		for j := i + 1; j < n && j <= i+zigzagWindow; j++ {
 			if edge(pos[i], pos[j]) {
 				adj[i] = append(adj[i], j)
 				adj[j] = append(adj[j], i)
@@ -646,39 +702,44 @@ func dfsZigzag(pos []int, start, end int, edge func(x, y int) bool) []int {
 			a[y+1] = v
 		}
 	}
-	visited := make([]bool, n)
-	path := make([]int, 0, n)
-	budget := 256 * n
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		visited[u] = true
-		path = append(path, pos[u])
-		if len(path) == n {
-			if u == ei {
-				return true
-			}
-		} else {
-			for _, v := range adj[u] {
-				if visited[v] || (v == ei && len(path) != n-1) {
-					continue
-				}
-				if dfs(v) {
-					return true
-				}
-			}
-		}
-		visited[u] = false
-		path = path[:len(path)-1]
+	z.pos, z.end, z.budget = pos, ei, 256*n
+	z.visited = slices.Grow(z.visited[:0], n)[:n]
+	clear(z.visited)
+	z.path = slices.Grow(z.path[:0], n)
+	found := z.dfs(si)
+	z.pos = nil
+	if !found {
+		return dst, false
+	}
+	return append(dst, z.path...), true
+}
+
+// dfs extends z.path from block index u, depth first.
+func (z *zigzagDFS) dfs(u int) bool {
+	if z.budget <= 0 {
 		return false
 	}
-	if dfs(si) {
-		return append([]int(nil), path...)
+	z.budget--
+	n := len(z.pos)
+	z.visited[u] = true
+	z.path = append(z.path, z.pos[u])
+	if len(z.path) == n {
+		if u == z.end {
+			return true
+		}
+	} else {
+		for _, v := range z.adj[u] {
+			if z.visited[v] || (v == z.end && len(z.path) != n-1) {
+				continue
+			}
+			if z.dfs(v) {
+				return true
+			}
+		}
 	}
-	return nil
+	z.visited[u] = false
+	z.path = z.path[:len(z.path)-1]
+	return false
 }
 
 // stridePriority ranks candidate hops for dfsZigzag: parity-preserving
@@ -698,8 +759,9 @@ func stridePriority(from, to int) int {
 // against the real graph; nil on any inconsistency (caller falls back).
 // ringOrder lists the C positions in visit order, starting at S[b] and
 // ending at a position adjacent to S[c] (c itself excluded). The healthy I
-// and O labels are the ones planAsymptotic left in the scratch.
-func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int, ringOrder []int) graph.Path {
+// and O labels are the ones planAsymptotic left in the scratch. The path
+// is stitched in the scratch and, once certified, copied into dst.
+func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int, ringOrder []int, dst graph.Path) graph.Path {
 	ok := func(v int) bool { return v >= 0 && (faults == nil || !faults.Contains(v)) }
 	k := lay.K
 	sc := &s.planScratch
@@ -763,7 +825,7 @@ func (s *Solver) assemblePlan(lay *construct.Layout, faults bitset.Set, b, c int
 	if !s.certified(faults, out) {
 		return nil
 	}
-	return slices.Clone(out)
+	return append(dst[:0], out...)
 }
 
 // certified is the verifier's own certificate check plus the orientation

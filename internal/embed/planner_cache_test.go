@@ -175,50 +175,122 @@ func TestPlannerCacheMatchesFreshSolver(t *testing.T) {
 
 var plannedSink graph.Path
 
-// TestPlannerCacheHitAllocs pins the planner's allocation on a cache hit:
-// with the faulty ring positions unchanged from the previous call, the
-// returned path is the only allocation. That holds for the primary ring
-// plan and for the fallback plans, which a call reaches only after every
-// endpoint pair of the primary plan has failed.
+// deltaWalk cycles one Solver through a list of fault sets the way a
+// sweep worker does: each call is a FindDelta handed the delta from the
+// previous set and the walk's own path buffer.
+type deltaWalk struct {
+	s              *embed.Solver
+	faults         bitset.Set
+	removed, added [][]int // from the set before set i to set i
+	buf            graph.Path
+	i              int
+}
+
+func newDeltaWalk(s *embed.Solver, sets []bitset.Set) *deltaWalk {
+	w := &deltaWalk{s: s, faults: sets[len(sets)-1].Clone()}
+	for i, cur := range sets {
+		prev := sets[(i+len(sets)-1)%len(sets)]
+		var rem, add []int
+		for v := 0; v < cur.Len(); v++ {
+			switch {
+			case prev.Contains(v) && !cur.Contains(v):
+				rem = append(rem, v)
+			case cur.Contains(v) && !prev.Contains(v):
+				add = append(add, v)
+			}
+		}
+		w.removed, w.added = append(w.removed, rem), append(w.added, add)
+	}
+	s.Find(w.faults) // warm endpoint state for the last set, which set 0 follows
+	return w
+}
+
+// step solves the next set into the walk's buffer.
+func (w *deltaWalk) step() embed.Result {
+	i := w.i % len(w.removed)
+	w.i++
+	for _, v := range w.removed[i] {
+		w.faults.Remove(v)
+	}
+	for _, v := range w.added[i] {
+		w.faults.Add(v)
+	}
+	res := w.s.FindDelta(w.faults, w.removed[i], w.added[i], w.buf)
+	if res.Found {
+		w.buf = res.Pipeline
+	}
+	return res
+}
+
+// TestPlannerCacheHitAllocs pins a warm planner call at zero allocations:
+// a FindDelta that hands the Solver the caller's path buffer allocates
+// nothing once the Solver's storage has grown. That holds on a ring-plan
+// hit, with the faulty ring positions unchanged from the previous call,
+// for the primary ring plan and for the fallback plans, which a call
+// reaches only after every endpoint pair of the primary plan has failed.
+// It holds as well when every call changes the faulty ring positions, so
+// that the plans are rebuilt on each call: a rebuild reuses the plans'
+// arenas and the ring scratch.
 func TestPlannerCacheHitAllocs(t *testing.T) {
 	rig := newPlannerRig(t, 26, 5)
 	lay := rig.lay
 	n := rig.g.NumNodes()
 	extras := [][]int{nil, {lay.I[2]}, {lay.O[0], lay.To[4]}, {lay.Ti[1], lay.I[1], lay.O[5]}}
+	primaryRing, fallbackRing := []int{3, 10}, []int{2, 3}
+	setOf := func(ring, extra []int) bitset.Set {
+		faults := bitset.FromSlice(n, extra)
+		for _, j := range ring {
+			faults.Add(lay.C[j])
+		}
+		return faults
+	}
+	var primary, fallback, alternating []bitset.Set
+	for _, extra := range extras {
+		primary = append(primary, setOf(primaryRing, extra))
+		fallback = append(fallback, setOf(fallbackRing, extra))
+		alternating = append(alternating, setOf(primaryRing, extra), setOf(fallbackRing, extra))
+	}
+	check := embed.NewSolver(rig.g, embed.Options{Layout: lay})
+	for _, faults := range primary {
+		if check.PlanPrimary(faults) == nil {
+			t.Fatalf("primary ring plan declines %v", faults.Slice())
+		}
+	}
+	for _, faults := range fallback {
+		if check.PlanPrimary(faults) != nil || check.PlanAsymptotic(faults) == nil {
+			t.Fatalf("%v: want a set only a fallback ring plan resolves", faults.Slice())
+		}
+	}
 	for _, tc := range []struct {
-		name     string
-		ring     []int // the faulty ring positions every set shares
-		fallback bool  // only a fallback ring plan resolves the sets
+		name string
+		sets []bitset.Set
 	}{
-		{"primary", []int{3, 10}, false},
-		{"fallback", []int{2, 3}, true},
+		{"primary", primary},
+		{"fallback", fallback},
+		{"rebuild", alternating}, // consecutive sets never share their faulty ring positions
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var sets []bitset.Set
-			for _, extra := range extras {
-				faults := bitset.FromSlice(n, extra)
-				for _, j := range tc.ring {
-					faults.Add(lay.C[j])
-				}
-				sets = append(sets, faults)
-			}
 			s := embed.NewSolver(rig.g, embed.Options{Layout: lay})
-			for _, faults := range sets {
-				if s.PlanAsymptotic(faults) == nil {
-					t.Fatalf("planner declined %v", faults.Slice())
+			w := newDeltaWalk(s, tc.sets)
+			// One warm-up pass grows the Solver's storage and the buffer.
+			for range tc.sets {
+				before := s.Stats().Planner
+				res := w.step()
+				if !res.Found || s.Stats().Planner != before+1 {
+					t.Fatalf("set %d: found=%v, not resolved by the planner", w.i-1, res.Found)
 				}
-				if primary := s.PlanPrimary(faults) != nil; primary == tc.fallback {
-					t.Fatalf("primary ring plan resolves %v: %v, want %v", faults.Slice(), primary, !tc.fallback)
+				if want := check.PlanAsymptotic(w.faults); !slices.Equal(res.Pipeline, want) {
+					t.Fatalf("set %d: FindDelta planned %v, the planner alone %v", w.i-1, res.Pipeline, want)
 				}
 			}
-			i := 0
 			allocs := testing.AllocsPerRun(200, func() {
-				plannedSink = s.PlanAsymptotic(sets[i%len(sets)])
-				i++
+				if res := w.step(); &res.Pipeline[0] != &w.buf[0] {
+					t.Fatal("the pipeline is not in the caller's buffer")
+				}
 			})
-			t.Logf("allocations per planner call on a cache hit: %.2f", allocs)
-			if allocs > 1 {
-				t.Errorf("planner allocated %.2f times per cache-hit call, want ≤ 1 (the returned path)", allocs)
+			t.Logf("allocations per warm planner call: %.2f", allocs)
+			if allocs != 0 {
+				t.Errorf("a warm planner call allocated %.2f times, want 0", allocs)
 			}
 		})
 	}

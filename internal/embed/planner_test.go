@@ -23,7 +23,7 @@ func planOrNil(t *testing.T, n, k int, faultNodes []int) (*Solver, bitset.Set, [
 }
 
 func planOrNilWith(s *Solver, faults bitset.Set) []int {
-	return s.planAsymptotic(faults)
+	return s.planAsymptotic(faults, nil)
 }
 
 // planOK is the planner's own acceptance of a path, re-checked on a fresh
@@ -60,7 +60,7 @@ func TestPlannerValidatesEverything(t *testing.T) {
 			for faults.Count() < rng.Intn(c.k+1) {
 				faults.Add(rng.Intn(g.NumNodes()))
 			}
-			path := s.planAsymptotic(faults)
+			path := s.planAsymptotic(faults, nil)
 			if path == nil {
 				declined++
 				continue
@@ -94,7 +94,7 @@ func TestPlannerCertifiesLikeVerifier(t *testing.T) {
 			for faults.Count() < rng.Intn(c.k+1) {
 				faults.Add(rng.Intn(g.NumNodes()))
 			}
-			path := s.planAsymptotic(faults)
+			path := s.planAsymptotic(faults, nil)
 			if path == nil {
 				continue
 			}
@@ -141,7 +141,7 @@ func TestPlannerHandlesTerminalFaults(t *testing.T) {
 	for j := 1; j <= 4; j++ {
 		faults.Add(lay.Ti[j])
 	}
-	path := s.planAsymptotic(faults)
+	path := s.planAsymptotic(faults, nil)
 	if path == nil {
 		t.Fatal("planner declined with only terminal faults")
 	}
@@ -165,7 +165,7 @@ func TestPlannerClusteredRingFaults(t *testing.T) {
 		for i := 0; i < runLen; i++ {
 			faults.Add(lay.C[start+i])
 		}
-		path := s.planAsymptotic(faults)
+		path := s.planAsymptotic(faults, nil)
 		if runLen <= lay.P && path == nil {
 			t.Errorf("run of %d ≤ p=%d declined", runLen, lay.P)
 		}
@@ -186,7 +186,7 @@ func TestPlannerDeclinesWithoutLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSolver(g, Options{})
-	if s.planAsymptotic(nil) != nil {
+	if s.planAsymptotic(nil, nil) != nil {
 		t.Fatal("planner worked without a layout")
 	}
 }
@@ -219,6 +219,14 @@ func checkTraversal(t *testing.T, pos []int, tr traversal, edge func(x, y int) b
 	}
 }
 
+// traversalsOf returns the variants blockTraversals gives a block, built
+// into an empty plan.
+func traversalsOf(blk ringBlock, edge func(x, y int) bool) []traversal {
+	var rp ringPlan
+	rp.blockTraversals(blk, edge, &ringScratch{})
+	return rp.vars
+}
+
 func TestBlockTraversalsContiguous(t *testing.T) {
 	// Offsets 1..4 (k=6, p=3) over plain integer positions.
 	edge := func(x, y int) bool {
@@ -237,7 +245,7 @@ func TestBlockTraversalsContiguous(t *testing.T) {
 		if !blk.contiguous {
 			t.Fatal("contiguous flag")
 		}
-		vs := blockTraversals(blk, edge)
+		vs := traversalsOf(blk, edge)
 		// 2 straight + 4 zigzags.
 		if len(vs) != 6 {
 			t.Fatalf("got %d variants, want 6 (%v)", len(vs), pos)
@@ -258,7 +266,7 @@ func TestBlockTraversalsContiguous(t *testing.T) {
 
 func TestBlockTraversalsSingleton(t *testing.T) {
 	edge := func(x, y int) bool { return true }
-	vs := blockTraversals(newRingBlock([]int{42}), edge)
+	vs := traversalsOf(newRingBlock([]int{42}), edge)
 	if len(vs) != 1 || vs[0].enter != 42 || vs[0].exit != 42 {
 		t.Fatalf("singleton variants = %+v", vs)
 	}
@@ -284,7 +292,7 @@ func TestBlockTraversalsGappyZigzag(t *testing.T) {
 	if blk.contiguous {
 		t.Fatal("should not be contiguous")
 	}
-	vs := blockTraversals(blk, edge)
+	vs := traversalsOf(blk, edge)
 	wantEnds := [][2]int{{71, 70}, {70, 71}, {42, 43}, {43, 42}}
 	for _, w := range wantEnds {
 		found := false
@@ -304,7 +312,7 @@ func TestAnalyticZigzag(t *testing.T) {
 	for lo := 3; lo <= 4; lo++ {
 		for hi := lo + 1; hi <= lo+6; hi++ {
 			for _, fromLow := range []bool{true, false} {
-				seq := analyticZigzag(lo, hi, fromLow)
+				seq := analyticZigzag(nil, lo, hi, fromLow)
 				if len(seq) != hi-lo+1 {
 					t.Fatalf("[%d..%d] fromLow=%v: covered %d", lo, hi, fromLow, len(seq))
 				}
@@ -341,7 +349,7 @@ func TestPlannerAgreesWithDPOnSmallest(t *testing.T) {
 	complete := NewSolver(g, Options{Method: Backtracking})
 	for v := 0; v < g.NumNodes(); v++ {
 		faults := bitset.FromSlice(g.NumNodes(), []int{v})
-		planPath := s.planAsymptotic(faults)
+		planPath := s.planAsymptotic(faults, nil)
 		ref := complete.Find(faults)
 		if ref.Unknown {
 			t.Fatalf("reference unknown on single fault %d", v)
@@ -398,9 +406,9 @@ func TestGapZigzagMultiGap(t *testing.T) {
 	for _, dir := range []string{"high", "low"} {
 		var seq []int
 		if dir == "high" {
-			seq = gapZigzagHigh(pos)
+			seq, _ = gapZigzagHigh(nil, pos)
 		} else {
-			seq = gapZigzagLow(pos)
+			seq, _ = new(ringScratch).gapZigzagLow(nil, pos)
 		}
 		if seq == nil {
 			t.Fatalf("%s: constructive zigzag declined", dir)
@@ -433,7 +441,7 @@ func TestGapZigzagParityBranches(t *testing.T) {
 				pos = append(pos, x)
 			}
 		}
-		seq := gapZigzagHigh(pos)
+		seq, _ := gapZigzagHigh(nil, pos)
 		if seq == nil {
 			t.Fatalf("gap at %d: declined", gapAt)
 		}
@@ -459,7 +467,7 @@ func TestGapZigzagDeclinesGapTooWide(t *testing.T) {
 		}
 	}
 	blk := newRingBlock(pos)
-	for _, tr := range blockTraversals(blk, edge) {
+	for _, tr := range traversalsOf(blk, edge) {
 		checkTraversal(t, pos, tr, edge) // every offered variant must be legal
 	}
 }
@@ -473,7 +481,7 @@ func TestRegressionN100K4FaultSet(t *testing.T) {
 	}
 	s := NewSolver(g, Options{Layout: lay})
 	faults := bitset.FromSlice(g.NumNodes(), []int{lay.C[27], lay.C[28], lay.C[29], lay.C[75]})
-	path := s.planAsymptotic(faults)
+	path := s.planAsymptotic(faults, nil)
 	if path == nil {
 		t.Fatal("planner declined the regression fault set")
 	}

@@ -139,3 +139,47 @@ func TestApplyOneTreePerEvent(t *testing.T) {
 		}
 	}
 }
+
+// TestNewTracesBootstrapUnderOneRoot checks that the initial mapping New
+// computes leaves one trace: a "remap" root with op=bootstrap, and its
+// solve and audit phases, the solver's own solve span among them, below
+// it rather than as roots of their own.
+func TestNewTracesBootstrapUnderOneRoot(t *testing.T) {
+	tr := span.Default()
+	tr.Reset()
+	tr.SetEnabled(true)
+	defer func() {
+		tr.SetEnabled(false)
+		tr.Reset()
+	}()
+	sol, err := construct.Design(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reconfig.New(sol); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot()
+	var roots []span.Span
+	names := map[string]int{}
+	for _, sp := range spans {
+		names[sp.Name]++
+		if sp.Parent == 0 {
+			roots = append(roots, sp)
+		}
+	}
+	if len(roots) != 1 || roots[0].Name != "remap" || roots[0].Status != span.OK {
+		t.Fatalf("root spans %+v, want one OK remap root", roots)
+	}
+	if op, _ := roots[0].Attr("op"); op != "bootstrap" {
+		t.Fatalf("remap root op=%q, want bootstrap", op)
+	}
+	if names["solve"] != 2 || names["audit"] != 1 {
+		t.Fatalf("spans by name %v, want the phase and solver solve spans and one audit", names)
+	}
+	for _, sp := range spans {
+		if sp.Trace != roots[0].Trace {
+			t.Fatalf("span %s is in trace %d, the root in %d", sp.Name, sp.Trace, roots[0].Trace)
+		}
+	}
+}

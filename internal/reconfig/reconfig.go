@@ -183,7 +183,14 @@ func New(sol *construct.Solution) (*Manager, error) {
 		}
 		slo.SetDegradation(0, m.k)
 	}
-	if err := m.fullRemap(); err != nil {
+	// The initial mapping is one "remap" root, op=bootstrap, so that its
+	// solve and audit phases are not left as orphan roots in a trace.
+	boot := span.Start(nil, "remap").SetStr("op", "bootstrap")
+	m.remapSpan = boot
+	err := m.fullRemap()
+	m.remapSpan = nil
+	EndPhase(boot, err)
+	if err != nil {
 		return nil, err
 	}
 	m.stats = Stats{Expansions: m.stats.Expansions} // the initial mapping is not a repair
@@ -472,7 +479,9 @@ func (m *Manager) solveRemap() embed.Result {
 		}
 	}
 	clear(m.pendingDelta)
-	return m.solver.FindDelta(m.faults, removed, added)
+	// nil: the pipeline becomes m.path and must not share storage with a
+	// later solve.
+	return m.solver.FindDelta(m.faults, removed, added, nil)
 }
 
 // SolverCache reports the solver's warm-endpoint and memo cache traffic

@@ -7,6 +7,7 @@ package reconfig_test
 // answered from the memo.
 
 import (
+	"slices"
 	"testing"
 
 	"gdpn/internal/embed"
@@ -122,5 +123,40 @@ func TestManagerDeltaSpansRolledBackFault(t *testing.T) {
 	warmHits, warmMisses, _, _ := m.SolverCache()
 	if warmMisses != 0 || warmHits != 1 {
 		t.Fatalf("warm hits/misses = %d/%d, want 1/0", warmHits, warmMisses)
+	}
+}
+
+// TestManagerPipelineSurvivesRemap keeps every slice Pipeline returns
+// across later full remaps, solved ones and one answered from the
+// solver's memo, and requires each unchanged: the manager must not let a
+// later solve write into a path it handed out.
+func TestManagerPipelineSurvivesRemap(t *testing.T) {
+	g, ins, _ := remapChurnGraph()
+	m := managerFor(t, g)
+	first := m.Pipeline()[0]
+	other := ins[0]
+	if other == first {
+		other = ins[1]
+	}
+	var kept, want []graph.Path
+	for i, step := range []func() (reconfig.Tactic, error){
+		func() (reconfig.Tactic, error) { return m.Fault(first) },  // full remap, solved
+		func() (reconfig.Tactic, error) { return m.Repair(first) }, // no change
+		func() (reconfig.Tactic, error) { return m.Fault(other) },  // full remap, solved
+		func() (reconfig.Tactic, error) { return m.Repair(other) }, // no change
+		func() (reconfig.Tactic, error) { return m.Fault(first) },  // full remap, a memo hit
+	} {
+		kept, want = append(kept, m.Pipeline()), append(want, slices.Clone(m.Pipeline()))
+		if _, err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		for j := range kept {
+			if !slices.Equal(kept[j], want[j]) {
+				t.Fatalf("step %d: the pipeline handed out before step %d changed from %v to %v", i, j, want[j], kept[j])
+			}
+		}
+	}
+	if _, _, hits, _ := m.SolverCache(); hits == 0 {
+		t.Fatal("no remap was answered from the memo")
 	}
 }

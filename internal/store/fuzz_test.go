@@ -11,8 +11,9 @@ import (
 	"gdpn/internal/graph"
 )
 
-// refImage is what the reference decoder keeps of a store image. Every
-// map keeps the first record under a key.
+// refImage is what the reference decoder keeps of a store image: the
+// first graph record under a slot, and the latest proof block under a
+// key.
 type refImage struct {
 	labs   map[uint64][]uint64   // each graph record's labeling, nil if none
 	proofs map[proofKey]refProof // blocks whose header parses
@@ -76,7 +77,7 @@ func refDecode(img []byte) (refImage, error) {
 			out.labs[slot] = lab
 		case kindProof:
 			k, blk, parsed := refProofBlock(p)
-			if _, dup := out.proofs[k]; parsed && !dup {
+			if parsed {
 				out.proofs[k] = blk
 			}
 		}

@@ -1,6 +1,9 @@
 package store
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // A proof block holds one size class of a sweep: its orbit
 // representatives (every set of the size when the sweep has no symmetry),
@@ -78,8 +81,10 @@ func (r *GraphRef) AddProofEntry(e *ProofEntries, set, path []int) {
 // PutProof files the proof block of one size class of a sweep from the
 // entries of parts, in order. Only call once every set of that size is
 // decided (no interruption, no unknown, no solver bug, no fail-fast
-// stop): a partial block costs the size a miss on replay. Idempotent per
-// key: the first stored block wins.
+// stop): a partial block costs the size a miss on replay. The latest
+// block under a key wins, so a sweep that re-solves a size whose block
+// failed its replay replaces that block; re-putting the block already
+// stored under the key writes nothing.
 func (r *GraphRef) PutProof(sig uint64, size int, parts []ProofEntries) {
 	width, n, count := idWidth(len(r.inv)), 0, 0
 	for _, e := range parts {
@@ -103,8 +108,11 @@ func (r *GraphRef) PutProof(sig uint64, size int, parts []ProofEntries) {
 	s := r.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.proofs[key]; ok {
-		return
+	if old, ok := s.proofs[key]; ok {
+		if bytes.Equal(old.payload, payload) {
+			return
+		}
+		s.garbage += recordOverhead + len(old.payload)
 	}
 	s.appendLocked(kindProof, payload)
 	tail := s.lastPayloadTail(len(payload))

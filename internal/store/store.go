@@ -4,8 +4,8 @@
 // A Store is one file of versioned, checksummed, append-only binary
 // records, held in memory as the file's image with indexes over it; proof
 // blocks are replayed in place from the image. Records are never mutated
-// in place; newer records supersede older ones (blobs) or are ignored
-// duplicates (groups, proof blocks: the first record wins), and Compact
+// in place; newer records supersede older ones (blobs, proof blocks) or
+// are ignored duplicates (groups: the first record wins), and Compact
 // rewrites the file keeping only live records. Flush persists atomically
 // by writing the complete image to a temp file in the same directory and
 // renaming it over the store path, so a crash can never leave a
@@ -108,9 +108,9 @@ type Store struct {
 	buf     []byte
 	dirty   int
 	entries int
-	// garbage counts the bytes of dead records (superseded blobs, dropped
-	// proof blocks, the record kinds of earlier releases); Close compacts
-	// when it grows past half the file.
+	// garbage counts the bytes of dead records (superseded blobs and proof
+	// blocks, dropped proof blocks, the record kinds of earlier releases);
+	// Close compacts when it grows past half the file.
 	garbage int
 
 	slots  []*slot
@@ -265,9 +265,9 @@ func appendRecord(buf []byte, kind byte, payload []byte) []byte {
 }
 
 // apply validates the record of the given kind whose plen-byte payload
-// starts at buf[off] and enters it in the indexes. Of two groups or proof
-// blocks under one key the first wins, as it does for the puts; a later
-// blob supersedes an earlier one. Verdicts and manifests are dead.
+// starts at buf[off] and enters it in the indexes. Of two groups under one
+// key the first wins, as it does for the puts; a later blob or proof block
+// supersedes an earlier one. Verdicts and manifests are dead.
 func (s *Store) apply(kind byte, off, plen int) error {
 	payload := s.buf[off : off+plen : off+plen]
 	p := &payloadReader{b: payload}
@@ -334,9 +334,10 @@ func (s *Store) apply(kind byte, off, plen int) error {
 			s.garbage += recordOverhead + plen
 			break
 		}
-		if _, dup := s.proofs[k]; !dup {
-			s.proofs[k] = pv
+		if old, dup := s.proofs[k]; dup {
+			s.garbage += recordOverhead + len(old.payload)
 		}
+		s.proofs[k] = pv
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}

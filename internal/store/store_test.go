@@ -256,15 +256,17 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	}
 	g := ringGraph(t, 6)
 	ref := s.Register(g)
+	putBlock(ref, 9, 2, [][]int{{2, 1}}, [][]int{{6, 0, 3, 4, 5, 7}})
 	putBlock(ref, 9, 2, [][]int{{1, 2}}, nil)
 	before := s.Stats().Bytes
-	// Re-puts under the key must not grow the image: the first block wins.
-	putBlock(ref, 9, 2, [][]int{{2, 1}}, [][]int{{6, 0, 3, 4, 5, 7}})
+	// Re-putting the stored block must not grow the image.
+	putBlock(ref, 9, 2, [][]int{{1, 2}}, nil)
 	if got := s.Stats().Bytes; got != before {
 		t.Fatalf("idempotent puts grew the image: %d -> %d", before, got)
 	}
+	// A different block under the key supersedes the stored one.
 	if got := readProof(t, ref, 9, 2); got != "[1 2]:[]" {
-		t.Fatalf("re-put overwrote the first block: %q", got)
+		t.Fatalf("the latest block under the key does not win: %q", got)
 	}
 	// Superseding blob writes create garbage; Compact reclaims it.
 	for i := 0; i < 20; i++ {
@@ -286,7 +288,7 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	if got := readProof(t, ref, 9, 2); got != "[1 2]:[]" {
 		t.Fatalf("block lost by Compact: %q", got)
 	}
-	putBlock(ref, 9, 2, [][]int{{1, 2}}, [][]int{{6, 0, 3, 4, 5, 7}})
+	putBlock(ref, 9, 2, [][]int{{1, 2}}, nil)
 	if got := s.Stats().Bytes; got != shrunk {
 		t.Fatalf("re-put after Compact grew the image: %d -> %d", shrunk, got)
 	}
@@ -696,8 +698,9 @@ func TestStoreCompactImageDigest(t *testing.T) {
 }
 
 // TestStoreCompactImageDigestWithProofs pins the bytes Compact writes for
-// a store of one slot's proof blocks: put out of key order, one shadowed
-// re-put, next to dead records. The blocks follow the group, by key.
+// a store of one slot's proof blocks: put out of key order, one of them
+// superseded by a later put, next to dead records. The blocks follow the
+// group, by key, one per key.
 func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.gdps")
 	s, err := Open(path)
@@ -710,8 +713,8 @@ func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	ref.PutGroup(gr)
 	sig := ref.SweepSig([]int{0, 1, 2, 3, 4, 5}, 2, ref.GroupSig(gr))
 	putBlock(ref, sig, 2, [][]int{{1, 3}, {0, 2}, {2, 4}}, [][]int{nil, {6, 2, 0, 7}, {6, 4, 2, 7}})
+	putBlock(ref, sig, 1, [][]int{{5}}, nil) // superseded: the latest block under a key wins
 	putBlock(ref, sig, 1, [][]int{{3}, {1}}, [][]int{{6, 3, 4, 7}, {6, 1, 2, 7}})
-	putBlock(ref, sig, 1, [][]int{{5}}, nil) // the first block under a key wins
 	putBlock(ref, sig+1, 1, [][]int{{2}}, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

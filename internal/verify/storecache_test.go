@@ -179,6 +179,45 @@ func TestStorePoisonedVerdictFallsBackToSolver(t *testing.T) {
 	}
 }
 
+// TestStorePoisonedBlockIsRefiled poisons a witness in a block, with and
+// without symmetry. The first warm sweep solves that size again and files
+// its block over the poisoned one, so the warm sweeps after it replay
+// every size, make no solver call and write nothing.
+func TestStorePoisonedBlockIsRefiled(t *testing.T) {
+	g := construct.G2(2)
+	for _, symm := range []bool{false, true} {
+		opts := verify.Options{Workers: 1, ExploitSymmetry: symm}
+		base := verify.Exhaustive(g, 2, opts)
+		path := poisonWitness(t, g, 2, opts)
+		var size int64
+		for run := 1; run <= 3; run++ {
+			s := openStore(t, path)
+			o := opts
+			o.Store = s
+			rep := verify.Exhaustive(g, 2, o)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want {
+				t.Errorf("symm=%v run %d: verdict %q, want %q", symm, run, got, want)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch calls := rep.Tiers.Total(); {
+			case run == 1 && calls == 0:
+				t.Errorf("symm=%v: the first warm sweep did not solve the poisoned size again", symm)
+			case run > 1 && calls != 0:
+				t.Errorf("symm=%v run %d: %d solver calls, want 0: the re-solved block was not filed", symm, run, calls)
+			case run > 2 && fi.Size() != size:
+				t.Errorf("symm=%v run %d: the store went from %d to %d bytes, want no write", symm, run, size, fi.Size())
+			}
+			size = fi.Size()
+		}
+	}
+}
+
 // TestStorePoisonedManifestAbandonsWarmPath poisons a witness in a block
 // of a symmetry-reduced proof: the warm proof must abandon that size,
 // count the replay failure and enumerate it cold.
@@ -571,17 +610,19 @@ func splicePath(x []byte, j int) []byte {
 	return append(x[:2+j], x[3+j:]...)
 }
 
-// check runs a warm sweep and a Replay on a copy of the clean store with
-// each damage applied to its size-1 proof block. Every warm verdict must
+// check runs a Replay and then a warm sweep on a copy of the clean store
+// with each damage applied to its size-1 proof block. Replay must leave
+// size 1 unproved and say why; where an entry or an uncovered set is at
+// fault it names that set and its rank, which for a size-1 set of G3(5)'s
+// fault universe (every node) is its node id. Every warm verdict must
 // equal the sweep's without a store, with size 1 falling back to
 // enumeration: a certificate that no longer checks counts a replay
 // failure, and a block that does not decode or does not cover every set of
 // its size (an entry dropped, repeated, or added past the orbits) counts a
-// manifest miss. Replay must leave size 1 unproved and say why; where an
-// entry or an uncovered set is at fault it names that set and its rank,
-// which for a size-1 set of G3(5)'s fault universe (every node) is its
-// node id. The header's count always matches the entries, so only the
-// replay's own checks can catch the damage.
+// manifest miss. The header's count always matches the entries, so only
+// the replay's own checks can catch the damage. The warm sweep files a
+// new size-1 block over the damaged one, so a second warm sweep replays
+// every size.
 func (f proofBlockFixture) check(t *testing.T, damages []proofBlockDamage) {
 	t.Helper()
 	reg := obs.Default()
@@ -604,8 +645,22 @@ func (f proofBlockFixture) check(t *testing.T, damages []proofBlockDamage) {
 		}); n != 1 {
 			t.Fatalf("%s: edited %d size-1 blocks, want 1", tc.name, n)
 		}
-		reg.Reset()
 		s := openStore(t, path)
+		rep := verify.Replay(g, k, verify.Options{Workers: 2, Store: s})
+		s.Close()
+		want := verify.FaultSetRecord{Err: "size 1: "}
+		if named >= 0 {
+			v := canonicalNode(g, named)
+			want = verify.FaultSetRecord{Nodes: []int{v}, Err: fmt.Sprintf("size 1 rank %d: ", v)}
+		}
+		if rep.OK() || rep.UnknownCount != int64(g.NumNodes()) || len(rep.Unknowns) != 1 ||
+			!slices.Equal(rep.Unknowns[0].Nodes, want.Nodes) || !strings.HasPrefix(rep.Unknowns[0].Err, want.Err) {
+			t.Errorf("%s: Replay reported %d unknowns %+v; want the %d sets of size 1 unproved, for %v %q…",
+				tc.name, rep.UnknownCount, rep.Unknowns, g.NumNodes(), want.Nodes, want.Err)
+		}
+
+		reg.Reset()
+		s = openStore(t, path)
 		opts := f.opts
 		opts.Store = s
 		warm := verify.Exhaustive(g, k, opts)
@@ -627,17 +682,12 @@ func (f proofBlockFixture) check(t *testing.T, damages []proofBlockDamage) {
 		}
 
 		s = openStore(t, path)
-		rep := verify.Replay(g, k, verify.Options{Workers: 2, Store: s})
+		opts.Store = s
+		again := verify.Exhaustive(g, k, opts)
 		s.Close()
-		want := verify.FaultSetRecord{Err: "size 1: "}
-		if named >= 0 {
-			v := canonicalNode(g, named)
-			want = verify.FaultSetRecord{Nodes: []int{v}, Err: fmt.Sprintf("size 1 rank %d: ", v)}
-		}
-		if rep.OK() || rep.UnknownCount != int64(g.NumNodes()) || len(rep.Unknowns) != 1 ||
-			!slices.Equal(rep.Unknowns[0].Nodes, want.Nodes) || !strings.HasPrefix(rep.Unknowns[0].Err, want.Err) {
-			t.Errorf("%s: Replay reported %d unknowns %+v; want the %d sets of size 1 unproved, for %v %q…",
-				tc.name, rep.UnknownCount, rep.Unknowns, g.NumNodes(), want.Nodes, want.Err)
+		if again.VerdictSummary() != f.base.VerdictSummary() || again.Tiers.Total() != 0 {
+			t.Errorf("%s: second warm sweep %q made %d solver calls; want %q and none",
+				tc.name, again.VerdictSummary(), again.Tiers.Total(), f.base.VerdictSummary())
 		}
 	}
 }
@@ -781,9 +831,9 @@ func TestReplayErrorsLocateTheCertificate(t *testing.T) {
 // TestStoreProofBlockMustCoverItsSize files, for G3(2), k=3, proof
 // blocks that list only the positive orbit representatives of each size,
 // counts and CRCs intact, as an edited store might. Replayed without a
-// coverage check, they turned the cold disproof into a clean proof. The
-// warm sweep must reach the cold verdict, and Replay must fail, naming
-// the first uncovered set (the least negative one) and its rank.
+// coverage check, they turned the cold disproof into a clean proof.
+// Replay must fail, naming the first uncovered set (the least negative
+// one) and its rank, and the warm sweep must reach the cold verdict.
 func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 	g := construct.G3(2)
 	const k = 3
@@ -843,10 +893,9 @@ func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 		ref.PutProof(sig, size, []store.ProofEntries{reps})
 	}
 
+	// Replay first: the warm sweep files complete blocks over the
+	// positive-only ones.
 	opts.Store = s
-	if got, want := verify.Exhaustive(g, k, opts).VerdictSummary(), cold.VerdictSummary(); got != want {
-		t.Errorf("warm verdict from positive-only blocks:\n got %q\nwant %q", got, want)
-	}
 	rep := verify.Replay(g, k, opts)
 	want := fmt.Sprintf("size %d rank %d: ", gapSize, combin.NewRanker(n, gapSize).Rank(gap))
 	found := false
@@ -856,6 +905,9 @@ func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 	if rep.OK() || !found {
 		t.Errorf("Replay of positive-only blocks: %s, unknowns %+v; want one naming %v %q…",
 			rep.VerdictSummary(), rep.Unknowns, gap, want)
+	}
+	if got, want := verify.Exhaustive(g, k, opts).VerdictSummary(), cold.VerdictSummary(); got != want {
+		t.Errorf("warm verdict from positive-only blocks:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -591,6 +591,7 @@ type worker struct {
 
 	prev, cur      []int // node ids of the previous/current fault set, ascending
 	removed, added []int
+	path           graph.Path // the solver builds each pipeline here
 
 	// ref is the store slot, nil when no store is attached. blocks, when
 	// non-nil, accumulates by size the proof-block entries of the
@@ -653,7 +654,12 @@ func (w *worker) check(sub []int) bool {
 	w.prev = append(w.prev[:0], w.cur...)
 
 	w.local.Checked++
-	res := w.solver.FindDelta(w.faults, w.removed, w.added)
+	res := w.solver.FindDelta(w.faults, w.removed, w.added, w.path)
+	if res.Found {
+		// Keep the buffer, grown if the solver had to: the pipeline is
+		// certified and encoded below and not retained past this set.
+		w.path = res.Pipeline
+	}
 	if res.Unknown && w.stop.Stopped() {
 		// Canceled mid-solve: Unknown here means "abandoned", not "budget
 		// exhausted" — the set is uncounted rather than misreported.
