@@ -69,9 +69,8 @@ func Subsets(n, k int, fn func(sub []int) bool) int64 {
 // its lexicographic successor in place. It returns false (leaving sub
 // unchanged) when sub is already the last subset, {n-k..n-1}. The exhaustive
 // verifier iterates rank ranges with NextSubset instead of calling Unrank
-// per rank: advancing is O(k) and, crucially, touches only a suffix of sub,
-// which lets callers derive the incremental fault-set delta between
-// consecutive ranks.
+// per rank: advancing is O(k) and touches only a suffix of sub, so
+// consecutive ranks share most of their members.
 func NextSubset(n int, sub []int) bool {
 	k := len(sub)
 	i := k - 1

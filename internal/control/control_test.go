@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,16 +91,20 @@ func TestExecutorBootstrapPartition(t *testing.T) {
 
 // TestExecutorCoordinatedReplan drives traffic through all three tenants
 // while pool faults and repairs arrive, and checks every replan keeps the
-// partition valid and every tenant's lifetime audit clean.
+// partition valid and every tenant's lifetime audit clean. Traffic stops
+// only once every tenant has had a Submit accepted, so a loaded host that
+// starves one tenant's goroutine through the six events delays the stop
+// instead of failing the audit.
 func TestExecutorCoordinatedReplan(t *testing.T) {
 	x, sol := mustExecutor(t, mixedTopo)
 	tenants := []string{"gold-a", "silver-b", "bronze-c"}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, name := range tenants {
+	accepted := make([]atomic.Int64, len(tenants))
+	for i, name := range tenants {
 		wg.Add(1)
-		go func(name string, seed int64) {
+		go func(i int, name string, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			seq := 0
@@ -117,6 +122,7 @@ func TestExecutorCoordinatedReplan(t *testing.T) {
 				switch {
 				case err == nil:
 					seq++
+					accepted[i].Add(1)
 				case errors.Is(err, control.ErrBackpressure):
 					// Bronze drop: seq NOT consumed, frame never entered.
 				case errors.Is(err, control.ErrTenantShed):
@@ -126,7 +132,7 @@ func TestExecutorCoordinatedReplan(t *testing.T) {
 					return
 				}
 			}
-		}(name, int64(len(name)))
+		}(i, name, int64(len(name)))
 	}
 
 	procs := sol.Graph.Processors()
@@ -146,6 +152,24 @@ func TestExecutorCoordinatedReplan(t *testing.T) {
 			t.Fatalf("Repair(%d): %v", node, err)
 		}
 		checkPartition(t, x, sol)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		idle := -1
+		for i := range accepted {
+			if accepted[i].Load() == 0 {
+				idle = i
+				break
+			}
+		}
+		if idle < 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			x.Close()
+			t.Fatalf("tenant %s had no Submit accepted within 10s", tenants[idle])
+		}
 	}
 	close(stop)
 	wg.Wait()

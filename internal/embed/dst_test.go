@@ -12,16 +12,15 @@ import (
 // TestPipelineStorageContract pins who owns a returned pipeline. Find's
 // path is freshly allocated, so two successive results on one Solver
 // never share storage (callers keep them: the benchmark's certificate
-// check holds hundreds). FindDelta with dst = nil returns a fresh path as
+// check holds hundreds). FindInto with dst = nil returns a fresh path as
 // well; with a buffer it writes the path into the buffer, also when the
 // result comes from the Options.Memo cache.
 func TestPipelineStorageContract(t *testing.T) {
 	rig := newPlannerRig(t, 26, 5)
 	lay := rig.lay
 	n := rig.g.NumNodes()
-	extra := lay.I[2]
 	one := bitset.FromSlice(n, []int{lay.C[3]})
-	two := bitset.FromSlice(n, []int{lay.C[3], extra})
+	two := bitset.FromSlice(n, []int{lay.C[3], lay.I[2]})
 	same := func(a, b graph.Path) bool { return &a[0] == &b[0] }
 
 	for _, memo := range []bool{false, true} {
@@ -43,25 +42,20 @@ func TestPipelineStorageContract(t *testing.T) {
 		}
 		keep("Find", s.Find(one))
 		keep("second Find", s.Find(two))
-		keep("FindDelta(nil)", s.FindDelta(one, []int{extra}, nil, nil))
+		keep("FindInto(nil)", s.FindInto(one, nil))
 
 		buf := make(graph.Path, 0, 2*n)
-		for i, step := range []struct {
-			faults         bitset.Set
-			removed, added []int
-		}{{two, nil, []int{extra}}, {one, []int{extra}, nil}} {
+		for i, faults := range []bitset.Set{two, one} {
 			memoHits, _ := s.Memo()
-			res := s.FindDelta(step.faults, step.removed, step.added, buf)
+			res := s.FindInto(faults, buf)
 			if !res.Found || !same(res.Pipeline, buf[:1]) {
-				t.Fatalf("memo=%v FindDelta(buf) %d: found=%v, pipeline not in the buffer", memo, i, res.Found)
+				t.Fatalf("memo=%v FindInto(buf) %d: found=%v, pipeline not in the buffer", memo, i, res.Found)
 			}
 			if hits, _ := s.Memo(); memo && hits != memoHits+1 {
-				t.Fatalf("memo=%v FindDelta(buf) %d: not a memo hit", memo, i)
+				t.Fatalf("memo=%v FindInto(buf) %d: not a memo hit", memo, i)
 			}
-			// Find leaves the endpoint state warm for step.faults, so the
-			// next step's delta still applies.
-			if fresh := s.Find(step.faults); !slices.Equal(res.Pipeline, fresh.Pipeline) {
-				t.Fatalf("memo=%v FindDelta(buf) %d: %v, Find %v", memo, i, res.Pipeline, fresh.Pipeline)
+			if fresh := s.Find(faults); !slices.Equal(res.Pipeline, fresh.Pipeline) {
+				t.Fatalf("memo=%v FindInto(buf) %d: %v, Find %v", memo, i, res.Pipeline, fresh.Pipeline)
 			}
 		}
 		for i := range kept {

@@ -19,18 +19,21 @@
 // The Auto method runs them as one ladder, cheapest first: the planner
 // (when a Layout is supplied), the DP for at most 18 healthy processors,
 // a budget-capped backtracking probe, the DP up to MaxDPProcessors, and
-// finally the full-budget backtracker.
+// finally the full-budget backtracker. The planner builds each pipeline
+// from the ring layout and the fault set alone; the healthy-processor
+// list and the endpoint candidate sets the search engines start from are
+// built, from scratch, only when it declines.
 //
 // Every engine returns either a full pipeline (which callers re-validate
 // with verify.CheckPipeline) or "not found"; the search engines can also
 // report "unknown" when an explicit node budget is exhausted.
 //
 // A found pipeline is written into storage the caller chooses. Find
-// always returns a freshly allocated path. FindDelta takes a trailing dst
-// buffer and builds the path as append(dst[:0], …), whichever tier or the
-// result memo answers: a caller that passes the same buffer on every call
-// (the exhaustive verifier's workers) gets a warm planner call that
-// allocates nothing, and one that keeps the path passes nil.
+// always returns a freshly allocated path. FindInto takes a dst buffer and
+// builds the path as append(dst[:0], …), whichever tier or the result memo
+// answers: a caller that passes the same buffer on every call (the
+// exhaustive verifier's workers) gets a warm planner call that allocates
+// nothing, and one that keeps the path passes nil.
 package embed
 
 import (
@@ -89,7 +92,7 @@ type Options struct {
 	// result is Unknown = true rather than Found = false.
 	Budget int64
 	// Res is the ambient cancellation/budget token shared by every Find /
-	// FindDelta call of this solver: cancel it and the search engines
+	// FindInto call of this solver: cancel it and the search engines
 	// return Unknown at their next expansion. nil = never stops. A
 	// wall-clock bound is a token with a deadline, e.g. Scoped(nil, d).
 	// The O(n) planner tier is not bounded — it finishes far below any
@@ -187,20 +190,13 @@ type Solver struct {
 	stats TierStats
 
 	// Scratch reused across calls.
-	procs   []int // processor node ids
-	procIdx []int // node id -> processor index, -1 otherwise
-	healthy []int // healthy processor node ids, ascending
-	dpTable []uint32
-	bt      *backtracker
-	chk     *graph.Checker // certifies the planner's paths; built on first use
-
-	// Warm endpoint state for FindDelta: the healthy list and the
-	// start/end candidate sets left behind by the previous call, valid for
-	// exactly the fault set that call solved. FindDelta patches it from the
-	// caller-supplied delta instead of rescanning every node.
-	warmValid            bool
-	warmStart, warmEnd   bitset.Set
-	warmHits, warmMisses int64
+	procs      []int      // processor node ids
+	procSet    bitset.Set // the same ids as a set, to count faulty processors
+	healthy    []int      // healthy processor node ids, ascending
+	start, end bitset.Set // endpoint candidates (see endpoints)
+	dpTable    []uint32
+	bt         *backtracker
+	chk        *graph.Checker // certifies the planner's paths; built on first use
 
 	// Result memo (Options.Memo): definitive results keyed by the encoded
 	// fault set. memoIDs/memoKey are reusable key-building scratch.
@@ -224,8 +220,6 @@ type Solver struct {
 	findTime   *obs.Histogram  // wall time per Find call
 	expansions *obs.Counter    // DFS node expansions / DP transitions
 	tiers      [5]*obs.Counter // per-tier resolutions, same order as tierDeltas
-	warmHit    *obs.Counter
-	warmMiss   *obs.Counter
 	memoHit    *obs.Counter
 	memoMiss   *obs.Counter
 	cancels    *obs.Counter // calls abandoned because the token stopped
@@ -235,26 +229,18 @@ type Solver struct {
 func NewSolver(g *graph.Graph, opts Options) *Solver {
 	s := &Solver{g: g, opts: opts}
 	s.procs = g.Processors()
-	s.procIdx = make([]int, g.NumNodes())
-	for i := range s.procIdx {
-		s.procIdx[i] = -1
-	}
-	for i, p := range s.procs {
-		s.procIdx[p] = i
-	}
+	s.procSet = bitset.FromSlice(g.NumNodes(), s.procs)
 	if s.opts.Budget == 0 {
 		s.opts.Budget = DefaultBudget
 	}
-	s.warmStart = bitset.New(g.NumNodes())
-	s.warmEnd = bitset.New(g.NumNodes())
+	s.start = bitset.New(g.NumNodes())
+	s.end = bitset.New(g.NumNodes())
 	s.reg = obs.Default()
 	s.findTime = s.reg.Histogram("embed_find_ns")
 	s.expansions = s.reg.Counter("embed_expansions_total")
 	for i, name := range tierNames {
 		s.tiers[i] = s.reg.Counter("embed_tier_total", obs.L("tier", name))
 	}
-	s.warmHit = s.reg.Counter("embed_warm_total", obs.L("result", "hit"))
-	s.warmMiss = s.reg.Counter("embed_warm_total", obs.L("result", "miss"))
 	s.memoHit = s.reg.Counter("embed_memo_hit_total")
 	s.memoMiss = s.reg.Counter("embed_memo_miss_total")
 	s.cancels = s.reg.Counter("embed_cancel_total")
@@ -272,50 +258,33 @@ func tierDeltas(t TierStats) [5]int64 {
 func (s *Solver) Stats() TierStats { return s.stats }
 
 // Find searches for a pipeline in g \ faults. faults may be nil (no
-// faults). The returned Result.Pipeline is freshly allocated. Find rebuilds
-// the endpoint state from scratch (and leaves it warm for a subsequent
-// FindDelta).
+// faults). The returned Result.Pipeline is freshly allocated. A call
+// depends on nothing but faults and the graph: the state a Solver keeps
+// across calls (ring plans, the Options.Memo cache) only saves work.
 func (s *Solver) Find(faults bitset.Set) Result {
-	return s.timed(faults, nil, nil, false, nil)
+	return s.timed(faults, nil)
 }
 
-// FindDelta is Find for a fault set that differs from the previous call's
-// by a known delta: removed lists the node ids that left the fault set and
-// added the ids that entered it, and faults must already reflect both. When
-// the previous call left warm endpoint state (any Find or FindDelta does),
-// only the changed nodes and their neighborhoods are rescanned — the win
-// over Find on the exhaustive verifier's lexicographic walk, where
-// consecutive fault sets share almost all members. With no warm state (the
-// first call of a chunk) it falls back to the full rebuild.
-//
-// Passing a delta that does not match the previous fault set corrupts the
-// endpoint state; callers own that invariant.
-//
-// A found Result.Pipeline is append(dst[:0], …): it shares dst's backing
-// array whenever dst has the capacity, so it is valid only until the
-// caller reuses dst, and dst's contents are unspecified after a call that
-// finds nothing. With dst = nil the path is freshly allocated, as Find's
-// is; a caller that keeps the path must pass nil or copy it out.
-func (s *Solver) FindDelta(faults bitset.Set, removed, added []int, dst graph.Path) Result {
-	return s.timed(faults, removed, added, true, dst)
+// FindInto is Find with the pipeline built into storage the caller
+// chooses. A found Result.Pipeline is append(dst[:0], …): it shares dst's
+// backing array whenever dst has the capacity, so it is valid only until
+// the caller reuses dst, and dst's contents are unspecified after a call
+// that finds nothing. With dst = nil the path is freshly allocated, as
+// Find's is; a caller that keeps the path must pass nil or copy it out.
+func (s *Solver) FindInto(faults bitset.Set, dst graph.Path) Result {
+	return s.timed(faults, dst)
 }
-
-// Warm returns how many FindDelta calls reused warm endpoint state versus
-// rebuilt it from scratch.
-func (s *Solver) Warm() (hits, misses int64) { return s.warmHits, s.warmMisses }
 
 // Memo returns how many calls were answered from the result memo versus
 // solved (always (0, 0) unless Options.Memo is set).
 func (s *Solver) Memo() (hits, misses int64) { return s.memoHits, s.memoMisses }
 
 // InvalidateCache drops every piece of state derived from past solves:
-// the FindDelta warm endpoint state, the planner's ring plans and
-// certificate checker, and the Options.Memo result cache.
-// Call it whenever the graph changes underneath the solver — cached
-// verdicts and warm endpoint sets are only sound for the topology they
-// were computed on.
+// the planner's ring plans and certificate checker, and the Options.Memo
+// result cache. Call it whenever the graph changes underneath the solver —
+// cached plans and verdicts are only sound for the topology they were
+// computed on.
 func (s *Solver) InvalidateCache() {
-	s.warmValid = false
 	s.rings.built = 0
 	s.chk = nil
 	if s.memo != nil {
@@ -380,28 +349,27 @@ func (s *Solver) memoStore(res Result) {
 }
 
 // SetResources replaces the ambient cancellation/budget token for
-// subsequent Find / FindDelta calls (see Options.Res). nil detaches.
+// subsequent Find / FindInto calls (see Options.Res). nil detaches.
 func (s *Solver) SetResources(r *Resources) { s.opts.Res = r }
 
 // Resources returns the ambient token (nil when unset).
 func (s *Solver) Resources() *Resources { return s.opts.Res }
 
-// SetSpan attaches the causal parent for subsequent Find / FindDelta
+// SetSpan attaches the causal parent for subsequent Find / FindInto
 // calls: each call then records a "solve" child span carrying the
-// resolving tier, warm-start reuse and expansions. nil detaches (solve
+// resolving tier and expansions. nil detaches (solve
 // spans become roots, or disappear entirely while the tracer is disabled).
 func (s *Solver) SetSpan(sp *span.S) { s.spanParent = sp }
 
-func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool, dst graph.Path) Result {
+func (s *Solver) timed(faults bitset.Set, dst graph.Path) Result {
 	observing := s.reg.Enabled()
 	sp := span.Start(s.spanParent, "solve")
 	if !observing && sp == nil {
-		return s.find(faults, removed, added, delta, dst)
+		return s.find(faults, dst)
 	}
 	start := time.Now()
 	before := tierDeltas(s.stats)
-	warmBefore := s.warmHits
-	res := s.find(faults, removed, added, delta, dst)
+	res := s.find(faults, dst)
 	if observing {
 		s.findTime.ObserveSince(start)
 		s.expansions.Add(res.Expansions)
@@ -416,7 +384,7 @@ func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool, dst 
 		}
 	}
 	if sp != nil {
-		s.endSolveSpan(sp, res, tier, s.warmHits > warmBefore)
+		s.endSolveSpan(sp, res, tier)
 	}
 	if slo := span.DefaultSLO(); slo.Enabled() {
 		slo.Observe("solve", time.Since(start))
@@ -424,16 +392,13 @@ func (s *Solver) timed(faults bitset.Set, removed, added []int, delta bool, dst 
 	return res
 }
 
-// endSolveSpan finishes one per-call solve span with the tier, warm-start
-// and cancellation-reason attributes.
-func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string, warm bool) {
+// endSolveSpan finishes one per-call solve span with the tier and
+// cancellation-reason attributes.
+func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string) {
 	if tier != "" {
 		sp.SetStr("tier", tier)
 	}
 	sp.SetInt("expansions", res.Expansions)
-	if warm {
-		sp.SetStr("warm", "hit")
-	}
 	status := span.OK
 	switch {
 	case res.Found:
@@ -455,41 +420,37 @@ func (s *Solver) endSolveSpan(sp *span.S, res Result, tier string, warm bool) {
 	sp.End(status)
 }
 
-func (s *Solver) find(faults bitset.Set, removed, added []int, delta bool, dst graph.Path) Result {
+func (s *Solver) find(faults bitset.Set, dst graph.Path) Result {
 	s.run = s.opts.Res
-	var ends endpoints
-	var ok bool
-	if delta && s.warmValid {
-		s.warmHits++
-		s.warmHit.Add(1)
-		ends, ok = s.deltaEndpoints(faults, removed, added)
-	} else {
-		if delta {
-			s.warmMisses++
-			s.warmMiss.Add(1)
-		}
-		ends, ok = s.endpoints(faults)
-	}
-	s.warmValid = true
-	// Consulted only after the endpoint state is patched: a memo hit must
-	// leave the warm state exactly as a solved call would, so the next
-	// FindDelta's delta still applies to it.
 	if s.opts.Memo {
 		if r, hit := s.memoLookup(faults, dst); hit {
 			return r
 		}
 	}
-	res := s.solvePrepared(faults, ends, ok, dst)
+	res := s.solve(faults, dst)
 	if s.opts.Memo && !res.Unknown {
 		s.memoStore(res)
 	}
 	return res
 }
 
-// solvePrepared runs the trivial cases and engine dispatch for a call
-// whose endpoint state is already prepared (ok=false: no viable
-// endpoints survive the fault set). A found path is built into dst.
-func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool, dst graph.Path) Result {
+// solve answers one call that missed the memo, building a found path into
+// dst. The constructive planner goes first: it is the cheapest applicable
+// tier on the asymptotic family (O(n), no search, and it covers almost
+// every fault set; experiment P3 measures the hit rate), and it needs
+// nothing but the fault set. It runs only with more than one healthy
+// processor, which leaves the one-processor case to the trivial tier.
+// Only when it declines are the endpoint sets built, for the trivial cases
+// and the rest of the ladder. A fault set with no viable endpoints gets no
+// certified plan, so it reaches the trivial tier too.
+func (s *Solver) solve(faults bitset.Set, dst graph.Path) Result {
+	if s.opts.Method == Auto && s.opts.Layout != nil && len(s.procs)-faults.IntersectionCount(s.procSet) > 1 {
+		if planned := s.planAsymptotic(faults, dst); planned != nil {
+			s.stats.Planner++
+			return Result{Pipeline: planned, Found: true}
+		}
+	}
+	ends, ok := s.endpoints(faults)
 	if !ok {
 		s.stats.Trivial++
 		return Result{Found: false}
@@ -517,7 +478,7 @@ func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool, dst g
 		return Result{Found: false}
 	}
 
-	res := s.dispatch(faults, ends, dst)
+	res := s.dispatch(ends, dst)
 	if res.Unknown && stopped(s.run) {
 		// The call was abandoned by the token (cancel, deadline, or
 		// budget), not by a genuine search-space exhaustion.
@@ -527,14 +488,14 @@ func (s *Solver) solvePrepared(faults bitset.Set, ends endpoints, ok bool, dst g
 }
 
 // dispatch routes one prepared call to the selected engine.
-func (s *Solver) dispatch(faults bitset.Set, ends endpoints, dst graph.Path) Result {
+func (s *Solver) dispatch(ends endpoints, dst graph.Path) Result {
 	switch s.opts.Method {
 	case DP:
 		return s.findDP(ends, s.run, dst)
 	case Backtracking:
 		return s.findBacktrack(ends, s.opts.Budget, s.run, dst)
 	default: // Auto: the staged ladder, cheapest engine first.
-		return s.ladder(faults, ends, dst)
+		return s.ladder(ends, dst)
 	}
 }
 
@@ -544,18 +505,10 @@ func (s *Solver) dispatch(faults bitset.Set, ends endpoints, dst graph.Path) Res
 // full-budget backtracking pass.
 const probeBudget = 50_000
 
-// ladder runs the engines in increasing-cost order. Its result is exact
-// unless the final full-budget pass itself reports Unknown.
-func (s *Solver) ladder(faults bitset.Set, e endpoints, dst graph.Path) Result {
-	// The constructive planner is the cheapest applicable tier on the
-	// asymptotic family: O(n), no search, and it covers almost every fault
-	// set (experiment P3 measures the hit rate).
-	if s.opts.Layout != nil {
-		if planned := s.planAsymptotic(faults, dst); planned != nil {
-			s.stats.Planner++
-			return Result{Pipeline: planned, Found: true}
-		}
-	}
+// ladder runs the search engines in increasing-cost order, after the
+// planner (see solve) has declined. Its result is exact unless the final
+// full-budget pass itself reports Unknown.
+func (s *Solver) ladder(e endpoints, dst graph.Path) Result {
 	np := len(e.healthyProcs)
 	if np <= 18 {
 		s.stats.DP++
@@ -593,118 +546,35 @@ type endpoints struct {
 	start, end   bitset.Set // over processor node ids: candidates adjacent to healthy terminals
 }
 
-// endpoints rebuilds the healthy-processor list and endpoint candidate sets
-// from scratch into the solver's warm storage. It returns ok=false when no
-// pipeline can exist for trivial reasons (no healthy input or output
-// terminal connection) — but always populates the state fully first, so a
-// later FindDelta can patch it regardless of how this call exited.
+// endpoints rebuilds the healthy-processor list and the endpoint
+// candidate sets (healthy processors adjacent to a healthy input,
+// respectively output, terminal) from scratch into the solver's scratch
+// storage. It returns ok=false when no pipeline can exist for trivial
+// reasons: no healthy processor, or no healthy input or output terminal
+// connection.
 func (s *Solver) endpoints(faults bitset.Set) (endpoints, bool) {
 	s.healthy = s.healthy[:0]
-	s.warmStart.Clear()
-	s.warmEnd.Clear()
+	s.start.Clear()
+	s.end.Clear()
 	for _, p := range s.procs {
-		if faults == nil || !faults.Contains(p) {
-			s.healthy = append(s.healthy, p)
-			s.refreshProc(p, faults)
-		}
-	}
-	e := s.warmEndpoints(faults)
-	return e, s.viable(e)
-}
-
-// deltaEndpoints patches the warm endpoint state: removed nodes left the
-// fault set (became healthy), added nodes entered it. Only the changed
-// nodes and, for terminals, their processor neighborhoods are rescanned.
-func (s *Solver) deltaEndpoints(faults bitset.Set, removed, added []int) (endpoints, bool) {
-	for _, v := range added {
-		if s.procIdx[v] >= 0 {
-			s.healthyRemove(v)
-			s.warmStart.Remove(v)
-			s.warmEnd.Remove(v)
-		} else {
-			s.refreshTerminalNeighbors(v, faults)
-		}
-	}
-	for _, v := range removed {
-		if s.procIdx[v] >= 0 {
-			s.healthyInsert(v)
-			s.refreshProc(v, faults)
-		} else {
-			s.refreshTerminalNeighbors(v, faults)
-		}
-	}
-	e := s.warmEndpoints(faults)
-	return e, s.viable(e)
-}
-
-func (s *Solver) warmEndpoints(faults bitset.Set) endpoints {
-	return endpoints{faults: faults, healthyProcs: s.healthy, start: s.warmStart, end: s.warmEnd}
-}
-
-func (s *Solver) viable(e endpoints) bool {
-	return len(e.healthyProcs) > 0 && !e.start.Empty() && !e.end.Empty()
-}
-
-// refreshProc recomputes the endpoint-candidate membership of the healthy
-// processor p from its current terminal neighborhood.
-func (s *Solver) refreshProc(p int, faults bitset.Set) {
-	hasIn, hasOut := false, false
-	for _, u := range s.g.Neighbors(p) {
-		if faults != nil && faults.Contains(int(u)) {
+		if faults != nil && faults.Contains(p) {
 			continue
 		}
-		switch s.g.Kind(int(u)) {
-		case graph.InputTerminal:
-			hasIn = true
-		case graph.OutputTerminal:
-			hasOut = true
+		s.healthy = append(s.healthy, p)
+		for _, u := range s.g.Neighbors(p) {
+			if faults != nil && faults.Contains(int(u)) {
+				continue
+			}
+			switch s.g.Kind(int(u)) {
+			case graph.InputTerminal:
+				s.start.Add(p)
+			case graph.OutputTerminal:
+				s.end.Add(p)
+			}
 		}
 	}
-	setMembership(s.warmStart, p, hasIn)
-	setMembership(s.warmEnd, p, hasOut)
-}
-
-// refreshTerminalNeighbors recomputes membership for every healthy
-// processor adjacent to the terminal t whose health just changed.
-func (s *Solver) refreshTerminalNeighbors(t int, faults bitset.Set) {
-	for _, u := range s.g.Neighbors(t) {
-		p := int(u)
-		if s.procIdx[p] >= 0 && (faults == nil || !faults.Contains(p)) {
-			s.refreshProc(p, faults)
-		}
-	}
-}
-
-func setMembership(set bitset.Set, i int, in bool) {
-	if in {
-		set.Add(i)
-	} else {
-		set.Remove(i)
-	}
-}
-
-// healthyInsert adds p to the ascending healthy-processor list.
-func (s *Solver) healthyInsert(p int) {
-	i := len(s.healthy)
-	for i > 0 && s.healthy[i-1] > p {
-		i--
-	}
-	if i < len(s.healthy) && s.healthy[i] == p {
-		return
-	}
-	s.healthy = append(s.healthy, 0)
-	copy(s.healthy[i+1:], s.healthy[i:])
-	s.healthy[i] = p
-}
-
-// healthyRemove deletes p from the healthy-processor list.
-func (s *Solver) healthyRemove(p int) {
-	for i, v := range s.healthy {
-		if v == p {
-			s.healthy = append(s.healthy[:i], s.healthy[i+1:]...)
-			return
-		}
-	}
+	e := endpoints{faults: faults, healthyProcs: s.healthy, start: s.start, end: s.end}
+	return e, len(e.healthyProcs) > 0 && !e.start.Empty() && !e.end.Empty()
 }
 
 // assemble wraps a processor path with a healthy input terminal at the

@@ -53,10 +53,9 @@ func TestMemoMatchesSolvedResults(t *testing.T) {
 }
 
 // TestMemoAndWarmSurviveRemaps drives the fault/repair churn of a soak —
-// FindDelta transitions cycling through a small set of fault
-// configurations — and asserts (a) warm endpoint state survives every
-// remap, (b) revisited configurations are memo hits, and (c)
-// InvalidateCache (the topology-change hook) really drops both.
+// FindInto calls cycling through a small set of fault configurations —
+// and asserts (a) revisited configurations are memo hits, and (b)
+// InvalidateCache (the topology-change hook) really drops the memo.
 func TestMemoAndWarmSurviveRemaps(t *testing.T) {
 	g := construct.G3(3)
 	s := NewSolver(g, Options{Memo: true})
@@ -79,24 +78,16 @@ func TestMemoAndWarmSurviveRemaps(t *testing.T) {
 	calls := 0
 	for i := 0; i < laps; i++ {
 		for _, st := range lap {
-			var removed, added []int
 			if st.add != 0 {
 				faults.Add(st.add)
-				added = []int{st.add}
 			} else {
 				faults.Remove(st.remove)
-				removed = []int{st.remove}
 			}
-			if res := s.FindDelta(faults, removed, added, nil); !res.Found {
-				t.Fatalf("lap %d: FindDelta(%v) not found", i, faults)
+			if res := s.FindInto(faults, nil); !res.Found {
+				t.Fatalf("lap %d: FindInto(%v) not found", i, faults)
 			}
 			calls++
 		}
-	}
-	warmHits, warmMisses := s.Warm()
-	if warmHits != int64(calls) || warmMisses != 0 {
-		t.Fatalf("warm hits/misses = %d/%d, want %d/0 (state must survive every remap)",
-			warmHits, warmMisses, calls)
 	}
 	memoHits, memoMisses := s.Memo()
 	// Distinct sets: {}, {p1}, {p1,p2} — the first lap misses {p1} and
@@ -107,15 +98,11 @@ func TestMemoAndWarmSurviveRemaps(t *testing.T) {
 			memoHits, memoMisses, int64(calls+1)-wantMisses, wantMisses)
 	}
 
-	// Topology change: both caches must drop — the next delta call rebuilds
-	// endpoint state from scratch and the next solve misses the memo.
+	// Topology change: the memo must drop, so the next solve misses it.
 	s.InvalidateCache()
 	faults.Add(p1)
-	if res := s.FindDelta(faults, nil, []int{p1}, nil); !res.Found {
-		t.Fatal("post-invalidate FindDelta not found")
-	}
-	if _, m := s.Warm(); m != 1 {
-		t.Fatalf("warm misses after InvalidateCache = %d, want 1", m)
+	if res := s.FindInto(faults, nil); !res.Found {
+		t.Fatal("post-invalidate FindInto not found")
 	}
 	if _, m := s.Memo(); m != wantMisses+1 {
 		t.Fatalf("memo misses after InvalidateCache = %d, want %d", m, wantMisses+1)

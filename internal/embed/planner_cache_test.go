@@ -176,8 +176,9 @@ func TestPlannerCacheMatchesFreshSolver(t *testing.T) {
 var plannedSink graph.Path
 
 // deltaWalk cycles one Solver through a list of fault sets the way a
-// sweep worker does: each call is a FindDelta handed the delta from the
-// previous set and the walk's own path buffer.
+// sweep worker does: each call moves the walk's bitset from the previous
+// set to the next by a delta and is a FindInto handed the walk's own path
+// buffer.
 type deltaWalk struct {
 	s              *embed.Solver
 	faults         bitset.Set
@@ -201,7 +202,6 @@ func newDeltaWalk(s *embed.Solver, sets []bitset.Set) *deltaWalk {
 		}
 		w.removed, w.added = append(w.removed, rem), append(w.added, add)
 	}
-	s.Find(w.faults) // warm endpoint state for the last set, which set 0 follows
 	return w
 }
 
@@ -215,7 +215,7 @@ func (w *deltaWalk) step() embed.Result {
 	for _, v := range w.added[i] {
 		w.faults.Add(v)
 	}
-	res := w.s.FindDelta(w.faults, w.removed[i], w.added[i], w.buf)
+	res := w.s.FindInto(w.faults, w.buf)
 	if res.Found {
 		w.buf = res.Pipeline
 	}
@@ -223,7 +223,7 @@ func (w *deltaWalk) step() embed.Result {
 }
 
 // TestPlannerCacheHitAllocs pins a warm planner call at zero allocations:
-// a FindDelta that hands the Solver the caller's path buffer allocates
+// a FindInto that hands the Solver the caller's path buffer allocates
 // nothing once the Solver's storage has grown. That holds on a ring-plan
 // hit, with the faulty ring positions unchanged from the previous call,
 // for the primary ring plan and for the fallback plans, which a call
@@ -280,7 +280,7 @@ func TestPlannerCacheHitAllocs(t *testing.T) {
 					t.Fatalf("set %d: found=%v, not resolved by the planner", w.i-1, res.Found)
 				}
 				if want := check.PlanAsymptotic(w.faults); !slices.Equal(res.Pipeline, want) {
-					t.Fatalf("set %d: FindDelta planned %v, the planner alone %v", w.i-1, res.Pipeline, want)
+					t.Fatalf("set %d: FindInto planned %v, the planner alone %v", w.i-1, res.Pipeline, want)
 				}
 			}
 			allocs := testing.AllocsPerRun(200, func() {

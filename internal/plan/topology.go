@@ -85,6 +85,21 @@ type PoolSpec struct {
 	K int `json:"k"`
 }
 
+// Upper bounds on the topology fields that size an up-front allocation,
+// so that a hostile or mistyped file is rejected instead of asking for
+// terabytes. Each is far above any useful value.
+const (
+	// MaxWindow bounds a moving_average window: Build allocates one tap
+	// per sample of it, and every frame costs window multiplies per sample.
+	MaxWindow = 1 << 16
+	// MaxFrameSamples bounds a tenant's frame_samples, the length of every
+	// frame buffer its producer leases (8 MiB of float64 at the bound).
+	MaxFrameSamples = 1 << 20
+	// MaxPendingBound bounds a tenant's max_pending, which sizes its
+	// stream's output channel and buffer free lists.
+	MaxPendingBound = 1 << 16
+)
+
 // StageSpec declares one signal-processing stage. Kind selects the stage;
 // the other fields are kind-specific parameters (zero values fall back to
 // the kind's default).
@@ -138,8 +153,8 @@ func (s StageSpec) Build() (stages.Stage, error) {
 		if w == 0 {
 			w = 4
 		}
-		if w < 1 {
-			return nil, fmt.Errorf("plan: moving_average window %d < 1", w)
+		if w < 1 || w > MaxWindow {
+			return nil, fmt.Errorf("plan: moving_average window %d not in 1..%d", w, MaxWindow)
 		}
 		return stages.NewMovingAverage(w), nil
 	case "quantize":
@@ -237,7 +252,8 @@ func Parse(data []byte) (*Topology, error) {
 
 // Validate checks the topology's static invariants and fills defaults in
 // place: every tenant gets a name-unique spec with positive weight, floor,
-// frame size, backlog bound, and a buildable stage chain.
+// frame size and backlog bound (the last two at most MaxFrameSamples and
+// MaxPendingBound), and a buildable stage chain.
 func (t *Topology) Validate() error {
 	if t.Pool.N < 1 || t.Pool.K < 0 {
 		return fmt.Errorf("plan: pool wants n >= 1, k >= 0 (got n=%d k=%d)", t.Pool.N, t.Pool.K)
@@ -273,14 +289,14 @@ func (t *Topology) Validate() error {
 		if ten.FrameSamples == 0 {
 			ten.FrameSamples = 256
 		}
-		if ten.FrameSamples < 1 {
-			return fmt.Errorf("plan: tenant %q wants frame_samples >= 1", ten.Name)
+		if ten.FrameSamples < 1 || ten.FrameSamples > MaxFrameSamples {
+			return fmt.Errorf("plan: tenant %q wants frame_samples in 1..%d", ten.Name, MaxFrameSamples)
 		}
 		if ten.MaxPending == 0 {
 			ten.MaxPending = 64
 		}
-		if ten.MaxPending < 1 {
-			return fmt.Errorf("plan: tenant %q wants max_pending >= 1", ten.Name)
+		if ten.MaxPending < 1 || ten.MaxPending > MaxPendingBound {
+			return fmt.Errorf("plan: tenant %q wants max_pending in 1..%d", ten.Name, MaxPendingBound)
 		}
 		if ten.Budget < 0 {
 			return fmt.Errorf("plan: tenant %q has negative budget", ten.Name)

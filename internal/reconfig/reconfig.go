@@ -130,16 +130,6 @@ type Manager struct {
 	// under it, and its deadline, if any, bounds the remap.
 	res *embed.Resources
 
-	// pendingDelta is the net fault-set change since the solver last ran:
-	// +1 per fault added, −1 per fault removed, opposite mutations of the
-	// same node cancel to zero. When warmSynced (the solver's retained
-	// endpoint state matches the fault set of its last invocation), the
-	// next full remap hands this delta to FindDelta instead of resolving
-	// the whole endpoint state cold. Local tactics never touch the solver,
-	// so the delta routinely spans several repairs.
-	pendingDelta map[int]int
-	warmSynced   bool
-
 	reg          *obs.Registry
 	repairLat    [FullRemap + 1]*obs.Histogram // per-tactic repair latency
 	repairCount  [FullRemap + 1]*obs.Counter   // per-tactic repair counts
@@ -160,12 +150,11 @@ type Manager struct {
 // New computes the initial (fault-free) pipeline for a designed solution.
 func New(sol *construct.Solution) (*Manager, error) {
 	m := &Manager{
-		g:            sol.Graph,
-		solver:       embed.NewSolver(sol.Graph, embed.Options{Layout: sol.Layout, Memo: true}),
-		faults:       bitset.New(sol.Graph.NumNodes()),
-		k:            sol.K,
-		reg:          obs.Default(),
-		pendingDelta: make(map[int]int),
+		g:      sol.Graph,
+		solver: embed.NewSolver(sol.Graph, embed.Options{Layout: sol.Layout, Memo: true}),
+		faults: bitset.New(sol.Graph.NumNodes()),
+		k:      sol.K,
+		reg:    obs.Default(),
 	}
 	for t := NoChange; t <= FullRemap; t++ {
 		lbl := obs.L("tactic", t.String())
@@ -361,7 +350,6 @@ func (m *Manager) Fault(node int) (Tactic, error) {
 	observing := m.reg.Enabled()
 	start := time.Now() // always sampled: downtime accounting is not gated on obs
 	m.faults.Add(node)
-	m.noteDelta(node, +1)
 
 	detect := span.Start(m.remapSpan, "detect")
 	idx := -1
@@ -422,7 +410,6 @@ func (m *Manager) Fault(node int) (Tactic, error) {
 	m.remapSpan.Eventf("full_remap_fallback", "node=%d", node)
 	if err := m.fullRemap(); err != nil {
 		m.faults.Remove(node)
-		m.noteDelta(node, -1)
 		m.rollback(start)
 		return 0, err
 	}
@@ -440,57 +427,11 @@ func (m *Manager) account(t Tactic, start time.Time) {
 	m.downtimeHist[t].ObserveDuration(d)
 }
 
-// noteDelta accumulates one fault-set mutation into the net delta handed
-// to the solver's next warm incremental solve: +1 for a fault added, −1
-// for a fault removed. Opposite mutations of the same node (a fault that
-// was rolled back, or a fault repaired before the solver ever saw it)
-// cancel to zero and drop out of the delta entirely.
-func (m *Manager) noteDelta(node, sign int) {
-	if d := m.pendingDelta[node] + sign; d == 0 {
-		delete(m.pendingDelta, node)
-	} else {
-		m.pendingDelta[node] = d
-	}
-}
-
-// solveRemap invokes the solver, preferring the warm incremental path:
-// once a cold Find has established the solver's retained endpoint state,
-// every later remap replays only the accumulated net fault delta via
-// FindDelta. The pending delta is consumed exactly here — fullRemap's
-// early returns (deadline already expired, ambient token stopped) never
-// reach the solver, so the delta keeps accumulating and the next remap
-// still hands it a correct net change. When the solve itself fails or its
-// result is discarded, the solver's endpoint state has still advanced to
-// the fault set it was given; the caller's rollback pushes the reverse
-// single-node delta, keeping the chain consistent.
-func (m *Manager) solveRemap() embed.Result {
-	if !m.warmSynced {
-		clear(m.pendingDelta)
-		m.warmSynced = true
-		return m.solver.Find(m.faults)
-	}
-	var removed, added []int
-	for node, d := range m.pendingDelta {
-		switch {
-		case d > 0:
-			added = append(added, node)
-		case d < 0:
-			removed = append(removed, node)
-		}
-	}
-	clear(m.pendingDelta)
-	// nil: the pipeline becomes m.path and must not share storage with a
-	// later solve.
-	return m.solver.FindDelta(m.faults, removed, added, nil)
-}
-
-// SolverCache reports the solver's warm-endpoint and memo cache traffic
-// accumulated across this manager's remaps — the observable effect of
-// keeping one Solver (and its retained state) alive for the whole soak.
-func (m *Manager) SolverCache() (warmHits, warmMisses, memoHits, memoMisses int64) {
-	warmHits, warmMisses = m.solver.Warm()
-	memoHits, memoMisses = m.solver.Memo()
-	return
+// SolverCache reports the solver's memo traffic accumulated across this
+// manager's remaps — the observable effect of keeping one Solver (and its
+// memo) alive for the whole soak.
+func (m *Manager) SolverCache() (memoHits, memoMisses int64) {
+	return m.solver.Memo()
 }
 
 // rollback records one rolled-back operation in the ledger and metrics.
@@ -539,7 +480,6 @@ func (m *Manager) Repair(node int) (Tactic, error) {
 	observing := m.reg.Enabled()
 	start := time.Now() // always sampled: downtime accounting is not gated on obs
 	m.faults.Remove(node)
-	m.noteDelta(node, -1)
 
 	detect := span.Start(m.remapSpan, "detect")
 	detect.SetStr("op", "repair").SetInt("node", int64(node))
@@ -583,7 +523,6 @@ func (m *Manager) Repair(node int) (Tactic, error) {
 	m.remapSpan.Eventf("full_remap_fallback", "node=%d", node)
 	if err := m.fullRemap(); err != nil {
 		m.faults.Add(node)
-		m.noteDelta(node, +1)
 		m.rollback(start)
 		return 0, err
 	}
@@ -702,7 +641,7 @@ func (m *Manager) fullRemap() error {
 		return err
 	}
 	m.solver.SetResources(m.res)
-	res := m.solveRemap()
+	res := m.solver.Find(m.faults)
 	m.stats.Expansions += res.Expansions
 	solve.SetInt("expansions", res.Expansions)
 	if err := m.pastDeadline(); err != nil {

@@ -1,10 +1,8 @@
 package reconfig_test
 
 // Warm-cache integration tests: the manager keeps ONE embed.Solver alive
-// for its whole lifetime, so endpoint warm state and the Held–Karp memo
-// must survive fault/repair churn — every full remap after the initial
-// cold solve is an incremental FindDelta, and revisited fault sets are
-// answered from the memo.
+// for its whole lifetime, so the solver's result memo must survive
+// fault/repair churn — revisited fault sets are answered from the memo.
 
 import (
 	"slices"
@@ -36,9 +34,8 @@ func remapChurnGraph() (*graph.Graph, [2]int, [2]int) {
 }
 
 // TestManagerSolverWarmAcrossRemaps churns fault/repair cycles that each
-// force a full remap and asserts the solver stayed warm throughout: the
-// only cold solve is the manager's initial mapping, every remap is a warm
-// incremental, and after the first lap every fault set is a memo hit.
+// force a full remap and asserts the solver stayed warm throughout: after
+// the first lap every fault set is a memo hit.
 func TestManagerSolverWarmAcrossRemaps(t *testing.T) {
 	g, ins, _ := remapChurnGraph()
 	m := managerFor(t, g)
@@ -74,11 +71,7 @@ func TestManagerSolverWarmAcrossRemaps(t *testing.T) {
 		t.Fatalf("forced %d full remaps, want at least %d", remaps, 2*laps-1)
 	}
 
-	warmHits, warmMisses, memoHits, memoMisses := m.SolverCache()
-	if warmMisses != 0 || warmHits != int64(remaps) {
-		t.Fatalf("warm hits/misses = %d/%d, want %d/0 (every remap after the initial solve must be incremental)",
-			warmHits, warmMisses, remaps)
-	}
+	memoHits, memoMisses := m.SolverCache()
 	// Distinct fault sets the solver saw: {} at New, then the two
 	// alternating single-terminal sets. Everything else is a revisit.
 	wantMisses := int64(3)
@@ -90,8 +83,7 @@ func TestManagerSolverWarmAcrossRemaps(t *testing.T) {
 
 // TestManagerDeltaSpansRolledBackFault pins the rollback bookkeeping: a
 // fault whose remap fails (deadline expired before the solve even
-// started) is rolled back without consuming the pending delta, and the
-// next successful remap still hands the solver a correct net change.
+// started) is rolled back, and the next remap of the same fault is valid.
 func TestManagerDeltaSpansRolledBackFault(t *testing.T) {
 	g, ins, _ := remapChurnGraph()
 	m := managerFor(t, g)
@@ -108,8 +100,8 @@ func TestManagerDeltaSpansRolledBackFault(t *testing.T) {
 		t.Fatalf("faults after rollback = %d, want 0", got)
 	}
 
-	// The rolled-back fault must not poison the delta chain: this remap
-	// succeeds warm and lands on the other terminal pair.
+	// The rolled-back fault must not poison the solver: this remap
+	// succeeds and lands on the other terminal pair.
 	tac, err := m.Fault(first)
 	if err != nil {
 		t.Fatalf("Fault(%d) after rollback: %v", first, err)
@@ -119,10 +111,6 @@ func TestManagerDeltaSpansRolledBackFault(t *testing.T) {
 	}
 	if got := m.Pipeline()[0]; got == first || (got != ins[0] && got != ins[1]) {
 		t.Fatalf("pipeline %v still starts at faulted terminal %d", m.Pipeline(), first)
-	}
-	warmHits, warmMisses, _, _ := m.SolverCache()
-	if warmMisses != 0 || warmHits != 1 {
-		t.Fatalf("warm hits/misses = %d/%d, want 1/0", warmHits, warmMisses)
 	}
 }
 
@@ -156,7 +144,7 @@ func TestManagerPipelineSurvivesRemap(t *testing.T) {
 			}
 		}
 	}
-	if _, _, hits, _ := m.SolverCache(); hits == 0 {
+	if hits, _ := m.SolverCache(); hits == 0 {
 		t.Fatal("no remap was answered from the memo")
 	}
 }

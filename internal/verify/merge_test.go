@@ -109,36 +109,3 @@ func TestImageLess(t *testing.T) {
 		}
 	}
 }
-
-// diffSorted drives both the bitset delta and the solver warm start; spot
-// check its edge cases.
-func TestDiffSorted(t *testing.T) {
-	cases := []struct {
-		prev, cur, wantRem, wantAdd []int
-	}{
-		{nil, []int{1, 2}, nil, []int{1, 2}},
-		{[]int{1, 2}, nil, []int{1, 2}, nil},
-		{[]int{1, 2, 5}, []int{1, 3, 5}, []int{2}, []int{3}},
-		{[]int{1, 2, 3}, []int{1, 2, 4}, []int{3}, []int{4}},
-		{[]int{0, 9}, []int{0, 9}, nil, nil},
-	}
-	for _, c := range cases {
-		rem, add := diffSorted(c.prev, c.cur, nil, nil)
-		if !equalInts(rem, c.wantRem) || !equalInts(add, c.wantAdd) {
-			t.Errorf("diffSorted(%v,%v) = %v,%v; want %v,%v",
-				c.prev, c.cur, rem, add, c.wantRem, c.wantAdd)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -114,8 +114,8 @@ func (s *sweep) runner(id int) *ShardRunner {
 }
 
 // ShardRunner verifies successive Shards of one instance in one
-// goroutine, reusing a single solver so FindDelta warm endpoints and the
-// Options.Memo cache survive across shards. It is the one sweep loop:
+// goroutine, reusing one worker so the solver's ring plans and
+// Options.Memo cache, and the worker's path buffer, survive across shards. It is the one sweep loop:
 // Exhaustive runs one per worker over work-stealing deques of shards, and
 // a fleet worker runs one over leased shards. Not safe for concurrent
 // use: create one runner per goroutine.

@@ -33,3 +33,31 @@ func TestPlannerTierSplitG22K4(t *testing.T) {
 		t.Fatalf("tiers %+v, want %+v", rep.Tiers, want)
 	}
 }
+
+// TestRandomTierSplitG22K40 pins the whole tier split of random fault sets
+// of up to 40 faults on G(22,4), far past its budget of 4, where the
+// trivial tier and the planner meet: a set with one healthy processor or
+// no viable endpoints must reach the trivial tier, whichever order the
+// solver tries the planner and the endpoint checks in. With the memo on,
+// every repeated set is a memo hit and resolves no tier.
+func TestRandomTierSplitG22K40(t *testing.T) {
+	sol, err := construct.Design(22, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		memo bool
+		want embed.TierStats
+	}{
+		{false, embed.TierStats{Planner: 135, Probe: 2, DP: 63, Trivial: 200}},
+		{true, embed.TierStats{Planner: 117, Probe: 2, DP: 63, Trivial: 149}},
+	} {
+		rep := verify.Random(sol.Graph, 40, 400, 7, verify.Options{
+			Workers: 1,
+			Solver:  embed.Options{Layout: sol.Layout, Memo: tc.memo},
+		})
+		if rep.Tiers != tc.want {
+			t.Errorf("memo=%v: tiers %+v, want %+v", tc.memo, rep.Tiers, tc.want)
+		}
+	}
+}

@@ -245,8 +245,9 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 
 	// Fine-grained shards, dealt round-robin onto per-worker deques. The
 	// owner pops from the tail (staying on its lexicographic walk, so
-	// solver warm-starts see small deltas); idle workers steal from the
-	// head of a victim's deque. shards counts each size's shards.
+	// consecutive sets share their faulty ring positions and the planner
+	// reuses its ring plans); idle workers steal from the head of a
+	// victim's deque. shards counts each size's shards.
 	deques := make([]*stealQueue, opts.Workers)
 	for i := range deques {
 		deques[i] = &stealQueue{}
@@ -573,11 +574,11 @@ func Random(g *graph.Graph, k, trials int, seed int64, opts Options) *Report {
 }
 
 // worker is the per-goroutine verification state: a solver, the current
-// fault bitset, and the node ids of the last solved fault set. Consecutive
-// fault sets are applied as deltas — only the departed ids are removed and
-// the arrived ids added, both to the bitset and, through FindDelta, to the
-// solver's warm endpoint state. The same mechanism absorbs chunk jumps,
-// steals, and orbit-pruning gaps: the delta is just larger.
+// fault bitset, and the node ids of the fault set it holds. Moving to the
+// next fault set clears the previous set's ids from the bitset and adds
+// the current set's, so a chunk jump, a steal or an orbit-pruning gap
+// costs what a lexicographic step does. The solver is handed the bitset
+// alone: its answer does not depend on the sets it solved before.
 type worker struct {
 	g        *graph.Graph
 	solver   *embed.Solver
@@ -589,9 +590,8 @@ type worker struct {
 	stop     *embed.Resources // the sweep token
 	failFast bool
 
-	prev, cur      []int // node ids of the previous/current fault set, ascending
-	removed, added []int
-	path           graph.Path // the solver builds each pipeline here
+	cur  []int      // node ids of the current fault set, ascending
+	path graph.Path // the solver builds each pipeline here
 
 	// ref is the store slot, nil when no store is attached. blocks, when
 	// non-nil, accumulates by size the proof-block entries of the
@@ -640,21 +640,18 @@ func (w *worker) step(sub, scratch []int, orbit *orbitTester) bool {
 // abandoned because the stop token latched mid-call — the set reached no
 // verdict and is uncounted; the caller must stop iterating.
 func (w *worker) check(sub []int) bool {
-	w.cur = w.cur[:0]
-	for _, idx := range sub {
-		w.cur = append(w.cur, w.universe[idx])
-	}
-	w.removed, w.added = diffSorted(w.prev, w.cur, w.removed[:0], w.added[:0])
-	for _, v := range w.removed {
+	for _, v := range w.cur {
 		w.faults.Remove(v)
 	}
-	for _, v := range w.added {
+	w.cur = w.cur[:0]
+	for _, idx := range sub {
+		v := w.universe[idx]
+		w.cur = append(w.cur, v)
 		w.faults.Add(v)
 	}
-	w.prev = append(w.prev[:0], w.cur...)
 
 	w.local.Checked++
-	res := w.solver.FindDelta(w.faults, w.removed, w.added, w.path)
+	res := w.solver.FindInto(w.faults, w.path)
 	if res.Found {
 		// Keep the buffer, grown if the solver had to: the pipeline is
 		// certified and encoded below and not retained past this set.
@@ -693,28 +690,6 @@ func (w *worker) check(sub []int) bool {
 		}
 	}
 	return true
-}
-
-// diffSorted merge-diffs two ascending id slices: ids only in prev go to
-// removed, ids only in cur to added.
-func diffSorted(prev, cur, removed, added []int) (rem, add []int) {
-	i, j := 0, 0
-	for i < len(prev) && j < len(cur) {
-		switch {
-		case prev[i] == cur[j]:
-			i++
-			j++
-		case prev[i] < cur[j]:
-			removed = append(removed, prev[i])
-			i++
-		default:
-			added = append(added, cur[j])
-			j++
-		}
-	}
-	removed = append(removed, prev[i:]...)
-	added = append(added, cur[j:]...)
-	return removed, added
 }
 
 func record(dst *[]FaultSetRecord, universe, sub []int, msg string, maxRec int) {
