@@ -1,20 +1,21 @@
 // Command gdpfleet runs the sharded verification fleet: a coordinator
 // that leases orbit-representative rank chunks to workers over HTTP,
-// checkpoints progress, and merges the streamed partial reports into a
-// verdict byte-identical to a single-process gdpverify run.
+// checks each chunk's proof block and files it in a proof store, and
+// merges the chunk reports into a verdict byte-identical to a
+// single-process gdpverify run.
 //
 // Usage:
 //
-//	gdpfleet serve -addr :7117 -n 22 -k 4 -symmetry -checkpoint sweep.json
+//	gdpfleet serve -addr :7117 -n 22 -k 4 -symmetry -store sweep.gdps
 //	gdpfleet work  -coord http://host:7117 -j 4
-//	gdpfleet serve -local 3 -n 3 -k 5 -symmetry          # one-binary fleet
-//	gdpfleet serve ... -redundancy 2                     # double-solve chunks
-//	gdpfleet serve ... -store sweep.gdps                 # content-keyed resume of completed chunks
-//	gdpfleet serve ... -summary verdict.txt -json        # CI-diffable outputs
+//	gdpfleet serve -local 3 -n 3 -k 5 -symmetry -store sweep.gdps   # one-binary fleet
+//	gdpfleet serve ... -summary verdict.txt -json                   # CI-diffable outputs
+//	gdpverify -n 3 -k 5 -symmetry -store sweep.gdps -replay         # re-check the fleet's proof
 //
-// A SIGKILLed coordinator restarted with the same -checkpoint file
-// resumes from the last completed chunk (the final report then carries
-// "resumed": true); workers ride out the outage by retrying for -retry.
+// A SIGKILLed coordinator restarted with the same -store file replays the
+// blocks filed so far and leases only the rest (the final report then
+// carries "resumed": true); workers ride out the outage by retrying for
+// -retry.
 package main
 
 import (
@@ -46,12 +47,10 @@ func main() {
 
 		// Coordinator flags.
 		addr       = flag.String("addr", "127.0.0.1:7117", "serve: coordinator listen address")
-		redundancy = flag.Int("redundancy", 1, "serve: independent verdicts required per chunk; mismatches are flagged as solver bugs")
 		chunkRanks = flag.Int64("chunk-ranks", 0, "serve: subset ranks per chunk (0 = 2048)")
 		leaseTTL   = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "serve: chunk lease duration; silent workers lose their chunks after this")
-		checkpoint = flag.String("checkpoint", "", "serve: JSON progress file — written after every chunk, resumed from on restart")
 		local      = flag.Int("local", 0, "serve: also run this many in-process workers over loopback HTTP")
-		storeP     = flag.String("store", "", "serve: content-addressed store file (created if absent): the coordinator resumes already-proven chunks from it and persists each completion")
+		storeP     = flag.String("store", "", "serve (required): proof store file (created if absent): each chunk's checked proof block is filed and flushed there, and a restarted coordinator resumes from it")
 		jsonOut    = flag.Bool("json", false, "serve: emit the machine-readable result (report + fleet accounting + metrics) on stdout")
 		summary    = flag.String("summary", "", "serve: also write the canonical verdict summary to this file (diffable against gdpverify -summary)")
 
@@ -75,6 +74,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdpfleet: -store is a serve flag: workers keep no store")
 		os.Exit(2)
 	}
+	if cmd == "serve" && *storeP == "" {
+		fmt.Fprintln(os.Stderr, "gdpfleet: serve needs -store: the proof store is the sweep's record")
+		os.Exit(2)
+	}
 	if err := tf.Activate(); err != nil {
 		fatal(err)
 	}
@@ -87,8 +90,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	spec := fleet.JobSpec{N: *n, K: *k, Merge: *merge, Symmetry: *symm,
-		Redundancy: *redundancy, ChunkRanks: *chunkRanks}
+	spec := fleet.JobSpec{N: *n, K: *k, Merge: *merge, Symmetry: *symm, ChunkRanks: *chunkRanks}
 	workerCfg := fleet.WorkerConfig{
 		Coordinator: *coord, ID: *id, Parallel: *jobs,
 		Throttle: *throttle, Retry: *retry, Memo: *memo, Logf: logf,
@@ -100,25 +102,20 @@ func main() {
 			fatal(err)
 		}
 	case "serve":
-		var st *store.Store
-		if *storeP != "" {
-			var err error
-			if st, err = store.Open(*storeP); err != nil {
-				fatal(err)
-			}
+		st, err := store.Open(*storeP)
+		if err != nil {
+			fatal(err)
 		}
-		serve(ctx, tf, spec, workerCfg, st, *addr, *leaseTTL, *checkpoint, *local, *jsonOut, *summary, logf)
+		serve(ctx, tf, spec, workerCfg, st, *addr, *leaseTTL, *local, *jsonOut, *summary, logf)
 	}
 }
 
 func serve(ctx context.Context, tf *telemetry.Flags, spec fleet.JobSpec, workerCfg fleet.WorkerConfig,
-	st *store.Store, addr string, leaseTTL time.Duration, checkpoint string, local int, jsonOut bool,
+	st *store.Store, addr string, leaseTTL time.Duration, local int, jsonOut bool,
 	summary string, logf func(string, ...any)) {
 
 	obs.Default().SetEnabled(true)
-	c, err := fleet.NewCoordinator(fleet.Config{
-		Spec: spec, LeaseTTL: leaseTTL, CheckpointPath: checkpoint, Store: st,
-	})
+	c, err := fleet.NewCoordinator(fleet.Config{Spec: spec, LeaseTTL: leaseTTL, Store: st})
 	if err != nil {
 		fatal(err)
 	}
@@ -151,25 +148,20 @@ func serve(ctx context.Context, tf *telemetry.Flags, spec fleet.JobSpec, workerC
 
 	select {
 	case <-ctx.Done():
-		// Interrupted: the checkpoint (if any) already holds every
-		// completed chunk, and the store (if any) was flushed after each
-		// completion; a restart resumes from either.
+		// Interrupted: the store was flushed after each chunk it filed,
+		// and a restart resumes from it.
 		wg.Wait()
 		srv.Close()
-		if st != nil {
-			st.Close()
-		}
-		logf("gdpfleet: interrupted; progress checkpointed to %q", checkpoint)
+		st.Close()
+		logf("gdpfleet: interrupted; the proven chunks are filed in %q", st.Stats().Path)
 		os.Exit(130)
 	case <-c.Done():
 	}
 	res := c.Final()
 	wg.Wait()
 	srv.Close()
-	if st != nil {
-		if err := st.Close(); err != nil {
-			fatal(err)
-		}
+	if err := st.Close(); err != nil {
+		fatal(err)
 	}
 
 	if summary != "" {
@@ -192,11 +184,11 @@ func serve(ctx context.Context, tf *telemetry.Flags, spec fleet.JobSpec, workerC
 		}
 	} else {
 		fmt.Println(res.Report.String())
-		fmt.Printf("fleet: %d/%d chunks (%d from store), %d leases (%d re-leased), %d workers, redundancy %d, mismatches %d, resumed=%v\n",
+		fmt.Printf("fleet: %d/%d chunks (%d from store), %d leases (%d re-leased), %d workers, %d chunk results rejected, resumed=%v\n",
 			res.ChunksCompleted, res.ChunksTotal, res.ChunksFromStore, res.Leases, res.Releases,
-			res.WorkersSeen, res.Redundancy, res.Mismatches, res.Resumed)
+			res.WorkersSeen, res.ChunksRejected, res.Resumed)
 	}
-	if !res.Report.OK() || res.Mismatches > 0 || !healthy {
+	if !res.Report.OK() || !healthy {
 		os.Exit(1)
 	}
 }

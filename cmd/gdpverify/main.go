@@ -10,7 +10,7 @@
 //	gdpverify -n 22 -k 4 -symmetry        # orbit-reduced exhaustive proof
 //	gdpverify -n 22 -k 4 -store v.gdps    # incremental: replay stored proof blocks, file new ones
 //	gdpverify -n 22 -k 4 -symmetry -store v.gdps  # the same, one block entry per orbit representative
-//	gdpverify -n 22 -k 4 -store v.gdps -replay    # re-check the -symmetry blocks (no solver, nothing written)
+//	gdpverify -n 22 -k 4 -symmetry -store v.gdps -replay  # re-check the blocks of the same sweep (no solver, nothing written)
 //	gdpverify -n 22 -k 4 -json            # machine-readable report + metrics
 //	gdpverify -n 22 -k 4 -fail-fast       # stop at the first counterexample
 //
@@ -50,7 +50,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON blob (report + metrics) on stdout")
 		failFast = flag.Bool("fail-fast", false, "exhaustive mode: stop the sweep at the first counterexample")
 		summary  = flag.String("summary", "", "write the canonical verdict summary to this file (diffable against gdpfleet serve -summary)")
-		storeP   = flag.String("store", "", "content-addressed proof store file (created if absent): a sweep replays each size's proof block instead of re-solving, and files the block of each size it decided in full; -replay re-checks the blocks of a -symmetry sweep")
+		storeP   = flag.String("store", "", "content-addressed proof store file (created if absent): a sweep replays each size's proof block instead of re-solving, and files the block of each size it decided in full; -replay re-checks the blocks of a sweep with the same -symmetry and -merge")
 		addr     = flag.String("metrics-addr", "", "serve /metrics, /debug/spans, /slo on this address during the run")
 	)
 	tf := telemetry.Register()

@@ -19,9 +19,9 @@ func buildGdpverify(t *testing.T) string {
 }
 
 // TestReplayProvesFromTheStore runs -replay on a missing store, which
-// must fail and create nothing, and after a cold -symmetry -store proof,
-// which must succeed with the cold proof's summary and leave the store
-// file as it was.
+// must fail and create nothing, and with -symmetry after a cold -symmetry
+// -store proof, which must succeed with the cold proof's summary and
+// leave the store file as it was.
 func TestReplayProvesFromTheStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs a real binary")
@@ -49,7 +49,7 @@ func TestReplayProvesFromTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := filepath.Join(dir, "replay.txt")
-	if out, err := gdpverify("-replay", "-summary", replay); err != nil {
+	if out, err := gdpverify("-symmetry", "-replay", "-summary", replay); err != nil {
 		t.Fatalf("-replay after the cold proof: %v\n%s", err, out)
 	}
 	want, _ := os.ReadFile(cold)

@@ -1,10 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -26,77 +27,73 @@ type Config struct {
 	Spec JobSpec
 	// LeaseTTL is the chunk lease duration (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// CheckpointPath enables durable progress: the coordinator loads the
-	// file on start (resuming if it matches Spec) and rewrites it
-	// atomically after every chunk completion. "" disables checkpointing.
-	CheckpointPath string
 	// MaxRecorded caps the merged report's record lists (0 = 16, the
 	// verify default — keep it equal to the single-process run's cap so
 	// verdict summaries stay byte-identical).
 	MaxRecorded int
-	// Store attaches the content-addressed verdict store as a second,
-	// content-keyed resume substrate: every completed chunk's verdict is
-	// persisted as a blob on the instance's slot, and a restarted
-	// coordinator marks blob-backed chunks done without leasing them —
-	// even when no checkpoint file survived, and across differently-named
-	// checkpoint paths, because the key is the graph's canonical form.
-	// The caller owns the store's lifecycle. nil disables it.
+	// Store is where the coordinator files each chunk's checked proof
+	// block, flushing after each, and the one record it resumes from: a
+	// restarted coordinator replays the block of each chunk and leases
+	// only the chunks without one that passes. The caller owns the
+	// store's lifecycle. nil keeps no record.
 	Store *store.Store
 }
 
 // Coordinator owns the shard ledger of one sweep: it leases chunks to
-// workers over HTTP, reclaims leases from dead workers, cross-checks
-// redundant verdicts, checkpoints completed chunks, and merges the
-// partial reports into the final verdict. All state transitions happen
-// under one mutex; the handlers are safe for concurrent use.
+// workers over HTTP, reclaims leases from dead workers, checks and files
+// each chunk's proof block, and merges the chunk reports into the final
+// verdict. All state transitions happen under one mutex, and a block is
+// checked outside it; the handlers are safe for concurrent use.
 type Coordinator struct {
 	cfg  Config
 	spec JobSpec
 	g    *graph.Graph
-	ref  *store.GraphRef // nil when Config.Store is nil
+	chk  *verify.ShardChecker
 
 	leasedC   *obs.Counter
 	doneC     *obs.Counter
 	releasedC *obs.Counter
-	mismatchC *obs.Counter
+	rejectedC *obs.Counter
 	liveG     *obs.Gauge
-	ckptAgeG  *obs.Gauge
 
-	mu           sync.Mutex
-	chunks       []*chunk
-	remaining    int
-	workers      map[string]*workerState
-	leases       int64
-	releases     int64
-	mismatches   int64
-	mismatchRecs []verify.FaultSetRecord
-	resumed      bool
-	fromStore    int
-	lastCkpt     time.Time
-	start        time.Time
-	result       *Result
-	done         chan struct{}
+	mu         sync.Mutex
+	chunks     []*chunk
+	remaining  int
+	workers    map[string]*workerState
+	leases     int64
+	releases   int64
+	rejections int64
+	rejected   []verify.FaultSetRecord
+	resumed    bool
+	fromStore  int
+	start      time.Time
+	result     *Result
+	done       chan struct{}
 }
 
 // chunk is the coordinator-side state of one shard.
 type chunk struct {
-	id      int
-	shard   verify.Shard
-	holders map[string]time.Time // active leases: worker → expiry
-	reports []*verify.Report     // accepted verdict copies
-	digests []string
-	doneBy  []string
-	done    bool
-	sp      *span.S // chunk lifecycle span, started at first lease
+	id     int
+	shard  verify.Shard
+	holder string // the worker holding the lease, "" for none
+	expiry time.Time
+	done   bool
+	// rep is the report merged once done: the one derived by the replay
+	// of proof, or the worker's own when it holds unknowns or solver
+	// bugs, and proof is then nil.
+	rep       *verify.Report
+	proof     *verify.ShardProof
+	fromStore bool
+	sp        *span.S // chunk lifecycle span, started at first lease
 }
 
 type workerState struct {
 	lastSeen time.Time
 }
 
-// NewCoordinator builds the shard ledger for cfg.Spec — resuming from
-// cfg.CheckpointPath when a compatible checkpoint exists — but serves
-// nothing until its Handler is mounted.
+// NewCoordinator builds the shard ledger for cfg.Spec, marking done each
+// chunk whose block in cfg.Store replays, but serves nothing until its
+// Handler is mounted.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg.Spec = cfg.Spec.withDefaults()
 	if cfg.LeaseTTL <= 0 {
@@ -109,120 +106,49 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	opts := inst.Opts
+	opts.MaxRecorded, opts.Store = cfg.MaxRecorded, cfg.Store
+	chk, err := verify.NewShardChecker(inst.Graph, cfg.Spec.K, opts)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	shards := verify.Shards(inst.Graph, cfg.Spec.K, inst.Opts.Universe, cfg.Spec.ChunkRanks)
 	reg := obs.Default()
 	c := &Coordinator{
 		cfg:       cfg,
 		spec:      cfg.Spec,
 		g:         inst.Graph,
+		chk:       chk,
 		leasedC:   reg.Counter("fleet_chunks_leased_total"),
 		doneC:     reg.Counter("fleet_chunks_completed_total"),
 		releasedC: reg.Counter("fleet_chunks_released_total"),
-		mismatchC: reg.Counter("fleet_verdict_mismatch_total"),
+		rejectedC: reg.Counter("fleet_chunks_rejected_total"),
 		liveG:     reg.Gauge("fleet_workers_live"),
-		ckptAgeG:  reg.Gauge("fleet_checkpoint_age_ms"),
 		workers:   map[string]*workerState{},
 		start:     time.Now(),
 		done:      make(chan struct{}),
 	}
 	for i, sh := range shards {
-		c.chunks = append(c.chunks, &chunk{id: i, shard: sh, holders: map[string]time.Time{}})
+		c.chunks = append(c.chunks, &chunk{id: i, shard: sh})
 	}
 	c.remaining = len(c.chunks)
-	if cfg.CheckpointPath != "" {
-		if err := c.restore(); err != nil {
-			return nil, err
+	for i, p := range chk.Stored(shards) {
+		if ch := c.chunks[i]; p != nil {
+			ch.done, ch.rep, ch.proof, ch.fromStore = true, p.Report, p, true
+			c.remaining--
+			c.fromStore++
 		}
 	}
-	if cfg.Store != nil {
-		c.ref = cfg.Store.Register(inst.Graph)
-		c.restoreFromStore()
+	c.resumed = c.fromStore > 0
+	for size := 0; size <= cfg.Spec.K; size++ {
+		c.coverLocked(size)
 	}
 	if c.remaining == 0 {
-		// Fully-complete checkpoint: finalize immediately so Final (and
-		// late-joining workers) see a done sweep.
+		// Every chunk proven by the store: finalize immediately so Final
+		// (and late-joining workers) see a done sweep.
 		c.finalizeLocked()
 	}
 	return c, nil
-}
-
-// restore loads the checkpoint (if present), validates it against the
-// spec and shard plan, and marks its Done chunks complete.
-func (c *Coordinator) restore() error {
-	ck, err := LoadCheckpoint(c.cfg.CheckpointPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // fresh sweep; first completion creates the file
-		}
-		return err
-	}
-	if ck.Spec != c.spec {
-		return fmt.Errorf("fleet: checkpoint %s is for a different instance (%+v, want %+v)",
-			c.cfg.CheckpointPath, ck.Spec, c.spec)
-	}
-	if len(ck.Chunks) != len(c.chunks) {
-		return fmt.Errorf("fleet: checkpoint %s has %d chunks, shard plan has %d",
-			c.cfg.CheckpointPath, len(ck.Chunks), len(c.chunks))
-	}
-	for i := range ck.Chunks {
-		st := &ck.Chunks[i]
-		ch := c.chunks[i]
-		if st.ID != ch.id || st.Shard != ch.shard {
-			return fmt.Errorf("fleet: checkpoint %s chunk %d does not match the shard plan",
-				c.cfg.CheckpointPath, i)
-		}
-		if !st.Done {
-			continue
-		}
-		ch.reports = st.Reports
-		ch.digests = st.Digests
-		ch.doneBy = st.DoneBy
-		ch.done = true
-		c.remaining--
-	}
-	c.resumed = true
-	c.lastCkpt = time.Now()
-	return nil
-}
-
-// chunkKey names a chunk's verdict blob on the instance's store slot. The
-// graph itself is content-addressed by the slot, so the key only has to
-// pin the sweep parameters that shape chunk verdicts (k, fault model,
-// orbit reduction) and the chunk coordinates.
-func (c *Coordinator) chunkKey(ch *chunk) string {
-	return fmt.Sprintf("fleet/k%d/merge%t/sym%t/chunk/%d:%d-%d",
-		c.spec.K, c.spec.Merge, c.spec.Symmetry, ch.shard.Size, ch.shard.From, ch.shard.To)
-}
-
-// restoreFromStore marks chunks whose verdict blob survives in the store
-// as done without leasing them. This is the fleet's content-keyed resume
-// path: it works with no checkpoint file at all, and across instances
-// that are isomorphic relabelings of each other. Blob reports get the
-// same re-trust treatment as checkpoint reports (they are merged, and a
-// redundancy mismatch on a fresh copy would still be flagged).
-func (c *Coordinator) restoreFromStore() {
-	for _, ch := range c.chunks {
-		if ch.done {
-			continue
-		}
-		b, ok := c.ref.Blob(c.chunkKey(ch))
-		if !ok {
-			continue
-		}
-		rep := &verify.Report{}
-		if err := json.Unmarshal(b, rep); err != nil || rep.Interrupted {
-			continue
-		}
-		ch.reports = []*verify.Report{rep}
-		ch.digests = []string{Digest(rep)}
-		ch.doneBy = []string{"store"}
-		ch.done = true
-		c.remaining--
-		c.fromStore++
-	}
-	if c.fromStore > 0 {
-		c.resumed = true
-	}
 }
 
 // Handler returns the coordinator's HTTP API under /v1/.
@@ -242,7 +168,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !readJSON(w, r, &req) {
+	if _, ok := readJSON(w, r, &req); !ok {
 		return
 	}
 	writeJSON(w, c.lease(req.WorkerID))
@@ -250,15 +176,23 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !readJSON(w, r, &req) {
+	dec, ok := readJSON(w, r, &req)
+	if !ok {
 		return
 	}
+	// The entries follow the JSON line, raw.
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), r.Body))
+	if err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	req.Entries = bytes.TrimPrefix(rest, []byte("\n"))
 	writeJSON(w, CompleteResponse{Accepted: c.complete(req)})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
+	if _, ok := readJSON(w, r, &req); !ok {
 		return
 	}
 	writeJSON(w, c.heartbeat(req))
@@ -268,11 +202,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.Status())
 }
 
-// lease grants the requesting worker a chunk. Two passes: the strict one
-// refuses to give a worker a chunk it already holds or already completed
-// a copy of (redundant copies from distinct workers catch more classes
-// of bug); the relaxed one drops the completed-a-copy restriction so a
-// fleet smaller than Redundancy still makes progress.
+// lease grants the requesting worker the first chunk that is neither
+// done nor leased.
 func (c *Coordinator) lease(workerID string) LeaseResponse {
 	now := time.Now()
 	c.mu.Lock()
@@ -282,105 +213,140 @@ func (c *Coordinator) lease(workerID string) LeaseResponse {
 	if c.remaining == 0 {
 		return LeaseResponse{Done: true}
 	}
-	ch := c.leasable(workerID, true)
-	if ch == nil {
-		ch = c.leasable(workerID, false)
-	}
-	if ch == nil {
-		return LeaseResponse{Wait: true}
-	}
-	ch.holders[workerID] = now.Add(c.cfg.LeaseTTL)
-	c.leases++
-	c.leasedC.Inc()
-	if ch.sp == nil {
-		ch.sp = span.Start(nil, "fleet-chunk")
-		ch.sp.SetInt("chunk", int64(ch.id)).SetInt("size", int64(ch.shard.Size)).
-			SetInt("from", ch.shard.From).SetInt("ranks", ch.shard.Ranks())
-	}
-	ch.sp.Eventf("lease", "worker=%s copy=%d", workerID, len(ch.reports)+len(ch.holders))
-	return LeaseResponse{ChunkID: ch.id, Shard: ch.shard}
-}
-
-func (c *Coordinator) leasable(workerID string, strict bool) *chunk {
 	for _, ch := range c.chunks {
-		if ch.done || len(ch.reports)+len(ch.holders) >= c.spec.Redundancy {
+		if ch.done || ch.holder != "" {
 			continue
 		}
-		if _, holds := ch.holders[workerID]; holds {
-			continue
+		ch.holder, ch.expiry = workerID, now.Add(c.cfg.LeaseTTL)
+		c.leases++
+		c.leasedC.Inc()
+		if ch.sp == nil {
+			ch.sp = span.Start(nil, "fleet-chunk")
+			ch.sp.SetInt("chunk", int64(ch.id)).SetInt("size", int64(ch.shard.Size)).
+				SetInt("from", ch.shard.From).SetInt("ranks", ch.shard.Ranks())
 		}
-		if strict && contains(ch.doneBy, workerID) {
-			continue
-		}
-		return ch
+		ch.sp.Eventf("lease", "worker=%s", workerID)
+		return LeaseResponse{ChunkID: ch.id, Shard: ch.shard}
 	}
-	return nil
+	return LeaseResponse{Wait: true}
 }
 
-// complete accepts one chunk verdict copy. Late copies (the chunk
-// already completed via redundancy or a re-lease) and interrupted
-// partials are not accepted — the worker just moves on; soundness never
-// depends on which copy won. Completion of the final copy cross-checks
-// the duplicate digests, persists the checkpoint, and — for the last
-// chunk — finalizes the merged report.
+// complete accepts one chunk result. Late results (the chunk is already
+// done) and interrupted partials are not accepted — the worker just moves
+// on. A clean report's block is checked and filed outside the lock, and
+// flushed, and the report the check derives is merged; a block that
+// fails is rejected and its chunk re-leased. A report with unknowns or
+// solver bugs is merged as it is and files no block.
 func (c *Coordinator) complete(req CompleteRequest) bool {
 	if req.Report == nil || req.ChunkID < 0 || req.ChunkID >= len(c.chunks) {
 		return false
 	}
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touch(req.WorkerID, now)
 	ch := c.chunks[req.ChunkID]
-	delete(ch.holders, req.WorkerID)
-	if ch.done || req.Report.Interrupted {
+	// The worker keeps its lease while its block is checked, so the
+	// chunk is not leased again meanwhile.
+	c.mu.Lock()
+	c.touch(req.WorkerID, time.Now())
+	late := ch.done || req.Report.Interrupted
+	if late && ch.holder == req.WorkerID {
+		ch.holder = ""
+	}
+	c.mu.Unlock()
+	if late {
 		return false
 	}
-	ch.reports = append(ch.reports, req.Report)
-	ch.digests = append(ch.digests, Digest(req.Report))
-	ch.doneBy = append(ch.doneBy, req.WorkerID)
-	if ch.sp != nil {
-		ch.sp.Eventf("complete", "worker=%s copies=%d/%d", req.WorkerID, len(ch.reports), c.spec.Redundancy)
-	}
-	if len(ch.reports) < c.spec.Redundancy {
-		return true
-	}
-
-	status := span.OK
-	for i := 1; i < len(ch.digests); i++ {
-		if ch.digests[i] != ch.digests[0] {
-			c.mismatches++
-			c.mismatchC.Inc()
-			c.mismatchRecs = append(c.mismatchRecs, verify.FaultSetRecord{
-				Err: fmt.Sprintf("fleet: chunk %d (size=%d ranks=[%d,%d)): duplicate verdicts disagree (workers %v)",
-					ch.id, ch.shard.Size, ch.shard.From, ch.shard.To, ch.doneBy),
-			})
-			span.Trip(span.AnomalySolverBug,
-				fmt.Sprintf("fleet: chunk %d duplicate verdict mismatch", ch.id))
-			status = span.Errored
-			break
+	rep := req.Report
+	var proof *verify.ShardProof
+	if rep.UnknownCount == 0 && len(rep.SolverBugs) == 0 {
+		var fault *verify.FaultSetRecord
+		if proof, fault = c.chk.Check(ch.shard, req.Entries); fault != nil {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if ch.holder == req.WorkerID {
+				ch.holder = ""
+			}
+			c.rejectLocked(ch, req.WorkerID, fault)
+			return false
 		}
+		if c.cfg.Store != nil {
+			// A failed flush costs a restart this chunk, never soundness.
+			c.cfg.Store.Flush()
+		}
+		rep = proof.Report
 	}
-	ch.done = true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ch.done {
+		return false
+	}
+	ch.done, ch.rep, ch.proof, ch.holder = true, rep, proof, ""
 	c.remaining--
 	c.doneC.Inc()
 	if ch.sp != nil {
-		ch.sp.End(status)
+		ch.sp.Eventf("complete", "worker=%s", req.WorkerID)
+		ch.sp.End(span.OK)
 		ch.sp = nil
 	}
-	if c.ref != nil {
-		if b, err := json.Marshal(ch.reports[0]); err == nil {
-			c.ref.PutBlob(c.chunkKey(ch), b)
-			// Flush per completion: a SIGKILLed coordinator resumes from
-			// the store even when the checkpoint write never happened.
-			c.cfg.Store.Flush()
-		}
-	}
-	c.checkpointLocked()
+	c.coverLocked(ch.shard.Size)
 	if c.remaining == 0 {
 		c.finalizeLocked()
 	}
 	return true
+}
+
+// rejectLocked records the rejection of a chunk result from worker: a
+// count, a record and a solver-bug trip. The chunk stays (or becomes)
+// leasable.
+func (c *Coordinator) rejectLocked(ch *chunk, worker string, fault *verify.FaultSetRecord) {
+	c.rejections++
+	c.rejectedC.Inc()
+	rec := verify.FaultSetRecord{Nodes: fault.Nodes,
+		Err: fmt.Sprintf("fleet: chunk %d (size=%d ranks=[%d,%d)) from %s rejected: %s",
+			ch.id, ch.shard.Size, ch.shard.From, ch.shard.To, worker, fault.Err)}
+	if len(c.rejected) < c.cfg.MaxRecorded {
+		c.rejected = append(c.rejected, rec)
+	}
+	span.Trip(span.AnomalySolverBug, rec.Err)
+	if ch.sp != nil {
+		ch.sp.Eventf("reject", "worker=%s", worker)
+	}
+}
+
+// coverLocked runs the size part of the replay once every chunk of size
+// has a checked block. When the blocks miss a set, the chunk holding its
+// rank is rejected and re-leased: every chunk of the size when the miss
+// names no set.
+func (c *Coordinator) coverLocked(size int) {
+	var chunks []*chunk
+	var proofs []*verify.ShardProof
+	for _, ch := range c.chunks {
+		if ch.shard.Size != size {
+			continue
+		}
+		if ch.proof == nil {
+			return
+		}
+		chunks, proofs = append(chunks, ch), append(proofs, ch.proof)
+	}
+	if len(proofs) == 0 {
+		return
+	}
+	fault, rank := c.chk.Cover(proofs)
+	if fault == nil {
+		return
+	}
+	for _, ch := range chunks {
+		if rank >= 0 && (rank < ch.shard.From || rank >= ch.shard.To) {
+			continue
+		}
+		worker := "a worker"
+		if ch.fromStore {
+			worker = "the store"
+			c.fromStore--
+		}
+		c.rejectLocked(ch, worker, fault)
+		ch.done, ch.rep, ch.proof, ch.fromStore = false, nil, nil, false
+		c.remaining++
+	}
 }
 
 func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
@@ -395,8 +361,8 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 			continue
 		}
 		ch := c.chunks[id]
-		if _, holds := ch.holders[req.WorkerID]; holds && !ch.done {
-			ch.holders[req.WorkerID] = now.Add(c.cfg.LeaseTTL)
+		if ch.holder == req.WorkerID && !ch.done {
+			ch.expiry = now.Add(c.cfg.LeaseTTL)
 		} else {
 			resp.Lost = append(resp.Lost, id)
 		}
@@ -411,19 +377,15 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // coordinator.
 func (c *Coordinator) expireLeases(now time.Time) {
 	for _, ch := range c.chunks {
-		if ch.done {
+		if ch.done || ch.holder == "" || !now.After(ch.expiry) {
 			continue
 		}
-		for worker, expiry := range ch.holders {
-			if now.After(expiry) {
-				delete(ch.holders, worker)
-				c.releases++
-				c.releasedC.Inc()
-				if ch.sp != nil {
-					ch.sp.Eventf("release", "worker=%s lease expired", worker)
-				}
-			}
+		if ch.sp != nil {
+			ch.sp.Eventf("release", "worker=%s lease expired", ch.holder)
 		}
+		ch.holder = ""
+		c.releases++
+		c.releasedC.Inc()
 	}
 }
 
@@ -436,41 +398,13 @@ func (c *Coordinator) touch(workerID string, now time.Time) {
 	ws.lastSeen = now
 }
 
-// checkpointLocked persists the current chunk ledger. Failures are
-// recorded on the status (age stays stale) but do not abort the sweep:
-// a missing checkpoint only costs resume granularity, never soundness.
-func (c *Coordinator) checkpointLocked() {
-	if c.cfg.CheckpointPath == "" {
-		return
-	}
-	ck := &Checkpoint{Spec: c.spec, Chunks: make([]ChunkState, len(c.chunks))}
-	for i, ch := range c.chunks {
-		st := ChunkState{ID: ch.id, Shard: ch.shard, Done: ch.done}
-		if ch.done {
-			st.Reports = ch.reports
-			st.Digests = ch.digests
-			st.DoneBy = ch.doneBy
-		}
-		ck.Chunks[i] = st
-	}
-	if err := ck.Save(c.cfg.CheckpointPath); err == nil {
-		c.lastCkpt = time.Now()
-		c.ckptAgeG.Set(0)
-	}
-}
-
-// finalizeLocked merges one verdict copy per chunk (commutative, so the
-// completion order that actually happened is irrelevant), appends any
-// redundancy-mismatch records as solver bugs, and publishes the result.
+// finalizeLocked merges every chunk's report (commutative, so the
+// completion order that actually happened is irrelevant) and publishes
+// the result.
 func (c *Coordinator) finalizeLocked() {
 	rep := &verify.Report{GraphName: c.g.Name(), K: c.spec.K}
 	for _, ch := range c.chunks {
-		if len(ch.reports) > 0 {
-			verify.MergeReports(rep, ch.reports[0], c.cfg.MaxRecorded)
-		}
-	}
-	if len(c.mismatchRecs) > 0 {
-		verify.MergeReports(rep, &verify.Report{SolverBugs: c.mismatchRecs}, c.cfg.MaxRecorded)
+		verify.MergeReports(rep, ch.rep, c.cfg.MaxRecorded)
 	}
 	rep.Duration = time.Since(c.start)
 	c.result = &Result{
@@ -481,15 +415,15 @@ func (c *Coordinator) finalizeLocked() {
 		ChunksFromStore: c.fromStore,
 		Leases:          c.leases,
 		Releases:        c.releases,
-		Mismatches:      c.mismatches,
+		ChunksRejected:  c.rejections,
+		Rejected:        c.rejected,
 		WorkersSeen:     len(c.workers),
-		Redundancy:      c.spec.Redundancy,
 	}
 	close(c.done)
 }
 
 // Status snapshots the live sweep accounting and refreshes the liveness
-// and checkpoint-age gauges.
+// gauge.
 func (c *Coordinator) Status() Status {
 	now := time.Now()
 	c.mu.Lock()
@@ -503,12 +437,11 @@ func (c *Coordinator) Status() Status {
 		ChunksFromStore: c.fromStore,
 		Leases:          c.leases,
 		Releases:        c.releases,
-		Mismatches:      c.mismatches,
+		ChunksRejected:  c.rejections,
 		WorkersSeen:     len(c.workers),
-		CheckpointAgeMS: -1,
 	}
 	for _, ch := range c.chunks {
-		if !ch.done && len(ch.holders) > 0 {
+		if !ch.done && ch.holder != "" {
 			st.ChunksLeased++
 		}
 	}
@@ -517,17 +450,12 @@ func (c *Coordinator) Status() Status {
 			st.WorkersLive++
 		}
 	}
-	if !c.lastCkpt.IsZero() {
-		st.CheckpointAgeMS = now.Sub(c.lastCkpt).Milliseconds()
-	}
 	c.liveG.Set(int64(st.WorkersLive))
-	if st.CheckpointAgeMS >= 0 {
-		c.ckptAgeG.Set(st.CheckpointAgeMS)
-	}
 	return st
 }
 
-// Resumed reports whether the coordinator started from a checkpoint.
+// Resumed reports whether the coordinator found chunks proven in its
+// store at startup.
 func (c *Coordinator) Resumed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -545,28 +473,22 @@ func (c *Coordinator) Final() *Result {
 	return c.result
 }
 
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readJSON decodes the JSON value a POST body starts with into v, and
+// returns the decoder, which may hold bytes past it.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) (*json.Decoder, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
+		return nil, false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return false
+		return nil, false
 	}
-	return true
+	return dec, true
 }

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -139,10 +142,33 @@ func TestDeadWorkerChunkReleased(t *testing.T) {
 	}
 }
 
-// Killing the coordinator mid-sweep and restarting it from the
-// checkpoint must resume — not restart — the sweep: completed chunks are
-// not re-verified, Resumed is reported, and the final verdict is
-// byte-identical to the single-process run.
+// openStore opens the store at path and fails the test on error.
+func openStore(t *testing.T, path string) *store.Store {
+	t.Helper()
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// waitDone waits for the sweep to finish and returns its result.
+func waitDone(t *testing.T, c *Coordinator) *Result {
+	t.Helper()
+	select {
+	case <-c.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("sweep did not finish: %+v", c.Status())
+	}
+	return c.Final()
+}
+
+// The proof store is the coordinator's checkpoint. Killing the
+// coordinator mid-sweep and restarting it on its store must resume — not
+// restart — the sweep: the chunks whose blocks were filed are done
+// without a lease, Resumed is reported, and the final verdict is
+// byte-identical to the single-process run. A different sweep of the same
+// graph shares the slot but none of the blocks.
 func TestResumeFromCheckpoint(t *testing.T) {
 	spec := JobSpec{N: 3, K: 2, ChunkRanks: 16}
 	inst, err := spec.Build()
@@ -150,10 +176,11 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := verify.Exhaustive(inst.Graph, spec.K, inst.Opts)
-	ckpt := filepath.Join(t.TempDir(), "sweep.json")
+	path := filepath.Join(t.TempDir(), "sweep.gdps")
 
-	// First incarnation: complete two chunks, then "crash" (abandon it).
-	first, err := NewCoordinator(Config{Spec: spec, CheckpointPath: ckpt})
+	// First incarnation: complete two chunks, then "crash" without
+	// Close — the flush after each completion must have persisted them.
+	first, err := NewCoordinator(Config{Spec: spec, Store: openStore(t, path)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,48 +194,43 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		if lease.Done || lease.Wait {
 			t.Fatalf("lease %d: %+v", i, lease)
 		}
-		if !first.complete(CompleteRequest{WorkerID: "w0", ChunkID: lease.ChunkID, Report: runner.Run(lease.Shard)}) {
+		rep := runner.Run(lease.Shard)
+		if !first.complete(CompleteRequest{WorkerID: "w0", ChunkID: lease.ChunkID, Report: rep,
+			Entries: runner.TakeEntries(lease.Shard.Size)}) {
 			t.Fatalf("complete %d not accepted", i)
 		}
 	}
 
-	// Second incarnation restores the two completed chunks.
-	second, srv := startFleet(t, Config{Spec: spec, CheckpointPath: ckpt})
-	if !second.Resumed() {
-		t.Fatal("restarted coordinator did not resume from checkpoint")
+	// A different sweep (k=1) over the same graph shares the slot but not
+	// the sweep signature: nothing resumes, nothing is misattributed.
+	s2 := openStore(t, path)
+	defer s2.Close()
+	other, err := NewCoordinator(Config{Spec: JobSpec{N: 3, K: 1, ChunkRanks: 16}, Store: s2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := second.Status(); st.ChunksCompleted != 2 {
-		t.Fatalf("resumed with %d completed chunks, want 2", st.ChunksCompleted)
+	if other.Resumed() {
+		t.Error("k=1 sweep resumed from k=2 chunk blocks")
+	}
+
+	// Second incarnation restores the two completed chunks and finishes.
+	second, srv := startFleet(t, Config{Spec: spec, Store: s2})
+	if st := second.Status(); !st.Resumed || st.ChunksCompleted != 2 || st.ChunksFromStore != 2 {
+		t.Fatalf("restarted coordinator: %+v; want resumed with 2 chunks from the store", st)
 	}
 	runWorkers(t, srv, 2)
-	select {
-	case <-second.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatalf("resumed sweep did not finish: %+v", second.Status())
-	}
-	res := second.Final()
-	if !res.Resumed {
-		t.Error("final result lost the Resumed flag")
-	}
-	if res.ChunksCompleted != res.ChunksTotal {
-		t.Errorf("chunks %d/%d after resume", res.ChunksCompleted, res.ChunksTotal)
+	res := waitDone(t, second)
+	if !res.Resumed || res.ChunksCompleted != res.ChunksTotal {
+		t.Errorf("resumed sweep: resumed=%v, chunks %d/%d", res.Resumed, res.ChunksCompleted, res.ChunksTotal)
 	}
 	if got := res.Report.VerdictSummary(); got != want.VerdictSummary() {
 		t.Errorf("resumed verdict\n%q\nwant\n%q", got, want.VerdictSummary())
 	}
-
-	// A checkpoint for a different instance must be refused, not merged.
-	bad := spec
-	bad.K = 1
-	if _, err := NewCoordinator(Config{Spec: bad, CheckpointPath: ckpt}); err == nil {
-		t.Error("coordinator accepted a checkpoint for a different instance")
-	}
 }
 
-// A restarted coordinator with a warm verdict store — and NO checkpoint
-// file — must resume from the store alone: every chunk whose verdict blob
-// survived is marked done without a single lease, Resumed is reported,
-// and the final verdict is byte-identical to the single-process run.
+// A restart on a store that holds every block of the sweep leases
+// nothing and reaches the single-process verdict; one whose block of a
+// chunk is damaged in the file leases that chunk alone.
 func TestResumeFromStore(t *testing.T) {
 	spec := JobSpec{N: 3, K: 2, ChunkRanks: 16}
 	inst, err := spec.Build()
@@ -216,38 +238,24 @@ func TestResumeFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := verify.Exhaustive(inst.Graph, spec.K, inst.Opts)
-	storePath := filepath.Join(t.TempDir(), "verdicts.gdps")
+	path := filepath.Join(t.TempDir(), "sweep.gdps")
 
-	// First incarnation: full sweep against a cold store, then "crash"
-	// without Close — the per-completion Flush must have persisted every
-	// chunk blob already.
-	s1, err := store.Open(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// First incarnation: a whole sweep, every chunk filed in the store.
+	s1 := openStore(t, path)
 	first, srv := startFleet(t, Config{Spec: spec, Store: s1})
 	runWorkers(t, srv, 2)
-	select {
-	case <-first.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatalf("cold sweep did not finish: %+v", first.Status())
+	if res := waitDone(t, first); res.ChunksCompleted != res.ChunksTotal {
+		t.Fatalf("first sweep: chunks %d/%d", res.ChunksCompleted, res.ChunksTotal)
 	}
-	if res := first.Final(); res.Resumed || res.ChunksFromStore != 0 {
-		t.Fatalf("cold sweep claimed a resume: %+v", res)
-	}
-
-	// Second incarnation: same instance, fresh coordinator, no checkpoint.
-	s2, err := store.Open(storePath)
-	if err != nil {
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
+
+	// Second incarnation: every chunk proven by the store, none leased.
+	s2 := openStore(t, path)
 	second, err := NewCoordinator(Config{Spec: spec, Store: s2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !second.Resumed() {
-		t.Fatal("warm-store coordinator did not report resumed")
 	}
 	select {
 	case <-second.Done():
@@ -255,80 +263,209 @@ func TestResumeFromStore(t *testing.T) {
 		t.Fatalf("warm-store sweep not complete at startup: %+v", second.Status())
 	}
 	res := second.Final()
-	if res.Leases != 0 {
-		t.Errorf("warm-store resume leased %d chunks, want 0", res.Leases)
-	}
-	if res.ChunksFromStore != res.ChunksTotal || res.ChunksTotal == 0 {
-		t.Errorf("chunks from store %d/%d", res.ChunksFromStore, res.ChunksTotal)
+	if !res.Resumed || res.Leases != 0 || res.ChunksFromStore != res.ChunksTotal || res.ChunksTotal == 0 {
+		t.Errorf("warm-store resume: resumed=%v, %d leases, %d/%d chunks from the store",
+			res.Resumed, res.Leases, res.ChunksFromStore, res.ChunksTotal)
 	}
 	if got := res.Report.VerdictSummary(); got != want.VerdictSummary() {
 		t.Errorf("store-resumed verdict\n%q\nwant\n%q", got, want.VerdictSummary())
 	}
+	s2.Close()
 
-	// A different sweep (k=1) over the same graph shares the slot but not
-	// the chunk keys: nothing resumes, nothing is misattributed.
-	other, err := NewCoordinator(Config{Spec: JobSpec{N: 3, K: 1, ChunkRanks: 16}, Store: s2})
-	if err != nil {
-		t.Fatal(err)
+	// A chunk's block damaged in the file, CRC intact: that chunk alone
+	// is leased again, and the verdict is unchanged.
+	damageLastBlock(t, path)
+	s3 := openStore(t, path)
+	defer s3.Close()
+	third, srv3 := startFleet(t, Config{Spec: spec, Store: s3})
+	if st := third.Status(); st.ChunksFromStore != st.ChunksTotal-1 {
+		t.Fatalf("after damaging one block: %d/%d chunks from the store", st.ChunksFromStore, st.ChunksTotal)
 	}
-	if other.Resumed() {
-		t.Error("k=1 sweep resumed from k=2 chunk blobs")
+	runWorkers(t, srv3, 1)
+	res = waitDone(t, third)
+	if res.Leases != 1 {
+		t.Errorf("after damaging one block: %d leases, want 1", res.Leases)
+	}
+	if got := res.Report.VerdictSummary(); got != want.VerdictSummary() {
+		t.Errorf("verdict after re-leasing the damaged chunk\n%q\nwant\n%q", got, want.VerdictSummary())
 	}
 }
 
-// With redundancy 2, disagreeing duplicate verdicts for a chunk must be
-// flagged as a solver bug: counted in Mismatches and failing the merged
-// report — never silently trusting either copy.
-func TestRedundancyMismatchFlagged(t *testing.T) {
-	spec := JobSpec{N: 3, K: 2, Redundancy: 2, ChunkRanks: 1 << 20}
-	c, err := NewCoordinator(Config{Spec: spec})
+// damageLastBlock rewrites the last proof block of the store file at path
+// with its last byte changed, and its CRC recomputed, as a foreign writer
+// might.
+func damageLastBlock(t *testing.T, path string) {
+	t.Helper()
+	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := -1
+	for off := 6; off < len(img); off += 10 + int(binary.LittleEndian.Uint32(img[off+2:])) {
+		if img[off+1] == 7 {
+			last = off
+		}
+	}
+	if last < 0 {
+		t.Fatal("no proof block in the store")
+	}
+	end := last + 6 + int(binary.LittleEndian.Uint32(img[last+2:]))
+	img[end-1] ^= 0x01
+	binary.LittleEndian.PutUint32(img[end:], crc32.ChecksumIEEE(img[last:end]))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Two workers lease the same chunk (redundancy 2) and return
-	// fabricated, disagreeing verdicts.
-	la, lb := c.lease("wa"), c.lease("wb")
-	if la.ChunkID != lb.ChunkID {
-		t.Fatalf("redundant copies went to different chunks: %d vs %d", la.ChunkID, lb.ChunkID)
+// TestFleetFilesAProof runs fleets with a store on three instances —
+// orbit-reduced, without symmetry, and the merged model — and replays
+// each store with no solver: the replay must reach the verdict of a
+// single-process run.
+func TestFleetFilesAProof(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{N: 3, K: 3, Symmetry: true, ChunkRanks: 64},
+		{N: 10, K: 2, ChunkRanks: 64},
+		{N: 5, K: 2, Merge: true, Symmetry: true, ChunkRanks: 16},
+	} {
+		inst, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := verify.Exhaustive(inst.Graph, spec.K, inst.Opts).VerdictSummary()
+		s := openStore(t, filepath.Join(t.TempDir(), "sweep.gdps"))
+		c, srv := startFleet(t, Config{Spec: spec, Store: s})
+		runWorkers(t, srv, 2)
+		if got := waitDone(t, c).Report.VerdictSummary(); got != want {
+			t.Errorf("%+v: fleet verdict\n%q\nwant\n%q", spec, got, want)
+		}
+		opts := inst.Opts
+		opts.Store = s
+		if got := verify.Replay(inst.Graph, spec.K, opts).VerdictSummary(); got != want {
+			t.Errorf("%+v: replay of the fleet's store\n%q\nwant\n%q", spec, got, want)
+		}
+		s.Close()
 	}
-	repA := &verify.Report{Checked: 10, Represented: 10}
-	repB := &verify.Report{Checked: 10, Represented: 10, FailureCount: 1,
-		Failures: []verify.FaultSetRecord{{Nodes: []int{3}, Err: "no pipeline"}}}
-	if !c.complete(CompleteRequest{WorkerID: "wa", ChunkID: la.ChunkID, Report: repA}) {
-		t.Fatal("first copy rejected")
-	}
-	if !c.complete(CompleteRequest{WorkerID: "wb", ChunkID: lb.ChunkID, Report: repB}) {
-		t.Fatal("second copy rejected")
-	}
-	if st := c.Status(); st.Mismatches != 1 {
-		t.Fatalf("Mismatches = %d, want 1", st.Mismatches)
-	}
+}
 
-	// Drive the remaining chunks to completion with agreeing (fabricated)
-	// copies so the sweep finalizes.
+// entries splits width-1 proof-block entries of fault sets of the given
+// size into one slice each.
+func entries(b []byte, size int) [][]byte {
+	var out [][]byte
+	for len(b) > 0 {
+		n := size + 1 + int(b[size])
+		out = append(out, b[:n:n])
+		b = b[n:]
+	}
+	return out
+}
+
+// poisonedSweep drives a sweep of G(3,3), k=3 with orbit reduction and a
+// store, by direct lease and complete calls. The first upload of the
+// first chunk of size 2 holds its honest entries passed through poison,
+// which also gets the next chunk's; every other upload, that chunk's
+// again included, is honest. The evil upload must be rejected, at once
+// or when its size is checked, and its chunk leased again; the final
+// verdict and the store's replay must equal the single-process run's.
+// accepted is whether the evil upload is accepted at first.
+func poisonedSweep(t *testing.T, name string, accepted bool, poison func(e, next [][]byte) [][]byte) {
+	t.Helper()
+	spec := JobSpec{N: 3, K: 3, Symmetry: true, ChunkRanks: 16}
+	inst, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := verify.Exhaustive(inst.Graph, spec.K, inst.Opts).VerdictSummary()
+	s := openStore(t, filepath.Join(t.TempDir(), "sweep.gdps"))
+	defer s.Close()
+	c, err := NewCoordinator(Config{Spec: spec, Store: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := verify.NewShardRunner(inst.Graph, spec.K, inst.Opts)
+	defer runner.Close()
+	target, leases := -1, 0
 	for {
-		l := c.lease("wc")
+		l := c.lease("w")
 		if l.Done {
 			break
 		}
-		if l.Wait {
-			t.Fatalf("unexpected wait: %+v", c.Status())
+		if l.Wait || leases > 1000 {
+			t.Fatalf("%s: unexpected wait or endless sweep: %+v", name, c.Status())
 		}
-		rep := &verify.Report{Checked: l.Shard.Ranks(), Represented: l.Shard.Ranks()}
-		c.complete(CompleteRequest{WorkerID: "wc", ChunkID: l.ChunkID, Report: rep})
-		c.complete(CompleteRequest{WorkerID: "wd", ChunkID: l.ChunkID, Report: rep})
+		leases++
+		rep := runner.Run(l.Shard)
+		req := CompleteRequest{WorkerID: "w", ChunkID: l.ChunkID, Report: rep, Entries: runner.TakeEntries(l.Shard.Size)}
+		if target < 0 && l.Shard.Size == 2 {
+			target = l.ChunkID
+			runner.Run(verify.Shard{Size: 2, From: l.Shard.To, To: l.Shard.To + spec.ChunkRanks})
+			var b []byte
+			for _, e := range poison(entries(req.Entries, 2), entries(runner.TakeEntries(2), 2)) {
+				b = append(b, e...)
+			}
+			req.Entries = b
+			if got := c.complete(req); got != accepted {
+				t.Errorf("%s: poisoned upload accepted=%v, want %v", name, got, accepted)
+			}
+			continue
+		}
+		if !c.complete(req) {
+			t.Errorf("%s: honest upload of chunk %d rejected: %+v", name, l.ChunkID, c.Status())
+		}
 	}
 	res := c.Final()
-	if res.Mismatches != 1 {
-		t.Errorf("final Mismatches = %d, want 1", res.Mismatches)
+	for _, r := range res.Rejected {
+		t.Logf("%s: %s", name, r.Err)
 	}
-	if len(res.Report.SolverBugs) == 0 {
-		t.Error("mismatch left no SolverBugs record")
+	if res.ChunksRejected != 1 || len(res.Rejected) != 1 || res.Leases != int64(res.ChunksTotal)+1 {
+		t.Errorf("%s: %d rejections %+v, %d leases for %d chunks; want 1 rejection and the chunk leased again",
+			name, res.ChunksRejected, res.Rejected, res.Leases, res.ChunksTotal)
 	}
-	if res.Report.OK() {
-		t.Error("report with a verdict mismatch must not be OK")
+	if got := res.Report.VerdictSummary(); got != want {
+		t.Errorf("%s: verdict\n%q\nwant\n%q", name, got, want)
 	}
+	opts := inst.Opts
+	opts.Store = s
+	if got := verify.Replay(inst.Graph, spec.K, opts).VerdictSummary(); got != want {
+		t.Errorf("%s: replay of the store\n%q\nwant\n%q", name, got, want)
+	}
+}
+
+// TestPoisonedChunksRejected uploads a chunk with a path that is not a
+// pipeline, a chunk missing one orbit-least set, a chunk with an entry
+// outside its range, and a chunk with a false negative. Each is rejected
+// and leased again, and the sweep still reaches the single-process
+// verdict.
+func TestPoisonedChunksRejected(t *testing.T) {
+	positive := func(e [][]byte) int {
+		for i, x := range e {
+			if x[2] != 0 {
+				return i
+			}
+		}
+		t.Fatal("no positive entry in the chunk")
+		return 0
+	}
+	poisonedSweep(t, "path that is not a pipeline", false, func(e, _ [][]byte) [][]byte {
+		i := positive(e)
+		x := append([]byte(nil), e[i]...)
+		x[4], x[5] = x[5], x[4] // two interior nodes swapped
+		e[i] = x
+		return e
+	})
+	poisonedSweep(t, "missing orbit-least set", true, func(e, _ [][]byte) [][]byte {
+		return e[1:]
+	})
+	poisonedSweep(t, "entry outside the chunk's range", false, func(e, next [][]byte) [][]byte {
+		if len(next) == 0 {
+			t.Fatal("test premise: the next chunk holds an entry")
+		}
+		return append(e, next[0])
+	})
+	poisonedSweep(t, "false negative", false, func(e, _ [][]byte) [][]byte {
+		i := positive(e)
+		e[i] = append(append([]byte(nil), e[i][:2]...), 0)
+		return e
+	})
 }
 
 // Interrupted partials must be rejected at /v1/complete: a worker that

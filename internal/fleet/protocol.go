@@ -1,25 +1,35 @@
 // Package fleet shards exhaustive GD(G, k) verification across many
-// worker processes behind an HTTP coordinator, with redundant chunk
-// assignment, heartbeat-driven lease recovery, and a JSON checkpoint that
-// makes a killed-and-restarted sweep resume instead of re-enumerating.
+// worker processes behind an HTTP coordinator, with heartbeat-driven
+// lease recovery, and the proof store as its one record of progress.
 //
-// The design follows the source paper's graceful-degradation framing
-// applied to the verifier itself, and the redundant-assignment robustness
-// argument of Censor-Hillel et al. ("Two for One, One for All"): the
-// coordinator leases each chunk up to Redundancy times, a straggling or
-// dead worker's lease expires and the chunk is re-leased, and duplicate
-// verdicts for one chunk are cross-checked — a mismatch is flagged as a
-// solver bug rather than silently trusted. Soundness never depends on
-// worker liveness: a chunk is complete only when enough verdicts arrived,
-// and the final report is the commutative merge of exactly one verdict
-// per chunk, so worker death, duplicate completion, and out-of-order
-// arrival all leave the verdict byte-identical to a single-process run.
+// A worker verifies a leased chunk, one rank range of one fault-set
+// size, and uploads its report with the chunk's proof-block entries:
+// each orbit representative it decided, with its witness pipeline. The
+// coordinator checks the block with the replay code of gdpverify -replay
+// (verify.ShardChecker): every witness must pass its certificate, every
+// negative must be confirmed by the cheap necessary conditions or by the
+// coordinator's own solver, and every set must be the least of its orbit
+// and lie in the chunk's range. A block that passes is filed in the
+// store, and the report the replay derives from it is merged; one that
+// fails is rejected and its chunk re-leased. Once every chunk of a size
+// is filed, the size part of the replay checks that their blocks cover
+// every orbit of the size. So no chunk is solved twice, and a finished
+// fleet leaves a store that gdpverify -replay proves from with no solver.
 //
-// Protocol (all bodies JSON):
+// Soundness never depends on worker liveness: a dead or straggling
+// worker's lease expires and its chunk re-leases, and the final report
+// merges exactly one checked report per chunk, so worker death,
+// duplicate completion and out-of-order arrival all leave the verdict
+// byte-identical to a single-process run. A chunk whose report holds
+// unknowns or solver bugs files no block and is merged from its report:
+// it can leave the verdict unproven, never wrong. A restarted coordinator
+// replays each chunk's block from the store and leases only the rest.
+//
+// Protocol (bodies JSON, but for the entries /v1/complete appends):
 //
 //	GET  /v1/job        → JobResponse   the instance workers must build
 //	POST /v1/lease      → LeaseResponse a chunk lease (or wait/done)
-//	POST /v1/complete   → CompleteResponse submit one chunk's partial report
+//	POST /v1/complete   → CompleteResponse submit one chunk's report and block entries
 //	POST /v1/heartbeat  → HeartbeatResponse renew this worker's leases
 //	GET  /v1/status     → Status        live sweep accounting
 package fleet
@@ -36,9 +46,7 @@ import (
 // JobSpec pins the verification instance every participant must agree
 // on. The coordinator serves it at /v1/job; workers rebuild the graph
 // from it (Design is deterministic) rather than shipping the graph over
-// the wire. It is also persisted in the checkpoint, so a resume with a
-// different instance is rejected instead of merging incompatible
-// partials.
+// the wire.
 type JobSpec struct {
 	// N and K are the construct.Design arguments.
 	N int `json:"n"`
@@ -49,18 +57,11 @@ type JobSpec struct {
 	// Symmetry enables orbit-reduced enumeration. The orbit test is
 	// deterministic, so every worker prunes the same representatives.
 	Symmetry bool `json:"symmetry,omitempty"`
-	// Redundancy is how many independent verdicts each chunk needs
-	// (default 1). Copies go to distinct workers when enough are alive;
-	// mismatched duplicate verdicts are flagged as solver bugs.
-	Redundancy int `json:"redundancy"`
 	// ChunkRanks bounds the ranks per chunk (0 = verify.DefaultShardRanks).
 	ChunkRanks int64 `json:"chunk_ranks"`
 }
 
 func (s JobSpec) withDefaults() JobSpec {
-	if s.Redundancy <= 0 {
-		s.Redundancy = 1
-	}
 	if s.ChunkRanks <= 0 {
 		s.ChunkRanks = verify.DefaultShardRanks
 	}
@@ -123,16 +124,23 @@ type LeaseResponse struct {
 	Shard verify.Shard `json:"shard"`
 }
 
-// CompleteRequest submits one chunk's partial report.
+// CompleteRequest submits one chunk's partial report and, unless the
+// report holds unknowns or solver bugs, the proof-block entries of the
+// chunk (verify.ShardRunner.TakeEntries) as one byte string. Its body is
+// the request as one line of JSON, then the entries, raw: a G(26,5), k=5
+// sweep uploads ~19 MB of them, which JSON would carry as base64 and scan
+// byte by byte.
 type CompleteRequest struct {
 	WorkerID string         `json:"worker_id"`
 	ChunkID  int            `json:"chunk_id"`
 	Report   *verify.Report `json:"report"`
+	Entries  []byte         `json:"-"`
 }
 
 // CompleteResponse acknowledges a submission. Accepted is false when the
-// report arrived too late (the chunk already has its verdicts) or was
-// interrupted — either way the worker just moves on.
+// report arrived too late (the chunk is already done), was interrupted,
+// or its block failed the coordinator's check — either way the worker
+// just moves on.
 type CompleteResponse struct {
 	Accepted bool `json:"accepted"`
 }
@@ -145,8 +153,8 @@ type HeartbeatRequest struct {
 
 // HeartbeatResponse lists chunks the worker believed it held but the
 // coordinator no longer credits to it (lease expired and re-leased, or
-// completed by a redundant copy). Purely informational: a stale worker's
-// eventual Complete is simply not Accepted.
+// the chunk is done). Purely informational: a stale worker's eventual
+// Complete is simply not Accepted.
 type HeartbeatResponse struct {
 	Lost []int `json:"lost,omitempty"`
 }
@@ -158,35 +166,37 @@ type Status struct {
 	Resumed         bool `json:"resumed"`
 	ChunksTotal     int  `json:"chunks_total"`
 	ChunksCompleted int  `json:"chunks_completed"`
-	// ChunksFromStore counts chunks proven by a verdict blob in the
-	// content-addressed store at startup — done without any lease.
+	// ChunksFromStore counts chunks proven by a proof block in the store
+	// at startup — done without any lease.
 	ChunksFromStore int   `json:"chunks_from_store,omitempty"`
 	ChunksLeased    int   `json:"chunks_leased"`
 	Leases          int64 `json:"leases"`
 	// Releases counts leases reclaimed from dead or straggling workers
 	// and made available again.
-	Releases    int64 `json:"releases"`
-	Mismatches  int64 `json:"mismatches"`
-	WorkersLive int   `json:"workers_live"`
-	WorkersSeen int   `json:"workers_seen"`
-	// CheckpointAgeMS is the time since the last checkpoint write
-	// (-1: checkpointing off or nothing written yet).
-	CheckpointAgeMS int64 `json:"checkpoint_age_ms"`
+	Releases int64 `json:"releases"`
+	// ChunksRejected counts chunk results that failed the coordinator's
+	// check, each then re-leased.
+	ChunksRejected int64 `json:"chunks_rejected"`
+	WorkersLive    int   `json:"workers_live"`
+	WorkersSeen    int   `json:"workers_seen"`
 }
 
 // Result is the finished sweep: the merged report plus the fleet-level
 // accounting the CI gauntlets assert on.
 type Result struct {
 	Report *verify.Report `json:"report"`
-	// Resumed: the coordinator started from an existing checkpoint
-	// rather than a fresh enumeration.
+	// Resumed: the coordinator found chunks proven in its store at
+	// startup rather than starting a fresh enumeration.
 	Resumed         bool  `json:"resumed"`
 	ChunksTotal     int   `json:"chunks_total"`
 	ChunksCompleted int   `json:"chunks_completed"`
 	ChunksFromStore int   `json:"chunks_from_store,omitempty"`
 	Leases          int64 `json:"leases"`
 	Releases        int64 `json:"releases"`
-	Mismatches      int64 `json:"mismatches"`
-	WorkersSeen     int   `json:"workers_seen"`
-	Redundancy      int   `json:"redundancy"`
+	ChunksRejected  int64 `json:"chunks_rejected"`
+	// Rejected says why chunk results were rejected, the first ones up
+	// to the report's record cap. They are not in Report: a rejected
+	// chunk was re-leased and proven again.
+	Rejected    []verify.FaultSetRecord `json:"rejected,omitempty"`
+	WorkersSeen int                     `json:"workers_seen"`
 }

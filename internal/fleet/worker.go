@@ -28,8 +28,8 @@ type WorkerConfig struct {
 	Throttle time.Duration
 	// Retry bounds how long coordinator calls keep retrying through
 	// connection failures before the worker gives up — the window that
-	// lets workers ride out a coordinator SIGKILL + restart-from-
-	// checkpoint (default 30s).
+	// lets workers ride out a coordinator SIGKILL and its restart from
+	// the store (default 30s).
 	Retry time.Duration
 	// Memo enables the solver result memo (on by default in gdpfleet).
 	Memo bool
@@ -42,8 +42,8 @@ type WorkerConfig struct {
 // RunWorker runs one worker process: it fetches the job spec, rebuilds
 // the instance deterministically, and loops leasing chunks, verifying
 // them with persistent ShardRunners, and streaming the partial reports
-// back — heartbeating its in-flight chunks so the coordinator knows it
-// is alive. It returns nil when the coordinator reports the sweep done,
+// back with the chunks' proof-block entries — heartbeating its in-flight
+// chunks so the coordinator knows it is alive. It returns nil when the coordinator reports the sweep done,
 // ctx.Err() on cancellation, and a transport error only after the Retry
 // window is exhausted.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
@@ -77,8 +77,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	opts.Context = ctx
 	opts.Throttle = cfg.Throttle
 	opts.Solver.Memo = cfg.Memo
-	cfg.Logf("fleet worker %s: job %s k=%d redundancy=%d, %d runner(s)",
-		cfg.ID, inst.Graph.Name(), job.Spec.K, job.Spec.Redundancy, cfg.Parallel)
+	cfg.Logf("fleet worker %s: job %s k=%d, %d runner(s)",
+		cfg.ID, inst.Graph.Name(), job.Spec.K, cfg.Parallel)
 
 	// Heartbeat at a third of the lease TTL so one dropped request does
 	// not cost the lease.
@@ -139,8 +139,8 @@ func (w *fleetWorker) runLoop(ctx context.Context, inst *Instance, opts verify.O
 		w.track(lease.ChunkID, true)
 		rep := runner.Run(lease.Shard)
 		var ack CompleteResponse
-		err := w.call(ctx, "/v1/complete",
-			CompleteRequest{WorkerID: w.cfg.ID, ChunkID: lease.ChunkID, Report: rep}, &ack)
+		err := w.call(ctx, "/v1/complete", CompleteRequest{WorkerID: w.cfg.ID, ChunkID: lease.ChunkID,
+			Report: rep, Entries: runner.TakeEntries(lease.Shard.Size)}, &ack)
 		w.track(lease.ChunkID, false)
 		if err != nil {
 			return err
@@ -151,7 +151,7 @@ func (w *fleetWorker) runLoop(ctx context.Context, inst *Instance, opts verify.O
 			return ctx.Err()
 		}
 		if !ack.Accepted {
-			w.cfg.Logf("fleet worker %s: chunk %d verdict not accepted (late duplicate)", w.cfg.ID, lease.ChunkID)
+			w.cfg.Logf("fleet worker %s: chunk %d not accepted (late, or its block failed the check)", w.cfg.ID, lease.ChunkID)
 		}
 	}
 }
@@ -236,6 +236,9 @@ func (w *fleetWorker) callOnce(ctx context.Context, path string, req, resp any) 
 		var body bytes.Buffer
 		if err := json.NewEncoder(&body).Encode(req); err != nil {
 			return err
+		}
+		if c, ok := req.(CompleteRequest); ok {
+			body.Write(c.Entries) // raw, after the JSON line
 		}
 		httpReq, err = http.NewRequestWithContext(ctx, http.MethodPost, url, &body)
 		if httpReq != nil {

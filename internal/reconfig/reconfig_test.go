@@ -138,10 +138,51 @@ func TestRepairReinsertsProcessor(t *testing.T) {
 	}
 }
 
+// TestDesignAndPipelineLifecycle designs G(10,2), takes up to k faults
+// on the pipeline and repairs one: every pipeline the manager holds is a
+// certified one over all healthy processors.
+func TestDesignAndPipelineLifecycle(t *testing.T) {
+	sol, err := construct.Design(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.N != 10 || sol.K != 2 {
+		t.Fatalf("N/K = %d/%d", sol.N, sol.K)
+	}
+	m, err := reconfig.New(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Pipeline()
+	if len(p) != 12+2 { // n+k processors + 2 terminals
+		t.Fatalf("pipeline length %d", len(p))
+	}
+	victims := []int{p[1], p[5]}
+	for i, v := range victims {
+		if _, err := m.Fault(v); err != nil {
+			t.Fatalf("after %d faults: %v", i+1, err)
+		}
+		mustValid(t, m, sol.Graph)
+		if got := len(m.Pipeline()) - 2; got != 12-(i+1) {
+			t.Fatalf("pipeline uses %d processors, %d healthy", got, 12-(i+1))
+		}
+	}
+	if _, err := m.Repair(victims[0]); err != nil {
+		t.Fatal(err)
+	}
+	mustValid(t, m, sol.Graph)
+	if m.Faults().Count() != 1 || len(m.Pipeline())-2 != 11 {
+		t.Fatalf("after a repair: %d faults, %d processors in the pipeline", m.Faults().Count(), len(m.Pipeline())-2)
+	}
+}
+
 func TestFaultErrors(t *testing.T) {
 	m := manager(t, 6, 2)
 	if _, err := m.Fault(-1); err == nil {
 		t.Fatal("negative accepted")
+	}
+	if _, err := m.Fault(1 << 20); err == nil {
+		t.Fatal("out of range accepted")
 	}
 	if _, err := m.Fault(0); err != nil {
 		t.Fatal(err)

@@ -4,27 +4,32 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"gdpn/internal/graph"
 )
 
 // refImage is what the reference decoder keeps of a store image: the
-// first graph record under a slot, and the latest proof block under a
-// key.
+// first graph record under a slot, and under a key the proof blocks no
+// later block's range overlaps, by range.
 type refImage struct {
-	labs   map[uint64][]uint64   // each graph record's labeling, nil if none
-	proofs map[proofKey]refProof // blocks whose header parses
+	labs   map[uint64][]uint64     // each graph record's labeling, nil if none
+	proofs map[proofKey][]refProof // blocks whose header parses
 }
 
-// refProof is one proof block as the reference decoder reads it: the
-// entries it reads whole, in order. ok is false unless the header's width
-// is 1 or 2 and exactly count entries of it fill the rest of the payload.
+// refProof is one proof block as the reference decoder reads it: its
+// range, [0, MaxInt64) when whole, and the entries it reads whole, in
+// order. ok is false unless the header's width is 1 or 2 and exactly
+// count entries of it fill the rest of the payload.
 type refProof struct {
-	entries []refEntry
-	ok      bool
+	from, to int64
+	whole    bool
+	entries  []refEntry
+	ok       bool
 }
 
 // refEntry is one proof-block entry in canonical ids; a negative verdict
@@ -37,7 +42,7 @@ type refEntry struct {
 // records of a store image whose records all carry valid CRCs. It shares
 // no code with Open, and skips every other kind.
 func refDecode(img []byte) (refImage, error) {
-	out := refImage{labs: map[uint64][]uint64{}, proofs: map[proofKey]refProof{}}
+	out := refImage{labs: map[uint64][]uint64{}, proofs: map[proofKey][]refProof{}}
 	uvarint := func(b *[]byte) (uint64, error) {
 		v, n := binary.Uvarint(*b)
 		if n <= 0 {
@@ -75,26 +80,39 @@ func refDecode(img []byte) (refImage, error) {
 				}
 			}
 			out.labs[slot] = lab
-		case kindProof:
-			k, blk, parsed := refProofBlock(p)
-			if parsed {
-				out.proofs[k] = blk
+		case kindProof, kindWholeProof:
+			k, blk, parsed := refProofBlock(kind, p)
+			if !parsed {
+				break
 			}
+			var kept []refProof
+			for _, o := range out.proofs[k] {
+				if o.to <= blk.from || blk.to <= o.from {
+					kept = append(kept, o)
+				}
+			}
+			kept = append(kept, blk)
+			sort.Slice(kept, func(i, j int) bool { return kept[i].from < kept[j].from })
+			out.proofs[k] = kept
 		}
 	}
 	return out, nil
 }
 
-// refProofBlock reads a proof-block payload: its key, its entries, and
-// whether its header parses at all.
-func refProofBlock(p []byte) (proofKey, refProof, bool) {
-	var hdr [4]uint64 // slot, sig, size, count
+// refProofBlock reads a proof-block payload of the given kind: its key,
+// its range, its entries, and whether its header parses at all.
+func refProofBlock(kind byte, p []byte) (proofKey, refProof, bool) {
+	// slot, sig, size, from, to, count; a whole-size block has no range.
+	hdr := [6]uint64{4: math.MaxInt64}
 	for i := range hdr {
-		if i == 1 {
+		switch {
+		case i == 1:
 			if len(p) < 8 {
 				return proofKey{}, refProof{}, false
 			}
 			hdr[i], p = binary.LittleEndian.Uint64(p), p[8:]
+			continue
+		case kind == kindWholeProof && (i == 3 || i == 4):
 			continue
 		}
 		v, n := binary.Uvarint(p)
@@ -103,13 +121,14 @@ func refProofBlock(p []byte) (proofKey, refProof, bool) {
 		}
 		hdr[i], p = v, p[n:]
 	}
-	if len(p) == 0 {
+	if len(p) == 0 || hdr[3] >= hdr[4] || hdr[4] > math.MaxInt64 {
 		return proofKey{}, refProof{}, false
 	}
 	k := proofKey{int(hdr[0]), hdr[1], int(hdr[2])}
+	blk := refProof{from: int64(hdr[3]), to: int64(hdr[4]), whole: kind == kindWholeProof}
 	width, p := int(p[0]), p[1:]
-	if width != 1 && width != 2 || hdr[3] == 0 {
-		return k, refProof{}, true
+	if width != 1 && width != 2 {
+		return k, blk, true
 	}
 	next := func() (uint64, bool) {
 		if len(p) < width {
@@ -133,8 +152,7 @@ func refProofBlock(p []byte) (proofKey, refProof, bool) {
 		}
 		return vs, true
 	}
-	var blk refProof
-	for i := uint64(0); i < hdr[3]; i++ {
+	for i := uint64(0); i < hdr[5]; i++ {
 		set, ok := list(hdr[2])
 		if !ok {
 			return k, blk, true
@@ -156,7 +174,7 @@ func refProofBlock(p []byte) (proofKey, refProof, bool) {
 // FuzzStoreOpen feeds Open store files whose records carry valid CRCs, so
 // the payload decoder is what gets exercised. The first record registers
 // an 8-node ring as slot 0; the fuzz input is read as records of one kind
-// byte (mod 6, plus 1), one length byte and that many payload bytes. A
+// byte (mod 7, plus 1), one length byte and that many payload bytes. A
 // lone byte left over damages the ring's stored labeling (see
 // fuzzLabeling). Open must not panic or exhaust memory. When it succeeds,
 // every lookup through the ring must not panic, Register must trust the
@@ -169,7 +187,7 @@ func FuzzStoreOpen(f *testing.F) {
 		g := ringGraph(t, 6)
 		var recs []rec
 		for len(data) >= 2 {
-			kind, n := 1+data[0]%6, min(int(data[1]), len(data)-2)
+			kind, n := 1+data[0]%7, min(int(data[1]), len(data)-2)
 			recs = append(recs, rec{kind, data[2 : 2+n]})
 			data = data[2+n:]
 		}
@@ -196,7 +214,6 @@ func FuzzStoreOpen(f *testing.F) {
 			checkLabelingAgainstRef(t, g, ref, want.labs[0])
 			checkProofsAgainstRef(t, ref, want)
 			ref.LookupGroup(g)
-			ref.Blob("")
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
@@ -253,13 +270,47 @@ func checkLabelingAgainstRef(t *testing.T, g *graph.Graph, ref *GraphRef, stored
 	}
 }
 
-// checkProofsAgainstRef replays every slot-0 proof block from its first
-// entry and from its middle one, and compares each entry decoded with the
-// reference's. A miss is always allowed but for a block the reference
-// reads whole. A replay must decode the reference's entries in order, and
-// must fail, on an entry or at the end, for a block the reference cannot
-// read whole or with a fault set that leaves the graph.
+// checkProofsAgainstRef looks up every slot-0 key's proof blocks, reading
+// a whole-size block as covering wholeRange ranks. The blocks returned
+// must be the reference's, by range, in order; a block may be missing
+// only when the reference cannot read it whole. Each is replayed from
+// its first entry and from its middle one, and each entry decoded is
+// compared with the reference's. A replay must decode the reference's
+// entries in order, and must fail, on an entry or at the end, for a block
+// the reference cannot read whole or with a fault set that leaves the
+// graph.
 func checkProofsAgainstRef(t *testing.T, ref *GraphRef, want refImage) {
+	t.Helper()
+	for k, list := range want.proofs {
+		if k.slot != 0 || k.size < 0 {
+			continue
+		}
+		blks, j := ref.LookupProofs(k.sig, k.size, wholeRange), 0
+		for _, w := range list {
+			if w.whole {
+				w.to = wholeRange
+			}
+			if j < len(blks) {
+				if from, to := blks[j].Range(); from == w.from && to == w.to {
+					checkBlockAgainstRef(t, ref, k, blks[j], w)
+					j++
+					continue
+				}
+			}
+			if w.ok {
+				t.Fatalf("block %+v [%d,%d): a miss, but the reference reads its %d entries", k, w.from, w.to, len(w.entries))
+			}
+		}
+		if j != len(blks) {
+			from, to := blks[j].Range()
+			t.Fatalf("block %+v [%d,%d): not among the reference's blocks", k, from, to)
+		}
+	}
+}
+
+// checkBlockAgainstRef replays blk, whose reference is w, as
+// checkProofsAgainstRef says.
+func checkBlockAgainstRef(t *testing.T, ref *GraphRef, k proofKey, blk *ProofBlock, w refProof) {
 	t.Helper()
 	n := len(ref.inv)
 	origOf := func(c uint64) int {
@@ -268,48 +319,36 @@ func checkProofsAgainstRef(t *testing.T, ref *GraphRef, want refImage) {
 		}
 		return -1
 	}
-	for k, w := range want.proofs {
-		if k.slot != 0 || k.size < 0 {
-			continue
+	for _, from := range []int{0, blk.Len() / 2} {
+		cur, ok := blk.Cursor(from)
+		var set, path []int
+		i := from
+		for ; ok && i < blk.Len(); i++ {
+			if set, path, ok = cur.Next(set, path); !ok {
+				break
+			}
+			if i >= len(w.entries) {
+				t.Fatalf("block %+v entry %d: decoded %v:%v, but the reference cannot read it", k, i, set, path)
+			}
+			e := w.entries[i]
+			wantSet, wantPath := make([]int, len(e.set)), make([]int, len(e.path))
+			for j, c := range e.set {
+				if wantSet[j] = origOf(c); wantSet[j] < 0 {
+					t.Fatalf("block %+v entry %d: fault set %v names a node outside the graph but decoded", k, i, e.set)
+				}
+			}
+			for j, c := range e.path {
+				wantPath[j] = origOf(c)
+			}
+			if fmt.Sprint(set, path) != fmt.Sprint(wantSet, wantPath) {
+				t.Fatalf("block %+v entry %d: decoded %v:%v, reference %v:%v", k, i, set, path, wantSet, wantPath)
+			}
 		}
-		blk, ok := ref.LookupProof(k.sig, k.size)
-		if !ok {
-			if w.ok && len(w.entries) > 0 {
-				t.Fatalf("block %+v: a miss, but the reference reads %d entries", k, len(w.entries))
-			}
-			continue
-		}
-		for _, from := range []int{0, blk.Len() / 2} {
-			cur, ok := blk.Cursor(from)
-			var set, path []int
-			i := from
-			for ; ok && i < blk.Len(); i++ {
-				if set, path, ok = cur.Next(set, path); !ok {
-					break
-				}
-				if i >= len(w.entries) {
-					t.Fatalf("block %+v entry %d: decoded %v:%v, but the reference cannot read it", k, i, set, path)
-				}
-				e := w.entries[i]
-				wantSet, wantPath := make([]int, len(e.set)), make([]int, len(e.path))
-				for j, c := range e.set {
-					if wantSet[j] = origOf(c); wantSet[j] < 0 {
-						t.Fatalf("block %+v entry %d: fault set %v names a node outside the graph but decoded", k, i, e.set)
-					}
-				}
-				for j, c := range e.path {
-					wantPath[j] = origOf(c)
-				}
-				if fmt.Sprint(set, path) != fmt.Sprint(wantSet, wantPath) {
-					t.Fatalf("block %+v entry %d: decoded %v:%v, reference %v:%v", k, i, set, path, wantSet, wantPath)
-				}
-			}
-			switch {
-			case !ok && i < len(w.entries) && inGraph(w.entries[i].set, n) && w.ok:
-				t.Fatalf("block %+v: entry %d failed to decode, but the reference reads it", k, i)
-			case ok && cur.Done() != w.ok:
-				t.Fatalf("block %+v: cursor done=%v after the last entry, reference reads it whole=%v", k, cur.Done(), w.ok)
-			}
+		switch {
+		case !ok && i < len(w.entries) && inGraph(w.entries[i].set, n) && w.ok:
+			t.Fatalf("block %+v: entry %d failed to decode, but the reference reads it", k, i)
+		case ok && cur.Done() != w.ok:
+			t.Fatalf("block %+v: cursor done=%v after the last entry, reference reads it whole=%v", k, cur.Done(), w.ok)
 		}
 	}
 }

@@ -221,40 +221,6 @@ func (r *GraphRef) SweepSig(universe []int, k int, groupSig uint64) uint64 {
 	return h.Sum64()
 }
 
-// Blob returns the named opaque payload attached to this graph's slot.
-// Blob contents are caller-defined (the fleet stores chunk reports); the
-// store only guarantees integrity (CRC) and atomic persistence, not
-// semantic validity — callers apply their own re-checks per the package
-// trust model.
-func (r *GraphRef) Blob(name string) ([]byte, bool) {
-	r.s.mu.RLock()
-	v, ok := r.s.blobs[blobKey{r.slot, name}]
-	r.s.mu.RUnlock()
-	if !ok {
-		r.s.miss("blob")
-		return nil, false
-	}
-	r.s.hit("blob")
-	return append([]byte(nil), v.data...), true
-}
-
-// PutBlob stores (or supersedes) the named payload. Writing identical
-// bytes is a no-op.
-func (r *GraphRef) PutBlob(name string, data []byte) {
-	key := blobKey{r.slot, name}
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if old, ok := r.s.blobs[key]; ok {
-		if string(old.data) == string(data) {
-			return
-		}
-		r.s.garbage += old.sz
-	}
-	start := len(r.s.buf)
-	r.s.appendLocked(kindBlob, encodeBlob(key, data))
-	r.s.blobs[key] = blobVal{data: r.s.lastPayloadTail(len(data)), sz: len(r.s.buf) - start}
-}
-
 // Slot exposes the slot id (stable within one store file) for diagnostics.
 func (r *GraphRef) Slot() int { return r.slot }
 

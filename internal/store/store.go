@@ -4,19 +4,23 @@
 // A Store is one file of versioned, checksummed, append-only binary
 // records, held in memory as the file's image with indexes over it; proof
 // blocks are replayed in place from the image. Records are never mutated
-// in place; newer records supersede older ones (blobs, proof blocks) or
-// are ignored duplicates (groups: the first record wins), and Compact
-// rewrites the file keeping only live records. Flush persists atomically
-// by writing the complete image to a temp file in the same directory and
-// renaming it over the store path, so a crash can never leave a
-// half-written store; a torn or corrupted tail from a foreign writer is
-// detected by the per-record CRC32 on open and dropped (the valid prefix
-// is kept).
+// in place; newer records supersede older ones (a proof block drops the
+// blocks of its size whose ranges overlap its own) or are ignored
+// duplicates (groups: the first record wins), and Compact rewrites the
+// file keeping only live records. Flush appends the records added since
+// the file last matched the image; when the file does not hold a prefix
+// of the image (a new store, a compaction, a tail dropped by Open), it
+// writes the complete image to a temp file in the same directory and
+// renames it over the store path. Either way a crash never costs a record
+// flushed before: a torn or corrupted tail, from a crash mid-append or a
+// foreign writer, is detected by the per-record CRC32 on open and dropped
+// (the valid prefix is kept).
 //
-// The record kinds are graphs (1), automorphism groups (3), blobs (5) and
-// proof blocks (6). Files of earlier releases also hold per-fault-set
-// verdicts (2) and orbit manifests (4): Open counts those as dead records,
-// never decodes them, and Compact drops them.
+// The record kinds are graphs (1), automorphism groups (3) and proof
+// blocks (7). Files of earlier releases also hold whole-size proof blocks
+// (6), which stay live and read as covering their size, and per-fault-set
+// verdicts (2), orbit manifests (4) and blobs (5): Open counts those as
+// dead records, never decodes them, and Compact drops them.
 //
 // Content addressing: graphs are registered under their strengthened
 // canonical key (graph.CanonicalForm). The WL fingerprint buckets
@@ -42,8 +46,8 @@
 // Trust model: the store is an untrusted hint, never an oracle. A proof
 // block's positive entries carry their pipeline witness, which callers
 // must replay (verify.CheckPipeline) before trusting it; negative entries
-// are re-screened by cheap necessary conditions; a block must cover its
-// size, on the caller side; automorphism groups are rebuilt through
+// are re-screened by cheap necessary conditions; a size's blocks must
+// tile its ranks and cover its orbits, on the caller side; automorphism groups are rebuilt through
 // autom.FromGenerators, which certificate-checks every generator; a stored
 // labeling is used only when it encodes the graph to the slot's canonical
 // bytes. A corrupt or adversarial store can therefore cause extra work
@@ -59,6 +63,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,13 +78,16 @@ const (
 
 	kindGraph = 1
 	kindGroup = 3
-	kindBlob  = 5
-	kindProof = 6
+	kindProof = 7
 
-	// Per-fault-set verdicts and orbit manifests, written by earlier
-	// releases: dead records.
+	// Whole-size proof blocks, written by earlier releases: live.
+	kindWholeProof = 6
+
+	// Per-fault-set verdicts, orbit manifests and blobs, written by
+	// earlier releases: dead records.
 	kindVerdict  = 2
 	kindManifest = 4
+	kindBlob     = 5
 )
 
 var fileMagic = [4]byte{'G', 'D', 'P', 'S'}
@@ -104,20 +112,22 @@ type Store struct {
 	// buf is the file image, header included, exactly as Flush writes it:
 	// Open keeps the bytes it read and appends go to the end. Records are
 	// never changed in place, so offsets into buf, and slices of it, stay
-	// valid as it grows. dirty counts records not yet persisted.
+	// valid as it grows. dirty counts records not yet persisted; the file
+	// holds buf[:synced], or no prefix of buf when synced is 0.
 	buf     []byte
 	dirty   int
+	synced  int
 	entries int
-	// garbage counts the bytes of dead records (superseded blobs and proof
-	// blocks, dropped proof blocks, the record kinds of earlier releases);
+	// garbage counts the bytes of dead records (proof blocks dropped by an
+	// overlapping one or whose header does not parse, the dead record
+	// kinds of earlier releases);
 	// Close compacts when it grows past half the file.
 	garbage int
 
 	slots  []*slot
 	byHash map[uint64][]int
 	groups map[int]groupVal
-	proofs map[proofKey]proofVal
-	blobs  map[blobKey]blobVal
+	proofs map[proofKey][]proofVal
 
 	hitC, missC      map[string]*obs.Counter
 	collisionC       map[string]*obs.Counter
@@ -145,7 +155,7 @@ type permRec struct {
 	ioswap bool
 }
 
-// proofKey keys a size class of a sweep: its proof block.
+// proofKey keys a size class of a sweep: its proof blocks.
 type proofKey struct {
 	slot int
 	sig  uint64
@@ -154,21 +164,14 @@ type proofKey struct {
 
 // proofVal is one proof block: its payload, a slice of buf, and the
 // header fields Open read from it. entries is the payload past the header.
-// count is 0 for a block whose header does not describe its entries,
-// which then only shadows later blocks under its key.
+// whole marks a block of an earlier release, which covers its size. ok is
+// false for a block whose header does not describe its entries, which
+// then only drops the blocks its range overlaps.
 type proofVal struct {
 	payload, entries []byte
+	from, to         int64
 	count, width     int
-}
-
-type blobKey struct {
-	slot int
-	name string
-}
-
-type blobVal struct {
-	data []byte // a slice of buf
-	sz   int    // the record's size, for garbage accounting
+	whole, ok        bool
 }
 
 // Open loads (or creates) the store at path. A missing file yields an
@@ -181,8 +184,7 @@ func Open(path string) (*Store, error) {
 		path:       path,
 		byHash:     map[uint64][]int{},
 		groups:     map[int]groupVal{},
-		proofs:     map[proofKey]proofVal{},
-		blobs:      map[blobKey]blobVal{},
+		proofs:     map[proofKey][]proofVal{},
 		hitC:       map[string]*obs.Counter{},
 		missC:      map[string]*obs.Counter{},
 		collisionC: map[string]*obs.Counter{},
@@ -193,7 +195,7 @@ func Open(path string) (*Store, error) {
 	// on the lookup fast path, so the maps must be read-only after Open.
 	// There are no per-set lookups: a replayed block counts one verdict
 	// hit per entry, and verdict misses stay 0.
-	for _, kind := range []string{"verdict", "group", "manifest", "blob"} {
+	for _, kind := range []string{"verdict", "group", "manifest"} {
 		s.hitC[kind] = obs.Default().Counter("store_hit_total", obs.L("kind", kind))
 		s.missC[kind] = obs.Default().Counter("store_miss_total", obs.L("kind", kind))
 	}
@@ -222,6 +224,9 @@ func Open(path string) (*Store, error) {
 		end += n
 	}
 	s.buf = raw[:end]
+	if end == len(raw) {
+		s.synced = end
+	}
 	for off := headerLen; off < end; {
 		plen := int(binary.LittleEndian.Uint32(raw[off+2:]))
 		if err := s.apply(raw[off+1], off+payloadOff, plen); err != nil {
@@ -266,13 +271,14 @@ func appendRecord(buf []byte, kind byte, payload []byte) []byte {
 
 // apply validates the record of the given kind whose plen-byte payload
 // starts at buf[off] and enters it in the indexes. Of two groups under one
-// key the first wins, as it does for the puts; a later blob or proof block
-// supersedes an earlier one. Verdicts and manifests are dead.
+// key the first wins, as it does for the puts; a later proof block drops
+// the earlier ones its range overlaps. Verdicts, manifests and blobs are
+// dead.
 func (s *Store) apply(kind byte, off, plen int) error {
 	payload := s.buf[off : off+plen : off+plen]
 	p := &payloadReader{b: payload}
 	switch kind {
-	case kindVerdict, kindManifest:
+	case kindVerdict, kindManifest, kindBlob:
 		s.garbage += recordOverhead + plen
 	case kindGraph:
 		slotID := p.uvarint()
@@ -309,60 +315,47 @@ func (s *Store) apply(kind byte, off, plen int) error {
 		if _, ok := s.groups[int(slotID)]; !ok {
 			s.groups[int(slotID)] = groupVal{gens: gens, complete: complete}
 		}
-	case kindBlob:
-		slotID := p.uvarint()
-		name := string(p.bytes())
-		data := p.bytes()
-		if p.err != nil {
-			return p.err
-		}
-		if slotID >= uint64(len(s.slots)) {
-			return fmt.Errorf("blob for unknown slot %d", slotID)
-		}
-		k := blobKey{int(slotID), name}
-		if old, ok := s.blobs[k]; ok {
-			s.garbage += old.sz
-		}
-		s.blobs[k] = blobVal{data: data, sz: recordOverhead + plen}
-	case kindProof:
+	case kindProof, kindWholeProof:
 		// A proof block is checked only as far as its header: its entries
 		// are decoded by the replay that walks them. A malformed block
 		// costs a miss, never the store: one whose header does not parse
 		// is dropped, one whose header is inconsistent is a miss.
-		k, pv, ok := parseProof(payload, len(s.slots))
+		k, pv, ok := parseProof(kind, payload, len(s.slots))
 		if !ok {
 			s.garbage += recordOverhead + plen
 			break
 		}
-		if old, dup := s.proofs[k]; dup {
-			s.garbage += recordOverhead + len(old.payload)
-		}
-		s.proofs[k] = pv
+		s.insertProofLocked(k, pv)
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
 	return nil
 }
 
-// parseProof reads a proof block's header: slot, sweep signature, set
-// size and entry count, then the id width. ok is false when the header
-// does not parse or names an unknown slot. The block's count is left 0
-// when its width is not 1 or 2, or it claims no entries, or more than
-// its payload holds at their smallest (size ids and a path length).
-func parseProof(payload []byte, slots int) (proofKey, proofVal, bool) {
+// parseProof reads the header of a proof block of the given kind: slot,
+// sweep signature, set size, the range (not in a whole-size block) and
+// entry count, then the id width. ok is false when the header does not
+// parse, names an unknown slot or an empty range. The block's ok is false
+// when its width is not 1 or 2, or it claims more entries than its
+// payload holds at their smallest (size ids and a path length).
+func parseProof(kind byte, payload []byte, slots int) (proofKey, proofVal, bool) {
 	p := &payloadReader{b: payload}
 	slotID := p.uvarint()
 	sig := p.u64()
 	size := p.uvarint()
+	from, to := uint64(0), uint64(math.MaxInt64)
+	if kind == kindProof {
+		from, to = p.uvarint(), p.uvarint()
+	}
 	count := p.uvarint()
 	width := uint64(p.byte())
-	if p.err != nil || slotID >= uint64(slots) {
+	if p.err != nil || slotID >= uint64(slots) || from >= to || to > math.MaxInt64 {
 		return proofKey{}, proofVal{}, false
 	}
-	pv := proofVal{payload: payload, entries: p.b, width: int(width)}
+	pv := proofVal{payload: payload, entries: p.b, from: int64(from), to: int64(to), width: int(width), whole: kind == kindWholeProof}
 	rest := uint64(len(p.b))
-	if (width == 1 || width == 2) && size < rest && count <= rest/((size+1)*width) {
-		pv.count = int(count)
+	if (width == 1 || width == 2) && (count == 0 || size < rest && count <= rest/((size+1)*width)) {
+		pv.count, pv.ok = int(count), true
 	}
 	return proofKey{int(slotID), sig, int(size)}, pv, true
 }
@@ -472,8 +465,12 @@ func appendIDs(buf []byte, ids []int32) []byte {
 	return buf
 }
 
-// appendLocked appends one new record under s.mu.
+// appendLocked appends one new record under s.mu. The image grows by
+// doubling: a fleet coordinator appends one block per chunk.
 func (s *Store) appendLocked(kind byte, payload []byte) {
+	if n := recordOverhead + len(payload); len(s.buf)+n > cap(s.buf) {
+		s.buf = slices.Grow(s.buf, max(n, len(s.buf)))
+	}
 	s.buf = appendRecord(s.buf, kind, payload)
 	s.entries++
 	s.dirty++
@@ -485,9 +482,11 @@ func (s *Store) lastPayloadTail(n int) []byte {
 	return s.buf[end-n : end : end]
 }
 
-// Flush atomically persists the current image: full temp-file write in the
-// store's directory followed by rename. A no-op when nothing changed since
-// the last flush.
+// Flush persists the current image: it appends the records added since
+// the last flush, or, when the file does not hold a prefix of the image,
+// writes the image in full to a temp file in the store's directory and
+// renames it over the path. A no-op when nothing changed since the last
+// flush.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -496,6 +495,11 @@ func (s *Store) Flush() error {
 
 func (s *Store) flushLocked() error {
 	if s.dirty == 0 {
+		s.publishSizes()
+		return nil
+	}
+	if s.synced > 0 && s.appendFile() == nil {
+		s.dirty, s.synced = 0, len(s.buf)
 		s.publishSizes()
 		return nil
 	}
@@ -518,9 +522,28 @@ func (s *Store) flushLocked() error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: flush: %w", err)
 	}
-	s.dirty = 0
+	s.dirty, s.synced = 0, len(s.buf)
 	s.publishSizes()
 	return nil
+}
+
+// appendFile appends buf[synced:] to the store file, which must hold
+// buf[:synced] and no more. A failed append leaves at most a torn tail
+// past buf[:synced], which the caller's full rewrite replaces.
+func (s *Store) appendFile() error {
+	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	if fi, err := f.Stat(); err != nil || fi.Size() != int64(s.synced) {
+		f.Close()
+		return errors.New("store: the file is not the image's prefix")
+	}
+	_, err = f.Write(s.buf[s.synced:])
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close flushes the store, compacting first when superseded records exceed
@@ -534,8 +557,8 @@ func (s *Store) Close() error {
 	return s.flushLocked()
 }
 
-// Compact rewrites the record image keeping only live records (dropping
-// superseded blob versions) and persists it.
+// Compact rewrites the record image keeping only live records and
+// persists it.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -544,14 +567,14 @@ func (s *Store) Compact() error {
 }
 
 // compactLocked rewrites buf as the graphs in slot order, the groups in
-// slot order, the proof blocks by key and the blobs by slot and name.
-// Slices of the old image are moved onto the new one, so the old image
-// can be freed.
+// slot order and the proof blocks by key and range. Slices of the old
+// image are moved onto the new one, so the old image can be freed.
 func (s *Store) compactLocked() {
 	old := s.buf
 	s.buf = appendHeader(make([]byte, 0, len(old)-s.garbage))
 	s.entries = 0
 	s.garbage = 0
+	s.synced = 0
 	for id, sl := range s.slots {
 		s.appendGraphLocked(id, sl)
 	}
@@ -561,15 +584,14 @@ func (s *Store) compactLocked() {
 		}
 	}
 	for _, k := range sortedKeys(s.proofs) {
-		pv := s.proofs[k]
-		s.appendLocked(kindProof, pv.payload)
-		s.proofs[k] = pv.moved(s.lastPayloadTail(len(pv.payload)))
-	}
-	for _, k := range sortedBlobKeys(s.blobs) {
-		b := s.blobs[k]
-		start := len(s.buf)
-		s.appendLocked(kindBlob, encodeBlob(k, b.data))
-		s.blobs[k] = blobVal{data: s.lastPayloadTail(len(b.data)), sz: len(s.buf) - start}
+		for i, pv := range s.proofs[k] {
+			kind := byte(kindProof)
+			if pv.whole {
+				kind = kindWholeProof
+			}
+			s.appendLocked(kind, pv.payload)
+			s.proofs[k][i] = pv.moved(s.lastPayloadTail(len(pv.payload)))
+		}
 	}
 	s.dirty++ // force the flush even if record counts coincide
 }
@@ -610,16 +632,7 @@ func encodeGroup(slotID int, gv groupVal) []byte {
 	return payload
 }
 
-func encodeBlob(k blobKey, data []byte) []byte {
-	payload := binary.AppendUvarint(nil, uint64(k.slot))
-	payload = binary.AppendUvarint(payload, uint64(len(k.name)))
-	payload = append(payload, k.name...)
-	payload = binary.AppendUvarint(payload, uint64(len(data)))
-	payload = append(payload, data...)
-	return payload
-}
-
-func sortedKeys(m map[proofKey]proofVal) []proofKey {
+func sortedKeys(m map[proofKey][]proofVal) []proofKey {
 	keys := make([]proofKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -633,20 +646,6 @@ func sortedKeys(m map[proofKey]proofVal) []proofKey {
 			return a.sig < b.sig
 		}
 		return a.size < b.size
-	})
-	return keys
-}
-
-func sortedBlobKeys(m map[blobKey]blobVal) []blobKey {
-	keys := make([]blobKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].slot != keys[j].slot {
-			return keys[i].slot < keys[j].slot
-		}
-		return keys[i].name < keys[j].name
 	})
 	return keys
 }

@@ -60,19 +60,29 @@ func relabel(g *graph.Graph, seed int64) *graph.Graph {
 	return out
 }
 
-// putBlock files the proof block of (sig, size) through ref from one
-// worker's entries: each set with the path of the same index, a negative
-// where there is none.
+// putBlock files the proof block of (sig, size), ranks [0, wholeRange),
+// through ref from one worker's entries: each set with the path of the
+// same index, a negative where there is none.
 func putBlock(ref *GraphRef, sig uint64, size int, sets, paths [][]int) {
-	var e ProofEntries
+	putRange(ref, sig, size, 0, wholeRange, sets, paths)
+}
+
+// wholeRange ends the range putBlock files: past every size's sets in
+// these tests.
+const wholeRange = 1 << 20
+
+// putRange files the proof block of the ranks [from, to) of (sig, size),
+// as putBlock does.
+func putRange(ref *GraphRef, sig uint64, size int, from, to int64, sets, paths [][]int) {
+	e := NewProofEntries(len(ref.inv))
 	for i, set := range sets {
 		var path []int
 		if i < len(paths) {
 			path = paths[i]
 		}
-		ref.AddProofEntry(&e, set, path)
+		e.Add(set, path)
 	}
-	ref.PutProof(sig, size, []ProofEntries{e})
+	ref.PutProof(sig, size, from, to, []ProofEntries{e})
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -87,11 +97,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	ref.PutGroup(gr)
 	sig := ref.SweepSig([]int{0, 1, 2, 3, 4, 5}, 3, ref.GroupSig(gr))
 	// Two workers' entries make one block, in order.
-	var a, b ProofEntries
-	ref.AddProofEntry(&a, []int{3, 1}, []int{6, 0, 5, 4, 2, 7})
-	ref.AddProofEntry(&b, []int{0, 2}, nil)
-	ref.PutProof(sig, 2, []ProofEntries{a, b})
-	ref.PutBlob("chunk/0-100", []byte("report-json"))
+	a, b := NewProofEntries(8), NewProofEntries(8)
+	a.Add([]int{3, 1}, []int{6, 0, 5, 4, 2, 7})
+	b.Add([]int{0, 2}, nil)
+	ref.PutProof(sig, 2, 0, 10, []ProofEntries{a, b})
+	putRange(ref, sig, 2, 10, 15, [][]int{{4, 5}}, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +125,71 @@ func TestStoreRoundTrip(t *testing.T) {
 	if ref2.GroupSig(gr2) != ref.GroupSig(gr) {
 		t.Fatal("group signature changed across reload")
 	}
-	if got, want := readProof(t, ref2, sig, 2), "[1 3]:[6 0 5 4 2 7] [0 2]:[]"; got != want {
-		t.Fatalf("proof block lost or mangled: %q, want %q", got, want)
+	if got, want := readProof(t, ref2, sig, 2), "[0,10) [1 3]:[6 0 5 4 2 7] [0 2]:[] [10,15) [4 5]:[]"; got != want {
+		t.Fatalf("proof blocks lost or mangled: %q, want %q", got, want)
 	}
 	if got := readProof(t, ref2, sig+1, 2); got != "miss" {
 		t.Fatalf("phantom proof block: %q", got)
 	}
-	if b, ok := ref2.Blob("chunk/0-100"); !ok || string(b) != "report-json" {
-		t.Fatalf("blob lost: %q ok=%v", b, ok)
+}
+
+// TestStoreRangedBlocksOverlap files proof blocks of ranges of one size:
+// a block drops every block under its key whose range overlaps its own,
+// and keeps the others, sorted by range, across Compact and a reopen. A
+// whole-size block of an earlier release reads as covering its size and
+// overlaps every range.
+func TestStoreRangedBlocksOverlap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.gdps")
+	g := ringGraph(t, 6)
+	writeImage(t, path, graphRec(g), wholeProofRec(9, 1, []byte{byte(g.Canonical().Labeling[0]), 0}))
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.Register(g)
+	if got := readProofTotal(t, ref, 9, 1, 8); got != "[0,8) [0]:[]" {
+		t.Fatalf("whole-size block of an earlier release: %q", got)
+	}
+	for _, step := range []struct {
+		from, to int64
+		set      int
+		want     string
+	}{
+		{4, 6, 4, "[4,6) [4]:[]"}, // drops the whole-size block
+		{0, 2, 0, "[0,2) [0]:[] [4,6) [4]:[]"},
+		{6, 8, 6, "[0,2) [0]:[] [4,6) [4]:[] [6,8) [6]:[]"},
+		{1, 5, 1, "[1,5) [1]:[] [6,8) [6]:[]"}, // overlaps [0,2) and [4,6)
+		{5, 6, 5, "[1,5) [1]:[] [5,6) [5]:[] [6,8) [6]:[]"},
+	} {
+		putRange(ref, 9, 1, step.from, step.to, [][]int{{step.set}}, nil)
+		if got := readProofTotal(t, ref, 9, 1, 8); got != step.want {
+			t.Fatalf("after filing [%d,%d): %q, want %q", step.from, step.to, got, step.want)
+		}
+	}
+	const want = "[1,5) [1]:[] [5,6) [5]:[] [6,8) [6]:[]"
+	before := s.Stats().Bytes
+	putRange(ref, 9, 1, 5, 6, [][]int{{5}}, nil)
+	if got := s.Stats().Bytes; got != before {
+		t.Fatalf("re-filing a stored block grew the image: %d -> %d", before, got)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readProofTotal(t, ref, 9, 1, 8); got != want {
+		t.Fatalf("after Compact: %q, want %q", got, want)
+	}
+	if st := s.Stats(); st.Entries != 4 || s.garbage != 0 {
+		t.Errorf("after Compact: %d records, %d garbage bytes; want the graph and 3 blocks", st.Entries, s.garbage)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := readProofTotal(t, s.Register(g), 9, 1, 8); got != want {
+		t.Fatalf("after a reopen: %q, want %q", got, want)
 	}
 }
 
@@ -141,11 +208,11 @@ func TestStoreSharedSlotAcrossRelabelings(t *testing.T) {
 	// A block filed through a must read through b under b's ids: the set
 	// b decodes is the image of a's set.
 	putBlock(ra, 9, 2, [][]int{{1, 3}}, nil)
-	blk, ok := rb.LookupProof(9, 2)
-	if !ok {
+	blks := rb.LookupProofs(9, 2, wholeRange)
+	if len(blks) != 1 {
 		t.Fatal("block not visible through the relabeled graph")
 	}
-	cur, _ := blk.Cursor(0)
+	cur, _ := blks[0].Cursor(0)
 	set, path, ok := cur.Next(nil, nil)
 	if !ok || len(path) != 0 || !slices.Equal(rb.canonSet(nil, set), ra.canonSet(nil, []int{1, 3})) {
 		t.Fatalf("block read through b: %v:%v ok=%v", set, path, ok)
@@ -198,7 +265,7 @@ func TestStoreFingerprintCollisionSeparatesSlots(t *testing.T) {
 		t.Fatal("non-isomorphic colliding graphs merged into one slot")
 	}
 	putBlock(r1, 9, 2, [][]int{{0, 1}}, [][]int{{2, 3, 4, 5}})
-	if _, ok := r2.LookupProof(9, 2); ok {
+	if blks := r2.LookupProofs(9, 2, wholeRange); len(blks) != 0 {
 		t.Fatal("proof block leaked across colliding slots")
 	}
 }
@@ -248,6 +315,63 @@ func TestStoreTornTailDropped(t *testing.T) {
 	}
 }
 
+// TestStoreFlushAppends checks that a flush appends the records added
+// since the last one when the file holds the image's prefix, and writes
+// the image in full when it does not: after a torn tail that Open
+// dropped, and after a foreign write to the file. Each time the file is
+// the image.
+func TestStoreFlushAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.gdps")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.Register(ringGraph(t, 6))
+	image := func(step string) {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != string(s.buf) || s.synced != len(s.buf) {
+			t.Fatalf("%s: the file holds %d bytes, the image %d (%d synced)", step, len(raw), len(s.buf), s.synced)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		putRange(ref, 9, 1, int64(i), int64(i+1), [][]int{{i}}, nil)
+		image(fmt.Sprint("flush ", i))
+	}
+	// A torn tail: Open drops it, and the next flush rewrites the file.
+	s.Close()
+	raw, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, append(raw, 1, kindProof, 9), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	ref = s.Register(ringGraph(t, 6))
+	putRange(ref, 9, 1, 3, 4, [][]int{{3}}, nil)
+	image("flush after a torn tail")
+	// A foreign write: the file is no longer the image's prefix.
+	if err := os.WriteFile(path, raw[:headerLen], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	putRange(ref, 9, 1, 4, 5, [][]int{{4}}, nil)
+	image("flush after a foreign write")
+	s.Close()
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got, want := readProofTotal(t, s.Register(ringGraph(t, 6)), 9, 1, 8), "[0,1) [0]:[] [1,2) [1]:[] [2,3) [2]:[] [3,4) [3]:[] [4,5) [4]:[]"; got != want {
+		t.Errorf("after reopening: %q, want %q", got, want)
+	}
+}
+
 func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.gdps")
 	s, err := Open(path)
@@ -268,13 +392,13 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	if got := readProof(t, ref, 9, 2); got != "[1 2]:[]" {
 		t.Fatalf("the latest block under the key does not win: %q", got)
 	}
-	// Superseding blob writes create garbage; Compact reclaims it.
+	// Superseding blocks create garbage; Compact reclaims it.
 	for i := 0; i < 20; i++ {
-		ref.PutBlob("ck", []byte{byte(i), 0, 1, 2, 3, 4, 5, 6, 7})
+		putBlock(ref, 10, 1, [][]int{{i % 6}}, nil)
 	}
 	grew := s.Stats().Bytes
 	if grew <= before {
-		t.Fatal("blob supersession should grow the image before compaction")
+		t.Fatal("block supersession should grow the image before compaction")
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -301,8 +425,8 @@ func TestStoreIdempotentPutsAndCompaction(t *testing.T) {
 	}
 	defer s2.Close()
 	ref2 := s2.Register(g)
-	if b, ok := ref2.Blob("ck"); !ok || b[0] != 19 {
-		t.Fatalf("latest blob lost across compaction: %v ok=%v", b, ok)
+	if got := readProof(t, ref2, 10, 1); got != "[1]:[]" {
+		t.Fatalf("latest block lost across compaction: %q", got)
 	}
 	if got := readProof(t, ref2, 9, 2); got != "[1 2]:[]" {
 		t.Fatalf("block lost across compaction: %q", got)
@@ -346,7 +470,9 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := w; i < blocks; i += writers {
 				putBlock(ref, uint64(i), 1, [][]int{{i % n}}, paths(i))
 				if i%97 == 0 {
-					ref.PutBlob(fmt.Sprint("b", w), []byte(fmt.Sprint(i)))
+					// A block that drops the one before it under its key.
+					putRange(ref, uint64(blocks+w), 1, int64(i), int64(i+1), [][]int{{i % n}}, nil)
+					putRange(ref, uint64(blocks+w), 1, 0, int64(i+1), [][]int{{i % n}}, nil)
 					if err := s.Flush(); err != nil {
 						t.Error(err)
 						return
@@ -377,28 +503,40 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
-// readProof replays the proof block of (sig, size) through ref and
-// renders its entries as "set:path", each set sorted, or "miss" when the
-// lookup or a decode fails.
+// readProof replays the proof blocks of (sig, size) through ref and
+// renders their entries as "set:path", each set sorted, or "miss" when
+// the lookup or a decode fails. A block of a range other than putBlock's
+// is headed by its range, "[from,to)".
 func readProof(t *testing.T, ref *GraphRef, sig uint64, size int) string {
 	t.Helper()
-	blk, ok := ref.LookupProof(sig, size)
-	if !ok {
+	return readProofTotal(t, ref, sig, size, wholeRange)
+}
+
+// readProofTotal is readProof for a size of total sets.
+func readProofTotal(t *testing.T, ref *GraphRef, sig uint64, size int, total int64) string {
+	t.Helper()
+	blks := ref.LookupProofs(sig, size, total)
+	if len(blks) == 0 {
 		return "miss"
 	}
-	cur, _ := blk.Cursor(0)
 	var out []string
-	var set, path []int
-	for i := 0; i < blk.Len(); i++ {
-		if set, path, ok = cur.Next(set, path); !ok {
+	for _, blk := range blks {
+		if from, to := blk.Range(); from != 0 || to != wholeRange {
+			out = append(out, fmt.Sprintf("[%d,%d)", from, to))
+		}
+		cur, ok := blk.Cursor(0)
+		var set, path []int
+		for i := 0; i < blk.Len(); i++ {
+			if set, path, ok = cur.Next(set, path); !ok {
+				return "miss"
+			}
+			sorted := append([]int(nil), set...)
+			sort.Ints(sorted)
+			out = append(out, fmt.Sprintf("%v:%v", sorted, path))
+		}
+		if !cur.Done() {
 			return "miss"
 		}
-		sorted := append([]int(nil), set...)
-		sort.Ints(sorted)
-		out = append(out, fmt.Sprintf("%v:%v", sorted, path))
-	}
-	if !cur.Done() {
-		return "miss"
 	}
 	return strings.Join(out, " ")
 }
@@ -441,15 +579,26 @@ func graphRecLab(g *graph.Graph, lab []int32) rec {
 	return rec{kindGraph, p}
 }
 
-// proofRec is a width-1 slot-0 proof block of count entries, each given
-// as its raw bytes.
+// proofRec is a width-1 slot-0 proof block of (sig, size), ranks
+// [0, wholeRange), of count entries, each given as its raw bytes.
 func proofRec(sig uint64, size int, entries ...[]byte) rec {
+	p := binary.LittleEndian.AppendUint64(uv(0), sig)
+	p = append(append(p, uv(uint64(size), 0, wholeRange, uint64(len(entries)))...), 1)
+	for _, e := range entries {
+		p = append(p, e...)
+	}
+	return rec{kindProof, p}
+}
+
+// wholeProofRec is proofRec's block as an earlier release filed it: with
+// no range, covering its size.
+func wholeProofRec(sig uint64, size int, entries ...[]byte) rec {
 	p := binary.LittleEndian.AppendUint64(uv(0), sig)
 	p = append(append(p, uv(uint64(size), uint64(len(entries)))...), 1)
 	for _, e := range entries {
 		p = append(p, e...)
 	}
-	return rec{kindProof, p}
+	return rec{kindWholeProof, p}
 }
 
 // uv concatenates uvarints.
@@ -473,8 +622,6 @@ func TestStoreOversizedCountFailsOpen(t *testing.T) {
 		{"graph labeling", kindGraph, append(append(uv(1), make([]byte, 9)...), uv(0, huge, 1, 2)...)},
 		{"group generators", kindGroup, append(uv(0), append([]byte{1}, uv(huge, 0, 1)...)...)},
 		{"group generator ids", kindGroup, append(uv(0), append([]byte{1}, append(uv(1), append([]byte{0}, uv(huge, 1, 2)...)...)...)...)},
-		{"blob name", kindBlob, uv(0, huge, 1, 2)},
-		{"blob data", kindBlob, append(uv(0, 1), append([]byte{'x'}, uv(huge, 1)...)...)},
 	} {
 		path := filepath.Join(t.TempDir(), "s.gdps")
 		writeImage(t, path, graphRec(g), rec{tc.kind, tc.payload})
@@ -489,9 +636,11 @@ func TestStoreOversizedCountFailsOpen(t *testing.T) {
 }
 
 // TestStoreDeadRecordsOfEarlierReleases opens an image holding the record
-// kinds of earlier releases, per-set verdicts and orbit manifests, one of
-// them with a count no payload could hold: Open must count them as
-// garbage without decoding them, and Compact must drop them.
+// kinds of earlier releases, per-set verdicts, orbit manifests and blobs,
+// some of them with a count no payload could hold, and a whole-size
+// proof block: Open must count the dead kinds as garbage without decoding
+// them, and Compact must drop them and keep the block, which reads as
+// covering its size.
 func TestStoreDeadRecordsOfEarlierReleases(t *testing.T) {
 	g := ringGraph(t, 6)
 	path := filepath.Join(t.TempDir(), "s.gdps")
@@ -499,8 +648,10 @@ func TestStoreDeadRecordsOfEarlierReleases(t *testing.T) {
 		{kindVerdict, uv(0, 1<<40, 1, 2)},
 		{kindManifest, append(append(uv(0), make([]byte, 8)...), uv(2, 1<<40, 1, 2)...)},
 		{kindVerdict, uv(7)}, // an unknown slot
+		{kindBlob, uv(0, 1<<40, 1, 2)},
+		{kindBlob, append(uv(0, 2), append([]byte("ck"), uv(3, 1, 2, 3)...)...)},
 	}
-	writeImage(t, path, append(append([]rec{graphRec(g)}, dead...), proofRec(9, 0, []byte{0}))...)
+	writeImage(t, path, append(append([]rec{graphRec(g)}, dead...), wholeProofRec(9, 0, []byte{0}))...)
 	s, err := Open(path)
 	if err != nil {
 		t.Fatalf("records of an earlier release failed Open: %v", err)
@@ -510,15 +661,15 @@ func TestStoreDeadRecordsOfEarlierReleases(t *testing.T) {
 	for _, r := range dead {
 		garbage += recordOverhead + len(r.payload)
 	}
-	if st := s.Stats(); st.Entries != 5 || s.garbage != garbage {
-		t.Errorf("opened %d records with %d garbage bytes; want 5 and %d", st.Entries, s.garbage, garbage)
+	if st := s.Stats(); st.Entries != 2+len(dead) || s.garbage != garbage {
+		t.Errorf("opened %d records with %d garbage bytes; want %d and %d", st.Entries, s.garbage, 2+len(dead), garbage)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	ref := s.Register(g)
-	if st := s.Stats(); st.Entries != 2 || s.garbage != 0 || readProof(t, ref, 9, 0) != "[]:[]" {
-		t.Errorf("after Compact: %d records, %d garbage bytes, block %q; want the graph and the block", st.Entries, s.garbage, readProof(t, ref, 9, 0))
+	if st := s.Stats(); st.Entries != 2 || s.garbage != 0 || readProofTotal(t, ref, 9, 0, 1) != "[0,1) []:[]" {
+		t.Errorf("after Compact: %d records, %d garbage bytes, block %q; want the graph and the block", st.Entries, s.garbage, readProofTotal(t, ref, 9, 0, 1))
 	}
 }
 
@@ -614,8 +765,9 @@ func TestStoreOutOfRangeIDs(t *testing.T) {
 	}
 }
 
-// deadRecords appends to the store file at path one per-set verdict and
-// one orbit manifest, records of an earlier release, as Compact must drop.
+// deadRecords appends to the store file at path one per-set verdict, one
+// orbit manifest and one blob, records of earlier releases, as Compact
+// must drop.
 func deadRecords(t *testing.T, path string) {
 	t.Helper()
 	img, err := os.ReadFile(path)
@@ -624,14 +776,16 @@ func deadRecords(t *testing.T, path string) {
 	}
 	img = appendRecord(img, kindVerdict, uv(0, 2, 1, 3, 0))
 	img = appendRecord(img, kindManifest, append(append(uv(0), make([]byte, 8)...), uv(1, 1, 4)...))
+	img = appendRecord(img, kindBlob, append(uv(0, 2), append([]byte("ck"), uv(1, 7)...)...))
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStoreCompactImageDigest pins the bytes Compact writes for a fixed
-// store: two slots, proof blocks put out of key order with their entries
-// shuffled, groups, superseded blobs and dead records. A change to the
+// store: two slots, proof blocks put out of key and range order with
+// their entries shuffled, superseded ranged blocks, groups and dead
+// records. A change to the
 // record format or the compaction order moves the digest.
 func TestStoreCompactImageDigest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.gdps")
@@ -669,9 +823,11 @@ func TestStoreCompactImageDigest(t *testing.T) {
 		}
 		putBlock(ref, sig+1, 1, [][]int{{3}, {1}}, nil)
 		putBlock(ref, sig, 0, [][]int{{}}, [][]int{{n, 0, n + 1}})
+		// Ranged blocks put out of order, each range filed again over
+		// the one before it.
 		for i := 0; i < 5; i++ {
-			ref.PutBlob("chunk/b", []byte{byte(i), 1, 2})
-			ref.PutBlob("chunk/a", []byte{9, byte(i)})
+			putRange(ref, sig+2, 1, 4, 8, [][]int{{i}}, nil)
+			putRange(ref, sig+2, 1, 0, 4, [][]int{{7 - i}}, nil)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -691,9 +847,9 @@ func TestStoreCompactImageDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "3ee56801bbd939b3d9e35cddd077d06e90d2c468bcd8be8268f333619bcd40fd"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 1452 {
-		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 1452 bytes", got, len(raw), want)
+	const want = "9bd9b67908538523cb73f96162be86c07b9b1a239831c9f74eb7acf4035f7498"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 1498 {
+		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 1498 bytes", got, len(raw), want)
 	}
 }
 
@@ -733,9 +889,9 @@ func TestStoreCompactImageDigestWithProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "7a3c14e5ee7dbc168a81ee0c3bdcc245adccf463c48e55aaf38e3ecb64d143fd"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 192 {
-		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 192 bytes", got, len(raw), want)
+	const want = "34f386ec564484d6e2dcc406edcd2dead6eece8372fba5174df587d024b68d61"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || len(raw) != 204 {
+		t.Errorf("compacted image: sha256 %s, %d bytes; want %s, 204 bytes", got, len(raw), want)
 	}
 	s, err = Open(path)
 	if err != nil {
@@ -759,10 +915,11 @@ func TestStoreProofCursorZeroAllocs(t *testing.T) {
 	defer s.Close()
 	ref := s.Register(ringGraph(t, 6))
 	putBlock(ref, 9, 2, [][]int{{1, 3}, {0, 2}}, [][]int{{6, 0, 5, 4, 2, 7}})
-	blk, ok := ref.LookupProof(9, 2)
-	if !ok {
+	blks := ref.LookupProofs(9, 2, wholeRange)
+	if len(blks) != 1 {
 		t.Fatal("block lost")
 	}
+	blk := blks[0]
 	set, path := make([]int, 0, 2), make([]int, 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		cur, ok := blk.Cursor(1)

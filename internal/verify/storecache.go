@@ -67,52 +67,114 @@ func groupFor(g *graph.Graph, opts Options, ref *store.GraphRef) *autom.Group {
 	return group
 }
 
-// replayProof re-derives one size's full verdict from its proof block,
-// one contiguous range of entries per worker, with no enumeration and no
-// solver. Each entry must decode and pass its re-check (a positive
-// replays its certificate, a negative is re-screened by the cheap
-// necessary conditions), and the entries must cover the size: distinct
-// least sets of their orbits under the tester's certified automorphisms,
-// which carry a verdict to the whole orbit, whose orbits add up to the
-// size. Otherwise the caller enumerates the size cold, and the record
-// says why: a corrupt or incomplete store costs work, never a wrong report.
-func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
-	blk, ok := s.ref.LookupProof(sig, size)
-	if !ok {
+// replaySize re-derives one size's full verdict from its proof blocks,
+// with no enumeration and no solver: the block part of a replay on each
+// block, then the size part on them all. Otherwise the caller enumerates
+// the size cold, and the record says why: a corrupt or incomplete store
+// costs work, never a wrong report.
+func (s *sweep) replaySize(sig uint64, size int) (*Report, *FaultSetRecord) {
+	total := combin.Binomial(len(s.universe), size)
+	blks := s.ref.LookupProofs(sig, size, total)
+	if len(blks) == 0 {
 		return nil, replayFault(size, nil, -1, "no proof block")
 	}
-	m, n := len(s.universe), blk.Len()
-	total := combin.Binomial(m, size)
-	// Generators alone do not give the orbits' sizes, and a rank bitmap
-	// far larger than the block is not worth building.
+	n := 0
+	for _, blk := range blks {
+		n += blk.Len()
+	}
+	// Generators alone do not give the orbits' sizes, and rank bitmaps
+	// far larger than the blocks are not worth building.
 	if s.orbit.order == 0 || total > 64*int64(n)*int64(s.orbit.order) {
-		blk.Miss()
+		blks[0].Miss()
 		return nil, replayFault(size, nil, -1, fmt.Sprintf("cannot check that %d entries cover %d sets", n, total))
 	}
 	sp := span.Start(nil, "store-replay")
 	sp.SetInt("size", int64(size)).SetInt("reps", int64(n))
+	local, proofs := &Report{}, make([]*blockProof, len(blks))
+	var bp *blockProof
+	for i, blk := range blks {
+		if bp = s.replayBlock(blk, size, nil); bp.fault != nil {
+			break
+		}
+		proofs[i] = bp
+		merge(local, bp.rep, s.opts.MaxRecorded)
+	}
+	fault := bp.fault
+	if fault == nil {
+		fault, _ = s.coverSize(size, proofs)
+	}
+	if fault != nil {
+		// A failed certificate is counted as a replay failure, not a miss.
+		if !bp.certFailed {
+			blks[0].Miss()
+		}
+		sp.End(span.Errored)
+		return nil, fault
+	}
+	for _, blk := range blks {
+		blk.Hit()
+	}
+	sp.End(span.OK)
+	return local, nil
+}
 
+// blockProof is what the block part of a replay derives from one proof
+// block: the report of its range, and what the size part needs.
+type blockProof struct {
+	from, to int64
+	// rep counts the entries as Checked and the range as Represented;
+	// its failures are the negative entries.
+	rep *Report
+	// reps is a bitmap over [from, to) of the entries' ranks; distinct
+	// counts them, and covered adds up their orbits' sizes.
+	reps              []uint64
+	distinct, covered int64
+	// fault says why the block failed; certFailed, that a positive
+	// entry's certificate did.
+	fault      *FaultSetRecord
+	certFailed bool
+}
+
+// replayBlock is the block part of a replay: it replays blk's entries of
+// fault sets of the given size, one contiguous run of them per worker.
+// Each entry must decode, and a positive must pass its certificate; a
+// negative is re-screened by the cheap necessary conditions, and one they
+// do not confirm must pass confirm, when it is not nil. Then the entry's
+// rank must lie in the block's range, and its set must be the least of
+// its orbit under the tester's certified automorphisms, which carry its
+// verdict to the whole orbit. The entries need not be distinct: the size
+// part checks that. A fault names the size, and the entry's set and rank
+// where one is at fault.
+func (s *sweep) replayBlock(blk *store.ProofBlock, size int, confirm func(bitset.Set) bool) *blockProof {
+	m, n := len(s.universe), blk.Len()
+	from, to := blk.Range()
+	bp := &blockProof{from: from, to: to}
+	if total := combin.Binomial(m, size); from < 0 || to > total || from >= to {
+		bp.fault = replayFault(size, nil, -1, fmt.Sprintf("ranks [%d, %d) are not within the size's %d sets", from, to, total))
+		return bp
+	}
 	rk := combin.NewRanker(m, size)
 	type shard struct {
-		fails   []FaultSetRecord
-		reps    []uint64 // a bitmap of the entries that are least in their orbits
-		covered int64    // the sizes of those orbits
-		fault   *FaultSetRecord
+		fails             []FaultSetRecord
+		reps              []uint64
+		distinct, covered int64
+		fault             *FaultSetRecord
+		certFailed        bool
 	}
 	// A shard per worker, of at least minReplayShard entries.
 	shards := make([]shard, max(1, min(s.opts.Workers, n/minReplayShard)))
 	run := func(i int) {
 		// The shards share cache lines: o is written only at the end.
-		o, from, to := &shards[i], i*n/len(shards), (i+1)*n/len(shards)
-		cur, ok := blk.Cursor(from)
-		reps, covered := make([]uint64, (total+63)/64), int64(0)
-		defer func() { o.reps, o.covered = reps, covered }()
+		o, lo, hi := &shards[i], i*n/len(shards), (i+1)*n/len(shards)
+		cur, ok := blk.Cursor(lo)
+		reps, distinct, covered := make([]uint64, (to-from+63)/64), int64(0), int64(0)
+		defer func() { o.reps, o.distinct, o.covered = reps, distinct, covered }()
 		faults := bitset.New(s.g.NumNodes())
 		chk := graph.NewChecker(s.g)
 		var set, path []int
 		sub := make([]int, size)
 		img, mask := make([]uint64, len(s.orbit.perms)*s.orbit.words), make([]uint64, s.orbit.words)
-		for e := from; ok && e < to; e++ {
+		for e := lo; ok && e < hi; e++ {
 			var r, orbit int64
 			if set, path, ok = cur.Next(set, path); ok {
 				r, orbit, ok = s.orbit.entry(rk, set, sub, img, mask)
@@ -124,22 +186,33 @@ func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
 				faults.Add(x)
 			}
 			if len(path) == 0 {
-				recheckNegative(s.g, faults)
+				if !recheckNegative(s.g, faults) && confirm != nil && !confirm(faults) {
+					o.fault = replayFault(size, nodesOf(s.universe, sub), r, "a pipeline exists")
+					return
+				}
 				o.fails = append(o.fails, FaultSetRecord{Nodes: nodesOf(s.universe, sub), Err: "no pipeline"})
 			} else if err := chk.Pipeline(faults, graph.Path(path)); err != nil {
 				storeReplayFailC.Add(1)
-				o.fault = replayFault(size, nodesOf(s.universe, sub), r, err.Error())
+				o.fault, o.certFailed = replayFault(size, nodesOf(s.universe, sub), r, err.Error()), true
 				return
 			}
 			for _, x := range set {
 				faults.Remove(x)
 			}
-			if orbit > 0 {
-				reps[r>>6] |= 1 << (r & 63)
+			switch bit := r - from; {
+			case r < from || r >= to:
+				o.fault = replayFault(size, nodesOf(s.universe, sub), r, fmt.Sprintf("outside the block's ranks [%d, %d)", from, to))
+				return
+			case orbit == 0:
+				o.fault = replayFault(size, nodesOf(s.universe, sub), r, "not the least set of its orbit")
+				return
+			case reps[bit>>6]&(1<<(bit&63)) == 0:
+				reps[bit>>6] |= 1 << (bit & 63)
+				distinct++
 				covered += orbit
 			}
 		}
-		if !ok || to == n && !cur.Done() {
+		if !ok || hi == n && !cur.Done() {
 			o.fault = replayFault(size, nil, -1, "entries do not decode")
 		}
 	}
@@ -155,54 +228,72 @@ func (s *sweep) replayProof(sig uint64, size int) (*Report, *FaultSetRecord) {
 	run(0)
 	wg.Wait()
 
-	local := &Report{Checked: int64(n), Represented: total}
-	var fault *FaultSetRecord
-	reps, distinct, covered := shards[0].reps, 0, int64(0)
+	bp.rep = &Report{Checked: int64(n), Represented: to - from}
+	bp.reps = shards[0].reps
 	for _, o := range shards {
-		if fault == nil {
-			fault = o.fault
+		if bp.fault == nil {
+			bp.fault, bp.certFailed = o.fault, o.certFailed
 		}
-		covered += o.covered
 		// Keep the canonically smallest failures, exactly as a cold
 		// sweep's merged shard reports do, whatever the block's order.
-		local.FailureCount += int64(len(o.fails))
-		local.Failures = mergeRecords(local.Failures, o.fails, s.opts.MaxRecorded)
+		bp.rep.FailureCount += int64(len(o.fails))
+		bp.rep.Failures = mergeRecords(bp.rep.Failures, o.fails, s.opts.MaxRecorded)
+		bp.covered += o.covered
 		for j := range o.reps {
-			reps[j] |= o.reps[j]
+			bp.reps[j] |= o.reps[j]
 		}
 	}
-	for _, w := range reps {
-		distinct += bits.OnesCount64(w)
+	for _, w := range bp.reps {
+		bp.distinct += int64(bits.OnesCount64(w))
+	}
+	return bp
+}
+
+// coverSize is the size part of a replay, on the block parts of a size's
+// blocks sorted by range: their ranges must tile [0, total), and their
+// entries must be distinct least sets of orbits whose sizes add up to
+// total, which makes them every orbit of the size. On a miss it names the
+// first set in no entry's orbit, and returns its rank, else -1.
+func (s *sweep) coverSize(size int, blocks []*blockProof) (*FaultSetRecord, int64) {
+	m := len(s.universe)
+	total := combin.Binomial(m, size)
+	next, n, distinct, covered := int64(0), int64(0), int64(0), int64(0)
+	for _, b := range blocks {
+		switch {
+		case b.from < next:
+			return replayFault(size, nil, -1, fmt.Sprintf("blocks overlap at rank %d", b.from)), -1
+		case b.from > next:
+			return replayFault(size, nil, -1, fmt.Sprintf("ranks [%d, %d) are in no block", next, b.from)), -1
+		}
+		next = b.to
+		n, distinct, covered = n+b.rep.Checked, distinct+b.distinct, covered+b.covered
+	}
+	if next != total {
+		return replayFault(size, nil, -1, fmt.Sprintf("ranks [%d, %d) are in no block", next, total)), -1
+	}
+	if distinct == n && covered == total {
+		return nil, -1
 	}
 	// Distinct least sets lie in distinct orbits. Where they miss some,
 	// name the first set in none: the first least set that is no entry.
-	// Only a failed certificate is no miss.
-	miss := fault == nil || fault.Nodes == nil
-	if fault == nil && (distinct != n || covered != total) {
-		fault = replayFault(size, nil, -1, fmt.Sprintf("%d entries, %d distinct least sets of orbits", n, distinct))
-		r, scratch := int64(0), make([]int, size)
-		combin.Subsets(m, size, func(sub []int) bool {
-			if reps[r>>6]&(1<<(r&63)) == 0 && s.orbit.isMinimal(sub, scratch) {
-				fault = replayFault(size, nodesOf(s.universe, sub), r, "in no entry's orbit")
-				return false
-			}
-			r++
-			return true
-		})
-	}
-	if fault != nil {
-		if miss {
-			blk.Miss()
+	fault, rank := replayFault(size, nil, -1, fmt.Sprintf("%d entries, %d distinct least sets of orbits", n, distinct)), int64(-1)
+	r, i, scratch := int64(0), 0, make([]int, size)
+	combin.Subsets(m, size, func(sub []int) bool {
+		for r >= blocks[i].to {
+			i++
 		}
-		sp.End(span.Errored)
-		return nil, fault
-	}
-	blk.Hit()
-	sp.End(span.OK)
-	return local, nil
+		bit := r - blocks[i].from
+		if blocks[i].reps[bit>>6]&(1<<(bit&63)) == 0 && s.orbit.isMinimal(sub, scratch) {
+			fault, rank = replayFault(size, nodesOf(s.universe, sub), r, "in no entry's orbit"), r
+			return false
+		}
+		r++
+		return true
+	})
+	return fault, rank
 }
 
-// minReplayShard is the fewest entries replayProof hands a goroutine of
+// minReplayShard is the fewest entries replayBlock hands a goroutine of
 // its own: below it, starting one costs more than it saves.
 const minReplayShard = 128
 
@@ -290,16 +381,18 @@ func (t *orbitTester) entry(rk combin.Ranker, set, sub []int, img, mask []uint64
 }
 
 // recheckNegative screens a stored negative verdict with the cheap
-// necessary conditions and counts the outcome. A negative that violates a
-// necessary condition is independently confirmed; one that passes them all
-// is accepted on the same trust level as a cold solver's "not found"
-// (negatives carry no certificate in either case).
-func recheckNegative(g *graph.Graph, faults bitset.Set) {
+// necessary conditions, counts the outcome and reports whether they
+// confirm it. A negative that violates a necessary condition is
+// independently confirmed; one that passes them all is accepted on the
+// same trust level as a cold solver's "not found" (negatives carry no
+// certificate in either case).
+func recheckNegative(g *graph.Graph, faults bitset.Set) bool {
 	if cheapNoPipeline(g, faults) {
 		storeNegConfirmedC.Add(1)
-	} else {
-		storeNegAcceptedC.Add(1)
+		return true
 	}
+	storeNegAcceptedC.Add(1)
+	return false
 }
 
 // cheapNoPipeline reports whether a violated necessary condition already
@@ -379,14 +472,14 @@ func cheapNoPipeline(g *graph.Graph, faults bitset.Set) bool {
 	return false
 }
 
-// replaySizes replays every size's proof block into rep, for Exhaustive
+// replaySizes replays every size's proof blocks into rep, for Exhaustive
 // and Replay. It returns the sizes replayed, and a report of the rest:
 // their sets counted as unknowns, each size's with a record of why.
 func (s *sweep) replaySizes(rep *Report) (map[int]bool, *Report) {
 	replayed, rest := map[int]bool{}, &Report{}
-	sig := s.ref.SweepSig(s.universe, s.k, s.ref.GroupSig(s.group))
+	sig := s.sig()
 	for size := 0; size <= s.k && size <= len(s.universe); size++ {
-		if local, fault := s.replayProof(sig, size); fault != nil {
+		if local, fault := s.replaySize(sig, size); fault != nil {
 			rest.UnknownCount += combin.Binomial(len(s.universe), size)
 			rest.Unknowns = append(rest.Unknowns, *fault)
 		} else {
@@ -398,15 +491,15 @@ func (s *sweep) replaySizes(rep *Report) (map[int]bool, *Report) {
 }
 
 // Replay proves GD(G, k) from the proof blocks in opts.Store alone, as a
-// warm symmetry-reduced Exhaustive does, and builds no solver: a clean
-// Report trusts only the pipeline check and the certified automorphisms,
-// and has the VerdictSummary of the cold sweep that wrote the blocks.
-// Options are read as by Exhaustive, with ExploitSymmetry implied and
-// FailFast ignored. A size without a clean block is left unknown, with a
-// record of why. Replay appends to the store at most g and its group.
+// warm Exhaustive does, and builds no solver: a clean Report trusts only
+// the pipeline check and the certified automorphisms, and has the
+// VerdictSummary of the cold sweep that wrote the blocks. Options are
+// read as by Exhaustive, with FailFast ignored: ExploitSymmetry must be
+// the cold sweep's, whose blocks are filed under its group. A size whose
+// blocks do not replay is left unknown, with a record of why. Replay
+// appends to the store at most g and its group.
 func Replay(g *graph.Graph, k int, opts Options) *Report {
 	start := time.Now()
-	opts.ExploitSymmetry = true
 	s := newSweep(g, k, opts)
 	defer s.release()
 	rep := &Report{GraphName: g.Name(), K: k}

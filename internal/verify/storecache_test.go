@@ -353,6 +353,75 @@ func TestStoreFileFromEarlierReleaseReplays(t *testing.T) {
 	}
 }
 
+// TestStoreFileOfPreviousReleaseReplays opens, unchanged, a store file
+// written by the release before ranged proof blocks: a cold
+// symmetry-reduced proof of G(3,3), k=3, whose blocks cover whole sizes,
+// and a fleet sweep of it, whose chunk reports are blobs. The blocks read
+// as covering their sizes: Replay and a warm sweep prove from them with no
+// solver call and write nothing. Compact drops the blobs, which are dead
+// records now, and keeps the blocks.
+func TestStoreFileOfPreviousReleaseReplays(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "store-v2.gdps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	sol, err := construct.Design(3, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := verify.Options{Workers: 2, ExploitSymmetry: true, Solver: embed.Options{Layout: sol.Layout}}
+	base := verify.Exhaustive(sol.Graph, k, opts)
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := recordKinds(t, path); kinds[kindBlob] == 0 || kinds[kindWholeProof] != k+1 || kinds[kindProof] != 0 {
+		t.Fatalf("test premise: the file holds blobs and %d whole-size blocks, has %v", k+1, kinds)
+	}
+	s := openStore(t, path)
+	opts.Store = s
+	for _, rep := range []*verify.Report{verify.Replay(sol.Graph, k, opts), verify.Exhaustive(sol.Graph, k, opts)} {
+		if got, want := rep.VerdictSummary(), base.VerdictSummary(); got != want || rep.Tiers.Total() != 0 {
+			t.Errorf("proof from the previous release's store: %q with %d solver calls; want %q and none", got, rep.Tiers.Total(), want)
+		}
+	}
+	if st := s.Stats(); st.Dirty != 0 {
+		t.Errorf("the proofs wrote %d records", st.Dirty)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if got, want := fmt.Sprint(recordKinds(t, path)), fmt.Sprint(map[byte]int{kindGraph: 1, kindGroup: 1, kindWholeProof: k + 1}); got != want {
+		t.Errorf("records by kind after Compact %s, want %s", got, want)
+	}
+}
+
+// TestReplayWithoutSymmetry proves G(10,2), k=2 without symmetry into a
+// store. Replay without symmetry must reach the cold verdict from the
+// blocks filed under the identity group with no solver call; Replay with
+// symmetry finds no block of its sweep.
+func TestReplayWithoutSymmetry(t *testing.T) {
+	sol, err := construct.Design(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 2
+	s := openStore(t, filepath.Join(t.TempDir(), "v.gdps"))
+	defer s.Close()
+	opts := verify.Options{Workers: 2, Solver: embed.Options{Layout: sol.Layout}, Store: s}
+	cold := verify.Exhaustive(sol.Graph, k, opts)
+	rep := verify.Replay(sol.Graph, k, opts)
+	if got, want := rep.VerdictSummary(), cold.VerdictSummary(); got != want || !rep.OK() || rep.Tiers.Total() != 0 {
+		t.Errorf("replay without symmetry: %q, %d solver calls; want %q and none", got, rep.Tiers.Total(), want)
+	}
+	opts.ExploitSymmetry = true
+	if rep := verify.Replay(sol.Graph, k, opts); rep.OK() || len(rep.Unknowns) != k+1 || rep.Unknowns[0].Err != "size 0: no proof block" {
+		t.Errorf("replay with symmetry of a store without: %s, unknowns %+v", rep.VerdictSummary(), rep.Unknowns)
+	}
+}
+
 // canonicalNode returns the node of g whose canonical id is c.
 func canonicalNode(g *graph.Graph, c int) int {
 	for v, l := range g.Canonical().Labeling {
@@ -397,13 +466,16 @@ func poisonedStore(t *testing.T, g *graph.Graph, recs ...[]byte) (*store.Store, 
 }
 
 // Record kinds of the store file format, and uvarints for payloads.
-// Verdicts and manifests are the dead kinds of earlier releases.
+// Verdicts, manifests and blobs are the dead kinds of earlier releases,
+// whose whole-size proof blocks are still live.
 const (
-	kindGraph    = 1
-	kindVerdict  = 2
-	kindGroup    = 3
-	kindManifest = 4
-	kindProof    = 6
+	kindGraph      = 1
+	kindVerdict    = 2
+	kindGroup      = 3
+	kindManifest   = 4
+	kindBlob       = 5
+	kindWholeProof = 6
+	kindProof      = 7
 )
 
 func uv(b []byte, vs ...uint64) []byte {
@@ -465,7 +537,7 @@ func TestStoreOutOfRangeManifestAndGroupIDsMiss(t *testing.T) {
 		universe[i] = i
 	}
 	sig := ref.SweepSig(universe, 2, ref.GroupSig(gr))
-	block := binary.LittleEndian.AppendUint64(uv([]byte{kindProof}, 0), sig)
+	block := binary.LittleEndian.AppendUint64(uv([]byte{kindWholeProof}, 0), sig)
 	block = append(uv(block, 1, 1), 1, 200, 0)
 	group := uv([]byte{kindGroup}, 0, 1, 1, 0, uint64(n))
 	for c := 0; c < n-1; c++ {
@@ -499,13 +571,8 @@ func rewriteRecords(t *testing.T, path string, edit func(kind byte, payload []by
 	out := append([]byte(nil), img[:6]...)
 	for b := img[6:]; len(b) > 0; {
 		plen := int(binary.LittleEndian.Uint32(b[2:6]))
-		kind, payload := b[1], edit(b[1], b[6:6+plen])
+		out = appendRecord(out, b[1], edit(b[1], b[6:6+plen]))
 		b = b[10+plen:]
-		start := len(out)
-		out = append(out, 1, kind)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
 	}
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
@@ -514,46 +581,86 @@ func rewriteRecords(t *testing.T, path string, edit func(kind byte, payload []by
 
 // editProofs rewrites, in the store file at path, every proof block of
 // the given set size through edit, which gets the block's entries one
-// slice each and returns the new entries. The entries must be width 1, as
-// in any graph of at most 255 nodes. The header's count becomes the new
-// number of entries. It returns how many blocks it rewrote.
+// slice each and returns the new entries. The header's range is kept, and
+// its count becomes the new number of entries. It returns how many blocks
+// it rewrote.
 func editProofs(t *testing.T, path string, size int, edit func(entries [][]byte) [][]byte) int {
 	t.Helper()
-	edited := 0
-	rewriteRecords(t, path, func(kind byte, payload []byte) []byte {
-		if kind != kindProof {
-			return payload
-		}
+	return splitProofs(t, path, size, func(b rangedBlock) []rangedBlock {
+		b.entries = edit(b.entries)
+		return []rangedBlock{b}
+	})
+}
+
+// rangedBlock is a proof block as splitProofs sees it: its range and its
+// entries, one slice each.
+type rangedBlock struct {
+	from, to uint64
+	entries  [][]byte
+}
+
+// splitProofs rewrites, in the store file at path, every proof block of
+// the given set size as the blocks split returns for it, in order, each
+// with its count the number of its entries. The entries must be width 1,
+// as in any graph of at most 255 nodes. It returns how many blocks it
+// rewrote.
+func splitProofs(t *testing.T, path string, size int, split func(b rangedBlock) []rangedBlock) int {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, edited := append([]byte(nil), img[:6]...), 0
+	for b := img[6:]; len(b) > 0; {
+		plen := int(binary.LittleEndian.Uint32(b[2:6]))
+		kind, payload := b[1], b[6:6+plen]
+		b = b[10+plen:]
 		p := payload
 		slot, n := binary.Uvarint(p)
 		sig := binary.LittleEndian.Uint64(p[n:])
 		p = p[n+8:]
-		sz, n := binary.Uvarint(p)
-		p = p[n:]
-		count, n := binary.Uvarint(p)
-		p = p[n:]
-		if int(sz) != size {
-			return payload
+		var hdr [4]uint64 // size, from, to, count
+		for i := range hdr {
+			hdr[i], n = binary.Uvarint(p)
+			p = p[n:]
+		}
+		if kind != kindProof || int(hdr[0]) != size {
+			out = appendRecord(out, kind, payload)
+			continue
 		}
 		if p[0] != 1 {
 			t.Fatalf("proof block of width %d, want 1", p[0])
 		}
-		var entries [][]byte
-		for e, i := p[1:], uint64(0); i < count; i++ {
+		blk := rangedBlock{from: hdr[1], to: hdr[2]}
+		for e, i := p[1:], uint64(0); i < hdr[3]; i++ {
 			n := size + 1 + int(e[size])
-			entries = append(entries, append([]byte(nil), e[:n]...))
+			blk.entries = append(blk.entries, append([]byte(nil), e[:n]...))
 			e = e[n:]
 		}
-		entries = edit(entries)
-		payload = binary.LittleEndian.AppendUint64(uv(nil, slot), sig)
-		payload = append(uv(payload, sz, uint64(len(entries))), 1)
-		for _, e := range entries {
-			payload = append(payload, e...)
+		for _, nb := range split(blk) {
+			payload := binary.LittleEndian.AppendUint64(uv(nil, slot), sig)
+			payload = append(uv(payload, hdr[0], nb.from, nb.to, uint64(len(nb.entries))), 1)
+			for _, e := range nb.entries {
+				payload = append(payload, e...)
+			}
+			out = appendRecord(out, kind, payload)
 		}
 		edited++
-		return payload
-	})
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	return edited
+}
+
+// appendRecord appends a store record of the given kind and payload to
+// img, its length and CRC computed.
+func appendRecord(img []byte, kind byte, payload []byte) []byte {
+	start := len(img)
+	img = append(img, 1, kind)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
+	img = append(img, payload...)
+	return binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[start:]))
 }
 
 // proofBlockFixture is a cold symmetry-reduced sweep of G3(5), k=2 written
@@ -625,6 +732,23 @@ func splicePath(x []byte, j int) []byte {
 // every size.
 func (f proofBlockFixture) check(t *testing.T, damages []proofBlockDamage) {
 	t.Helper()
+	for _, tc := range damages {
+		f.checkDamage(t, tc, func(path string) (named int) {
+			if n := editProofs(t, path, 1, func(e [][]byte) [][]byte {
+				e, named = tc.edit(e)
+				return e
+			}); n != 1 {
+				t.Fatalf("%s: edited %d size-1 blocks, want 1", tc.name, n)
+			}
+			return named
+		})
+	}
+}
+
+// checkDamage is check for one damage, which damage applies to the store
+// file at path; it returns the canonical id of the set it names, or -1.
+func (f proofBlockFixture) checkDamage(t *testing.T, tc proofBlockDamage, damage func(path string) int) {
+	t.Helper()
 	reg := obs.Default()
 	reg.SetEnabled(true)
 	defer reg.SetEnabled(false)
@@ -633,62 +757,54 @@ func (f proofBlockFixture) check(t *testing.T, damages []proofBlockDamage) {
 		t.Fatal(err)
 	}
 	g, k := f.g, f.k
-	for _, tc := range damages {
-		path := filepath.Join(t.TempDir(), "v.gdps")
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		named := -1
-		if n := editProofs(t, path, 1, func(e [][]byte) [][]byte {
-			e, named = tc.edit(e)
-			return e
-		}); n != 1 {
-			t.Fatalf("%s: edited %d size-1 blocks, want 1", tc.name, n)
-		}
-		s := openStore(t, path)
-		rep := verify.Replay(g, k, verify.Options{Workers: 2, Store: s})
-		s.Close()
-		want := verify.FaultSetRecord{Err: "size 1: "}
-		if named >= 0 {
-			v := canonicalNode(g, named)
-			want = verify.FaultSetRecord{Nodes: []int{v}, Err: fmt.Sprintf("size 1 rank %d: ", v)}
-		}
-		if rep.OK() || rep.UnknownCount != int64(g.NumNodes()) || len(rep.Unknowns) != 1 ||
-			!slices.Equal(rep.Unknowns[0].Nodes, want.Nodes) || !strings.HasPrefix(rep.Unknowns[0].Err, want.Err) {
-			t.Errorf("%s: Replay reported %d unknowns %+v; want the %d sets of size 1 unproved, for %v %q…",
-				tc.name, rep.UnknownCount, rep.Unknowns, g.NumNodes(), want.Nodes, want.Err)
-		}
+	path := filepath.Join(t.TempDir(), "v.gdps")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	named := damage(path)
+	s := openStore(t, path)
+	rep := verify.Replay(g, k, verify.Options{Workers: 2, ExploitSymmetry: true, Store: s})
+	s.Close()
+	want := verify.FaultSetRecord{Err: "size 1: "}
+	if named >= 0 {
+		v := canonicalNode(g, named)
+		want = verify.FaultSetRecord{Nodes: []int{v}, Err: fmt.Sprintf("size 1 rank %d: ", v)}
+	}
+	if rep.OK() || rep.UnknownCount != int64(g.NumNodes()) || len(rep.Unknowns) != 1 ||
+		!slices.Equal(rep.Unknowns[0].Nodes, want.Nodes) || !strings.HasPrefix(rep.Unknowns[0].Err, want.Err) {
+		t.Errorf("%s: Replay reported %d unknowns %+v; want the %d sets of size 1 unproved, for %v %q…",
+			tc.name, rep.UnknownCount, rep.Unknowns, g.NumNodes(), want.Nodes, want.Err)
+	}
 
-		reg.Reset()
-		s = openStore(t, path)
-		opts := f.opts
-		opts.Store = s
-		warm := verify.Exhaustive(g, k, opts)
-		s.Close()
-		if got, want := warm.VerdictSummary(), f.base.VerdictSummary(); got != want {
-			t.Errorf("%s: verdict changed:\n got %q\nwant %q", tc.name, got, want)
-		}
-		fails := reg.Counter("store_replay_fail_total").Value()
-		misses := reg.Counter("store_miss_total", obs.L("kind", "manifest")).Value()
-		hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value()
-		if fails != tc.replayFail || misses != tc.miss || hits != int64(k) {
-			t.Errorf("%s: replay failures %d, manifest misses %d, manifest hits %d; want %d, %d, %d",
-				tc.name, fails, misses, hits, tc.replayFail, tc.miss, k)
-		}
-		// Size 1 was solved again, and every entry of the other sizes'
-		// blocks replayed.
-		if vh, calls := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value(), warm.Tiers.Total(); calls == 0 || vh+calls != warm.Checked {
-			t.Errorf("%s: %d verdict hits and %d solver calls for %d checked sets", tc.name, vh, calls, warm.Checked)
-		}
+	reg.Reset()
+	s = openStore(t, path)
+	opts := f.opts
+	opts.Store = s
+	warm := verify.Exhaustive(g, k, opts)
+	s.Close()
+	if got, want := warm.VerdictSummary(), f.base.VerdictSummary(); got != want {
+		t.Errorf("%s: verdict changed:\n got %q\nwant %q", tc.name, got, want)
+	}
+	fails := reg.Counter("store_replay_fail_total").Value()
+	misses := reg.Counter("store_miss_total", obs.L("kind", "manifest")).Value()
+	hits := reg.Counter("store_hit_total", obs.L("kind", "manifest")).Value()
+	if fails != tc.replayFail || misses != tc.miss || hits != int64(k) {
+		t.Errorf("%s: replay failures %d, manifest misses %d, manifest hits %d; want %d, %d, %d",
+			tc.name, fails, misses, hits, tc.replayFail, tc.miss, k)
+	}
+	// Size 1 was solved again, and every entry of the other sizes'
+	// blocks replayed.
+	if vh, calls := reg.Counter("store_hit_total", obs.L("kind", "verdict")).Value(), warm.Tiers.Total(); calls == 0 || vh+calls != warm.Checked {
+		t.Errorf("%s: %d verdict hits and %d solver calls for %d checked sets", tc.name, vh, calls, warm.Checked)
+	}
 
-		s = openStore(t, path)
-		opts.Store = s
-		again := verify.Exhaustive(g, k, opts)
-		s.Close()
-		if again.VerdictSummary() != f.base.VerdictSummary() || again.Tiers.Total() != 0 {
-			t.Errorf("%s: second warm sweep %q made %d solver calls; want %q and none",
-				tc.name, again.VerdictSummary(), again.Tiers.Total(), f.base.VerdictSummary())
-		}
+	s = openStore(t, path)
+	opts.Store = s
+	again := verify.Exhaustive(g, k, opts)
+	s.Close()
+	if again.VerdictSummary() != f.base.VerdictSummary() || again.Tiers.Total() != 0 {
+		t.Errorf("%s: second warm sweep %q made %d solver calls; want %q and none",
+			tc.name, again.VerdictSummary(), again.Tiers.Total(), f.base.VerdictSummary())
 	}
 }
 
@@ -720,7 +836,7 @@ func TestCertifyAndReplay(t *testing.T) {
 	f := newProofBlockFixture(t)
 	s := openStore(t, f.clean)
 	defer s.Close()
-	rep := verify.Replay(f.g, f.k, verify.Options{Workers: 2, Store: s})
+	rep := verify.Replay(f.g, f.k, verify.Options{Workers: 2, ExploitSymmetry: true, Store: s})
 	if got, want := rep.VerdictSummary(), f.base.VerdictSummary(); got != want || !rep.OK() {
 		t.Errorf("replay of the clean store:\n got %q\nwant %q", got, want)
 	}
@@ -776,7 +892,7 @@ func TestReplayRejectsTampering(t *testing.T) {
 	})
 	s := openStore(t, f.clean)
 	defer s.Close()
-	if rep := verify.Replay(construct.G3(4), f.k, verify.Options{Workers: 2, Store: s}); rep.OK() ||
+	if rep := verify.Replay(construct.G3(4), f.k, verify.Options{Workers: 2, ExploitSymmetry: true, Store: s}); rep.OK() ||
 		len(rep.Unknowns) != f.k+1 || rep.Unknowns[0].Err != "size 0: no proof block" {
 		t.Errorf("replay of another graph: %s, unknowns %+v", rep.VerdictSummary(), rep.Unknowns)
 	}
@@ -798,6 +914,59 @@ func TestReplayRejectsBadFaultLists(t *testing.T) {
 			return e, -1
 		}, 0, 1},
 	})
+}
+
+// TestReplayRejectsBadRanges splits the size-1 proof block into blocks
+// with a gap between them, or overlapping ones, of which the later drops
+// the earlier, and stretches its range past the size's sets.
+func TestReplayRejectsBadRanges(t *testing.T) {
+	f := newProofBlockFixture(t)
+	// rank is an entry's rank: for a set of one node of G3(5)'s universe,
+	// every node, the node's id.
+	rank := func(e []byte) uint64 { return uint64(canonicalNode(f.g, int(e[0]))) }
+	// hole is the least rank of no entry: a set that is not the least of
+	// its orbit.
+	hole := func(b rangedBlock) uint64 {
+		for r := uint64(0); ; r++ {
+			if !slices.ContainsFunc(b.entries, func(e []byte) bool { return rank(e) == r }) {
+				return r
+			}
+		}
+	}
+	// cut splits b's entries by rank, below r and from r on.
+	cut := func(b rangedBlock, r uint64) (lo, hi [][]byte) {
+		for _, e := range b.entries {
+			if rank(e) < r {
+				lo = append(lo, e)
+			} else {
+				hi = append(hi, e)
+			}
+		}
+		return lo, hi
+	}
+	for name, split := range map[string]func(b rangedBlock) []rangedBlock{
+		"gap between blocks": func(b rangedBlock) []rangedBlock {
+			r := hole(b)
+			lo, hi := cut(b, r)
+			return []rangedBlock{{b.from, r, lo}, {r + 1, b.to, hi}}
+		},
+		"overlapping blocks": func(b rangedBlock) []rangedBlock {
+			r := hole(b)
+			lo, hi := cut(b, r)
+			return []rangedBlock{{b.from, r + 1, lo}, {r, b.to, hi}}
+		},
+		"range past the size's sets": func(b rangedBlock) []rangedBlock {
+			b.to++
+			return []rangedBlock{b}
+		},
+	} {
+		f.checkDamage(t, proofBlockDamage{name: name, miss: 1}, func(path string) int {
+			if n := splitProofs(t, path, 1, split); n != 1 {
+				t.Fatalf("%s: split %d size-1 blocks, want 1", name, n)
+			}
+			return -1
+		})
+	}
 }
 
 // TestReplayErrorsLocateTheCertificate breaks one witness of the size-1
@@ -873,7 +1042,7 @@ func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 	var gap []int
 	var gapSize int
 	for size := 0; size <= k; size++ {
-		var reps store.ProofEntries
+		reps := store.NewProofEntries(n)
 		combin.Subsets(n, size, func(sub []int) bool {
 			faults := bitset.New(n)
 			for _, v := range sub {
@@ -886,11 +1055,11 @@ func TestStoreProofBlockMustCoverItsSize(t *testing.T) {
 			case !found && gap == nil:
 				gap, gapSize = slices.Clone(sub), size
 			case found && minimal(sub):
-				ref.AddProofEntry(&reps, sub, path)
+				reps.Add(sub, path)
 			}
 			return true
 		})
-		ref.PutProof(sig, size, []store.ProofEntries{reps})
+		ref.PutProof(sig, size, 0, combin.Binomial(n, size), []store.ProofEntries{reps})
 	}
 
 	// Replay first: the warm sweep files complete blocks over the

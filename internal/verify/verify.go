@@ -90,14 +90,15 @@ type Options struct {
 	// coordinators mid-run. Zero (the default) means full speed.
 	Throttle time.Duration
 	// Store attaches the persistent content-addressed proof store to
-	// Exhaustive and Replay (ShardRunner and Random ignore it). Exhaustive
-	// first replays each size from its proof block (positive entries replay
-	// their pipeline certificate, negative ones are re-screened by cheap
-	// necessary conditions, and the block must cover its size — see
-	// storecache.go); it solves the other sizes and files the block of each
-	// size whose every set it decided. Without ExploitSymmetry the blocks
-	// are filed under the identity group. The caller owns the store's
-	// lifecycle (Flush/Close). nil disables the store.
+	// Exhaustive, Replay and ShardChecker (ShardRunner and Random ignore
+	// it). Exhaustive first replays each size from its proof blocks
+	// (positive entries replay their pipeline certificate, negative ones
+	// are re-screened by cheap necessary conditions, and the blocks must
+	// cover their size — see storecache.go); it solves the other sizes and
+	// files one block for each size whose every set it decided. Without
+	// ExploitSymmetry the blocks are filed under the identity group. The
+	// caller owns the store's lifecycle (Flush/Close). nil disables the
+	// store.
 	Store *store.Store
 }
 
@@ -286,7 +287,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			if collect {
 				// Each worker encodes the proof-block entries of the
 				// representatives it decides, by size.
-				r.wk.blocks = make([]store.ProofEntries, k+1)
+				r.collect()
 			}
 			// A stopped sweep (ctx cancel or another worker's FailFast hit)
 			// abandons the remaining shards, including any stolen ones.
@@ -321,7 +322,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 	// exactly the size's orbit representatives, each decided. This holds
 	// even when the sweep was interrupted or another size was not clean.
 	if collect {
-		sig := s.ref.SweepSig(universe, k, s.ref.GroupSig(s.group))
+		sig := s.sig()
 		for size, n := range shards {
 			ran := 0
 			for _, done := range clean {
@@ -334,7 +335,7 @@ func Exhaustive(g *graph.Graph, k int, opts Options) *Report {
 			for i, r := range runners {
 				parts[i] = r.wk.blocks[size]
 			}
-			s.ref.PutProof(sig, size, parts)
+			s.ref.PutProof(sig, size, 0, combin.Binomial(len(universe), size), parts)
 		}
 	}
 
@@ -543,7 +544,7 @@ func Random(g *graph.Graph, k, trials int, seed int64, opts Options) *Report {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wk := newWorker(g, opts, universe, nil)
+			wk := newWorker(g, opts, universe)
 			rng := rand.New(rand.NewSource(seed + int64(w)*1_000_003))
 			buf := make([]int, 0, k)
 			// Worker w owns trials [w·per, min((w+1)·per, trials)): the
@@ -593,14 +594,12 @@ type worker struct {
 	cur  []int      // node ids of the current fault set, ascending
 	path graph.Path // the solver builds each pipeline here
 
-	// ref is the store slot, nil when no store is attached. blocks, when
-	// non-nil, accumulates by size the proof-block entries of the
-	// representatives this worker decides.
-	ref    *store.GraphRef
+	// blocks, when non-nil, accumulates by size the proof-block entries
+	// of the representatives this worker decides.
 	blocks []store.ProofEntries
 }
 
-func newWorker(g *graph.Graph, opts Options, universe []int, ref *store.GraphRef) *worker {
+func newWorker(g *graph.Graph, opts Options, universe []int) *worker {
 	return &worker{
 		g:        g,
 		solver:   embed.NewSolver(g, opts.Solver),
@@ -611,7 +610,6 @@ func newWorker(g *graph.Graph, opts Options, universe []int, ref *store.GraphRef
 		maxRec:   opts.MaxRecorded,
 		stop:     opts.Solver.Res,
 		failFast: opts.FailFast,
-		ref:      ref,
 	}
 }
 
@@ -672,7 +670,7 @@ func (w *worker) check(sub []int) bool {
 		w.local.FailureCount++
 		record(&w.local.Failures, w.universe, sub, "no pipeline", w.maxRec)
 		if w.blocks != nil {
-			w.ref.AddProofEntry(&w.blocks[len(sub)], w.cur, nil)
+			w.blocks[len(sub)].Add(w.cur, nil)
 		}
 		if w.failFast {
 			// First counterexample ends the sweep: every worker observes the
@@ -686,7 +684,7 @@ func (w *worker) check(sub []int) bool {
 		} else if w.blocks != nil {
 			// Only certificate-checked pipelines enter a block: a stored
 			// positive is always replayable.
-			w.ref.AddProofEntry(&w.blocks[len(sub)], w.cur, res.Pipeline)
+			w.blocks[len(sub)].Add(w.cur, res.Pipeline)
 		}
 	}
 	return true
@@ -711,8 +709,8 @@ func nodesOf(universe, sub []int) []int {
 // merge accumulates local into rep. It is commutative and associative:
 // the counters are sums, Interrupted is an OR, and each record list keeps
 // the canonically-smallest maxRec entries of the union — so partial
-// reports arriving from remote workers in any order (or replayed from a
-// checkpoint in any order) merge to the same final report. Duration is
+// reports arriving from remote workers in any order merge to the same
+// final report. Duration is
 // left to the caller: it is wall-clock, not a sum of partials.
 func merge(rep, local *Report, maxRec int) {
 	rep.Checked += local.Checked
@@ -731,8 +729,7 @@ func merge(rep, local *Report, maxRec int) {
 // merges its per-worker partials. maxRec caps each record list (0 means
 // the package default); the counters are never capped. The operation is
 // commutative and associative, which is what lets the verification fleet
-// merge out-of-order remote partials — and checkpoint replays — into a
-// deterministic final report.
+// merge out-of-order remote partials into a deterministic final report.
 func MergeReports(dst, src *Report, maxRec int) {
 	if maxRec <= 0 {
 		maxRec = 16

@@ -11,7 +11,6 @@ import (
 
 	"gdpn/internal/bitset"
 	"gdpn/internal/construct"
-	"gdpn/internal/core"
 	"gdpn/internal/embed"
 	"gdpn/internal/pipeline"
 	"gdpn/internal/reconfig"
@@ -97,33 +96,44 @@ func TestStressFaultRepairSoak(t *testing.T) {
 		t.Skip("stress test")
 	}
 	// Long soak: inject up to k faults, repair some, inject again — the
-	// network must always produce a full-coverage pipeline while within
-	// budget.
-	nw, err := core.Design(50, 4)
+	// manager must always hold a certified pipeline over every healthy
+	// processor while within budget.
+	sol, err := construct.Design(50, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr, err := reconfig.New(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sol.Graph
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 2000; step++ {
-		if nw.FaultCount() < 4 && rng.Intn(2) == 0 {
-			v := rng.Intn(nw.Graph().NumNodes())
-			if !nw.Faults().Contains(v) {
-				if err := nw.Inject(v); err != nil {
-					t.Fatal(err)
+		faults := mgr.Faults()
+		if faults.Count() < 4 && rng.Intn(2) == 0 {
+			if v := rng.Intn(g.NumNodes()); !faults.Contains(v) {
+				if _, err := mgr.Fault(v); err != nil {
+					t.Fatalf("step %d (faults %v): %v", step, faults.Slice(), err)
 				}
 			}
-		} else if nw.FaultCount() > 0 {
-			f := nw.Faults().Slice()
-			if err := nw.Repair(f[rng.Intn(len(f))]); err != nil {
+		} else if faults.Count() > 0 {
+			f := faults.Slice()
+			if _, err := mgr.Repair(f[rng.Intn(len(f))]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		p, err := nw.Pipeline()
-		if err != nil {
-			t.Fatalf("step %d (faults %v): %v", step, nw.Faults().Slice(), err)
+		faults = mgr.Faults()
+		if err := verify.CheckPipeline(g, faults, mgr.Pipeline()); err != nil {
+			t.Fatalf("step %d (faults %v): %v", step, faults.Slice(), err)
 		}
-		if len(p)-2 != nw.HealthyProcessors() {
-			t.Fatalf("step %d: coverage %d != healthy %d", step, len(p)-2, nw.HealthyProcessors())
+		healthy := 0
+		for _, p := range g.Processors() {
+			if !faults.Contains(p) {
+				healthy++
+			}
+		}
+		if len(mgr.Pipeline())-2 != healthy {
+			t.Fatalf("step %d: coverage %d != healthy %d", step, len(mgr.Pipeline())-2, healthy)
 		}
 	}
 }
